@@ -339,12 +339,10 @@ std::vector<exec::Evaluation> distinct_bindings(
 void BM_RunBatchDistinctBindings(benchmark::State& state) {
   // The evaluation-major acceptance line: 256 DISTINCT bindings of one
   // compiled structure, scalar per-evaluation execution (lanes:1) vs
-  // the k-wide SoA lane path (lanes:-1, calibrated width). Same
-  // layered ansatz on range(0) qubits; the ratio at equal n is the
-  // lane-path speedup. tools/check_bench_ratio.py asserts the n=10
-  // ratio from the JSON output in CI (under a pinned
-  // QOC_LANE_CALIBRATION so the probe cannot pick a narrow width on a
-  // throttled runner).
+  // the k-wide SoA lane path (lanes:-1, the static table's width 8 up
+  // to n = 14). Same layered ansatz on range(0) qubits; the ratio at
+  // equal n is the lane-path speedup. tools/check_bench_ratio.py
+  // asserts the n=10 ratio from the JSON output in CI.
   const int n = static_cast<int>(state.range(0));
   const int lanes = static_cast<int>(state.range(1));
   const auto plan = exec::CompiledCircuit::compile(layered_ring_ansatz(n));

@@ -2,7 +2,7 @@
 // Execution backends.
 //
 // A Backend runs a bound PQC and returns the Pauli-Z expectation value of
-// every (logical) qubit -- the f(theta) of Eq. 1. Two implementations:
+// every (logical) qubit -- the f(theta) of Eq. 1. Three implementations:
 //
 //  * StatevectorBackend -- the paper's "Classical-Train" baseline: exact
 //    amplitudes, optional shot sampling ("sample based on the amplitude
@@ -13,17 +13,22 @@
 //    trajectories with depolarizing gate errors, thermal relaxation and
 //    readout bit-flips, and finally sampled with a finite shot budget.
 //
-// Both count every run() as one "inference", the x-axis of Fig. 6.
+//  * DensityMatrixBackend -- the same device pipeline evolved exactly as
+//    a density matrix: the deterministic noisy oracle NoisyBackend is
+//    validated against.
 //
-// The bind-once-run-many entry point is run_batch(): callers compile a
-// circuit into an exec::CompiledCircuit once (per model) and submit many
+// All count every run() as one "inference", the x-axis of Fig. 6.
+//
+// The one execution primitive is the batch: callers compile a circuit
+// into an exec::CompiledCircuit once (per model) and submit many
 // evaluations -- different (theta, input) bindings, optionally with a
-// single-op parameter shift -- in one call. Backends amortise all
-// structure-dependent work (plan compilation, device routing) across the
-// batch and fan evaluations over worker threads. Batched results are
-// bit-identical to the equivalent sequence of run() calls: exact paths
-// are deterministic, and stochastic paths assign per-evaluation RNG
-// streams in submission order exactly as sequential run() calls would.
+// single-op parameter shift -- in one run_batch() call. Backends amortise
+// all structure-dependent work (plan compilation, device routing) across
+// the batch and fan evaluations over worker threads; run() is a batch of
+// one. Batched results are bit-identical to the equivalent sequence of
+// run() calls: exact paths are deterministic, and stochastic paths follow
+// one stream rule (stream_prng below) that assigns auto streams in
+// submission order exactly as sequential run() calls would.
 
 #include <atomic>
 #include <cstdint>
@@ -50,17 +55,25 @@
 
 namespace qoc::backend {
 
+/// The PRNG stream rule every stochastic backend follows: the generator
+/// of stream `id` under a backend seeded with `seed`. An evaluation's
+/// stream id is its pinned Evaluation::rng_stream, or else the next
+/// serial of the backend's submission-order counter.
+inline Prng stream_prng(std::uint64_t seed, std::uint64_t id) {
+  return Prng(seed + 0x9E3779B97F4A7C15ULL * (id + 1));
+}
+
 class Backend {
  public:
   virtual ~Backend() = default;
 
   /// Execute the circuit with the given trainable parameters and encoder
-  /// inputs; returns <Z_q> in [-1, 1] for each logical qubit q.
+  /// inputs; returns <Z_q> in [-1, 1] for each logical qubit q. The
+  /// circuit's plan is compiled once per structure (plan_cached).
   std::vector<double> run(const circuit::Circuit& c,
                           std::span<const double> theta,
                           std::span<const double> input) {
-    add_inferences(1);
-    return execute(c, theta, input);
+    return run(*plan_cached(c), theta, input);
   }
 
   /// Single evaluation of a pre-compiled plan.
@@ -68,30 +81,31 @@ class Backend {
                           std::span<const double> theta,
                           std::span<const double> input) {
     add_inferences(1);
-    return execute_single(plan, theta, input);
+    const exec::Evaluation eval{theta, input};
+    return std::move(execute_batch(
+        plan, std::span<const exec::Evaluation>(&eval, 1), 1)[0]);
   }
 
   /// Execute every evaluation of the batch against the compiled plan.
   /// `threads` fans evaluations across workers of the shared pool:
   /// 1 = sequential (default), 0 = one per hardware core.
   ///
-  /// Determinism contract (shared by expect_batch and everything built
-  /// on them, e.g. vqe::EnergyEstimator::energies): results[k] is
+  /// Determinism contract (shared by expect_batch): results[k] is
   /// bit-identical to the k-th call of the equivalent sequence of
   /// run() invocations, for every thread count. Exact paths are
-  /// deterministic outright; stochastic paths derive one PRNG stream
-  /// per evaluation *in submission order* before any worker starts,
-  /// and each evaluation consumes only its own stream sequentially —
-  /// so scheduling order can never reorder draws.
+  /// deterministic outright. Stochastic paths draw evaluation k from
+  /// stream_prng(seed, id): the backend reserves one serial per
+  /// evaluation of the batch, in submission order, before any worker
+  /// starts, and an auto evaluation's id is its serial. Each evaluation
+  /// consumes only its own stream, sequentially -- so scheduling order
+  /// can never reorder draws.
   ///
-  /// An evaluation may instead pin its stream explicitly via
-  /// Evaluation::rng_stream, making its draws a pure function of
-  /// (backend seed, stream id) -- independent of batch composition,
-  /// position and the backend's internal serial state. The bundled
-  /// stochastic backends derive the stream as
-  /// Prng(seed + 0x9E3779B97F4A7C15 * (stream_id + 1)); qoc::serve
-  /// relies on this to coalesce jobs from many clients into arbitrary
-  /// batches without changing any job's outcome.
+  /// An evaluation may instead pin its id via Evaluation::rng_stream,
+  /// making its draws a pure function of (backend seed, stream id) --
+  /// independent of batch composition, position and the backend's
+  /// serial counter (which still advances past it). qoc::serve relies
+  /// on this to coalesce jobs from many clients into arbitrary batches
+  /// without changing any job's outcome.
   /// Each evaluation counts as one inference.
   std::vector<std::vector<double>> run_batch(
       const exec::CompiledCircuit& plan,
@@ -110,12 +124,12 @@ class Backend {
   /// every term analytically from one execution. Exact statevector
   /// results are bit-identical to the per-term loop
   /// (vqe::Hamiltonian::expectation). The run_batch determinism
-  /// contract applies verbatim: per-evaluation PRNG streams are
-  /// assigned in submission order and consumed sequentially inside
-  /// each evaluation (per measured group), so sampled energies are
-  /// bit-reproducible and thread-count invariant. Inference
-  /// accounting: one count per measured execution (evals x groups
-  /// when sampling, evals when exact).
+  /// contract applies verbatim: one stream per evaluation under the
+  /// same rule, consumed sequentially inside the evaluation (per
+  /// measured group), so sampled energies are bit-reproducible and
+  /// thread-count invariant. Inference accounting: one count per
+  /// measured execution (evals x groups when sampling, evals when
+  /// exact).
   std::vector<double> expect_batch(const exec::CompiledCircuit& plan,
                                    const exec::CompiledObservable& observable,
                                    std::span<const exec::Evaluation> evals,
@@ -146,7 +160,7 @@ class Backend {
   /// mutable state: inference counters, plan/transpile caches and
   /// auto-stream serials start fresh, so auto-stream (unpinned)
   /// stochastic evaluations may diverge from a backend that has already
-  /// consumed draws. Returns nullptr when the backend cannot replicate
+  /// consumed serials. Returns nullptr when the backend cannot replicate
   /// itself (custom backends wrapping exclusive resources); pool
   /// constructors that need clones throw in that case.
   virtual std::unique_ptr<Backend> clone_replica() const { return nullptr; }
@@ -170,24 +184,19 @@ class Backend {
   void reset_inference_count() { inferences_.store(0); }
 
  protected:
-  virtual std::vector<double> execute(const circuit::Circuit& c,
-                                      std::span<const double> theta,
-                                      std::span<const double> input) = 0;
-
-  /// Batched execution. The default implementation materialises each
-  /// evaluation as a (shifted) circuit and loops over execute(), so
-  /// custom backends that only implement execute() still support the
-  /// batched API; the bundled backends override this with amortised
-  /// implementations.
+  /// The execution primitive every backend implements: run each
+  /// evaluation of the batch against the plan, fanned over `threads`
+  /// pool workers, honouring the run_batch determinism contract. Does
+  /// no inference accounting (the public wrappers count).
   virtual std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
-      std::span<const exec::Evaluation> evals, unsigned threads);
+      std::span<const exec::Evaluation> evals, unsigned threads) = 0;
 
   /// Batched Hamiltonian expectation. Joint Pauli products cannot be
-  /// reconstructed from execute()'s per-qubit <Z>, so there is no
-  /// generic fallback: the default throws, and backends with native
-  /// state access override. Implementations do their own inference
-  /// accounting via add_inferences (one per measured execution).
+  /// reconstructed from per-qubit <Z>, so there is no generic fallback:
+  /// the default throws, and backends with native state access
+  /// override. Implementations do their own inference accounting via
+  /// add_inferences (one per measured execution).
   virtual std::vector<double> execute_expect_batch(
       const exec::CompiledCircuit& plan,
       const exec::CompiledObservable& observable,
@@ -199,6 +208,14 @@ class Backend {
     inferences_.fetch_add(n, std::memory_order_relaxed);
   }
 
+  /// The stream rule for one batch of a backend seeded with `seed`:
+  /// reserves one serial per evaluation (pinned or not) from the
+  /// backend's counter, in submission order, and returns evaluation k's
+  /// generator stream_prng(seed, id), id = its pinned rng_stream or
+  /// else its serial.
+  std::vector<Prng> batch_streams(std::uint64_t seed,
+                                  std::span<const exec::Evaluation> evals);
+
   /// Compile-or-reuse a plan for `c`, keyed on its structural signature.
   /// Lets the circuit-based run() path share all plan-level caching. The
   /// cache is cleared when it outgrows a fixed cap, so callers that
@@ -206,18 +223,9 @@ class Backend {
   std::shared_ptr<const exec::CompiledCircuit> plan_cached(
       const circuit::Circuit& c);
 
-  /// One evaluation of a plan through execute_batch (no inference count;
-  /// shared by the bundled backends' circuit-based execute() paths).
-  std::vector<double> execute_single(const exec::CompiledCircuit& plan,
-                                     std::span<const double> theta,
-                                     std::span<const double> input) {
-    const exec::Evaluation eval{theta, input, exec::Evaluation::kNoShift, 0.0};
-    return std::move(execute_batch(
-        plan, std::span<const exec::Evaluation>(&eval, 1), 1)[0]);
-  }
-
  private:
   std::atomic<std::uint64_t> inferences_{0};
+  std::atomic<std::uint64_t> serials_{0};
   common::Mutex plan_cache_mutex_;
   std::unordered_map<std::uint64_t,
                      std::vector<std::shared_ptr<const exec::CompiledCircuit>>>
@@ -230,7 +238,7 @@ struct StatevectorBackendOptions {
   int shots = 0;
   std::uint64_t seed = 0x51A7E7EC7ULL;
   /// Evaluation-major (k-wide) lane policy for the batch paths:
-  /// -1 defers to the cost model (default), 0 or 1 forces the scalar
+  /// -1 defers to the static lane table (default), 0 or 1 forces the scalar
   /// per-evaluation path (kill switch), >= 2 pins the lane width
   /// (clamped even, <= 32). The QOC_BATCH_LANES environment variable
   /// overrides this knob; see sim::batch_lane_width.
@@ -239,15 +247,16 @@ struct StatevectorBackendOptions {
 
 /// Noise-free statevector execution. shots == 0 means exact expectation
 /// values; shots > 0 samples the Born distribution like a real readout.
-/// Exact mode touches no shared mutable state (in particular, no RNG
-/// mutex), so batched exact runs scale linearly with threads.
+/// Exact mode touches no shared mutable state, so batched exact runs
+/// scale linearly with threads; sampled mode touches only the atomic
+/// serial counter of the stream rule.
 ///
 /// Batches of >= k distinct bindings on small registers execute k
 /// evaluations at a time on a sim::BatchedStatevector lane group
 /// (vectorizing across bindings); the scalar path handles the tail and
 /// remains the bitwise oracle -- lane-grouped results are bit-identical
 /// to per-evaluation execution, and sampled mode draws from the same
-/// submission-order-pinned streams either way.
+/// per-evaluation streams either way.
 class StatevectorBackend final : public Backend {
  public:
   explicit StatevectorBackend(int shots = 0,
@@ -265,9 +274,6 @@ class StatevectorBackend final : public Backend {
   int batch_lanes() const { return batch_lanes_; }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override;
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override;
@@ -277,19 +283,9 @@ class StatevectorBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  /// Stream for an evaluation that pinned Evaluation::rng_stream: pure
-  /// function of (constructor seed, stream id), same derivation as
-  /// NoisyBackend::execution_rng. Auto evaluations instead split from
-  /// the shared rng_ in submission order (the legacy behaviour).
-  Prng stream_rng(std::uint64_t stream) const {
-    return Prng(seed_ + 0x9E3779B97F4A7C15ULL * (stream + 1));
-  }
-
   int shots_;
   std::uint64_t seed_;
   int batch_lanes_ = -1;
-  common::Mutex rng_mutex_;  // sampled mode only; exact mode never locks
-  Prng rng_ QOC_GUARDED_BY(rng_mutex_);
 };
 
 /// Options controlling the noisy-device simulation fidelity/cost trade.
@@ -316,8 +312,8 @@ struct NoisyBackendOptions {
   /// each execution evolves k noise trajectories in lockstep on a
   /// sim::BatchedStatevector lane group (uniform gates, per-lane Kraus
   /// draws from each trajectory's own pinned stream). Same semantics as
-  /// StatevectorBackendOptions::batch_lanes: -1 defers to the cost
-  /// model, 0 or 1 forces the scalar trajectory loop, >= 2 pins the
+  /// StatevectorBackendOptions::batch_lanes: -1 defers to the static
+  /// lane table, 0 or 1 forces the scalar trajectory loop, >= 2 pins the
   /// width; QOC_BATCH_LANES overrides. Per-trajectory results are
   /// bit-identical at every width.
   int batch_lanes = -1;
@@ -377,9 +373,6 @@ class DensityMatrixBackend final : public Backend {
   const noise::DeviceModel& device() const { return device_; }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override;
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override;
@@ -400,7 +393,7 @@ class DensityMatrixBackend final : public Backend {
 
 /// Simulated NISQ device: transpiles to the device and runs noise
 /// trajectories. Thread-safe for concurrent run() calls (each execution
-/// derives its own RNG stream).
+/// draws from its own stream under the stream rule).
 class NoisyBackend final : public Backend {
  public:
   NoisyBackend(noise::DeviceModel device, NoisyBackendOptions options = {});
@@ -419,9 +412,6 @@ class NoisyBackend final : public Backend {
                              std::span<const double> input) const;
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override;
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override;
@@ -437,29 +427,19 @@ class NoisyBackend final : public Backend {
   /// Defined in backend.cpp.
   struct NoiseTables;
 
-  /// Independent RNG stream for one execution; trajectories split from
-  /// it so concurrent executions do not interleave draws. Shared by the
-  /// run and expect paths -- their serials come from the same
-  /// run_serial_ counter, which is what keeps batched results
-  /// deterministic in submission order. Evaluations that pin
-  /// Evaluation::rng_stream pass the pinned id through this same map,
-  /// so a streamed result is reproducible on any NoisyBackend with the
-  /// same device, options and seed.
-  Prng execution_rng(std::uint64_t serial) const {
-    return Prng(options_.seed + 0x9E3779B97F4A7C15ULL * (serial + 1));
-  }
-
+  /// One execution from its stream (see stream_prng): trajectory j
+  /// draws from the j-th split of `exec_rng`, so concurrent executions
+  /// never interleave draws.
   std::vector<double> run_transpiled(const transpile::Transpiled& t,
                                      const NoiseTables& tables, int n_logical,
-                                     std::uint64_t serial) const;
+                                     Prng& exec_rng) const;
   double expect_transpiled(const transpile::Transpiled& t,
                            const NoiseTables& tables,
                            const exec::CompiledObservable& observable,
-                           std::uint64_t serial) const;
+                           Prng& exec_rng) const;
 
   noise::DeviceModel device_;
   NoisyBackendOptions options_;
-  std::atomic<std::uint64_t> run_serial_{0};
   TranspileCache transpile_cache_;
 };
 

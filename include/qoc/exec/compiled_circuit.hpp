@@ -97,18 +97,20 @@ struct AngleSlot {
 /// optionally offsets the angle of a single source-circuit op by `shift`
 /// (the +-pi/2 of the parameter-shift rule) without rebuilding anything.
 ///
-/// `rng_stream` pins the PRNG stream a *stochastic* backend uses for
-/// this evaluation. The default (kAutoStream) keeps the legacy
-/// behaviour: the backend assigns streams in submission order within
-/// the batch. An explicit stream makes the evaluation's random draws a
-/// pure function of (backend seed, stream id) -- independent of batch
-/// composition and position -- which is what lets the qoc::serve
-/// coalescer regroup jobs from many clients into arbitrary batches
-/// without changing any job's outcome. Exact backends ignore it.
-/// Callers that mix explicit streams with auto evaluations against the
-/// same backend should draw explicit ids from a space disjoint from
-/// small integers (serve sets the top bit) so they cannot collide with
-/// the backend's internal serial counter.
+/// `rng_stream` is the stream id a *stochastic* backend draws this
+/// evaluation from, through backend::stream_prng(seed, id). The default
+/// (kAutoStream) takes the evaluation's serial instead: the backend
+/// reserves one serial per evaluation of each batch from its counter,
+/// in submission order, so a fresh backend's k-th auto evaluation draws
+/// exactly what an evaluation pinned to stream k draws. An explicit
+/// stream makes the evaluation's random draws a pure function of
+/// (backend seed, stream id) -- independent of batch composition and
+/// position -- which is what lets the qoc::serve coalescer regroup jobs
+/// from many clients into arbitrary batches without changing any job's
+/// outcome. Exact backends ignore it. Callers that mix explicit streams
+/// with auto evaluations against the same backend should draw explicit
+/// ids from a space disjoint from small integers (serve sets the top
+/// bit) so they cannot collide with the backend's serials.
 struct Evaluation {
   static constexpr std::size_t kNoShift = static_cast<std::size_t>(-1);
   static constexpr std::uint64_t kAutoStream = static_cast<std::uint64_t>(-1);

@@ -14,9 +14,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace qoc::sim {
 
@@ -27,11 +25,10 @@ namespace qoc::sim {
 // crossover is a cost-model call so the policy is testable and shared
 // by every dispatch site.
 
-/// Largest register the k-wide path pays off on under the STATIC
-/// fallback table (used when no measured or pinned calibration is
-/// available). Above this the per-state working set (2^n amplitudes)
-/// leaves L2 and the lane-interleaved layout loses to PR 3's
-/// within-state SIMD kernels.
+/// Largest register the k-wide path runs on under the static lane
+/// table. Above this the per-state working set (2^n amplitudes) leaves
+/// L2 and the lane-interleaved layout loses to the within-state SIMD
+/// kernels.
 inline constexpr int kBatchedLaneMaxQubits = 14;
 
 /// Default lane-group width: 8 states, one 64-byte cache line of doubles
@@ -47,27 +44,21 @@ inline constexpr std::size_t kBatchedLanes = 8;
 /// even and <= BatchedStatevector::kMaxLanes (32) or it is rejected.
 unsigned parse_batch_lanes(const char* s);
 
-/// Where the process-wide lane calibration came from. Exported as the
-/// qoc_sim_lane_calibration_source gauge (the numeric values below).
+/// Where a lane table came from. lane_calibration() always reports
+/// kDefault; the other enumerators name table sources that no longer
+/// exist and stay only so code that spells out every value keeps
+/// compiling.
 enum class LaneCalibrationSource : int {
-  kDefault = 0,   // static fallback table (flat n <= 14 -> 8 lanes)
-  kMeasured = 1,  // in-process micro-probe (qoc::sim::calibrate)
-  kEnv = 2,       // QOC_LANE_CALIBRATION env string
-  kFile = 3,      // QOC_LANE_CALIBRATION=@/path serialized file
-  kPinned = 4,    // set_lane_calibration (tests/CI pinning)
+  kDefault = 0,  // the static table (flat n <= 14 -> 8 lanes)
+  kMeasured = 1,
+  kEnv = 2,
+  kFile = 3,
+  kPinned = 4,
 };
 
-/// Per-host lane-width table: width[n] is the lane width the k-wide
-/// path should use for an n-qubit register (1 = scalar, otherwise even
-/// and <= BatchedStatevector::kMaxLanes). Resolved once per process --
-/// from the QOC_LANE_CALIBRATION knob when set, else measured by a
-/// micro-probe at first use -- and consulted by batch_lane_width when
-/// neither QOC_BATCH_LANES nor the per-backend pin decides.
-///
-/// The calibration only ever changes WHICH width a dispatch picks,
-/// never what any width computes: per-lane results are bit-identical
-/// across lane widths (the batched-kernel contract), so a noisy or
-/// host-dependent probe cannot perturb numerical results.
+/// Lane-width table: width[n] is the lane width the k-wide path uses
+/// for an n-qubit register (1 = scalar, otherwise even and <=
+/// BatchedStatevector::kMaxLanes).
 struct LaneCalibration {
   static constexpr int kMaxQubits = 30;  // Statevector's own register cap
 
@@ -76,53 +67,27 @@ struct LaneCalibration {
   std::array<std::uint8_t, kMaxQubits + 1> width{};
   LaneCalibrationSource source = LaneCalibrationSource::kDefault;
 
-  /// Static fallback: `lanes` wide for n <= max_wide_qubits, scalar
-  /// above (the pre-calibration flat rule).
+  /// `lanes` wide for n <= max_wide_qubits, scalar above.
   static LaneCalibration flat(int max_wide_qubits, std::size_t lanes);
 
-  /// Largest n with width[n] > 1, or 0 when everything is scalar.
-  int max_wide_qubits() const;
-
-  /// Serialized run-length form, e.g. "v1;1-14:8" (ascending,
-  /// non-overlapping `lo-hi:k` / `n:k` tokens, ','-separated; n absent
-  /// from every range means scalar). parse() round-trips serialize().
+  /// Run-length form, e.g. "v1;1-14:8" (ascending, non-overlapping
+  /// `lo-hi:k` / `n:k` tokens, ','-separated; n absent from every range
+  /// means scalar; a bare "v1;" is all-scalar).
   std::string serialize() const;
-
-  /// Strict parse of the serialized form. Any malformed token, bad
-  /// width (odd > 1 or > 32), out-of-range qubit count or overlapping
-  /// range rejects the WHOLE string (nullopt) -- a mistyped CI pin must
-  /// fail loudly, not half-apply.
-  static std::optional<LaneCalibration> parse(std::string_view s);
 };
 
-/// The process-wide calibration, resolving it on first call:
-/// QOC_LANE_CALIBRATION (inline string, or "@/path" naming a file with
-/// the serialized form; unparseable values are ignored with the probe
-/// as fallback) -> micro-probe. Thread-safe; later calls return the
-/// cached table.
+/// The lane table batch_lane_width defers to: the static
+/// flat(kBatchedLaneMaxQubits, kBatchedLanes) table ("v1;1-14:8"),
+/// source kDefault. Per-lane results are bit-identical across lane
+/// widths (the batched-kernel contract), so the table decides speed,
+/// never results.
 LaneCalibration lane_calibration();
-
-/// Force a fresh micro-probe now (ignoring QOC_LANE_CALIBRATION),
-/// install the result as the process-wide calibration and return it.
-/// The probe times scalar Statevector vs k-wide BatchedStatevector on a
-/// representative layered workload over a small (n, k) grid and keeps
-/// k-wide only where it measures faster per evaluation.
-LaneCalibration calibrate();
-
-/// Pin the process-wide calibration (tests/CI). Source is recorded as
-/// kPinned regardless of `cal.source`.
-void set_lane_calibration(const LaneCalibration& cal);
-
-/// Drop the cached process-wide calibration: the next lane_calibration()
-/// re-resolves from scratch (env/file knob, then the probe). For tests
-/// and long-lived processes whose environment changed.
-void reset_lane_calibration();
 
 /// Lane width for one batch dispatch: 1 means scalar per-evaluation
 /// execution, k >= 2 means lane groups of k. Priority: QOC_BATCH_LANES
 /// env override, then `pinned_lanes` (the per-backend options knob: -1
-/// defer, 0/1 force scalar, >= 2 pin the width), then the calibrated
-/// model (lane_calibration().width[n]). Any requested width is clamped
+/// defer, 0/1 force scalar, >= 2 pin the width), then the static table
+/// (lane_calibration().width[n]). Any requested width is clamped
 /// to even and <= 32. A width k is kept only when 2 * batch_size >= k:
 /// with ragged-tail compaction a part-filled group still beats the
 /// scalar path once it is at least half full, so k no longer requires k

@@ -1,10 +1,11 @@
 #include "qoc/backend/backend.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "qoc/common/parallel.hpp"
 #include "qoc/sim/batched_statevector.hpp"
@@ -21,7 +22,7 @@ using linalg::kI;
 using linalg::Matrix;
 
 // ---------------------------------------------------------------------------
-// Backend base: plan cache + compatibility batch path
+// Backend base: plan cache + the stream rule
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -49,38 +50,18 @@ std::shared_ptr<const exec::CompiledCircuit> Backend::plan_cached(
   return bucket.back();
 }
 
-std::vector<std::vector<double>> Backend::execute_batch(
-    const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
-    unsigned threads) {
-  // Compatibility path for backends that only implement execute():
-  // materialise each evaluation as a concrete circuit. No amortisation,
-  // but identical semantics.
-  (void)threads;  // sequential: execute() need not be thread-safe here
-  const circuit::Circuit& src = plan.source();
-  std::vector<std::vector<double>> results(evals.size());
-  for (std::size_t k = 0; k < evals.size(); ++k) {
-    const auto& e = evals[k];
-    if (e.shift_op == exec::Evaluation::kNoShift) {
-      results[k] = execute(src, e.theta, e.input);
-      continue;
-    }
-    if (e.shift_op >= src.num_ops())
-      throw std::out_of_range("execute_batch: shift op index");
-    circuit::Circuit shifted(src.num_qubits());
-    for (std::size_t i = 0; i < src.num_ops(); ++i) {
-      const auto& op = src.op(i);
-      circuit::ParamRef p = op.param;
-      if (i == e.shift_op) {
-        if (!circuit::gate_is_parameterised(op.kind))
-          throw std::invalid_argument(
-              "execute_batch: shift op not parameterised");
-        p.value += e.shift;
-      }
-      shifted.add(op.kind, op.qubits, p);
-    }
-    results[k] = execute(shifted, e.theta, e.input);
-  }
-  return results;
+std::vector<Prng> Backend::batch_streams(
+    std::uint64_t seed, std::span<const exec::Evaluation> evals) {
+  const std::uint64_t base =
+      serials_.fetch_add(evals.size(), std::memory_order_relaxed);
+  std::vector<Prng> rngs;
+  rngs.reserve(evals.size());
+  for (std::size_t k = 0; k < evals.size(); ++k)
+    rngs.push_back(stream_prng(
+        seed, evals[k].rng_stream == exec::Evaluation::kAutoStream
+                  ? base + k
+                  : evals[k].rng_stream));
+  return rngs;
 }
 
 std::vector<double> Backend::execute_expect_batch(
@@ -88,7 +69,7 @@ std::vector<double> Backend::execute_expect_batch(
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
   // Joint Pauli products (<Z_i Z_j ...>) cannot be reconstructed from
-  // execute()'s per-qubit <Z_q>, so there is no generic fallback.
+  // per-qubit <Z_q>, so there is no generic fallback.
   (void)plan;
   (void)observable;
   (void)evals;
@@ -131,66 +112,10 @@ std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
 }
 
 // ---------------------------------------------------------------------------
-// StatevectorBackend
+// Lane groups + scalar tail: the one k-wide dispatch loop
 // ---------------------------------------------------------------------------
 
-StatevectorBackend::StatevectorBackend(int shots, std::uint64_t seed)
-    : StatevectorBackend(StatevectorBackendOptions{shots, seed}) {}
-
-StatevectorBackend::StatevectorBackend(const StatevectorBackendOptions& options)
-    : shots_(options.shots),
-      seed_(options.seed),
-      batch_lanes_(options.batch_lanes),
-      rng_(options.seed) {
-  if (options.shots < 0)
-    throw std::invalid_argument("StatevectorBackend: shots < 0");
-}
-
-std::vector<double> StatevectorBackend::execute(
-    const circuit::Circuit& c, std::span<const double> theta,
-    std::span<const double> input) {
-  return execute_single(*plan_cached(c), theta, input);
-}
-
 namespace {
-
-/// Finite-shot estimate of each <Z_q> from full-register samples.
-std::vector<double> expectations_from_samples(
-    const std::vector<std::uint64_t>& samples, int n_qubits, int shots) {
-  std::vector<double> acc(static_cast<std::size_t>(n_qubits), 0.0);
-  for (const auto s : samples) {
-    for (int q = 0; q < n_qubits; ++q) {
-      const std::uint64_t bit = (s >> (n_qubits - 1 - q)) & 1ULL;
-      acc[static_cast<std::size_t>(q)] += bit ? -1.0 : 1.0;
-    }
-  }
-  for (auto& v : acc) v /= static_cast<double>(shots);
-  return acc;
-}
-
-/// One lane group of an evaluation-major partition. `evals` always
-/// holds part.lanes entries -- the compacted ragged tail's final group
-/// is padded by repeating its last real evaluation -- and first/real
-/// locate the real work: results and RNG streams exist only for lanes
-/// l < real; padding lanes compute a discarded state and never touch a
-/// stream.
-struct LaneGroup {
-  std::span<const exec::Evaluation> evals;
-  std::size_t first = 0;
-  std::size_t real = 0;
-};
-
-LaneGroup lane_group(std::span<const exec::Evaluation> evals,
-                     const sim::LanePartition& part, std::size_t g,
-                     std::vector<exec::Evaluation>& padded_scratch) {
-  const std::size_t first = g * part.lanes;
-  if (g < part.full_groups)
-    return {evals.subspan(first, part.lanes), first, part.lanes};
-  const auto tail = evals.subspan(first, part.padded_evals);
-  padded_scratch.assign(tail.begin(), tail.end());
-  padded_scratch.resize(part.lanes, tail.back());
-  return {padded_scratch, first, part.padded_evals};
-}
 
 /// Lane-policy observability: how much of a dispatch ran k-wide, how
 /// many padding lanes the compacted ragged tail burned, and how many
@@ -211,131 +136,186 @@ void note_lane_metrics(const sim::LanePartition& part, std::size_t total) {
                          total - part.tail_start);
 }
 
+/// The loop behind every k-wide dispatch: runs `total` work items
+/// (evaluations, or one execution's noise trajectories) as `part`
+/// splits them -- its lane groups, then the scalar tail -- fanned over
+/// `threads` pool workers (1 = in order on the caller). Per worker
+/// chunk, make_group() returns the callable group(first, real) run on
+/// each of the chunk's lane groups and make_scalar() the callable
+/// scalar(k) run on each of its tail items, so scratch those callables
+/// capture is allocated once per chunk. A group covers items [first,
+/// first + real); real < part.lanes marks the compacted ragged tail,
+/// whose remaining lanes are padding: they compute a discarded state
+/// and must never touch an item's results or RNG stream.
+template <class MakeGroup, class MakeScalar>
+void run_lanes(const sim::LanePartition& part, std::size_t total,
+               unsigned threads, MakeGroup&& make_group,
+               MakeScalar&& make_scalar) {
+  note_lane_metrics(part, total);
+  parallel_for_chunked(
+      0, part.groups(),
+      [&](std::size_t lo, std::size_t hi) {
+        auto group = make_group();
+        for (std::size_t g = lo; g < hi; ++g)
+          group(g * part.lanes,
+                g < part.full_groups ? part.lanes : part.padded_evals);
+      },
+      threads);
+  parallel_for_chunked(
+      part.tail_start, total,
+      [&](std::size_t lo, std::size_t hi) {
+        auto scalar = make_scalar();
+        for (std::size_t k = lo; k < hi; ++k) scalar(k);
+      },
+      threads);
+}
+
+/// The state commuting group g is measured on: `state` itself for
+/// all-Z groups (no O(2^n) copy), else `scratch` holding a copy rotated
+/// by g's basis-change suffix. `layout` maps suffix qubits as in
+/// CompiledObservable::apply_suffix.
+template <class State>
+const State& measured_state(const exec::CompiledObservable& observable,
+                            std::size_t g, const State& state, State& scratch,
+                            std::span<const int> layout = {}) {
+  if (observable.groups()[g].suffix.empty()) return state;
+  scratch = state;
+  if constexpr (std::is_same_v<State, sim::BatchedStatevector>)
+    observable.apply_suffix_lanes(scratch, g, layout);
+  else
+    observable.apply_suffix(scratch, g, layout);
+  return scratch;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// StatevectorBackend
+// ---------------------------------------------------------------------------
+
+StatevectorBackend::StatevectorBackend(int shots, std::uint64_t seed)
+    : StatevectorBackend(StatevectorBackendOptions{shots, seed}) {}
+
+StatevectorBackend::StatevectorBackend(const StatevectorBackendOptions& options)
+    : shots_(options.shots),
+      seed_(options.seed),
+      batch_lanes_(options.batch_lanes) {
+  if (options.shots < 0)
+    throw std::invalid_argument("StatevectorBackend: shots < 0");
+}
+
+namespace {
+
+/// Finite-shot estimate of each <Z_q> from full-register samples.
+std::vector<double> expectations_from_samples(
+    const std::vector<std::uint64_t>& samples, int n_qubits, int shots) {
+  std::vector<double> acc(static_cast<std::size_t>(n_qubits), 0.0);
+  for (const auto s : samples) {
+    for (int q = 0; q < n_qubits; ++q) {
+      const std::uint64_t bit = (s >> (n_qubits - 1 - q)) & 1ULL;
+      acc[static_cast<std::size_t>(q)] += bit ? -1.0 : 1.0;
+    }
+  }
+  for (auto& v : acc) v /= static_cast<double>(shots);
+  return acc;
+}
+
+/// Per-chunk scratch of the statevector lane groups.
+struct LaneGroupState {
+  sim::BatchedStatevector bsv;
+  std::vector<double> angles;
+  std::vector<exec::Evaluation> padded;
+
+  LaneGroupState(int n_qubits, std::size_t lanes) : bsv(n_qubits, lanes) {}
+
+  /// Prepare evaluations [first, first + real) on the lanes. A
+  /// part-filled group pads by repeating its last real evaluation.
+  void prepare(const exec::CompiledCircuit& plan,
+               std::span<const exec::Evaluation> evals, std::size_t first,
+               std::size_t real) {
+    std::span<const exec::Evaluation> group = evals.subspan(first, real);
+    if (real < bsv.lanes()) {
+      padded.assign(group.begin(), group.end());
+      padded.resize(bsv.lanes(), group.back());
+      group = padded;
+    }
+    plan.resolve_slots_lanes(group, angles);
+    bsv.reset();
+    plan.apply_batched(bsv, angles);
+  }
+};
+
+/// Per-chunk scratch of the statevector scalar tail.
+struct ScalarState {
+  sim::Statevector sv;
+  std::vector<double> angles;
+
+  explicit ScalarState(int n_qubits) : sv(n_qubits) {}
+
+  void prepare(const exec::CompiledCircuit& plan, const exec::Evaluation& e) {
+    plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
+    sv.reset();
+    plan.apply(sv, angles);
+  }
+};
+
 }  // namespace
 
 std::vector<std::vector<double>> StatevectorBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
   const int n = plan.num_qubits();
-  std::vector<std::vector<double>> results(evals.size());
-
   // Evaluation-major partition: lane groups execute k evaluations at a
-  // time on a BatchedStatevector -- the final group of a ragged batch
-  // may be padded (tail compaction) -- and the scalar loop handles
-  // whatever the partition left over (the whole batch when the
-  // calibrated cost model says lanes == 1). Lane L of a group evolves
-  // bit-identically to the scalar path and padding lanes are discarded,
-  // so the partition is invisible in the results.
+  // time on a BatchedStatevector, the scalar path runs whatever the
+  // partition leaves over (the whole batch when the lane table says
+  // lanes == 1). Lane L of a group evolves bit-identically to the
+  // scalar path and each lane samples from its own evaluation's
+  // stream, so the partition is invisible in the results.
   const sim::LanePartition part =
       sim::partition_lanes(n, evals.size(), batch_lanes_);
-  const std::size_t lanes = part.lanes;
-  note_lane_metrics(part, evals.size());
   // `lanes` is the cost model's k-wide SoA verdict; the span shows how
   // much of a served batch actually ran grouped vs on the scalar tail.
   QOC_TRACE_SPAN_ARG("kernel", "sv_batch", "lanes",
-                     static_cast<std::int64_t>(lanes));
-
-  if (shots_ == 0) {
-    // Exact mode: stateless, lock-free; scales linearly with threads.
-    // Chunked so the angle buffer and statevector are constructed once
-    // per worker chunk instead of once per evaluation.
-    if (part.groups() > 0) {
-      parallel_for_chunked(
-          0, part.groups(),
-          [&](std::size_t glo, std::size_t ghi) {
-            std::vector<double> angles;
-            std::vector<double> zexp;
-            std::vector<exec::Evaluation> padded;
-            sim::BatchedStatevector bsv(n, lanes);
-            for (std::size_t g = glo; g < ghi; ++g) {
-              const LaneGroup grp = lane_group(evals, part, g, padded);
-              plan.resolve_slots_lanes(grp.evals, angles);
-              bsv.reset();
-              plan.apply_batched(bsv, angles);
-              // One fused measurement pass for the whole lane group
-              // (bit-identical per lane to expectation_z_all(l)).
-              bsv.expectation_z_all_lanes(zexp);
-              for (std::size_t l = 0; l < grp.real; ++l) {
-                auto& r = results[grp.first + l];
-                r.resize(static_cast<std::size_t>(n));
-                for (int q = 0; q < n; ++q)
-                  r[static_cast<std::size_t>(q)] = zexp[
-                      static_cast<std::size_t>(q) * lanes + l];
-              }
-            }
-          },
-          threads);
-    }
-    parallel_for_chunked(
-        part.tail_start, evals.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<double> angles;
-          sim::Statevector sv(n);
-          for (std::size_t k = lo; k < hi; ++k) {
-            const auto& e = evals[k];
-            plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-            sv.reset();
-            plan.apply(sv, angles);
-            results[k] = sv.expectation_z_all();
-          }
-        },
-        threads);
-    return results;
-  }
-
-  // Sampled mode: derive one RNG stream per evaluation before any worker
-  // starts. Auto evaluations split from the shared generator in
-  // submission order (exactly the split sequence a loop of run() calls
-  // would draw); evaluations that pinned Evaluation::rng_stream get the
-  // pure-function-of-(seed, stream) generator instead and consume no
-  // split, so their results are independent of batch composition. Lane
-  // grouping happens downstream of this assignment and each lane samples
-  // from its own evaluation's stream, so grouping cannot reorder draws.
+                     static_cast<std::int64_t>(part.lanes));
+  // Exact mode draws nothing: it reserves no serials and touches no
+  // shared state, so it scales linearly with threads.
   std::vector<Prng> rngs;
-  rngs.reserve(evals.size());
-  {
-    const common::MutexLock lock(rng_mutex_);
-    for (std::size_t k = 0; k < evals.size(); ++k)
-      rngs.push_back(evals[k].rng_stream == exec::Evaluation::kAutoStream
-                         ? rng_.split()
-                         : stream_rng(evals[k].rng_stream));
-  }
-  if (part.groups() > 0) {
-    parallel_for_chunked(
-        0, part.groups(),
-        [&](std::size_t glo, std::size_t ghi) {
-          std::vector<double> angles;
-          std::vector<exec::Evaluation> padded;
-          sim::BatchedStatevector bsv(n, lanes);
-          for (std::size_t g = glo; g < ghi; ++g) {
-            const LaneGroup grp = lane_group(evals, part, g, padded);
-            plan.resolve_slots_lanes(grp.evals, angles);
-            bsv.reset();
-            plan.apply_batched(bsv, angles);
-            for (std::size_t l = 0; l < grp.real; ++l) {
-              const std::size_t k = grp.first + l;
-              const auto samples = bsv.sample(l, shots_, rngs[k]);
-              results[k] = expectations_from_samples(samples, n, shots_);
-            }
+  if (shots_ > 0) rngs = batch_streams(seed_, evals);
+  std::vector<std::vector<double>> results(evals.size());
+  run_lanes(
+      part, evals.size(), threads,
+      [&] {
+        return [&, s = LaneGroupState(n, part.lanes),
+                zexp = std::vector<double>()](std::size_t first,
+                                              std::size_t real) mutable {
+          s.prepare(plan, evals, first, real);
+          if (shots_ > 0) {
+            for (std::size_t k = first; k < first + real; ++k)
+              results[k] = expectations_from_samples(
+                  s.bsv.sample(k - first, shots_, rngs[k]), n, shots_);
+            return;
           }
-        },
-        threads);
-  }
-  parallel_for_chunked(
-      part.tail_start, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        sim::Statevector sv(n);
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-          sv.reset();
-          plan.apply(sv, angles);
-          const auto samples = sv.sample(shots_, rngs[k]);
-          results[k] = expectations_from_samples(samples, n, shots_);
-        }
+          // One fused measurement pass for the whole lane group
+          // (bit-identical per lane to expectation_z_all(l)).
+          s.bsv.expectation_z_all_lanes(zexp);
+          for (std::size_t l = 0; l < real; ++l) {
+            auto& r = results[first + l];
+            r.resize(static_cast<std::size_t>(n));
+            for (int q = 0; q < n; ++q)
+              r[static_cast<std::size_t>(q)] =
+                  zexp[static_cast<std::size_t>(q) * part.lanes + l];
+          }
+        };
       },
-      threads);
+      [&] {
+        return [&, s = ScalarState(n)](std::size_t k) mutable {
+          s.prepare(plan, evals[k]);
+          results[k] = shots_ == 0
+                           ? s.sv.expectation_z_all()
+                           : expectations_from_samples(
+                                 s.sv.sample(shots_, rngs[k]), n, shots_);
+        };
+      });
   return results;
 }
 
@@ -345,16 +325,12 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
     std::span<const exec::Evaluation> evals, unsigned threads) {
   const int n = plan.num_qubits();
   const std::size_t n_groups = observable.groups().size();
-  std::vector<double> results(evals.size());
-
-  // Same evaluation-major partition as execute_batch (tail compaction
-  // included).
+  // Same evaluation-major partition as execute_batch.
   const sim::LanePartition part =
       sim::partition_lanes(n, evals.size(), batch_lanes_);
-  const std::size_t lanes = part.lanes;
-  note_lane_metrics(part, evals.size());
   QOC_TRACE_SPAN_ARG("kernel", "sv_expect_batch", "lanes",
-                     static_cast<std::int64_t>(lanes));
+                     static_cast<std::int64_t>(part.lanes));
+  std::vector<double> results(evals.size());
 
   if (shots_ == 0) {
     // Exact mode: one state per evaluation, every term analytic. The
@@ -363,128 +339,63 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
     // replays the same loop with each term's Pauli product applied once
     // per lane group.
     add_inferences(evals.size());
-    if (part.groups() > 0) {
-      parallel_for_chunked(
-          0, part.groups(),
-          [&](std::size_t glo, std::size_t ghi) {
-            std::vector<double> angles;
-            std::vector<double> lane_out;
-            std::vector<exec::Evaluation> padded;
-            sim::BatchedStatevector bsv(n, lanes);
-            for (std::size_t g = glo; g < ghi; ++g) {
-              const LaneGroup grp = lane_group(evals, part, g, padded);
-              plan.resolve_slots_lanes(grp.evals, angles);
-              bsv.reset();
-              plan.apply_batched(bsv, angles);
-              // Full-width scratch: a padded group still computes every
-              // lane; only the real entries land in results.
-              lane_out.assign(lanes, 0.0);
-              observable.expectation_lanes(bsv, lane_out);
-              for (std::size_t l = 0; l < grp.real; ++l)
-                results[grp.first + l] = lane_out[l];
-            }
-          },
-          threads);
-    }
-    parallel_for_chunked(
-        part.tail_start, evals.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<double> angles;
-          sim::Statevector sv(n);
-          for (std::size_t k = lo; k < hi; ++k) {
-            const auto& e = evals[k];
-            plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-            sv.reset();
-            plan.apply(sv, angles);
-            results[k] = observable.expectation(sv);
-          }
+    run_lanes(
+        part, evals.size(), threads,
+        [&] {
+          return [&, s = LaneGroupState(n, part.lanes),
+                  out = std::vector<double>(part.lanes)](
+                     std::size_t first, std::size_t real) mutable {
+            s.prepare(plan, evals, first, real);
+            observable.expectation_lanes(s.bsv, out);
+            std::copy_n(out.begin(), real, results.begin() + first);
+          };
         },
-        threads);
+        [&] {
+          return [&, s = ScalarState(n)](std::size_t k) mutable {
+            s.prepare(plan, evals[k]);
+            results[k] = observable.expectation(s.sv);
+          };
+        });
     return results;
   }
 
   // Sampled mode: one ansatz preparation per evaluation, one measured
-  // execution per commuting group (basis-change suffix + Z sampling).
-  // Per-evaluation RNG streams are assigned in submission order and
-  // consumed sequentially within the evaluation, so results are
-  // deterministic and thread-count invariant. The lane path iterates
-  // groups outer / lanes inner, so each lane's stream still sees its
-  // groups in the same order as the scalar path -- identical draws.
+  // execution per commuting group (basis-change suffix + Z sampling),
+  // each evaluation consuming its own stream group by group. A lane
+  // group iterates groups outer / lanes inner, so each lane's stream
+  // still sees its groups in the scalar order -- identical draws.
   add_inferences(evals.size() * n_groups);
-  std::vector<Prng> rngs;
-  rngs.reserve(evals.size());
-  {
-    // Same stream assignment as execute_batch: submission-order splits
-    // for auto evaluations, pinned streams consume no split.
-    const common::MutexLock lock(rng_mutex_);
-    for (std::size_t k = 0; k < evals.size(); ++k)
-      rngs.push_back(evals[k].rng_stream == exec::Evaluation::kAutoStream
-                         ? rng_.split()
-                         : stream_rng(evals[k].rng_stream));
-  }
-  if (part.groups() > 0) {
-    parallel_for_chunked(
-        0, part.groups(),
-        [&](std::size_t glo, std::size_t ghi) {
-          std::vector<double> angles;
-          std::vector<exec::Evaluation> padded;
-          sim::BatchedStatevector bsv(n, lanes);
-          sim::BatchedStatevector bmeas(n, lanes);  // suffix scratch
-          for (std::size_t g = glo; g < ghi; ++g) {
-            const LaneGroup grp = lane_group(evals, part, g, padded);
-            plan.resolve_slots_lanes(grp.evals, angles);
-            bsv.reset();
-            plan.apply_batched(bsv, angles);
-            for (std::size_t l = 0; l < grp.real; ++l)
-              results[grp.first + l] = observable.constant();
-            for (std::size_t gi = 0; gi < n_groups; ++gi) {
-              // One suffix application per lane group per commuting
-              // group (not per lane); all-Z groups skip the copy.
-              const sim::BatchedStatevector* src = &bsv;
-              if (!observable.groups()[gi].suffix.empty()) {
-                bmeas = bsv;
-                observable.apply_suffix_lanes(bmeas, gi);
-                src = &bmeas;
-              }
-              for (std::size_t l = 0; l < grp.real; ++l) {
-                const std::size_t k = grp.first + l;
-                const auto samples = src->sample(l, shots_, rngs[k]);
-                results[k] +=
-                    observable.group_energy_from_samples(samples, gi, shots_);
-              }
-            }
-          }
-        },
-        threads);
-  }
-  parallel_for_chunked(
-      part.tail_start, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        sim::Statevector sv(n);
-        sim::Statevector meas(n);  // per-group scratch, buffer reused
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_slots(e.theta, e.input, e.shift_op, e.shift, angles);
-          sv.reset();
-          plan.apply(sv, angles);
-          double energy = observable.constant();
+  std::vector<Prng> rngs = batch_streams(seed_, evals);
+  run_lanes(
+      part, evals.size(), threads,
+      [&] {
+        return [&, s = LaneGroupState(n, part.lanes),
+                meas = sim::BatchedStatevector(n, part.lanes)](
+                   std::size_t first, std::size_t real) mutable {
+          s.prepare(plan, evals, first, real);
+          for (std::size_t k = first; k < first + real; ++k)
+            results[k] = observable.constant();
           for (std::size_t g = 0; g < n_groups; ++g) {
-            // All-Z groups have no suffix: sample the prepared state
-            // directly instead of paying an O(2^n) copy.
-            const sim::Statevector* src = &sv;
-            if (!observable.groups()[g].suffix.empty()) {
-              meas = sv;
-              observable.apply_suffix(meas, g);
-              src = &meas;
-            }
-            const auto samples = src->sample(shots_, rngs[k]);
-            energy += observable.group_energy_from_samples(samples, g, shots_);
+            const auto& src = measured_state(observable, g, s.bsv, meas);
+            for (std::size_t k = first; k < first + real; ++k)
+              results[k] += observable.group_energy_from_samples(
+                  src.sample(k - first, shots_, rngs[k]), g, shots_);
           }
-          results[k] = energy;
-        }
+        };
       },
-      threads);
+      [&] {
+        return [&, s = ScalarState(n),
+                meas = sim::Statevector(n)](std::size_t k) mutable {
+          s.prepare(plan, evals[k]);
+          double energy = observable.constant();
+          for (std::size_t g = 0; g < n_groups; ++g)
+            energy += observable.group_energy_from_samples(
+                measured_state(observable, g, s.sv, meas)
+                    .sample(shots_, rngs[k]),
+                g, shots_);
+          results[k] = energy;
+        };
+      });
   return results;
 }
 
@@ -565,12 +476,6 @@ std::vector<double> DensityMatrixBackend::run_transpiled(
     out[static_cast<std::size_t>(l)] = z;
   }
   return out;
-}
-
-std::vector<double> DensityMatrixBackend::execute(
-    const circuit::Circuit& c, std::span<const double> theta,
-    std::span<const double> input) {
-  return execute_single(*plan_cached(c), theta, input);
 }
 
 std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
@@ -694,73 +599,59 @@ namespace {
 
 /// Depolarizing error after a physical gate. For Pauli channels the branch
 /// weights are state-independent, so we sample Paulis directly instead of
-/// paying the generic Kraus-branch norm computation.
-void inject_depolarizing(sim::Statevector& sv, int q0, int q1, double p,
-                         Prng& rng) {
+/// paying the generic Kraus-branch norm computation. `pauli(which, q)`
+/// applies Pauli `which` (1 = X, 2 = Y, 3 = Z, anything else = I) to
+/// qubit q: the scalar trajectory loop and each lane of a k-wide group
+/// pass their own applier around this one draw-and-pick sequence, which
+/// is what keeps a lane bit-identical to the scalar trajectory.
+template <class ApplyPauli>
+void inject_depolarizing(int q0, int q1, double p, Prng& rng,
+                         ApplyPauli&& pauli) {
   if (p <= 0.0) return;
+  const double u = rng.uniform();
   if (q1 < 0) {
     // I with 1 - 3p/4, else X/Y/Z with p/4 each.
-    const double u = rng.uniform();
     if (u >= 0.75 * p) return;
-    const int which = static_cast<int>(u / (0.25 * p));
-    switch (which) {
-      case 0: sv.apply_pauli_x(q0); break;
-      case 1: sv.apply_pauli_y(q0); break;
-      default: sv.apply_pauli_z(q0); break;
-    }
+    pauli(std::min(static_cast<int>(u / (0.25 * p)), 2) + 1, q0);
     return;
   }
   // Two-qubit: one of the 15 non-identity Pauli pairs w.p. p/16 each.
-  const double u = rng.uniform();
   if (u >= 15.0 / 16.0 * p) return;
   const int idx = 1 + static_cast<int>(u / (p / 16.0));  // 1..15
-  const int pa = idx >> 2;
-  const int pb = idx & 3;
-  auto apply_pauli = [&sv](int pauli, int q) {
-    switch (pauli) {
-      case 1: sv.apply_pauli_x(q); break;
-      case 2: sv.apply_pauli_y(q); break;
-      case 3: sv.apply_pauli_z(q); break;
-      default: break;
-    }
-  };
-  apply_pauli(pa, q0);
-  apply_pauli(pb, q1);
+  pauli(idx >> 2, q0);
+  pauli(idx & 3, q1);
 }
 
-/// Depolarizing error on ONE lane of a k-wide trajectory group: the
-/// same draw and branch selection as inject_depolarizing, with the
-/// Paulis applied through the single-lane kernels (bit-identical on
-/// that lane, every other lane untouched).
-void inject_depolarizing_lane(sim::BatchedStatevector& bsv, std::size_t lane,
-                              int q0, int q1, double p, Prng& rng) {
-  if (p <= 0.0) return;
-  if (q1 < 0) {
-    const double u = rng.uniform();
-    if (u >= 0.75 * p) return;
-    const int which = static_cast<int>(u / (0.25 * p));
-    switch (which) {
-      case 0: bsv.apply_pauli_x_lane(q0, lane); break;
-      case 1: bsv.apply_pauli_y_lane(q0, lane); break;
-      default: bsv.apply_pauli_z_lane(q0, lane); break;
-    }
-    return;
+void apply_pauli(sim::Statevector& sv, int which, int q) {
+  switch (which) {
+    case 1: sv.apply_pauli_x(q); break;
+    case 2: sv.apply_pauli_y(q); break;
+    case 3: sv.apply_pauli_z(q); break;
+    default: break;
   }
-  const double u = rng.uniform();
-  if (u >= 15.0 / 16.0 * p) return;
-  const int idx = 1 + static_cast<int>(u / (p / 16.0));  // 1..15
-  const int pa = idx >> 2;
-  const int pb = idx & 3;
-  auto apply_pauli = [&bsv, lane](int pauli, int q) {
-    switch (pauli) {
-      case 1: bsv.apply_pauli_x_lane(q, lane); break;
-      case 2: bsv.apply_pauli_y_lane(q, lane); break;
-      case 3: bsv.apply_pauli_z_lane(q, lane); break;
-      default: break;
-    }
-  };
-  apply_pauli(pa, q0);
-  apply_pauli(pb, q1);
+}
+
+/// Same Pauli on ONE lane of a k-wide group (single-lane kernels:
+/// bit-identical on that lane, every other lane untouched).
+void apply_pauli(sim::BatchedStatevector& bsv, std::size_t lane, int which,
+                 int q) {
+  switch (which) {
+    case 1: bsv.apply_pauli_x_lane(q, lane); break;
+    case 2: bsv.apply_pauli_y_lane(q, lane); break;
+    case 3: bsv.apply_pauli_z_lane(q, lane); break;
+    default: break;
+  }
+}
+
+/// One stream per trajectory, split from the execution's stream in
+/// trajectory order. Prng::split draws only from the parent, so this is
+/// the sequence a lazy per-trajectory split would produce: trajectory j
+/// consumes the same stream at every lane width.
+std::vector<Prng> split_streams(Prng& parent, int count) {
+  std::vector<Prng> streams;
+  streams.reserve(static_cast<std::size_t>(count));
+  for (int j = 0; j < count; ++j) streams.push_back(parent.split());
+  return streams;
 }
 
 /// Per-evaluation trajectory program: the transpiled op stream with all
@@ -837,46 +728,28 @@ struct TrajectoryProgram {
     }
   }
 
-  void apply(sim::Statevector& sv, const Op& op) const {
+  /// Apply `op` to a scalar trajectory state, or uniformly to every lane
+  /// of a k-wide trajectory group: the transpiled gate stream is
+  /// binding-independent, so all trajectories share it, and per lane
+  /// each uniform application is bit-identical to the scalar one (the
+  /// batched kernels' per-lane contract).
+  template <class State>
+  void apply(State& state, const Op& op) const {
     switch (op.k) {
       case K::Rz:
-        sv.apply_diag_1q(op.d0, op.d1, op.q0);
+        state.apply_diag_1q(op.d0, op.d1, op.q0);
         break;
       case K::Sx:
-        sv.apply_1q(sx, op.q0);
+        state.apply_1q(sx, op.q0);
         break;
       case K::X:
-        sv.apply_pauli_x(op.q0);
+        state.apply_pauli_x(op.q0);
         break;
       case K::Cx:
-        sv.apply_cx(op.q0, op.q1);
+        state.apply_cx(op.q0, op.q1);
         break;
       case K::Diag2q:
-        sv.apply_diag_2q(op.d0, op.d1, op.d1, op.d0, op.q0, op.q1);
-        break;
-    }
-  }
-
-  /// Same op on every lane of a k-wide trajectory group. The transpiled
-  /// gate stream is binding-independent, so all trajectories share it;
-  /// per lane each uniform application is bit-identical to apply() on
-  /// that lane's state (the batched kernels' per-lane contract).
-  void apply_lanes(sim::BatchedStatevector& bsv, const Op& op) const {
-    switch (op.k) {
-      case K::Rz:
-        bsv.apply_diag_1q(op.d0, op.d1, op.q0);
-        break;
-      case K::Sx:
-        bsv.apply_1q(sx, op.q0);
-        break;
-      case K::X:
-        bsv.apply_pauli_x(op.q0);
-        break;
-      case K::Cx:
-        bsv.apply_cx(op.q0, op.q1);
-        break;
-      case K::Diag2q:
-        bsv.apply_diag_2q(op.d0, op.d1, op.d1, op.d0, op.q0, op.q1);
+        state.apply_diag_2q(op.d0, op.d1, op.d1, op.d0, op.q0, op.q1);
         break;
     }
   }
@@ -926,9 +799,11 @@ struct NoisyBackend::NoiseTables {
     return p1 <= 0.0 && p2 <= 0.0 && !relaxation;
   }
 
-  /// Evolve one noisy trajectory of `program` into sv.
+  /// Evolve one noisy trajectory of `program` from |0...0> into sv.
   void evolve(const TrajectoryProgram& program, sim::Statevector& sv,
               Prng& rng) const {
+    const auto pauli = [&sv](int which, int q) { apply_pauli(sv, which, q); };
+    sv.reset();
     for (const auto& op : program.ops) {
       program.apply(sv, op);
       // Virtual RZ: frame change only, no physical pulse, no error.
@@ -937,12 +812,12 @@ struct NoisyBackend::NoiseTables {
       // their two elided injection points were no-ops by construction.
       if (op.k == TrajectoryProgram::K::Diag2q) continue;
       if (op.q1 < 0) {
-        inject_depolarizing(sv, op.q0, -1, p1, rng);
+        inject_depolarizing(op.q0, -1, p1, rng, pauli);
         if (relaxation)
           relax_1q[static_cast<std::size_t>(op.q0)].sample_and_apply(
               sv, {op.q0}, rng);
       } else {
-        inject_depolarizing(sv, op.q0, op.q1, p2, rng);
+        inject_depolarizing(op.q0, op.q1, p2, rng, pauli);
         if (relaxation) {
           relax_2q[static_cast<std::size_t>(op.q0)].sample_and_apply(
               sv, {op.q0}, rng);
@@ -953,43 +828,49 @@ struct NoisyBackend::NoiseTables {
     }
   }
 
-  /// Evolve one lane group of noisy trajectories in lockstep: the
-  /// uniform gate stream applies to all lanes at once, and every noise
-  /// event draws per lane from that trajectory's own stream (ascending
-  /// lane order at each event -- within a single stream the order is
-  /// exactly evolve()'s, so lane L is bit-identical to a scalar
-  /// trajectory run on lane L's rng). A nullptr lane_rngs entry marks a
-  /// padding lane of a compacted ragged tail: it rides the uniform
-  /// gates and Kraus branch 0 but consumes no randomness, so padding
-  /// can never shift a real trajectory's draws. The payoff is the
-  /// relaxation path: per gate, sample_and_apply_lanes runs the Born
-  /// weight passes and the renormalization as k independent accumulator
-  /// chains instead of k serial scalar passes.
+  /// Evolve one lane group of noisy trajectories in lockstep from
+  /// |0...0>: the uniform gate stream applies to all lanes at once, and
+  /// every noise event draws per lane from that trajectory's own stream
+  /// (ascending lane order at each event -- within a single stream the
+  /// order is exactly evolve()'s, so lane L is bit-identical to a scalar
+  /// trajectory run on rngs[L]). Lanes at and beyond rngs.size() are
+  /// padding of a compacted ragged tail: they ride the uniform gates and
+  /// Kraus branch 0 but consume no randomness, so padding can never
+  /// shift a real trajectory's draws. The payoff is the relaxation path:
+  /// per gate, sample_and_apply_lanes runs the Born weight passes and
+  /// the renormalization as k independent accumulator chains instead of
+  /// k serial scalar passes.
   void evolve_lanes(const TrajectoryProgram& program,
                     sim::BatchedStatevector& bsv,
-                    std::span<Prng* const> lane_rngs) const {
+                    std::span<Prng> rngs) const {
+    std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
+    for (std::size_t l = 0; l < rngs.size(); ++l) lane_rngs[l] = &rngs[l];
+    const std::span<Prng* const> kraus_rngs(lane_rngs.data(), bsv.lanes());
+    const auto depolarize = [&](int q0, int q1, double p) {
+      for (std::size_t l = 0; l < rngs.size(); ++l)
+        inject_depolarizing(q0, q1, p, rngs[l], [&](int which, int q) {
+          apply_pauli(bsv, l, which, q);
+        });
+    };
+    bsv.reset();
     for (const auto& op : program.ops) {
-      program.apply_lanes(bsv, op);
+      program.apply(bsv, op);
       // Virtual RZ: frame change only, no physical pulse, no error.
       if (op.k == TrajectoryProgram::K::Rz) continue;
       // Fused blocks only exist when gates_are_noiseless().
       if (op.k == TrajectoryProgram::K::Diag2q) continue;
       if (op.q1 < 0) {
-        for (std::size_t l = 0; l < lane_rngs.size(); ++l)
-          if (lane_rngs[l] != nullptr)
-            inject_depolarizing_lane(bsv, l, op.q0, -1, p1, *lane_rngs[l]);
+        depolarize(op.q0, -1, p1);
         if (relaxation)
           relax_1q[static_cast<std::size_t>(op.q0)].sample_and_apply_lanes(
-              bsv, op.q0, lane_rngs);
+              bsv, op.q0, kraus_rngs);
       } else {
-        for (std::size_t l = 0; l < lane_rngs.size(); ++l)
-          if (lane_rngs[l] != nullptr)
-            inject_depolarizing_lane(bsv, l, op.q0, op.q1, p2, *lane_rngs[l]);
+        depolarize(op.q0, op.q1, p2);
         if (relaxation) {
           relax_2q[static_cast<std::size_t>(op.q0)].sample_and_apply_lanes(
-              bsv, op.q0, lane_rngs);
+              bsv, op.q0, kraus_rngs);
           relax_2q[static_cast<std::size_t>(op.q1)].sample_and_apply_lanes(
-              bsv, op.q1, lane_rngs);
+              bsv, op.q1, kraus_rngs);
         }
       }
     }
@@ -998,15 +879,13 @@ struct NoisyBackend::NoiseTables {
 
 std::vector<double> NoisyBackend::run_transpiled(
     const transpile::Transpiled& t, const NoiseTables& tables, int n_logical,
-    std::uint64_t serial) const {
+    Prng& exec_rng) const {
   const int n_phys = device_.n_qubits;
   const TrajectoryProgram program(
       t, options_.fuse_trajectory_gates && tables.gates_are_noiseless());
-
-  const int n_traj = options_.trajectories;
-  const int shots_per_traj = std::max(1, options_.shots / n_traj);
-
-  Prng exec_rng = execution_rng(serial);
+  const int shots_per_traj =
+      std::max(1, options_.shots / options_.trajectories);
+  std::vector<Prng> rngs = split_streams(exec_rng, options_.trajectories);
 
   std::vector<double> acc(static_cast<std::size_t>(n_logical), 0.0);
   std::uint64_t total_samples = 0;
@@ -1031,55 +910,30 @@ std::vector<double> NoisyBackend::run_transpiled(
   };
 
   // Evaluation-major trajectory partition: k trajectories evolve in
-  // lockstep on one lane group, a part-filled final group is padded
-  // (padding lanes ride the gates, consume no randomness and are
-  // discarded), and any un-compacted remainder runs the scalar loop.
-  const sim::LanePartition part = sim::partition_lanes(
-      n_phys, static_cast<std::size_t>(n_traj), options_.batch_lanes);
-  note_lane_metrics(part, static_cast<std::size_t>(n_traj));
-
-  if (part.lanes > 1) {
-    // Pre-split one stream per trajectory in trajectory order -- the
-    // exact split sequence the scalar loop draws lazily, so trajectory
-    // j consumes the same stream at every lane width.
-    std::vector<Prng> traj_rngs;
-    traj_rngs.reserve(static_cast<std::size_t>(n_traj));
-    for (int traj = 0; traj < n_traj; ++traj)
-      traj_rngs.push_back(exec_rng.split());
-
-    sim::BatchedStatevector bsv(n_phys, part.lanes);
-    std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
-    for (std::size_t g = 0; g < part.groups(); ++g) {
-      const std::size_t first = g * part.lanes;
-      const std::size_t real =
-          g < part.full_groups ? part.lanes : part.padded_evals;
-      for (std::size_t l = 0; l < part.lanes; ++l)
-        lane_rngs[l] = l < real ? &traj_rngs[first + l] : nullptr;
-      bsv.reset();
-      tables.evolve_lanes(
-          program, bsv, std::span<Prng* const>(lane_rngs.data(), part.lanes));
-      for (std::size_t l = 0; l < real; ++l) {
-        Prng& rng = traj_rngs[first + l];
-        accumulate(bsv.sample(l, shots_per_traj, rng), rng);
-      }
-    }
-    sim::Statevector sv(n_phys);
-    for (std::size_t traj = part.tail_start;
-         traj < static_cast<std::size_t>(n_traj); ++traj) {
-      Prng& rng = traj_rngs[traj];
-      sv.reset();
-      tables.evolve(program, sv, rng);
-      accumulate(sv.sample(shots_per_traj, rng), rng);
-    }
-  } else {
-    sim::Statevector sv(n_phys);
-    for (int traj = 0; traj < n_traj; ++traj) {
-      Prng rng = exec_rng.split();
-      sv.reset();
-      tables.evolve(program, sv, rng);
-      accumulate(sv.sample(shots_per_traj, rng), rng);
-    }
-  }
+  // lockstep on one lane group, a part-filled final group is padded,
+  // and any un-compacted remainder runs the scalar loop -- all in
+  // trajectory order on this thread.
+  const sim::LanePartition part =
+      sim::partition_lanes(n_phys, rngs.size(), options_.batch_lanes);
+  run_lanes(
+      part, rngs.size(), 1,
+      [&] {
+        return [&, bsv = sim::BatchedStatevector(n_phys, part.lanes)](
+                   std::size_t first, std::size_t real) mutable {
+          tables.evolve_lanes(program, bsv,
+                              std::span(rngs).subspan(first, real));
+          for (std::size_t l = 0; l < real; ++l) {
+            Prng& rng = rngs[first + l];
+            accumulate(bsv.sample(l, shots_per_traj, rng), rng);
+          }
+        };
+      },
+      [&] {
+        return [&, sv = sim::Statevector(n_phys)](std::size_t j) mutable {
+          tables.evolve(program, sv, rngs[j]);
+          accumulate(sv.sample(shots_per_traj, rngs[j]), rngs[j]);
+        };
+      });
 
   for (auto& v : acc) v /= static_cast<double>(total_samples);
   return acc;
@@ -1087,7 +941,7 @@ std::vector<double> NoisyBackend::run_transpiled(
 
 double NoisyBackend::expect_transpiled(
     const transpile::Transpiled& t, const NoiseTables& tables,
-    const exec::CompiledObservable& observable, std::uint64_t serial) const {
+    const exec::CompiledObservable& observable, Prng& exec_rng) const {
   // One measured hardware execution: noisy trajectories of the routed
   // circuit, an ideal basis-change suffix per commuting group, then shot
   // sampling with classical readout flips on the measured qubits.
@@ -1095,11 +949,9 @@ double NoisyBackend::expect_transpiled(
   const int n_phys = device_.n_qubits;
   const TrajectoryProgram program(
       t, options_.fuse_trajectory_gates && tables.gates_are_noiseless());
-
-  const int n_traj = options_.trajectories;
-  const int shots_per_traj = std::max(1, options_.shots / n_traj);
-
-  Prng exec_rng = execution_rng(serial);
+  const int shots_per_traj =
+      std::max(1, options_.shots / options_.trajectories);
+  std::vector<Prng> rngs = split_streams(exec_rng, options_.trajectories);
 
   const auto& groups = observable.groups();
   // parity_sum[g][i]: summed parities of group g's i-th term.
@@ -1137,87 +989,44 @@ double NoisyBackend::expect_transpiled(
     }
   };
 
-  // Same evaluation-major trajectory partition as run_transpiled.
-  const sim::LanePartition part = sim::partition_lanes(
-      n_phys, static_cast<std::size_t>(n_traj), options_.batch_lanes);
-  note_lane_metrics(part, static_cast<std::size_t>(n_traj));
-
-  if (part.lanes > 1) {
-    std::vector<Prng> traj_rngs;
-    traj_rngs.reserve(static_cast<std::size_t>(n_traj));
-    for (int traj = 0; traj < n_traj; ++traj)
-      traj_rngs.push_back(exec_rng.split());
-
-    sim::BatchedStatevector bsv(n_phys, part.lanes);
-    sim::BatchedStatevector bmeas(n_phys, part.lanes);  // suffix scratch
-    std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
-    for (std::size_t lg = 0; lg < part.groups(); ++lg) {
-      const std::size_t first = lg * part.lanes;
-      const std::size_t real =
-          lg < part.full_groups ? part.lanes : part.padded_evals;
-      for (std::size_t l = 0; l < part.lanes; ++l)
-        lane_rngs[l] = l < real ? &traj_rngs[first + l] : nullptr;
-      bsv.reset();
-      tables.evolve_lanes(
-          program, bsv, std::span<Prng* const>(lane_rngs.data(), part.lanes));
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        // One suffix application per lane group per commuting group
-        // (not per lane); all-Z groups skip the copy. Each lane's
-        // stream still sees its groups in scalar order: evolve draws,
-        // then group 0 sampling + flips, then group 1, ...
-        const sim::BatchedStatevector* src = &bsv;
-        if (!groups[g].suffix.empty()) {
-          bmeas = bsv;
-          observable.apply_suffix_lanes(bmeas, g, t.final_layout);
-          src = &bmeas;
-        }
-        for (std::size_t l = 0; l < real; ++l) {
-          Prng& rng = traj_rngs[first + l];
-          accumulate_group(g, src->sample(l, shots_per_traj, rng), rng);
-        }
-      }
-      total_samples += static_cast<std::uint64_t>(shots_per_traj) * real;
-    }
-    sim::Statevector sv(n_phys);
-    sim::Statevector meas(n_phys);  // per-group scratch, buffer reused
-    for (std::size_t traj = part.tail_start;
-         traj < static_cast<std::size_t>(n_traj); ++traj) {
-      Prng& rng = traj_rngs[traj];
-      sv.reset();
-      tables.evolve(program, sv, rng);
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const sim::Statevector* src = &sv;
-        if (!groups[g].suffix.empty()) {
-          meas = sv;
-          observable.apply_suffix(meas, g, t.final_layout);
-          src = &meas;
-        }
-        accumulate_group(g, src->sample(shots_per_traj, rng), rng);
-      }
-      total_samples += static_cast<std::uint64_t>(shots_per_traj);
-    }
-  } else {
-    sim::Statevector sv(n_phys);
-    sim::Statevector meas(n_phys);  // per-group scratch, buffer reused
-    for (int traj = 0; traj < n_traj; ++traj) {
-      Prng rng = exec_rng.split();
-      sv.reset();
-      tables.evolve(program, sv, rng);
-
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        // All-Z groups have no suffix: sample the trajectory state
-        // directly instead of paying an O(2^n) copy.
-        const sim::Statevector* src = &sv;
-        if (!groups[g].suffix.empty()) {
-          meas = sv;
-          observable.apply_suffix(meas, g, t.final_layout);
-          src = &meas;
-        }
-        accumulate_group(g, src->sample(shots_per_traj, rng), rng);
-      }
-      total_samples += static_cast<std::uint64_t>(shots_per_traj);
-    }
-  }
+  // Same trajectory partition as run_transpiled. A lane group applies
+  // each commuting group's suffix once for all its lanes; each lane's
+  // stream still sees its draws in scalar order: evolve draws, then
+  // group 0 sampling + flips, then group 1, ...
+  const sim::LanePartition part =
+      sim::partition_lanes(n_phys, rngs.size(), options_.batch_lanes);
+  run_lanes(
+      part, rngs.size(), 1,
+      [&] {
+        return [&, bsv = sim::BatchedStatevector(n_phys, part.lanes),
+                meas = sim::BatchedStatevector(n_phys, part.lanes)](
+                   std::size_t first, std::size_t real) mutable {
+          tables.evolve_lanes(program, bsv,
+                              std::span(rngs).subspan(first, real));
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            const auto& src =
+                measured_state(observable, g, bsv, meas, t.final_layout);
+            for (std::size_t l = 0; l < real; ++l) {
+              Prng& rng = rngs[first + l];
+              accumulate_group(g, src.sample(l, shots_per_traj, rng), rng);
+            }
+          }
+          total_samples += static_cast<std::uint64_t>(shots_per_traj) * real;
+        };
+      },
+      [&] {
+        return [&, sv = sim::Statevector(n_phys),
+                meas = sim::Statevector(n_phys)](std::size_t j) mutable {
+          tables.evolve(program, sv, rngs[j]);
+          for (std::size_t g = 0; g < groups.size(); ++g)
+            accumulate_group(
+                g,
+                measured_state(observable, g, sv, meas, t.final_layout)
+                    .sample(shots_per_traj, rngs[j]),
+                rngs[j]);
+          total_samples += static_cast<std::uint64_t>(shots_per_traj);
+        };
+      });
 
   double energy = observable.constant();
   for (std::size_t g = 0; g < groups.size(); ++g)
@@ -1227,23 +1036,12 @@ double NoisyBackend::expect_transpiled(
   return energy;
 }
 
-std::vector<double> NoisyBackend::execute(const circuit::Circuit& c,
-                                          std::span<const double> theta,
-                                          std::span<const double> input) {
-  return execute_single(*plan_cached(c), theta, input);
-}
-
 std::vector<std::vector<double>> NoisyBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
   const auto tmpl = transpile_cache_.get(plan, device_);
   const NoiseTables tables(device_, options_);
-  // Auto evaluations draw serials from the internal counter in
-  // submission order; evaluations that pinned Evaluation::rng_stream use
-  // the pinned id as their serial instead (the counter still advances by
-  // the full batch so auto serials stay position-stable).
-  const std::uint64_t base =
-      run_serial_.fetch_add(evals.size(), std::memory_order_relaxed);
+  std::vector<Prng> rngs = batch_streams(options_.seed, evals);
   std::vector<std::vector<double>> results(evals.size());
   parallel_for_chunked(
       0, evals.size(),
@@ -1254,10 +1052,7 @@ std::vector<std::vector<double>> NoisyBackend::execute_batch(
           plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
                                      angles);
           const auto t = tmpl->transpile(angles);
-          const std::uint64_t serial =
-              e.rng_stream == exec::Evaluation::kAutoStream ? base + k
-                                                            : e.rng_stream;
-          results[k] = run_transpiled(t, tables, plan.num_qubits(), serial);
+          results[k] = run_transpiled(t, tables, plan.num_qubits(), rngs[k]);
         }
       },
       threads);
@@ -1270,12 +1065,9 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     std::span<const exec::Evaluation> evals, unsigned threads) {
   const auto tmpl = transpile_cache_.get(plan, device_);
   const NoiseTables tables(device_, options_);
-  // One RNG serial per evaluation, allocated in submission order; each
-  // evaluation's groups then consume that stream sequentially inside
-  // expect_transpiled, so results are deterministic and thread-count
-  // invariant.
-  const std::uint64_t base =
-      run_serial_.fetch_add(evals.size(), std::memory_order_relaxed);
+  // One stream per evaluation; its groups then consume it sequentially
+  // inside expect_transpiled.
+  std::vector<Prng> rngs = batch_streams(options_.seed, evals);
   add_inferences(evals.size() * observable.groups().size());
   std::vector<double> results(evals.size());
   parallel_for_chunked(
@@ -1287,10 +1079,7 @@ std::vector<double> NoisyBackend::execute_expect_batch(
           plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
                                      angles);
           const auto t = tmpl->transpile(angles);
-          const std::uint64_t serial =
-              e.rng_stream == exec::Evaluation::kAutoStream ? base + k
-                                                            : e.rng_stream;
-          results[k] = expect_transpiled(t, tables, observable, serial);
+          results[k] = expect_transpiled(t, tables, observable, rngs[k]);
         }
       },
       threads);

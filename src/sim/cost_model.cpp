@@ -2,15 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "qoc/common/env.hpp"
-#include "qoc/common/mutex.hpp"
-#include "qoc/obs/clock.hpp"
-#include "qoc/obs/metrics.hpp"
 #include "qoc/sim/batched_statevector.hpp"
-#include "qoc/sim/statevector.hpp"
 
 namespace qoc::sim {
 
@@ -36,12 +30,6 @@ LaneCalibration LaneCalibration::flat(int max_wide_qubits,
   return cal;
 }
 
-int LaneCalibration::max_wide_qubits() const {
-  for (int n = kMaxQubits; n >= 1; --n)
-    if (width[n] > 1) return n;
-  return 0;
-}
-
 std::string LaneCalibration::serialize() const {
   std::string out = "v1;";
   bool first = true;
@@ -63,260 +51,8 @@ std::string LaneCalibration::serialize() const {
   return out;  // bare "v1;" means all-scalar
 }
 
-namespace {
-
-// Strict string_view wrapper over the shared env-int core (same "what
-// counts as a number" rules as every other qoc knob).
-bool parse_cal_uint(std::string_view t, unsigned long max_value,
-                    unsigned long* out) {
-  const std::string buf(t);
-  *out = common::parse_env_uint(buf.c_str(), max_value);
-  return *out != 0;
-}
-
-}  // namespace
-
-std::optional<LaneCalibration> LaneCalibration::parse(std::string_view s) {
-  constexpr std::string_view kPrefix = "v1;";
-  if (s.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
-  s.remove_prefix(kPrefix.size());
-
-  LaneCalibration cal;
-  cal.width.fill(1);
-  cal.width[0] = 0;
-  std::array<bool, kMaxQubits + 1> seen{};
-
-  while (!s.empty()) {
-    const std::size_t comma = s.find(',');
-    const std::string_view token = s.substr(0, comma);
-    s.remove_prefix(comma == std::string_view::npos ? s.size() : comma + 1);
-
-    const std::size_t colon = token.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
-    const std::string_view range = token.substr(0, colon);
-    const std::string_view kstr = token.substr(colon + 1);
-
-    unsigned long k = 0;
-    if (!parse_cal_uint(kstr, 32, &k)) return std::nullopt;
-    if (k > 1 && (k % 2) != 0) return std::nullopt;  // even lanes only
-
-    unsigned long lo = 0;
-    unsigned long hi = 0;
-    const std::size_t dash = range.find('-');
-    if (dash == std::string_view::npos) {
-      if (!parse_cal_uint(range, kMaxQubits, &lo)) return std::nullopt;
-      hi = lo;
-    } else {
-      if (!parse_cal_uint(range.substr(0, dash), kMaxQubits, &lo) ||
-          !parse_cal_uint(range.substr(dash + 1), kMaxQubits, &hi))
-        return std::nullopt;
-    }
-    if (lo > hi) return std::nullopt;
-    for (unsigned long n = lo; n <= hi; ++n) {
-      if (seen[n]) return std::nullopt;  // overlapping ranges fail loudly
-      seen[n] = true;
-      cal.width[n] = static_cast<std::uint8_t>(k);
-    }
-  }
-  return cal;
-}
-
-// ---- Micro-probe -----------------------------------------------------------
-
-namespace {
-
-// The probe times the representative layered evaluation of the batch
-// paths -- a dense 1q rotation layer, an entangling diagonal ring, a
-// full <Z> readout -- scalar vs k-wide at a small (n, k) grid, and
-// keeps k-wide only where it measures faster PER EVALUATION. Timing
-// here is pure observation: the calibration picks which lane width a
-// dispatch uses, and per-lane results are bit-identical across widths,
-// so a noisy measurement can cost performance but never determinism.
-
-// Row budget per timed measurement. Each measurement runs enough
-// repetitions that ~this many (row, lane) updates happen, so the whole
-// first-dispatch probe stays in the tens of milliseconds.
-constexpr std::size_t kProbeRowBudget = std::size_t{1} << 16;
-constexpr int kProbeGrid[] = {6, 8, 10, 12, 14};
-constexpr std::size_t kProbeWidths[] = {4, 8};
-
-// Arbitrary unit-modulus gate constants: the probe measures memory
-// traffic and butterfly arithmetic, not any particular angles.
-constexpr double kProbeCos = 0.9887710779360422;  // cos(0.15)
-constexpr double kProbeSin = 0.1494381324735992;  // sin(0.15)
-
-// Defeats dead-code elimination of the probe's readouts.
-volatile double g_probe_sink = 0.0;
-
-std::size_t probe_reps(int n, std::size_t k) {
-  const std::size_t dim = std::size_t{1} << n;
-  const std::size_t rows_per_rep =
-      dim * k * (2 * static_cast<std::size_t>(n) + 1);
-  const std::size_t reps = kProbeRowBudget / rows_per_rep;
-  return reps > 0 ? reps : 1;
-}
-
-std::uint64_t probe_scalar_ns(int n, std::size_t reps) {
-  Statevector sv(n);
-  const cplx ry[4] = {cplx(kProbeCos, 0.0), cplx(-kProbeSin, 0.0),
-                      cplx(kProbeSin, 0.0), cplx(kProbeCos, 0.0)};
-  const cplx zz0(kProbeCos, -kProbeSin);
-  const cplx zz1(kProbeCos, kProbeSin);
-  double acc = 0.0;
-  const std::uint64_t t0 = obs::now_ns();
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    sv.reset();
-    for (int q = 0; q < n; ++q) sv.apply_1q(ry, q);
-    for (int q = 0; q < n; ++q)
-      sv.apply_diag_2q(zz0, zz1, zz1, zz0, q, (q + 1) % n);
-    const std::vector<double> z = sv.expectation_z_all();
-    acc += z[0];
-  }
-  const std::uint64_t elapsed = obs::now_ns() - t0;
-  g_probe_sink = g_probe_sink + acc;
-  return elapsed;
-}
-
-std::uint64_t probe_wide_ns(int n, std::size_t k, std::size_t reps) {
-  BatchedStatevector bsv(n, k);
-  const cplx ry[4] = {cplx(kProbeCos, 0.0), cplx(-kProbeSin, 0.0),
-                      cplx(kProbeSin, 0.0), cplx(kProbeCos, 0.0)};
-  const cplx zz0(kProbeCos, -kProbeSin);
-  const cplx zz1(kProbeCos, kProbeSin);
-  std::vector<double> z(static_cast<std::size_t>(n) * k);
-  double acc = 0.0;
-  const std::uint64_t t0 = obs::now_ns();
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    bsv.reset();
-    for (int q = 0; q < n; ++q) bsv.apply_1q(ry, q);
-    for (int q = 0; q < n; ++q)
-      bsv.apply_diag_2q(zz0, zz1, zz1, zz0, q, (q + 1) % n);
-    bsv.expectation_z_all_lanes(z);
-    acc += z[0];
-  }
-  const std::uint64_t elapsed = obs::now_ns() - t0;
-  g_probe_sink = g_probe_sink + acc;
-  return elapsed;
-}
-
-LaneCalibration run_probe() {
-  LaneCalibration cal;
-  cal.width.fill(1);
-  cal.width[0] = 0;
-  cal.source = LaneCalibrationSource::kMeasured;
-
-  constexpr int kGridMax = kProbeGrid[std::size(kProbeGrid) - 1];
-  std::array<std::uint8_t, kGridMax + 1> grid_width{};
-  for (const int n : kProbeGrid) {
-    const std::size_t reps1 = probe_reps(n, 1);
-    const double t_scalar =
-        static_cast<double>(probe_scalar_ns(n, reps1)) /
-        static_cast<double>(reps1);
-    std::size_t best_k = 1;
-    // 3% hysteresis: a k-wide width must beat scalar clearly, so timing
-    // jitter near the crossover degrades to the safe scalar path.
-    double best_t = t_scalar * 0.97;
-    for (const std::size_t k : kProbeWidths) {
-      const std::size_t reps = probe_reps(n, k);
-      const double t_wide = static_cast<double>(probe_wide_ns(n, k, reps)) /
-                            static_cast<double>(reps * k);
-      if (t_wide < best_t) {
-        best_t = t_wide;
-        best_k = k;
-      }
-    }
-    grid_width[n] = static_cast<std::uint8_t>(best_k);
-  }
-
-  // Fill the full table from the grid: below the grid small states take
-  // the smallest probed point's verdict, between points the nearest
-  // probed n below, beyond the grid scalar (unprobed territory -- the
-  // L2-spill regime the static rule already excluded).
-  int floor_n = kProbeGrid[0];
-  for (int n = 1; n <= LaneCalibration::kMaxQubits; ++n) {
-    if (n > kGridMax) break;  // leave width 1
-    if (grid_width[n] != 0) floor_n = n;
-    cal.width[n] = grid_width[floor_n] != 0 ? grid_width[floor_n]
-                                            : std::uint8_t{1};
-  }
-  return cal;
-}
-
-// Process-wide cached calibration. Reads and writes go through g_mu:
-// batch_lane_width runs once per batch dispatch (against ~2^n work per
-// evaluation the lock is noise), and tests repin concurrently under
-// TSAN.
-common::Mutex g_cal_mu;
-LaneCalibration g_cal QOC_GUARDED_BY(g_cal_mu);
-bool g_cal_valid QOC_GUARDED_BY(g_cal_mu) = false;
-
-void install_calibration(const LaneCalibration& cal)
-    QOC_REQUIRES(g_cal_mu) {
-  g_cal = cal;
-  g_cal_valid = true;
-  QOC_METRIC_GAUGE_SET("qoc_sim_lane_calibration_source",
-                       static_cast<double>(static_cast<int>(cal.source)));
-  QOC_METRIC_GAUGE_SET("qoc_sim_lane_calibration_max_wide_qubits",
-                       static_cast<double>(cal.max_wide_qubits()));
-  QOC_METRIC_GAUGE_SET("qoc_sim_lane_calibration_width_n10",
-                       static_cast<double>(cal.width[10]));
-}
-
-LaneCalibration resolve_calibration() {
-  // QOC_LANE_CALIBRATION: inline serialized table, or "@/path" naming a
-  // file holding one. Unparseable values follow the repo's env-knob
-  // convention (garbage means "no override") and fall through to the
-  // probe.
-  if (const char* env = std::getenv("QOC_LANE_CALIBRATION");
-      env != nullptr && *env != '\0') {
-    if (*env == '@') {
-      std::ifstream in(env + 1);
-      if (in) {
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        std::string text = buf.str();
-        while (!text.empty() &&
-               (text.back() == '\n' || text.back() == '\r' ||
-                text.back() == ' ' || text.back() == '\t'))
-          text.pop_back();
-        if (auto cal = LaneCalibration::parse(text)) {
-          cal->source = LaneCalibrationSource::kFile;
-          return *cal;
-        }
-      }
-    } else if (auto cal = LaneCalibration::parse(env)) {
-      cal->source = LaneCalibrationSource::kEnv;
-      return *cal;
-    }
-  }
-  return run_probe();
-}
-
-}  // namespace
-
 LaneCalibration lane_calibration() {
-  common::MutexLock lock(g_cal_mu);
-  if (!g_cal_valid) install_calibration(resolve_calibration());
-  return g_cal;
-}
-
-LaneCalibration calibrate() {
-  LaneCalibration cal = run_probe();  // probe outside the lock
-  common::MutexLock lock(g_cal_mu);
-  install_calibration(cal);
-  return cal;
-}
-
-void set_lane_calibration(const LaneCalibration& cal) {
-  LaneCalibration pinned = cal;
-  pinned.source = LaneCalibrationSource::kPinned;
-  common::MutexLock lock(g_cal_mu);
-  install_calibration(pinned);
-}
-
-void reset_lane_calibration() {
-  common::MutexLock lock(g_cal_mu);
-  g_cal_valid = false;
+  return LaneCalibration::flat(kBatchedLaneMaxQubits, kBatchedLanes);
 }
 
 std::size_t batch_lane_width(int n_qubits, std::size_t batch_size,
@@ -324,7 +60,7 @@ std::size_t batch_lane_width(int n_qubits, std::size_t batch_size,
   // getenv is re-read per dispatch (not latched) so tests and benches can
   // flip the override; a batch dispatch costs ~2^n work, the lookup is
   // noise against that.
-  long want = -1;  // -1: defer to the calibrated model
+  long want = -1;  // -1: defer to the static table
   if (const unsigned env = parse_batch_lanes(std::getenv("QOC_BATCH_LANES")))
     want = static_cast<long>(env);
   else if (pinned_lanes >= 0)
@@ -337,11 +73,8 @@ std::size_t batch_lane_width(int n_qubits, std::size_t batch_size,
     k = static_cast<std::size_t>(want);
     if (k % 2) --k;  // even lanes only
     if (k > BatchedStatevector::kMaxLanes) k = BatchedStatevector::kMaxLanes;
-  } else {
-    const LaneCalibration cal = lane_calibration();
-    k = (n_qubits >= 1 && n_qubits <= LaneCalibration::kMaxQubits)
-            ? cal.width[static_cast<std::size_t>(n_qubits)]
-            : 1;
+  } else if (n_qubits >= 1 && n_qubits <= LaneCalibration::kMaxQubits) {
+    k = lane_calibration().width[static_cast<std::size_t>(n_qubits)];
   }
 
   // Ragged-tail compaction makes a part-filled group profitable once it

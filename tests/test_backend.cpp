@@ -386,6 +386,95 @@ TEST(NoisyBackend, DurationEstimatePositive) {
   EXPECT_GT(backend.estimate_duration_s(c, theta, {}), 0.0);
 }
 
+// ---- The stream rule -------------------------------------------------------
+
+// Every stochastic backend follows one stream rule: a fresh backend's
+// k-th auto evaluation draws exactly the stream of an evaluation pinned
+// to rng_stream = k. Two consecutive 11-evaluation batches cover the
+// serial counter carrying across calls, an 8-wide lane group and a
+// scalar tail.
+class StreamRule : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kBatch = 11;
+
+  StreamRule()
+      : ansatz_(qoc::vqe::VqeSolver::hardware_efficient_ansatz(3, 2)),
+        plan_(qoc::exec::CompiledCircuit::compile(ansatz_)),
+        thetas_(2 * kBatch) {
+    Prng rng(31);
+    for (auto& theta : thetas_) {
+      theta.resize(static_cast<std::size_t>(ansatz_.num_trainable()));
+      for (auto& t : theta) t = rng.uniform(-2.0, 2.0);
+    }
+  }
+
+  /// Evaluations [first, first + kBatch), auto or pinned to their index.
+  std::vector<qoc::exec::Evaluation> evals(std::size_t first,
+                                           bool pinned) const {
+    std::vector<qoc::exec::Evaluation> out;
+    for (std::size_t k = first; k < first + kBatch; ++k) {
+      qoc::exec::Evaluation e{thetas_[k], {}, qoc::exec::Evaluation::kNoShift,
+                              0.0};
+      if (pinned) e.rng_stream = k;
+      out.push_back(e);
+    }
+    return out;
+  }
+
+  /// Runs both batches on a fresh `auto_backend` without pins and on a
+  /// fresh `pinned_backend` with pins; the results must match bitwise.
+  template <class RunBatch>
+  void expect_auto_matches_pinned(RunBatch&& run_batch) const {
+    for (std::size_t first = 0; first < thetas_.size(); first += kBatch) {
+      const auto autos = run_batch(true, evals(first, false));
+      const auto pins = run_batch(false, evals(first, true));
+      ASSERT_EQ(autos.size(), pins.size());
+      for (std::size_t k = 0; k < autos.size(); ++k)
+        EXPECT_EQ(autos[k], pins[k]) << "evaluation " << first + k;
+    }
+  }
+
+  Circuit ansatz_;
+  qoc::exec::CompiledCircuit plan_;
+  std::vector<std::vector<double>> thetas_;
+};
+
+TEST_F(StreamRule, SampledStatevectorRunBatch) {
+  StatevectorBackend auto_backend(256, 5);
+  StatevectorBackend pinned_backend(256, 5);
+  expect_auto_matches_pinned(
+      [&](bool is_auto, const std::vector<qoc::exec::Evaluation>& batch) {
+        return (is_auto ? auto_backend : pinned_backend)
+            .run_batch(plan_, batch, 2);
+      });
+}
+
+TEST_F(StreamRule, SampledStatevectorExpectBatch) {
+  const auto obs =
+      qoc::vqe::compile_observable(qoc::vqe::Hamiltonian::heisenberg(3, 0.7));
+  StatevectorBackend auto_backend(256, 5);
+  StatevectorBackend pinned_backend(256, 5);
+  expect_auto_matches_pinned(
+      [&](bool is_auto, const std::vector<qoc::exec::Evaluation>& batch) {
+        return (is_auto ? auto_backend : pinned_backend)
+            .expect_batch(plan_, obs, batch, 2);
+      });
+}
+
+TEST_F(StreamRule, NoisyRunBatch) {
+  NoisyBackendOptions opt;
+  opt.trajectories = 6;
+  opt.shots = 96;
+  opt.seed = 5;
+  NoisyBackend auto_backend(DeviceModel::ibmq_manila(), opt);
+  NoisyBackend pinned_backend(DeviceModel::ibmq_manila(), opt);
+  expect_auto_matches_pinned(
+      [&](bool is_auto, const std::vector<qoc::exec::Evaluation>& batch) {
+        return (is_auto ? auto_backend : pinned_backend)
+            .run_batch(plan_, batch, 2);
+      });
+}
+
 // ---- expect_batch ----------------------------------------------------------
 
 TEST(ExpectBatch, ExactStatevectorBitIdenticalToPerTermLoop) {
@@ -506,11 +595,13 @@ TEST(ExpectBatch, BackendsWithoutNativeStateAccessReject) {
     std::string name() const override { return "minimal"; }
 
    protected:
-    std::vector<double> execute(const qoc::circuit::Circuit& c,
-                                std::span<const double>,
-                                std::span<const double>) override {
-      return std::vector<double>(static_cast<std::size_t>(c.num_qubits()),
-                                 0.0);
+    std::vector<std::vector<double>> execute_batch(
+        const qoc::exec::CompiledCircuit& plan,
+        std::span<const qoc::exec::Evaluation> evals, unsigned) override {
+      return std::vector<std::vector<double>>(
+          evals.size(),
+          std::vector<double>(static_cast<std::size_t>(plan.num_qubits()),
+                              0.0));
     }
   };
   const auto h = qoc::vqe::Hamiltonian::h2_minimal();

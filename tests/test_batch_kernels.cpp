@@ -3,13 +3,11 @@
 // to the scalar per-evaluation path (the oracle), including the non-
 // multiple tail, mixed zero-angle bindings, sampled mode and pinned RNG
 // streams. Also unit-tests the lane-width policy (QOC_BATCH_LANES parse,
-// StatevectorBackendOptions pin, cost-model crossover).
+// StatevectorBackendOptions pin, static-table crossover).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -29,22 +27,6 @@ using qoc::sim::batch_lane_width;
 using qoc::sim::parse_batch_lanes;
 
 constexpr std::uint64_t kSeed = 0xBADC0FFEEULL;
-
-// The calibrated-model verdict depends on this machine's micro-probe;
-// pin a flat full-width table before any test dispatches so the policy
-// and parity tests below are deterministic everywhere (including under
-// sanitizers, where a live probe would measure garbage and pick
-// scalar). Calibration-specific tests repin whatever they need and
-// restore this table before returning.
-qoc::sim::LaneCalibration pinned_flat_calibration() {
-  return qoc::sim::LaneCalibration::flat(qoc::sim::kBatchedLaneMaxQubits,
-                                         qoc::sim::kBatchedLanes);
-}
-
-const bool kCalibrationPinned = [] {
-  qoc::sim::set_lane_calibration(pinned_flat_calibration());
-  return true;
-}();
 
 // A structurally rich circuit on n qubits: fixed gates (structured and
 // dense), diagonal and dense rotations, controlled rotations, a fused
@@ -161,7 +143,7 @@ TEST(BatchLanePolicy, ParseBatchLanesStrictDigits) {
 }
 
 TEST(BatchLanePolicy, CostModelCrossover) {
-  // Under the pinned flat table: full width across the supported range,
+  // Under the static table: full width across the supported range,
   // scalar beyond it.
   EXPECT_EQ(batch_lane_width(10, 64), qoc::sim::kBatchedLanes);
   EXPECT_EQ(batch_lane_width(13, 64), qoc::sim::kBatchedLanes);
@@ -222,15 +204,21 @@ TEST(BatchLanePolicy, PartitionLanes) {
   EXPECT_EQ(p.groups(), 0u);
   EXPECT_EQ(p.tail_start, 0u);
 
-  // Beyond the calibrated range everything is scalar.
+  // Beyond the static table's range everything is scalar.
   p = partition_lanes(qoc::sim::kBatchedLaneMaxQubits + 1, 64);
   EXPECT_EQ(p.lanes, 1u);
   EXPECT_EQ(p.tail_start, 0u);
 }
 
-// ---- Calibration table tests -----------------------------------------------
+// ---- Lane table tests ------------------------------------------------------
 
-TEST(LaneCalibration, SerializeParseRoundTrip) {
+TEST(LaneCalibration, StaticTableIsTheDefault) {
+  const auto cal = qoc::sim::lane_calibration();
+  EXPECT_EQ(cal.serialize(), "v1;1-14:8");
+  EXPECT_EQ(cal.source, qoc::sim::LaneCalibrationSource::kDefault);
+}
+
+TEST(LaneCalibration, Serialize) {
   using qoc::sim::LaneCalibration;
   LaneCalibration cal;
   cal.width.fill(1);
@@ -239,109 +227,8 @@ TEST(LaneCalibration, SerializeParseRoundTrip) {
   for (int n = 9; n <= 12; ++n) cal.width[n] = 4;
   cal.width[14] = 2;
   EXPECT_EQ(cal.serialize(), "v1;1-8:8,9-12:4,14:2");
-  const auto back = LaneCalibration::parse(cal.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->width, cal.width);
-  EXPECT_EQ(back->max_wide_qubits(), 14);
-
-  // All-scalar serializes to the bare header and round-trips.
-  LaneCalibration scalar = LaneCalibration::flat(0, 8);
-  EXPECT_EQ(scalar.serialize(), "v1;");
-  const auto scalar_back = LaneCalibration::parse("v1;");
-  ASSERT_TRUE(scalar_back.has_value());
-  EXPECT_EQ(scalar_back->max_wide_qubits(), 0);
-}
-
-TEST(LaneCalibration, ParseRejectsMalformed) {
-  using qoc::sim::LaneCalibration;
-  // Any bad token rejects the WHOLE string: a truncated table silently
-  // accepted would pin wrong widths in CI forever.
-  EXPECT_FALSE(LaneCalibration::parse("").has_value());
-  EXPECT_FALSE(LaneCalibration::parse("v2;1-8:8").has_value());
-  EXPECT_FALSE(LaneCalibration::parse("1-8:8").has_value());
-  EXPECT_FALSE(LaneCalibration::parse("v1;1-8").has_value());        // no width
-  EXPECT_FALSE(LaneCalibration::parse("v1;1-8:3").has_value());      // odd
-  EXPECT_FALSE(LaneCalibration::parse("v1;1-8:34").has_value());     // > max
-  EXPECT_FALSE(LaneCalibration::parse("v1;8-1:8").has_value());      // lo > hi
-  EXPECT_FALSE(LaneCalibration::parse("v1;1-31:8").has_value());     // n > 30
-  EXPECT_FALSE(LaneCalibration::parse("v1;0-8:8").has_value());      // n = 0
-  EXPECT_FALSE(LaneCalibration::parse("v1;1-8:8,4-12:4").has_value());  // overlap
-  EXPECT_FALSE(LaneCalibration::parse("v1;1-8:8,junk").has_value());
-  EXPECT_FALSE(LaneCalibration::parse("v1;1 - 8:8").has_value());    // spaces
-  EXPECT_FALSE(LaneCalibration::parse("v1;+1-8:8").has_value());     // signs
-}
-
-TEST(LaneCalibration, SetAndResolveDriveLaneWidth) {
-  using qoc::sim::LaneCalibration;
-  // A pinned table IS the policy for deferred dispatches.
-  LaneCalibration cal = LaneCalibration::flat(0, 8);
-  for (int n = 6; n <= 10; ++n) cal.width[n] = 4;
-  qoc::sim::set_lane_calibration(cal);
-  EXPECT_EQ(batch_lane_width(8, 64), 4u);
-  EXPECT_EQ(batch_lane_width(5, 64), 1u);
-  EXPECT_EQ(batch_lane_width(12, 64), 1u);
-  EXPECT_EQ(qoc::sim::lane_calibration().source,
-            qoc::sim::LaneCalibrationSource::kPinned);
-  // Options pin still beats the table; env beats both (covered in
-  // EnvOverrideWinsOverEverything).
-  EXPECT_EQ(batch_lane_width(8, 64, 8), 8u);
-  qoc::sim::set_lane_calibration(pinned_flat_calibration());
-}
-
-TEST(LaneCalibration, EnvKnobResolvesSerializedTable) {
-  // QOC_LANE_CALIBRATION pins the table for CI determinism; resolution
-  // happens when no calibration is cached (first dispatch in a fresh
-  // process; reset_lane_calibration() here).
-  ::setenv("QOC_LANE_CALIBRATION", "v1;1-10:4", 1);
-  qoc::sim::reset_lane_calibration();
-  auto cal = qoc::sim::lane_calibration();
-  EXPECT_EQ(cal.source, qoc::sim::LaneCalibrationSource::kEnv);
-  EXPECT_EQ(cal.width[10], 4u);
-  EXPECT_EQ(cal.width[11], 1u);
-  EXPECT_EQ(batch_lane_width(10, 64), 4u);
-
-  // @file form: the file holds the serialized table (trailing newline
-  // tolerated, as written by a calibration-capture step).
-  const std::string path = ::testing::TempDir() + "qoc_lane_cal_test.txt";
-  {
-    std::ofstream out(path);
-    out << "v1;1-12:8\n";
-  }
-  ::setenv("QOC_LANE_CALIBRATION", ("@" + path).c_str(), 1);
-  qoc::sim::reset_lane_calibration();
-  cal = qoc::sim::lane_calibration();
-  EXPECT_EQ(cal.source, qoc::sim::LaneCalibrationSource::kFile);
-  EXPECT_EQ(cal.width[12], 8u);
-  std::remove(path.c_str());
-
-  ::unsetenv("QOC_LANE_CALIBRATION");
-  qoc::sim::set_lane_calibration(pinned_flat_calibration());
-}
-
-TEST(LaneCalibration, GarbageEnvFallsBackToProbe) {
-  // Repo env-knob convention: unparseable values are ignored, so a typo
-  // degrades to the measured default instead of poisoning the policy.
-  ::setenv("QOC_LANE_CALIBRATION", "v1;totally-bogus", 1);
-  qoc::sim::reset_lane_calibration();
-  const auto cal = qoc::sim::lane_calibration();
-  EXPECT_EQ(cal.source, qoc::sim::LaneCalibrationSource::kMeasured);
-  ::unsetenv("QOC_LANE_CALIBRATION");
-  qoc::sim::set_lane_calibration(pinned_flat_calibration());
-}
-
-TEST(LaneCalibration, ExplicitCalibrateInstallsMeasuredTable) {
-  const auto cal = qoc::sim::calibrate();
-  EXPECT_EQ(cal.source, qoc::sim::LaneCalibrationSource::kMeasured);
-  // Whatever the probe measured is now the process-wide policy.
-  EXPECT_EQ(qoc::sim::lane_calibration().serialize(), cal.serialize());
-  // Probed widths stay inside the supported envelope: even, <= max,
-  // nothing wide beyond the probed grid.
-  for (int n = 1; n <= qoc::sim::LaneCalibration::kMaxQubits; ++n) {
-    const unsigned w = cal.width[static_cast<std::size_t>(n)];
-    EXPECT_TRUE(w == 1 || (w % 2 == 0 && w <= 32)) << "n=" << n;
-    if (n > qoc::sim::kBatchedLaneMaxQubits) EXPECT_EQ(w, 1u) << "n=" << n;
-  }
-  qoc::sim::set_lane_calibration(pinned_flat_calibration());
+  // All-scalar serializes to the bare header.
+  EXPECT_EQ(LaneCalibration::flat(0, 8).serialize(), "v1;");
 }
 
 TEST(BatchLanePolicy, EnvOverrideWinsOverEverything) {

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "qoc/backend/backend.hpp"
+#include "qoc/common/parallel.hpp"
 #include "qoc/common/prng.hpp"
 #include "qoc/data/images.hpp"
 #include "qoc/qml/qnn.hpp"
@@ -106,13 +107,15 @@ class FlakyBackend final : public backend::Backend {
   std::string name() const override { return "flaky"; }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override {
+  std::vector<std::vector<double>> execute_batch(
+      const exec::CompiledCircuit& plan,
+      std::span<const exec::Evaluation> evals, unsigned threads) override {
     if (static_cast<int>(inference_count()) > healthy_runs_)
-      return std::vector<double>(static_cast<std::size_t>(c.num_qubits()),
-                                 std::nan(""));
-    return healthy_.run(c, theta, input);
+      return std::vector<std::vector<double>>(
+          evals.size(),
+          std::vector<double>(static_cast<std::size_t>(plan.num_qubits()),
+                              std::nan("")));
+    return healthy_.run_batch(plan, evals, threads);
   }
 
  private:
@@ -147,9 +150,9 @@ TEST(FailureInjection, ThrowingBackendPropagates) {
     std::string name() const override { return "throwing"; }
 
    protected:
-    std::vector<double> execute(const circuit::Circuit&,
-                                std::span<const double>,
-                                std::span<const double>) override {
+    std::vector<std::vector<double>> execute_batch(
+        const exec::CompiledCircuit&, std::span<const exec::Evaluation>,
+        unsigned) override {
       throw std::runtime_error("device offline");
     }
   };
@@ -168,16 +171,23 @@ TEST(FailureInjection, ThrowingBackendPropagates) {
 
 TEST(FailureInjection, ThrowingBackendPropagatesAcrossThreads) {
   // Exceptions raised inside parallel_for workers must be rethrown on the
-  // caller thread.
+  // caller thread: the backend fails from inside every chunk of its own
+  // fan-out, at the thread count the engine passes down.
   class ThrowingBackend final : public backend::Backend {
    public:
     std::string name() const override { return "throwing"; }
 
    protected:
-    std::vector<double> execute(const circuit::Circuit&,
-                                std::span<const double>,
-                                std::span<const double>) override {
-      throw std::runtime_error("device offline");
+    std::vector<std::vector<double>> execute_batch(
+        const exec::CompiledCircuit&, std::span<const exec::Evaluation> evals,
+        unsigned threads) override {
+      parallel_for_chunked(
+          0, evals.size(),
+          [](std::size_t, std::size_t) {
+            throw std::runtime_error("device offline");
+          },
+          threads);
+      return {};
     }
   };
   const qml::QnnModel model = qml::make_mnist2_model();

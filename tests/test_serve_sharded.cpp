@@ -96,11 +96,6 @@ class GateBackend final : public backend::Backend {
   }
 
  protected:
-  std::vector<double> execute(const circuit::Circuit& c,
-                              std::span<const double> theta,
-                              std::span<const double> input) override {
-    return inner_.run(c, theta, input);
-  }
   std::vector<std::vector<double>> execute_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads) override {
