@@ -269,24 +269,6 @@ void BM_StatevectorRunCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_StatevectorRunCompiled);
 
-void BM_StatevectorRunCompiledFused(benchmark::State& state) {
-  const qml::QnnModel model = qml::make_fashion4_model();
-  Prng rng(6);
-  const auto theta = model.init_params(rng);
-  const std::vector<double> input(16, 0.5);
-  exec::CompileOptions opts;
-  opts.fuse_1q = true;
-  const auto plan = exec::CompiledCircuit::compile(model.circuit(), opts);
-  std::vector<double> angles;
-  for (auto _ : state) {
-    plan.resolve_slots(theta, input, exec::Evaluation::kNoShift, 0.0, angles);
-    sim::Statevector sv(plan.num_qubits());
-    plan.apply(sv, angles);
-    benchmark::DoNotOptimize(sv.expectation_z_all());
-  }
-}
-BENCHMARK(BM_StatevectorRunCompiledFused);
-
 void BM_RunBatchExact(benchmark::State& state) {
   // One batched submission of `range(0)` evaluations on all cores.
   const qml::QnnModel model = qml::make_fashion4_model();

@@ -216,10 +216,11 @@ class Backend {
   std::vector<Prng> batch_streams(std::uint64_t seed,
                                   std::span<const exec::Evaluation> evals);
 
-  /// Compile-or-reuse a plan for `c`, keyed on its structural signature.
-  /// Lets the circuit-based run() path share all plan-level caching. The
-  /// cache is cleared when it outgrows a fixed cap, so callers that
-  /// generate unbounded families of circuits cannot leak.
+  /// Compile-or-reuse a plan for `c`, keyed on exec::structure_hash and
+  /// confirmed with exec::structure_equal on every hit. Lets the
+  /// circuit-based run() path share all plan-level caching. The cache is
+  /// cleared when it outgrows a fixed cap, so callers that generate
+  /// unbounded families of circuits cannot leak.
   std::shared_ptr<const exec::CompiledCircuit> plan_cached(
       const circuit::Circuit& c);
 
@@ -333,13 +334,13 @@ class TranspileCache {
  private:
   common::Mutex mutex_;
   // Probed by the cheap structure_hash, but every hash hit is verified
-  // against the full signature string before a template is served: the
-  // exec header explicitly allows hash collisions, and serving a
-  // colliding entry would route the wrong circuit. Bounded by clearing
-  // wholesale at a fixed cap.
+  // against the entry's source circuit (exec::structure_equal) before a
+  // template is served: the exec header explicitly allows hash
+  // collisions, and serving a colliding entry would route the wrong
+  // circuit. Bounded by clearing wholesale at a fixed cap.
   std::unordered_map<
       std::uint64_t,
-      std::vector<std::pair<std::string,
+      std::vector<std::pair<circuit::Circuit,
                             std::shared_ptr<const transpile::RoutedProgram>>>>
       cache_ QOC_GUARDED_BY(mutex_);
   std::size_t entries_ QOC_GUARDED_BY(mutex_) = 0;

@@ -13,25 +13,22 @@
 //   * structured gates (CX, CZ, SWAP, Paulis, diagonals) dispatch to the
 //     specialized sim::Statevector kernels instead of the dense path,
 //   * every angle-bearing gate gets a *parameter slot* whose value is
-//     resolved from (theta, input) in one pass per evaluation, and
-//   * optionally, runs of adjacent single-qubit gates are fused into one
-//     2x2 application (CompileOptions::fuse_1q).
+//     resolved from (theta, input) in one pass per evaluation.
 //
 // Executing a plan in exact mode is bit-identical to the uncompiled path:
 // the specialized kernels perform the same arithmetic with known-zero
 // terms dropped, which can only change the sign of zeros (invisible to
-// probabilities and expectation values). 1q fusion re-associates matrix
-// products and therefore changes results at the ulp level, so it is OFF
-// by default and opted into by throughput paths only.
+// probabilities and expectation values).
 //
-// Plans also carry a canonical structural signature. Backends key their
-// per-structure caches (e.g. the NoisyBackend's routed transpilation
-// template) on it, so a cache entry is invalidated exactly when the
-// circuit structure actually changes.
+// A plan is one lowering of one source circuit, so its identity is the
+// source's structure: every per-structure cache (Backend::plan_cached,
+// the transpiling backends' routed templates, the serve registry,
+// vqe::EnergyEstimator's ansatz plan) probes with structure_hash and
+// confirms each hit with structure_equal, so an entry is reused exactly
+// when the circuit structure is unchanged.
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "qoc/circuit/circuit.hpp"
@@ -44,14 +41,6 @@ class BatchedStatevector;
 
 namespace qoc::exec {
 
-struct CompileOptions {
-  /// Fuse runs of adjacent single-qubit gates on the same qubit (gates
-  /// separated only by ops on other qubits commute into one run) into a
-  /// single 2x2 application. Changes results at the ulp level, so keep it
-  /// off where bit-exact parity with the uncompiled path matters.
-  bool fuse_1q = false;
-};
-
 /// Kernel selector for one op of the flat stream.
 enum class OpCode : std::uint8_t {
   PauliX,   // specialized Pauli kernels
@@ -61,12 +50,11 @@ enum class OpCode : std::uint8_t {
   Cz,
   Swap,
   Diag1q,   // cached diagonal 2x2 (Z/S/Sdg/T/Tdg)
-  Fixed1q,  // cached dense 2x2 (H, SX, fused fixed runs)
+  Fixed1q,  // cached dense 2x2 (H, SX)
   Fixed2q,  // cached dense 4x4
   FixedK,   // cached 2^k x 2^k, k >= 3 (CCX)
   Rot1q,    // angle-dependent 1q gate, built per evaluation from a slot
   Rot2q,    // angle-dependent 2q gate
-  Fused1q,  // product of a 1q run with >= 1 angle-dependent member
 };
 
 struct CompiledOp {
@@ -76,15 +64,7 @@ struct CompiledOp {
   std::int32_t q1 = -1;      // second operand (2q ops)
   std::int32_t slot = -1;    // angle slot (Rot1q / Rot2q)
   std::int32_t matrix = -1;  // index into the fixed-matrix cache
-  std::int32_t group = -1;   // fusion group (Fused1q)
   std::vector<int> qubits;   // operand list for FixedK only
-};
-
-/// One member of a Fused1q group, in application order.
-struct FusedElem {
-  circuit::GateKind kind = circuit::GateKind::I;
-  std::int32_t slot = -1;    // angle slot, or -1 when `matrix` is set
-  std::int32_t matrix = -1;  // fixed-matrix cache index
 };
 
 /// How one angle slot resolves at bind time.
@@ -122,41 +102,33 @@ struct Evaluation {
   std::uint64_t rng_stream = kAutoStream;
 };
 
-/// Canonical structural signature of a circuit: gate kinds, operand
-/// qubits and full parameter bindings. Two circuits with equal signatures
-/// execute identically for every (theta, input). Cheap to compute without
-/// compiling, so caches can test for a hit first.
-std::string structure_signature(const circuit::Circuit& c);
-
-/// Streaming hash of the same structural identity (no allocation; used
-/// by per-call cache probes). Equal structures hash equally; collisions
-/// must be resolved with structure_equal.
+/// Streaming hash of a circuit's structural identity -- gate kinds,
+/// operand qubits and full parameter bindings -- with no allocation, so
+/// caches can probe without compiling. Equal structures hash equally;
+/// collisions must be resolved with structure_equal.
 std::uint64_t structure_hash(const circuit::Circuit& c);
 
 /// Exact structural equality (field-wise; doubles compared bitwise).
+/// Two structurally equal circuits execute identically for every
+/// (theta, input).
 bool structure_equal(const circuit::Circuit& a, const circuit::Circuit& b);
 
 class CompiledCircuit {
  public:
   /// Lower `c` into a plan. The circuit is copied into the plan, so the
   /// plan owns everything it needs for its lifetime.
-  static CompiledCircuit compile(const circuit::Circuit& c,
-                                 CompileOptions options = {});
+  static CompiledCircuit compile(const circuit::Circuit& c);
 
   int num_qubits() const { return source_.num_qubits(); }
   int num_trainable() const { return source_.num_trainable(); }
   int num_inputs() const { return source_.num_inputs(); }
   const circuit::Circuit& source() const { return source_; }
-  const CompileOptions& options() const { return options_; }
 
   const std::vector<CompiledOp>& ops() const { return ops_; }
   std::size_t num_slots() const { return slots_.size(); }
   const std::vector<AngleSlot>& slots() const { return slots_; }
 
-  /// Canonical structural identity: gate kinds, operand qubits and full
-  /// parameter bindings of the source circuit. Two circuits with equal
-  /// signatures execute identically for every (theta, input).
-  const std::string& signature() const { return signature_; }
+  /// exec::structure_hash of source(), computed once at compile time.
   std::uint64_t structure_hash() const { return hash_; }
 
   /// Resolve every angle slot against (theta, input); `out` is resized to
@@ -206,15 +178,11 @@ class CompiledCircuit {
   CompiledCircuit() : source_(1) {}
 
   circuit::Circuit source_;
-  CompileOptions options_;
   std::vector<CompiledOp> ops_;
   std::vector<AngleSlot> slots_;
   std::vector<std::int32_t> slot_of_src_op_;  // -1 for angle-free ops
   std::vector<linalg::Matrix> matrices_;      // fixed-gate cache
-  std::vector<circuit::GateKind> matrix_kinds_;  // cache key (I = no reuse)
-  std::vector<FusedElem> fused_;              // flattened fusion groups
-  std::vector<std::pair<std::int32_t, std::int32_t>> groups_;  // [begin,end)
-  std::string signature_;
+  std::vector<circuit::GateKind> matrix_kinds_;  // cache key
   std::uint64_t hash_ = 0;
 };
 

@@ -9,9 +9,10 @@
 //     touched only on first lookup of a name -- call sites cache the
 //     returned reference (the QOC_METRIC_* macros do this with a
 //     function-local static).
-//   * Metric objects are never destroyed: Registry hands out stable
-//     references for the life of the process, so a cached reference
-//     can outlive the session that first resolved it.
+//   * A Registry's metric objects live as long as it does. global() is
+//     never destroyed, so the references the macros cache stay valid
+//     for the life of the process and can outlive the session that
+//     first resolved them; a local registry frees its metrics with it.
 //   * Metrics are pure observation. Nothing may read a metric to make
 //     a control decision that changes numerical results (the
 //     determinism contract).
@@ -163,8 +164,10 @@ class Histogram {
 };
 
 /// Name -> metric registry. `global()` is the process-wide instance
-/// every QOC_METRIC_* macro resolves against; separate instances exist
-/// for tests and tools that need isolated golden dumps.
+/// every QOC_METRIC_* macro resolves against (never destroyed);
+/// separate instances exist for tests and tools that need isolated
+/// golden dumps, and references into one are valid until it is
+/// destroyed.
 class Registry {
  public:
   Registry() = default;

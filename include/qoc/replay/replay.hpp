@@ -18,9 +18,9 @@
 //     length-prefixed records, CRC32 trailer. Doubles are stored as
 //     their IEEE bit patterns, so a log round-trips bit-exactly.
 //     Truncated, corrupt or version-skewed logs are rejected with
-//     TraceError -- never undefined behaviour. write_text/parse_text
-//     provide an equivalent human-readable form for debugging (doubles
-//     as hex bit patterns, so the text form round-trips bitwise too).
+//     TraceError -- never undefined behaviour. write_text renders a log
+//     in a human-readable form for inspection (doubles as hex bit
+//     patterns, so nothing is rounded); it is not read back.
 //   * replay() re-registers the recorded structures and re-submits the
 //     recorded stream against ANY ServeSession configuration -- N
 //     replicas, Block/Shed, folding on/off, any cache size -- through
@@ -68,7 +68,6 @@ struct TraceError : std::runtime_error {
 struct TracedCircuit {
   std::uint64_t id = 0;
   std::uint64_t structure_hash = 0;
-  bool fuse_1q = false;
   circuit::Circuit circuit{1};
 };
 
@@ -113,7 +112,7 @@ struct TraceLog {
 // ---- Binary log format ----------------------------------------------------
 
 /// Current on-disk format version (read_binary rejects others).
-inline constexpr std::uint32_t kTraceVersion = 1;
+inline constexpr std::uint32_t kTraceVersion = 2;
 
 /// Serialize to the versioned binary format (appends to `out`).
 std::vector<std::uint8_t> write_binary(const TraceLog& log);
@@ -126,10 +125,12 @@ TraceLog read_binary(std::span<const std::uint8_t> bytes);
 void save(const TraceLog& log, const std::string& path);
 TraceLog load(const std::string& path);
 
-/// Human-readable text form. Doubles are rendered as 16-digit hex bit
-/// patterns, so parse_text(write_text(log)) reproduces `log` bitwise.
+/// Human-readable text form for inspection (tools/qoc_replay dump): a
+/// "qoctrace <version>" header, a scenario line, then one line per
+/// circuit, op, observable, term and job. Doubles are rendered as
+/// 16-digit hex bit patterns, so no value is rounded. Write-only: the
+/// binary format is the one logs are loaded from.
 std::string write_text(const TraceLog& log);
-TraceLog parse_text(const std::string& text);
 
 /// Field-wise equality with bitwise double comparison (the identity the
 /// round-trip tests assert).
@@ -160,8 +161,7 @@ class Recorder final : public serve::TraceSink {
   }
 
   void on_circuit(std::uint64_t circuit_id, std::uint64_t structure_hash,
-                  const circuit::Circuit& circuit,
-                  const exec::CompileOptions& options) override;
+                  const circuit::Circuit& circuit) override;
   void on_observable(std::uint64_t observable_id,
                      const exec::CompiledObservable& observable) override;
   void on_submit(std::uint32_t client, std::uint64_t seq,

@@ -193,8 +193,7 @@ class TraceSink {
   virtual ~TraceSink() = default;
   virtual void on_circuit(std::uint64_t circuit_id,
                           std::uint64_t structure_hash,
-                          const circuit::Circuit& circuit,
-                          const exec::CompileOptions& options) = 0;
+                          const circuit::Circuit& circuit) = 0;
   virtual void on_observable(std::uint64_t observable_id,
                              const exec::CompiledObservable& observable) = 0;
   virtual void on_submit(std::uint32_t client, std::uint64_t seq,
@@ -402,10 +401,9 @@ class ServeSession {
   ServeSession& operator=(const ServeSession&) = delete;
 
   /// Compile-or-reuse: structurally identical circuits (same gates,
-  /// operands, parameter bindings and compile options) share one plan,
-  /// however many clients register them.
-  CircuitHandle register_circuit(const circuit::Circuit& c,
-                                 exec::CompileOptions options = {});
+  /// operands and parameter bindings; exec::structure_equal) share one
+  /// plan, however many clients register them.
+  CircuitHandle register_circuit(const circuit::Circuit& c);
 
   /// Register an observable for submit_expect jobs.
   ObservableHandle register_observable(exec::CompiledObservable observable);

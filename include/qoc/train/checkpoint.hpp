@@ -17,7 +17,9 @@ namespace qoc::train {
 /// Write theta to `path`; throws std::runtime_error on I/O failure.
 void save_theta(const std::string& path, const std::vector<double>& theta);
 
-/// Read theta back; throws std::runtime_error on I/O or format errors.
+/// Read theta back; throws std::runtime_error on I/O or format errors,
+/// including a header count the file cannot hold and any non-whitespace
+/// after the last value.
 std::vector<double> load_theta(const std::string& path);
 
 /// Write a training history as CSV: step,inferences,train_loss,val_acc,lr.

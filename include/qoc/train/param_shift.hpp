@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "qoc/backend/backend.hpp"
@@ -27,6 +28,32 @@ namespace qoc::train {
 /// circuit of Eq. 2 -- structure unchanged, no ancilla).
 circuit::Circuit with_op_offset(const circuit::Circuit& c,
                                 std::size_t op_index, double delta);
+
+/// Throws std::invalid_argument, prefixed with `who`, unless every gate
+/// carrying a trainable parameter of `c` satisfies the +-1-eigenvalue
+/// parameter-shift rule.
+void check_shift_rule(const circuit::Circuit& c, const std::string& who);
+
+/// One parameter occurrence a sweep shifts: trainable parameter `param`
+/// as used by source op `op`.
+struct ShiftTerm {
+  int param = 0;
+  std::size_t op = 0;
+};
+
+/// Every occurrence of every trainable parameter of `c` whose mask entry
+/// is set (all of them when `mask` is null), grouped by parameter in
+/// ascending order, ops ascending within a parameter: the terms of one
+/// parameter-shift sweep.
+std::vector<ShiftTerm> shift_list(const circuit::Circuit& c,
+                                  const std::vector<bool>* mask = nullptr);
+
+/// Append, for every term in order, the evaluation of (theta, input) with
+/// the term's op shifted by +pi/2 and then by -pi/2 (Eq. 2's pair).
+void append_shift_pairs(std::vector<exec::Evaluation>& evals,
+                        std::span<const ShiftTerm> shifts,
+                        std::span<const double> theta,
+                        std::span<const double> input);
 
 /// Gradient of a mini-batch loss, plus bookkeeping.
 struct BatchGradient {
@@ -74,17 +101,9 @@ class ParameterShiftEngine {
   const qml::QnnModel& model() const { return model_; }
 
  private:
-  /// (param index, source op index) for every shifted evaluation the
-  /// current mask requires, grouped by param in ascending order.
-  std::vector<std::pair<int, std::size_t>> shift_list(
-      const std::vector<bool>* mask) const;
-
   backend::Backend& backend_;
   const qml::QnnModel& model_;
   unsigned threads_ = 1;
-  // param index -> op indices containing it (cached once; circuits are
-  // immutable after model construction).
-  std::vector<std::vector<std::size_t>> param_ops_;
 };
 
 }  // namespace qoc::train

@@ -32,8 +32,7 @@ constexpr std::size_t kTranspileCacheCap = 128;
 
 std::shared_ptr<const exec::CompiledCircuit> Backend::plan_cached(
     const circuit::Circuit& c) {
-  // Probe with an allocation-free streaming hash + field-wise compare;
-  // the signature string is only materialised inside compile() on a miss.
+  // Probe with an allocation-free streaming hash + field-wise compare.
   const std::uint64_t h = exec::structure_hash(c);
 
   const common::MutexLock lock(plan_cache_mutex_);
@@ -87,12 +86,12 @@ std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
   // Probe by the cheap structure hash, but NEVER trust a hash hit alone:
   // structure_hash() explicitly allows collisions, and serving a
   // colliding entry would execute the wrong routed program. Every hit is
-  // verified against the full canonical signature.
+  // verified against the entry's source circuit with structure_equal.
   const common::MutexLock lock(mutex_);
   const auto it = cache_.find(plan.structure_hash());
   if (it != cache_.end())
-    for (const auto& [sig, tmpl] : it->second)
-      if (sig == plan.signature()) {
+    for (const auto& [source, tmpl] : it->second)
+      if (exec::structure_equal(plan.source(), source)) {
         QOC_METRIC_COUNTER_ADD("qoc_transpile_cache_hits_total", 1);
         return tmpl;
       }
@@ -106,7 +105,7 @@ std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
   // entries_ cap never sees.
   auto tmpl = std::make_shared<const transpile::RoutedProgram>(
       transpile::route_template(plan.source(), device), device.n_qubits);
-  cache_[plan.structure_hash()].emplace_back(plan.signature(), tmpl);
+  cache_[plan.structure_hash()].emplace_back(plan.source(), tmpl);
   ++entries_;
   return tmpl;
 }

@@ -1,8 +1,6 @@
 #include "qoc/exec/compiled_circuit.hpp"
 
 #include <bit>
-#include <cstdio>
-#include <functional>
 #include <stdexcept>
 
 #include "qoc/sim/batched_statevector.hpp"
@@ -167,57 +165,7 @@ void rot2q_diag_entries(GateKind kind, double angle, cplx out[4]) {
   out[3] = u[3];
 }
 
-/// out = b * a (2x2, row-major): the matrix of "apply a, then b".
-void matmul_2x2(const cplx a[4], const cplx b[4], cplx out[4]) {
-  out[0] = b[0] * a[0] + b[1] * a[2];
-  out[1] = b[0] * a[1] + b[1] * a[3];
-  out[2] = b[2] * a[0] + b[3] * a[2];
-  out[3] = b[2] * a[1] + b[3] * a[3];
-}
-
-void append_hex_u64(std::string& s, std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  s += buf;
-}
-
-void append_double_bits(std::string& s, double v) {
-  append_hex_u64(s, std::bit_cast<std::uint64_t>(v));
-}
-
 }  // namespace
-
-std::string structure_signature(const circuit::Circuit& c) {
-  std::string sig;
-  sig.reserve(c.num_ops() * 48 + 32);
-  sig += "n";
-  sig += std::to_string(c.num_qubits());
-  sig += ";t";
-  sig += std::to_string(c.num_trainable());
-  sig += ";i";
-  sig += std::to_string(c.num_inputs());
-  sig += ";";
-  for (const auto& op : c.ops()) {
-    sig += "k";
-    sig += std::to_string(static_cast<int>(op.kind));
-    sig += ":";
-    for (const int q : op.qubits) {
-      sig += std::to_string(q);
-      sig += ",";
-    }
-    sig += "p";
-    sig += std::to_string(static_cast<int>(op.param.source));
-    sig += ",";
-    sig += std::to_string(op.param.index);
-    sig += ",";
-    append_double_bits(sig, op.param.scale);
-    sig += ",";
-    append_double_bits(sig, op.param.value);
-    sig += ";";
-  }
-  return sig;
-}
 
 std::uint64_t structure_hash(const circuit::Circuit& c) {
   // FNV-1a over the structural fields, allocation-free.
@@ -259,13 +207,10 @@ bool structure_equal(const circuit::Circuit& a, const circuit::Circuit& b) {
   return true;
 }
 
-CompiledCircuit CompiledCircuit::compile(const circuit::Circuit& c,
-                                         CompileOptions options) {
+CompiledCircuit CompiledCircuit::compile(const circuit::Circuit& c) {
   CompiledCircuit plan;
   plan.source_ = c;
-  plan.options_ = options;
   plan.slot_of_src_op_.assign(c.num_ops(), -1);
-  plan.signature_ = structure_signature(c);
   plan.hash_ = exec::structure_hash(c);
 
   // ---- Lower to the flat op stream ----------------------------------------
@@ -280,8 +225,7 @@ CompiledCircuit CompiledCircuit::compile(const circuit::Circuit& c,
     return static_cast<std::int32_t>(plan.matrices_.size() - 1);
   };
 
-  std::vector<CompiledOp> stream;
-  stream.reserve(c.num_ops());
+  plan.ops_.reserve(c.num_ops());
   for (std::size_t i = 0; i < c.num_ops(); ++i) {
     const auto& op = c.op(i);
     CompiledOp out;
@@ -295,7 +239,7 @@ CompiledCircuit CompiledCircuit::compile(const circuit::Circuit& c,
       plan.slots_.push_back({op.param, static_cast<std::uint32_t>(i)});
       out.code =
           circuit::gate_arity(op.kind) == 1 ? OpCode::Rot1q : OpCode::Rot2q;
-      stream.push_back(std::move(out));
+      plan.ops_.push_back(std::move(out));
       continue;
     }
 
@@ -332,111 +276,8 @@ CompiledCircuit CompiledCircuit::compile(const circuit::Circuit& c,
                                                      : OpCode::Fixed2q;
         break;
     }
-    stream.push_back(std::move(out));
+    plan.ops_.push_back(std::move(out));
   }
-
-  if (!options.fuse_1q) {
-    plan.ops_ = std::move(stream);
-    return plan;
-  }
-
-  // ---- 1q fusion -----------------------------------------------------------
-  // Gather per-qubit runs of single-qubit gates separated only by ops on
-  // other qubits (those commute, so the run collapses into one 2x2 at the
-  // position of its last member). All-fixed runs are folded into a single
-  // cached matrix at compile time; runs containing rotations become
-  // Fused1q groups whose product is formed per evaluation.
-  auto is_1q = [](const CompiledOp& op) {
-    switch (op.code) {
-      case OpCode::PauliX:
-      case OpCode::PauliY:
-      case OpCode::PauliZ:
-      case OpCode::Diag1q:
-      case OpCode::Fixed1q:
-      case OpCode::Rot1q:
-        return true;
-      default:
-        return false;
-    }
-  };
-
-  std::vector<CompiledOp> fused_stream;
-  fused_stream.reserve(stream.size());
-  std::vector<std::vector<CompiledOp>> pending(
-      static_cast<std::size_t>(c.num_qubits()));
-
-  auto elem_matrix = [&plan, &cached_matrix](const CompiledOp& op) {
-    return op.matrix >= 0 ? op.matrix : cached_matrix(op.kind);
-  };
-
-  auto flush = [&](int q) {
-    auto& run = pending[static_cast<std::size_t>(q)];
-    if (run.empty()) return;
-    if (run.size() == 1) {
-      fused_stream.push_back(std::move(run[0]));
-      run.clear();
-      return;
-    }
-    bool any_rot = false;
-    for (const auto& op : run)
-      if (op.code == OpCode::Rot1q) any_rot = true;
-
-    if (!any_rot) {
-      // Fold the whole run into one cached matrix now.
-      Matrix prod = plan.matrices_[static_cast<std::size_t>(
-          elem_matrix(run[0]))];
-      for (std::size_t i = 1; i < run.size(); ++i)
-        prod = plan.matrices_[static_cast<std::size_t>(elem_matrix(run[i]))] *
-               prod;
-      CompiledOp out;
-      out.code = OpCode::Fixed1q;
-      out.kind = run.back().kind;
-      out.q0 = q;
-      out.matrix = static_cast<std::int32_t>(plan.matrices_.size());
-      plan.matrices_.push_back(std::move(prod));
-      plan.matrix_kinds_.push_back(GateKind::I);  // never matched by kind
-      fused_stream.push_back(std::move(out));
-      run.clear();
-      return;
-    }
-
-    CompiledOp out;
-    out.code = OpCode::Fused1q;
-    out.kind = run.back().kind;
-    out.q0 = q;
-    out.group = static_cast<std::int32_t>(plan.groups_.size());
-    const auto begin = static_cast<std::int32_t>(plan.fused_.size());
-    for (const auto& op : run) {
-      FusedElem e;
-      e.kind = op.kind;
-      if (op.code == OpCode::Rot1q)
-        e.slot = op.slot;
-      else
-        e.matrix = elem_matrix(op);
-      plan.fused_.push_back(e);
-    }
-    plan.groups_.emplace_back(begin,
-                              static_cast<std::int32_t>(plan.fused_.size()));
-    fused_stream.push_back(std::move(out));
-    run.clear();
-  };
-
-  for (auto& op : stream) {
-    if (is_1q(op)) {
-      pending[static_cast<std::size_t>(op.q0)].push_back(std::move(op));
-      continue;
-    }
-    if (op.code == OpCode::FixedK) {
-      for (const int q : op.qubits) flush(q);
-    } else {
-      flush(op.q0);
-      flush(op.q1);
-    }
-    fused_stream.push_back(std::move(op));
-  }
-  for (int q = 0; q < c.num_qubits(); ++q) flush(q);
-
-  plan.ops_ = std::move(fused_stream);
   return plan;
 }
 
@@ -541,30 +382,6 @@ void CompiledCircuit::apply(sim::Statevector& sv,
         }
         break;
       }
-      case OpCode::Fused1q: {
-        const auto [begin, end] = groups_[static_cast<std::size_t>(op.group)];
-        cplx prod[4], elem[4], tmp[4];
-        for (std::int32_t e = begin; e < end; ++e) {
-          const FusedElem& f = fused_[static_cast<std::size_t>(e)];
-          cplx* dst = (e == begin) ? prod : elem;
-          if (f.slot >= 0) {
-            rot1q_entries(f.kind, slot_angles[static_cast<std::size_t>(f.slot)],
-                          dst);
-          } else {
-            const Matrix& m = matrices_[static_cast<std::size_t>(f.matrix)];
-            dst[0] = m(0, 0);
-            dst[1] = m(0, 1);
-            dst[2] = m(1, 0);
-            dst[3] = m(1, 1);
-          }
-          if (e != begin) {
-            matmul_2x2(prod, elem, tmp);
-            for (int k = 0; k < 4; ++k) prod[k] = tmp[k];
-          }
-        }
-        sv.apply_1q(prod, op.q0);
-        break;
-      }
     }
   }
 }
@@ -615,7 +432,6 @@ bool is_mult_diag_op(const CompiledOp& op) {
 bool is_dense_1q_op(const CompiledOp& op) {
   switch (op.code) {
     case OpCode::Fixed1q:
-    case OpCode::Fused1q:
       return true;
     case OpCode::Rot1q:
       return !(op.kind == GateKind::Rz || op.kind == GateKind::Phase);
@@ -653,38 +469,12 @@ void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
         }
         break;
       }
-      case OpCode::Rot1q: {
+      default: {  // Rot1q
         cplx m[4];
         for (std::size_t l = 0; l < k; ++l) {
           rot1q_entries(op.kind, angle_at(op.slot, l), m);
           for (int e = 0; e < 4; ++e)
             out[static_cast<std::size_t>(e) * k + l] = m[e];
-        }
-        break;
-      }
-      default: {  // Fused1q
-        const auto [begin, end] = groups_[static_cast<std::size_t>(op.group)];
-        cplx prod[4], elem[4], tmp[4];
-        for (std::size_t l = 0; l < k; ++l) {
-          for (std::int32_t e = begin; e < end; ++e) {
-            const FusedElem& f = fused_[static_cast<std::size_t>(e)];
-            cplx* dst = (e == begin) ? prod : elem;
-            if (f.slot >= 0) {
-              rot1q_entries(f.kind, angle_at(f.slot, l), dst);
-            } else {
-              const Matrix& m = matrices_[static_cast<std::size_t>(f.matrix)];
-              dst[0] = m(0, 0);
-              dst[1] = m(0, 1);
-              dst[2] = m(1, 0);
-              dst[3] = m(1, 1);
-            }
-            if (e != begin) {
-              matmul_2x2(prod, elem, tmp);
-              for (int i = 0; i < 4; ++i) prod[i] = tmp[i];
-            }
-          }
-          for (int e = 0; e < 4; ++e)
-            out[static_cast<std::size_t>(e) * k + l] = prod[e];
         }
         break;
       }
@@ -871,11 +661,6 @@ void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
           }
           sv.apply_2q_lanes(buf.data(), op.q0, op.q1);
         }
-        break;
-      }
-      case OpCode::Fused1q: {
-        build_dense_1q(op, buf.data());
-        sv.apply_1q_lanes(buf.data(), op.q0);
         break;
       }
     }

@@ -1,10 +1,11 @@
 // Metrics registry internals and the two exporters.
 //
 // Registry::Impl holds name -> unique_ptr maps behind the registry
-// mutex; the metric objects themselves live until process exit even if
-// the Registry is destroyed first (Impl is deliberately leaked), so
-// references cached in function-local statics by the QOC_METRIC_*
-// macros can never dangle during static destruction.
+// mutex and is freed with its Registry. References the QOC_METRIC_*
+// macros cache in function-local statics all point into global(), a
+// heap object that is never destroyed, so they can never dangle during
+// static destruction; only local registries (tests, tools) are ever
+// destroyed.
 
 #include "qoc/obs/metrics.hpp"
 
@@ -54,7 +55,7 @@ struct Registry::Impl {
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
-Registry::~Registry() = default;  // impl_ leaks by design (see header)
+Registry::~Registry() { delete impl_; }
 
 Registry& Registry::global() {
   static Registry* r = new Registry();  // never destroyed

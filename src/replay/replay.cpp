@@ -2,9 +2,7 @@
 
 #include <array>
 #include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <thread>
 #include <utility>
@@ -153,7 +151,6 @@ constexpr int kMaxQubits = 30;  // statevector memory bound; anything
 void encode_circuit(std::vector<std::uint8_t>& out, const TracedCircuit& tc) {
   put_u64(out, tc.id);
   put_u64(out, tc.structure_hash);
-  put_u8(out, tc.fuse_1q ? 1 : 0);
   put_i32(out, tc.circuit.num_qubits());
   put_i32(out, tc.circuit.num_trainable());
   put_i32(out, tc.circuit.num_inputs());
@@ -173,7 +170,6 @@ TracedCircuit decode_circuit(Reader& r) {
   TracedCircuit tc;
   tc.id = r.u64("circuit id");
   tc.structure_hash = r.u64("circuit hash");
-  tc.fuse_1q = r.u8("circuit fuse_1q") != 0;
   const std::int32_t n_qubits = r.i32("circuit qubits");
   const std::int32_t n_trainable = r.i32("circuit trainable count");
   const std::int32_t n_inputs = r.i32("circuit input count");
@@ -423,8 +419,8 @@ TraceLog load(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Text form. One record per line, whitespace-separated tokens; every
-// double is a 16-digit hex bit pattern so the text form loses nothing.
+// Text form (write-only). One record per line, whitespace-separated
+// tokens; every double is a 16-digit hex bit pattern so nothing is rounded.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -463,90 +459,6 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-std::string unescape(const std::string& s) {
-  std::string out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%') {
-      if (i + 2 >= s.size())
-        throw TraceError("qoc trace: bad escape in text log");
-      const auto hex = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        throw TraceError("qoc trace: bad escape in text log");
-      };
-      out += static_cast<char>(hex(s[i + 1]) * 16 + hex(s[i + 2]));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-/// Whitespace-token cursor over the text form, mirroring Reader's
-/// error discipline.
-struct TokenReader {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  bool at_end() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r'))
-      ++pos;
-    return pos >= text.size();
-  }
-
-  std::string next(const char* what) {
-    if (at_end())
-      throw TraceError(std::string("qoc trace: truncated text log (") + what +
-                       ")");
-    const std::size_t start = pos;
-    while (pos < text.size() && text[pos] != ' ' && text[pos] != '\t' &&
-           text[pos] != '\n' && text[pos] != '\r')
-      ++pos;
-    return text.substr(start, pos - start);
-  }
-
-  std::uint64_t num(const char* what, int base = 10) {
-    const std::string tok = next(what);
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, base);
-    if (end != tok.c_str() + tok.size() || tok.empty() || errno != 0)
-      throw TraceError(std::string("qoc trace: bad number for ") + what +
-                       ": '" + tok + "'");
-    return v;
-  }
-
-  std::int64_t snum(const char* what) {
-    const std::string tok = next(what);
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + tok.size() || tok.empty() || errno != 0)
-      throw TraceError(std::string("qoc trace: bad number for ") + what +
-                       ": '" + tok + "'");
-    return v;
-  }
-
-  double f64(const char* what) {
-    return std::bit_cast<double>(num(what, 16));
-  }
-
-  std::vector<double> doubles(const char* what) {
-    const std::uint64_t n = num(what);
-    if (n > (1u << 24))
-      throw TraceError(std::string("qoc trace: absurd vector length for ") +
-                       what);
-    std::vector<double> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64(what));
-    return out;
-  }
-};
-
 }  // namespace
 
 std::string write_text(const TraceLog& log) {
@@ -555,7 +467,7 @@ std::string write_text(const TraceLog& log) {
          "\n";
   for (const auto& tc : log.circuits) {
     out += "circuit " + std::to_string(tc.id) + ' ' +
-           hex64(tc.structure_hash) + ' ' + (tc.fuse_1q ? "1" : "0") + ' ' +
+           hex64(tc.structure_hash) + ' ' +
            std::to_string(tc.circuit.num_qubits()) + ' ' +
            std::to_string(tc.circuit.num_trainable()) + ' ' +
            std::to_string(tc.circuit.num_inputs()) + ' ' +
@@ -596,96 +508,6 @@ std::string write_text(const TraceLog& log) {
   return out;
 }
 
-TraceLog parse_text(const std::string& text) {
-  TokenReader r{text};
-  if (r.next("header") != "qoctrace")
-    throw TraceError("qoc trace: bad text header (not a qoc trace)");
-  const std::uint64_t version = r.num("version");
-  if (version != kTraceVersion)
-    throw TraceError("qoc trace: unsupported version " +
-                     std::to_string(version));
-  if (r.next("scenario keyword") != "scenario")
-    throw TraceError("qoc trace: expected scenario line");
-  const std::string scenario_tok = r.next("scenario value");
-  TraceLog log;
-  log.scenario = scenario_tok == "-" ? "" : unescape(scenario_tok);
-
-  // Re-encode each parsed record through the binary payload codecs:
-  // one validation path for both formats.
-  std::vector<std::uint8_t> payload;
-  while (!r.at_end()) {
-    const std::string keyword = r.next("record keyword");
-    payload.clear();
-    if (keyword == "circuit") {
-      put_u64(payload, r.num("circuit id"));
-      put_u64(payload, r.num("circuit hash", 16));
-      put_u8(payload, static_cast<std::uint8_t>(r.num("circuit fuse_1q")));
-      put_i32(payload, static_cast<std::int32_t>(r.snum("circuit qubits")));
-      put_i32(payload, static_cast<std::int32_t>(r.snum("circuit trainable")));
-      put_i32(payload, static_cast<std::int32_t>(r.snum("circuit inputs")));
-      const std::uint64_t n_ops = r.num("circuit op count");
-      put_u32(payload, static_cast<std::uint32_t>(n_ops));
-      for (std::uint64_t i = 0; i < n_ops; ++i) {
-        if (r.next("op keyword") != "op")
-          throw TraceError("qoc trace: expected op line");
-        put_u8(payload, static_cast<std::uint8_t>(r.num("op kind")));
-        const std::uint64_t nq = r.num("op qubit count");
-        put_u8(payload, static_cast<std::uint8_t>(nq));
-        for (std::uint64_t q = 0; q < nq && q < 4; ++q)
-          put_i32(payload, static_cast<std::int32_t>(r.snum("op qubit")));
-        put_u8(payload, static_cast<std::uint8_t>(r.num("param source")));
-        put_i32(payload, static_cast<std::int32_t>(r.snum("param index")));
-        put_u64(payload, r.num("param value", 16));
-        put_u64(payload, r.num("param scale", 16));
-      }
-      Reader decode{payload};
-      log.circuits.push_back(decode_circuit(decode));
-    } else if (keyword == "observable") {
-      put_u64(payload, r.num("observable id"));
-      put_i32(payload, static_cast<std::int32_t>(r.snum("observable qubits")));
-      const std::uint64_t n_terms = r.num("observable term count");
-      put_u32(payload, static_cast<std::uint32_t>(n_terms));
-      for (std::uint64_t i = 0; i < n_terms; ++i) {
-        if (r.next("term keyword") != "term")
-          throw TraceError("qoc trace: expected term line");
-        const std::string tok = r.next("term paulis");
-        const std::string paulis = tok == "-" ? "" : tok;
-        put_u32(payload, static_cast<std::uint32_t>(paulis.size()));
-        for (const char ch : paulis)
-          put_u8(payload, static_cast<std::uint8_t>(ch));
-        put_u64(payload, r.num("term coeff", 16));
-      }
-      Reader decode{payload};
-      log.observables.push_back(decode_observable(decode));
-    } else if (keyword == "job") {
-      put_u32(payload, static_cast<std::uint32_t>(r.num("job client")));
-      put_u64(payload, r.num("job seq"));
-      put_u64(payload, r.num("job circuit id"));
-      put_u64(payload, r.num("job observable id"));
-      put_u64(payload, r.num("job stream", 16));
-      put_i64(payload, r.snum("job timestamp"));
-      const bool is_expect = r.num("job expect flag") != 0;
-      const bool has_result = r.num("job result flag") != 0;
-      put_u8(payload,
-             static_cast<std::uint8_t>((is_expect ? kJobIsExpect : 0) |
-                                       (has_result ? kJobHasResult : 0)));
-      put_doubles(payload, r.doubles("job theta"));
-      put_doubles(payload, r.doubles("job input"));
-      if (has_result) {
-        if (is_expect)
-          put_u64(payload, r.num("job expect result", 16));
-        else
-          put_doubles(payload, r.doubles("job run result"));
-      }
-      Reader decode{payload};
-      log.jobs.push_back(decode_job(decode));
-    } else {
-      throw TraceError("qoc trace: unknown text record '" + keyword + "'");
-    }
-  }
-  return log;
-}
-
 bool logs_equal(const TraceLog& a, const TraceLog& b) {
   if (a.scenario != b.scenario || a.circuits.size() != b.circuits.size() ||
       a.observables.size() != b.observables.size() ||
@@ -695,7 +517,6 @@ bool logs_equal(const TraceLog& a, const TraceLog& b) {
     const auto& x = a.circuits[i];
     const auto& y = b.circuits[i];
     if (x.id != y.id || x.structure_hash != y.structure_hash ||
-        x.fuse_1q != y.fuse_1q ||
         x.circuit.num_trainable() != y.circuit.num_trainable() ||
         x.circuit.num_inputs() != y.circuit.num_inputs() ||
         !exec::structure_equal(x.circuit, y.circuit))
@@ -736,11 +557,9 @@ bool logs_equal(const TraceLog& a, const TraceLog& b) {
 
 void Recorder::on_circuit(std::uint64_t circuit_id,
                           std::uint64_t structure_hash,
-                          const circuit::Circuit& circuit,
-                          const exec::CompileOptions& options) {
+                          const circuit::Circuit& circuit) {
   const common::MutexLock lock(mutex_);
-  log_.circuits.push_back(
-      TracedCircuit{circuit_id, structure_hash, options.fuse_1q, circuit});
+  log_.circuits.push_back(TracedCircuit{circuit_id, structure_hash, circuit});
 }
 
 void Recorder::on_observable(std::uint64_t observable_id,
@@ -815,10 +634,7 @@ ReplayReport replay(const TraceLog& log, backend::Backend& backend,
   std::unordered_map<std::uint64_t, serve::CircuitHandle> circuits;
   std::unordered_map<std::uint64_t, serve::ObservableHandle> observables;
   for (const auto& tc : log.circuits) {
-    if (!circuits
-             .emplace(tc.id, session.register_circuit(
-                                 tc.circuit, exec::CompileOptions{tc.fuse_1q}))
-             .second)
+    if (!circuits.emplace(tc.id, session.register_circuit(tc.circuit)).second)
       throw TraceError("qoc trace: duplicate circuit id " +
                        std::to_string(tc.id));
   }

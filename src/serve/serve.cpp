@@ -42,7 +42,6 @@ inline void set_gauge(obs::Gauge* g, std::int64_t v) noexcept {
 struct CircuitEntry {
   const SessionState* owner = nullptr;
   std::uint64_t id = 0;
-  exec::CompileOptions options;
   exec::CompiledCircuit plan;
 };
 
@@ -859,8 +858,7 @@ void ServeSession::shutdown() {
     if (lane->worker.joinable()) lane->worker.join();
 }
 
-CircuitHandle ServeSession::register_circuit(const circuit::Circuit& c,
-                                             exec::CompileOptions options) {
+CircuitHandle ServeSession::register_circuit(const circuit::Circuit& c) {
   auto* s = state_.get();
   const std::uint64_t h = exec::structure_hash(c);
   const common::MutexLock lock(s->registry_mutex);
@@ -868,19 +866,17 @@ CircuitHandle ServeSession::register_circuit(const circuit::Circuit& c,
   std::erase_if(bucket, [](const auto& w) { return w.expired(); });
   for (const auto& weak : bucket) {
     if (const auto entry = weak.lock()) {
-      if (entry->options.fuse_1q == options.fuse_1q &&
-          exec::structure_equal(c, entry->plan.source()))
+      if (exec::structure_equal(c, entry->plan.source()))
         return CircuitHandle(entry);
     }
   }
   auto entry = std::make_shared<const detail::CircuitEntry>(detail::CircuitEntry{
-      s, s->next_circuit_id++, options,
-      exec::CompiledCircuit::compile(c, options)});
+      s, s->next_circuit_id++, exec::CompiledCircuit::compile(c)});
   bucket.push_back(entry);
   // Fresh entries only: a dedup hit above returned without reaching
   // here, so a trace carries each structure exactly once.
   if (auto* sink = s->options.trace_sink.get())
-    sink->on_circuit(entry->id, h, c, options);
+    sink->on_circuit(entry->id, h, c);
   return CircuitHandle(std::move(entry));
 }
 

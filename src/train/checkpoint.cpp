@@ -23,11 +23,23 @@ std::vector<double> load_theta(const std::string& path) {
   in >> magic >> version >> n;
   if (!in || magic != "qoc-theta" || version != "v1")
     throw std::runtime_error("load_theta: bad header in " + path);
+  // Every value takes at least two characters (a separator and a digit),
+  // so a count the rest of the file cannot hold is rejected before
+  // anything is allocated for it.
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto rest = static_cast<std::size_t>(in.tellg() - body);
+  in.seekg(body);
+  if (!in || n > rest / 2)
+    throw std::runtime_error("load_theta: truncated file " + path);
   std::vector<double> theta(n);
   for (auto& t : theta) {
     in >> t;
     if (!in) throw std::runtime_error("load_theta: truncated file " + path);
   }
+  in >> std::ws;
+  if (!in.eof())
+    throw std::runtime_error("load_theta: trailing data in " + path);
   return theta;
 }
 

@@ -28,32 +28,42 @@ circuit::Circuit with_op_offset(const circuit::Circuit& c,
   return out;
 }
 
-ParameterShiftEngine::ParameterShiftEngine(backend::Backend& backend,
-                                           const qml::QnnModel& model)
-    : backend_(backend), model_(model) {
-  const int n = model_.num_params();
-  param_ops_.resize(static_cast<std::size_t>(n));
+void check_shift_rule(const circuit::Circuit& c, const std::string& who) {
+  for (const auto& op : c.ops())
+    if (op.param.source == circuit::ParamRef::Source::Trainable &&
+        !circuit::gate_supports_parameter_shift(op.kind))
+      throw std::invalid_argument(
+          who + ": gate '" + circuit::gate_name(op.kind) +
+          "' does not satisfy the +-1-eigenvalue parameter-shift rule");
+}
+
+std::vector<ShiftTerm> shift_list(const circuit::Circuit& c,
+                                  const std::vector<bool>* mask) {
+  const int n = c.num_trainable();
+  if (mask && static_cast<int>(mask->size()) != n)
+    throw std::invalid_argument("shift_list: mask size mismatch");
+  std::vector<ShiftTerm> shifts;
   for (int i = 0; i < n; ++i) {
-    param_ops_[static_cast<std::size_t>(i)] = model_.circuit().ops_for_param(i);
-    for (std::size_t op_idx : param_ops_[static_cast<std::size_t>(i)]) {
-      const auto& op = model_.circuit().op(op_idx);
-      if (!circuit::gate_supports_parameter_shift(op.kind))
-        throw std::invalid_argument(
-            "ParameterShiftEngine: gate '" + circuit::gate_name(op.kind) +
-            "' does not satisfy the +-1-eigenvalue parameter-shift rule");
-    }
+    if (mask && !(*mask)[static_cast<std::size_t>(i)]) continue;
+    for (const std::size_t op : c.ops_for_param(i)) shifts.push_back({i, op});
+  }
+  return shifts;
+}
+
+void append_shift_pairs(std::vector<exec::Evaluation>& evals,
+                        std::span<const ShiftTerm> shifts,
+                        std::span<const double> theta,
+                        std::span<const double> input) {
+  for (const auto& s : shifts) {
+    evals.push_back({theta, input, s.op, kHalfPi});
+    evals.push_back({theta, input, s.op, -kHalfPi});
   }
 }
 
-std::vector<std::pair<int, std::size_t>> ParameterShiftEngine::shift_list(
-    const std::vector<bool>* mask) const {
-  std::vector<std::pair<int, std::size_t>> shifts;
-  for (int i = 0; i < model_.num_params(); ++i) {
-    if (mask && !(*mask)[static_cast<std::size_t>(i)]) continue;
-    for (const std::size_t op_idx : param_ops_[static_cast<std::size_t>(i)])
-      shifts.emplace_back(i, op_idx);
-  }
-  return shifts;
+ParameterShiftEngine::ParameterShiftEngine(backend::Backend& backend,
+                                           const qml::QnnModel& model)
+    : backend_(backend), model_(model) {
+  check_shift_rule(model_.circuit(), "ParameterShiftEngine");
 }
 
 std::vector<std::vector<double>> ParameterShiftEngine::jacobian(
@@ -64,20 +74,17 @@ std::vector<std::vector<double>> ParameterShiftEngine::jacobian(
   // Eq. 2 for every parameter occurrence, submitted as ONE batch against
   // the model's compiled plan: +-pi/2 shifts are slot offsets, so no
   // circuit is copied and no structure is re-lowered.
-  const auto shifts = shift_list(nullptr);
+  const auto shifts = shift_list(model_.circuit());
   std::vector<exec::Evaluation> evals;
   evals.reserve(2 * shifts.size());
-  for (const auto& [i, op_idx] : shifts) {
-    evals.push_back({theta, input, op_idx, kHalfPi});
-    evals.push_back({theta, input, op_idx, -kHalfPi});
-  }
+  append_shift_pairs(evals, shifts, theta, input);
   const auto f = backend_.run_batch(model_.plan(), evals, threads_);
 
   std::vector<std::vector<double>> jac(
       static_cast<std::size_t>(n_qubits),
       std::vector<double>(static_cast<std::size_t>(n_params), 0.0));
   for (std::size_t s = 0; s < shifts.size(); ++s) {
-    const auto i = static_cast<std::size_t>(shifts[s].first);
+    const auto i = static_cast<std::size_t>(shifts[s].param);
     const auto& f_plus = f[2 * s];
     const auto& f_minus = f[2 * s + 1];
     for (int q = 0; q < n_qubits; ++q)
@@ -92,8 +99,6 @@ BatchGradient ParameterShiftEngine::batch_gradient(
     std::span<const double> theta, const data::Dataset& dataset,
     std::span<const std::size_t> batch, const std::vector<bool>* mask) {
   const int n_params = model_.num_params();
-  if (mask && static_cast<int>(mask->size()) != n_params)
-    throw std::invalid_argument("batch_gradient: mask size mismatch");
   if (batch.empty())
     throw std::invalid_argument("batch_gradient: empty batch");
 
@@ -111,17 +116,14 @@ BatchGradient ParameterShiftEngine::batch_gradient(
   // The backend fans evaluations over threads; results come back indexed,
   // so the combination below is fixed in batch order and the final
   // gradient is thread-count invariant.
-  const auto shifts = shift_list(mask);
+  const auto shifts = shift_list(model_.circuit(), mask);
   const std::size_t per_example = 1 + 2 * shifts.size();
   std::vector<exec::Evaluation> evals;
   evals.reserve(batch.size() * per_example);
   for (const std::size_t idx : batch) {
     const auto& x = dataset.features[idx];
     evals.push_back({theta, x, exec::Evaluation::kNoShift, 0.0});
-    for (const auto& [i, op_idx] : shifts) {
-      evals.push_back({theta, x, op_idx, kHalfPi});
-      evals.push_back({theta, x, op_idx, -kHalfPi});
-    }
+    append_shift_pairs(evals, shifts, theta, x);
   }
   const auto f = backend_.run_batch(model_.plan(), evals, threads_);
 
@@ -144,9 +146,9 @@ BatchGradient ParameterShiftEngine::batch_gradient(
     std::size_t pos = base + 1;
     std::size_t s = 0;
     while (s < shifts.size()) {
-      const int i = shifts[s].first;
+      const int i = shifts[s].param;
       std::vector<double> dfi(n_qubits, 0.0);
-      while (s < shifts.size() && shifts[s].first == i) {
+      while (s < shifts.size() && shifts[s].param == i) {
         const auto& f_plus = f[pos];
         const auto& f_minus = f[pos + 1];
         pos += 2;

@@ -6,12 +6,9 @@
 
 #include "qoc/circuit/layers.hpp"
 #include "qoc/common/parallel.hpp"
+#include "qoc/train/param_shift.hpp"
 
 namespace qoc::vqe {
-
-namespace {
-constexpr double kHalfPi = 1.5707963267948966;
-}
 
 EnergyEstimator::EnergyEstimator(Hamiltonian hamiltonian,
                                  EstimatorOptions options)
@@ -159,11 +156,7 @@ VqeSolver::VqeSolver(EnergyEstimator estimator, circuit::Circuit ansatz,
   if (config_.steps < 1) throw std::invalid_argument("VqeSolver: steps < 1");
   if (ansatz_.num_trainable() < 1)
     throw std::invalid_argument("VqeSolver: ansatz has no parameters");
-  for (int i = 0; i < ansatz_.num_trainable(); ++i)
-    for (const std::size_t op_idx : ansatz_.ops_for_param(i))
-      if (!circuit::gate_supports_parameter_shift(ansatz_.op(op_idx).kind))
-        throw std::invalid_argument(
-            "VqeSolver: ansatz gate does not support the shift rule");
+  train::check_shift_rule(ansatz_, "VqeSolver");
   if (config_.use_pruning) config_.pruner.validate();
 }
 
@@ -176,23 +169,15 @@ std::vector<double> VqeSolver::gradient(std::span<const double> theta,
   // compiled ansatz: shifts are slot offsets (bit-identical to the old
   // with_op_offset circuit copies), nothing is re-lowered, and the
   // evaluations fan over the shared thread pool.
-  std::vector<std::pair<int, std::size_t>> shifts;
-  for (int i = 0; i < n; ++i) {
-    if (!mask[static_cast<std::size_t>(i)]) continue;
-    for (const std::size_t op_idx : ansatz_.ops_for_param(i))
-      shifts.emplace_back(i, op_idx);
-  }
+  const auto shifts = train::shift_list(ansatz_, &mask);
   std::vector<exec::Evaluation> evals;
   evals.reserve(2 * shifts.size());
-  for (const auto& [i, op_idx] : shifts) {
-    evals.push_back({theta, {}, op_idx, kHalfPi});
-    evals.push_back({theta, {}, op_idx, -kHalfPi});
-  }
+  train::append_shift_pairs(evals, shifts, theta, {});
   const auto e = estimator_.energies(ansatz_, evals, config_.threads);
 
   std::vector<double> grad(static_cast<std::size_t>(n), 0.0);
   for (std::size_t s = 0; s < shifts.size(); ++s)
-    grad[static_cast<std::size_t>(shifts[s].first)] +=
+    grad[static_cast<std::size_t>(shifts[s].param)] +=
         0.5 * (e[2 * s] - e[2 * s + 1]);
   return grad;
 }

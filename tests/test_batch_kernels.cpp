@@ -40,7 +40,8 @@ Circuit dense_circuit(int n) {
   c.rx(0, ParamRef::input(0, 0.5, 0.1));
   c.rz(n - 1, ParamRef::trainable(0));
   c.phase(0, ParamRef::trainable((n > 1) ? 1 : 0));
-  // Adjacent s/t/sx on one qubit: exercises the Fused1q product path.
+  // Fixed s/t extend the diagonal run the rz/phase rotations above open;
+  // sx is a cached dense 1q gate.
   c.s(0);
   c.t(0);
   c.sx(0);

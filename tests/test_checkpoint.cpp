@@ -66,6 +66,30 @@ TEST(Checkpoint, LoadRejectsTruncated) {
   std::remove(path.c_str());
 }
 
+// A count no file could hold must fail as a format error, not as a
+// multi-terabyte allocation.
+TEST(Checkpoint, LoadRejectsCountTheFileCannotHold) {
+  const std::string path = temp_path("qoc_theta_huge.txt");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("qoc-theta v1 1099511627776\n0.5\n", f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(train::load_theta(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LoadRejectsTrailingData) {
+  const std::string path = temp_path("qoc_theta_trailing.txt");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("qoc-theta v1 1\n0.7\ngarbage\n", f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(train::load_theta(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, HistoryCsvHasHeaderAndRows) {
   const std::string path = temp_path("qoc_history.csv");
   std::vector<train::TrainingRecord> hist(2);

@@ -165,71 +165,33 @@ TEST(CompiledCircuit, ShiftedEvaluationMatchesWithOpOffsetBitwise) {
   }
 }
 
-TEST(CompiledCircuit, FusionParityWithinTolerance) {
-  Prng rng(13);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int n = 2 + static_cast<int>(rng.uniform_int(3));
-    const Circuit c = random_circuit(n, 30, rng);
-    const auto theta = random_vector(c.num_trainable(), rng);
-    const auto input = random_vector(c.num_inputs(), rng);
-
-    const auto ref = reference_statevector(c, theta, input);
-
-    exec::CompileOptions opts;
-    opts.fuse_1q = true;
-    const auto plan = exec::CompiledCircuit::compile(c, opts);
-    std::vector<double> angles;
-    plan.resolve_slots(theta, input, exec::Evaluation::kNoShift, 0.0, angles);
-    sim::Statevector sv(n);
-    plan.apply(sv, angles);
-
-    for (std::size_t i = 0; i < ref.dim(); ++i) {
-      EXPECT_NEAR(ref.amplitude(i).real(), sv.amplitude(i).real(), 1e-12);
-      EXPECT_NEAR(ref.amplitude(i).imag(), sv.amplitude(i).imag(), 1e-12);
-    }
-  }
-}
-
-TEST(CompiledCircuit, FusionReducesOpCount) {
-  // Three rotations on one qubit, separated only by gates on other
-  // qubits, must collapse into a single fused op.
-  Circuit c(2);
-  c.rx(0, ParamRef::trainable(0));
-  c.h(1);
-  c.ry(0, ParamRef::trainable(1));
-  c.x(1);
-  c.rz(0, ParamRef::trainable(2));
-
-  exec::CompileOptions opts;
-  opts.fuse_1q = true;
-  const auto plan = exec::CompiledCircuit::compile(c, opts);
-  std::size_t on_q0 = 0;
-  for (const auto& op : plan.ops())
-    if (op.q0 == 0) ++on_q0;
-  EXPECT_EQ(on_q0, 1u);
-}
-
-TEST(CompiledCircuit, SignatureTracksStructureAndBindings) {
+TEST(CompiledCircuit, StructureIdentityTracksStructureAndBindings) {
   Prng rng(14);
   const Circuit a = random_circuit(3, 15, rng);
   const auto plan_a = exec::CompiledCircuit::compile(a);
   const auto plan_a2 = exec::CompiledCircuit::compile(a);
-  EXPECT_EQ(plan_a.signature(), plan_a2.signature());
+  EXPECT_TRUE(exec::structure_equal(plan_a.source(), plan_a2.source()));
   EXPECT_EQ(plan_a.structure_hash(), plan_a2.structure_hash());
+  EXPECT_EQ(plan_a.structure_hash(), exec::structure_hash(a));
 
   // A single-op constant offset (what with_op_offset produces) is a
   // different structure: caches must not serve the unshifted entry.
+  bool shifted_one = false;
   for (std::size_t i = 0; i < a.num_ops(); ++i) {
     if (!circuit::gate_is_parameterised(a.op(i).kind)) continue;
     const auto shifted = train::with_op_offset(a, i, kHalfPi);
-    EXPECT_NE(plan_a.signature(),
-              exec::CompiledCircuit::compile(shifted).signature());
+    EXPECT_FALSE(exec::structure_equal(a, shifted));
+    EXPECT_NE(plan_a.structure_hash(),
+              exec::CompiledCircuit::compile(shifted).structure_hash());
+    shifted_one = true;
     break;
   }
+  EXPECT_TRUE(shifted_one);
 
   const Circuit b = random_circuit(3, 16, rng);
-  EXPECT_NE(plan_a.signature(),
-            exec::CompiledCircuit::compile(b).signature());
+  EXPECT_FALSE(exec::structure_equal(a, b));
+  EXPECT_NE(plan_a.structure_hash(),
+            exec::CompiledCircuit::compile(b).structure_hash());
 }
 
 // ---- run_batch vs looped run() ---------------------------------------------
@@ -377,7 +339,8 @@ TEST(TranspileTemplate, CacheInvalidatedOnStructureChange) {
     EXPECT_EQ(b_after_a[q], b_fresh[q]);
 
   // Sanity: the two structures genuinely differ.
-  EXPECT_NE(model_a.plan().signature(), model_b.plan().signature());
+  EXPECT_FALSE(
+      exec::structure_equal(model_a.plan().source(), model_b.plan().source()));
 }
 
 // ---- ParameterShiftEngine parity -------------------------------------------

@@ -301,12 +301,6 @@ TEST(Serve, RegistryDedupsStructurallyIdenticalCircuits) {
 
   const auto c = session.register_circuit(make_qnn(3, 4, 2));
   EXPECT_NE(a.id(), c.id());
-
-  // Same structure, different compile options: distinct plans.
-  exec::CompileOptions fused;
-  fused.fuse_1q = true;
-  const auto d = session.register_circuit(qnn, fused);
-  EXPECT_NE(a.id(), d.id());
 }
 
 TEST(Serve, RegistryDedupsIdenticalObservables) {
