@@ -176,6 +176,35 @@ void BM_Sample1024Shots(benchmark::State& state) {
 }
 BENCHMARK(BM_Sample1024Shots)->Arg(4)->Arg(10)->Arg(16);
 
+// The uniform superposition above is std::lower_bound's worst case
+// (every search level a coin flip). A product of small RY rotations
+// peaks the mass near |0...0>, so most draws share one search path.
+// With the guide table sized min(dim, bit_ceil(shots)), n = 4 and 10
+// sit on the dim <= shots side and n = 16 on the dim > shots side.
+void BM_Sample1024ShotsPeaked(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Prng rng(2);
+  sim::Statevector sv(n);
+  for (int q = 0; q < n; ++q) sv.apply_1q(sim::gate_ry(0.4), q);
+  for (auto _ : state) benchmark::DoNotOptimize(sv.sample(1024, rng));
+}
+BENCHMARK(BM_Sample1024ShotsPeaked)->Arg(4)->Arg(10)->Arg(16);
+
+// Counts form of BM_Sample1024Shots, reusing one sampler the way the
+// estimator's and the statevector backend's per-chunk scratch does.
+void BM_SampleCounts1024Shots(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Prng rng(2);
+  sim::Statevector sv(n);
+  for (int q = 0; q < n; ++q) sv.apply_1q(sim::gate_h(), q);
+  sim::ShotSampler sampler;
+  for (auto _ : state) {
+    const auto& counts = sv.sample_counts(1024, rng, sampler);
+    benchmark::DoNotOptimize(counts.outcomes.data());
+  }
+}
+BENCHMARK(BM_SampleCounts1024Shots)->Arg(4)->Arg(10)->Arg(16);
+
 void BM_TranspileTaskCircuit(benchmark::State& state) {
   const qml::QnnModel model = qml::make_fashion4_model();
   Prng rng(3);

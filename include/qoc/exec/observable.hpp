@@ -113,14 +113,19 @@ class CompiledObservable {
   void apply_suffix_lanes(sim::BatchedStatevector& psi, std::size_t g,
                           std::span<const int> layout = {}) const;
 
-  /// Energy contribution of group g from full-register samples drawn
-  /// AFTER apply_suffix: sum over member terms of coeff * mean parity.
-  double group_energy_from_samples(std::span<const std::uint64_t> samples,
-                                   std::size_t g, int shots) const;
+  /// Energy contribution of group g from shot counts drawn AFTER
+  /// apply_suffix: sum over member terms of coeff * mean parity. Parity
+  /// sums are exact integers, so the result is bitwise the per-shot
+  /// +-1.0 fold over the same draws.
+  double group_energy_from_counts(const sim::ShotCounts& counts,
+                                  std::size_t g) const;
 
   /// Exact energy contribution of group g from a state already rotated
   /// by apply_suffix (the shots == 0 noisy-estimator path).
   double group_energy_exact(const sim::Statevector& psi, std::size_t g) const;
+
+  // apply_suffix, apply_suffix_lanes and both group_energy_* calls throw
+  // std::out_of_range for g >= groups().size().
 
   /// Sample-bit mask convention: qubit q contributes bit (n-1-q), the
   /// position Statevector::sample uses for basis-state indices.
@@ -130,6 +135,7 @@ class CompiledObservable {
 
  private:
   CompiledObservable() = default;
+  const Group& group(std::size_t g) const;
 
   int n_qubits_ = 0;
   double constant_ = 0.0;

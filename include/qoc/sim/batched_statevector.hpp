@@ -18,15 +18,16 @@
 // Uniform methods (apply_1q(const Matrix&...), apply_cx, ...) apply one
 // gate to all lanes; the *_lanes methods take ENTRY-MAJOR per-lane
 // buffers (m[entry * lanes + lane]) for parameterized ops whose matrix
-// differs per binding. Measurement (expectation_z_all, sample) is
-// per-lane and replicates Statevector's exact loops — same association,
-// same draw sequence per Prng.
+// differs per binding. Measurement is per-lane: expectation_z_all
+// replicates Statevector's exact loop (same association), and sample
+// shares Statevector's sampler (same draw sequence per Prng).
 
 #include <cstdint>
 #include <vector>
 
 #include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
+#include "qoc/sim/sampler.hpp"
 
 namespace qoc::sim {
 
@@ -188,10 +189,17 @@ class BatchedStatevector {
   /// evaluation cost to noise.
   void expectation_z_all_lanes(std::vector<double>& out);
 
-  /// Draw `shots` basis samples from one lane; replicates
-  /// Statevector::sample (inverse-CDF in index order, same rng draws).
+  /// Draw `shots` basis samples from one lane through the same
+  /// sim::ShotSampler as Statevector::sample, so a lane holding the same
+  /// state draws the same outcomes from the same stream. Same errors,
+  /// plus std::out_of_range for a bad lane.
   std::vector<std::uint64_t> sample(std::size_t lane, int shots,
                                     Prng& rng) const;
+
+  /// The same draws folded into counts held by `sampler` (see
+  /// Statevector::sample_counts).
+  const ShotCounts& sample_counts(std::size_t lane, int shots, Prng& rng,
+                                  ShotSampler& sampler) const;
 
  private:
   std::size_t stride_of(int qubit) const {

@@ -22,6 +22,7 @@
 
 #include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
+#include "qoc/sim/sampler.hpp"
 
 namespace qoc::sim {
 
@@ -108,8 +109,17 @@ class Statevector {
   /// Probability that `qubit` reads 1.
   double probability_one(int qubit) const;
 
-  /// Draw `shots` full-register samples; returns basis-state indices.
+  /// Draw `shots` full-register samples from |amp|^2; returns basis-state
+  /// indices in draw order. Inverse-CDF sampling through sim::ShotSampler:
+  /// exactly one rng.uniform() per shot, in shot order. Throws
+  /// std::invalid_argument for shots < 0 and std::domain_error when the
+  /// probabilities sum to a non-finite total (e.g. a NaN amplitude).
   std::vector<std::uint64_t> sample(int shots, Prng& rng) const;
+
+  /// The same draws as sample(), folded into distinct outcomes and
+  /// counts held by `sampler` (valid until its next call).
+  const ShotCounts& sample_counts(int shots, Prng& rng,
+                                  ShotSampler& sampler) const;
 
   /// Destructively measure one qubit in the Z basis: collapses the state
   /// and returns the outcome (0 or 1).

@@ -68,7 +68,7 @@ class EnergyEstimator {
   std::uint64_t executions() const { return executions_; }
 
  private:
-  /// Per-worker-chunk scratch (angle buffers + statevectors), hoisted
+  /// Per-worker-chunk scratch (angle buffers, statevectors, sampler), hoisted
   /// out of the per-evaluation loop; defined in vqe.cpp.
   struct Scratch;
 

@@ -205,18 +205,22 @@ StatevectorBackend::StatevectorBackend(const StatevectorBackendOptions& options)
 
 namespace {
 
-/// Finite-shot estimate of each <Z_q> from full-register samples.
-std::vector<double> expectations_from_samples(
-    const std::vector<std::uint64_t>& samples, int n_qubits, int shots) {
-  std::vector<double> acc(static_cast<std::size_t>(n_qubits), 0.0);
-  for (const auto s : samples) {
-    for (int q = 0; q < n_qubits; ++q) {
-      const std::uint64_t bit = (s >> (n_qubits - 1 - q)) & 1ULL;
-      acc[static_cast<std::size_t>(q)] += bit ? -1.0 : 1.0;
+/// Finite-shot estimate of each <Z_q> from shot counts. The +-count sums
+/// are exact integers, so each value is bitwise the per-shot +-1.0 fold.
+std::vector<double> expectations_from_counts(const sim::ShotCounts& c,
+                                             int n_qubits) {
+  std::vector<double> out(static_cast<std::size_t>(n_qubits));
+  for (int q = 0; q < n_qubits; ++q) {
+    const int shift = n_qubits - 1 - q;
+    std::int64_t sum = 0;
+    for (std::size_t j = 0; j < c.outcomes.size(); ++j) {
+      const std::int64_t n = c.counts[j];
+      sum += ((c.outcomes[j] >> shift) & 1ULL) ? -n : n;
     }
+    out[static_cast<std::size_t>(q)] =
+        static_cast<double>(sum) / static_cast<double>(c.shots);
   }
-  for (auto& v : acc) v /= static_cast<double>(shots);
-  return acc;
+  return out;
 }
 
 /// Per-chunk scratch of the statevector lane groups.
@@ -224,6 +228,7 @@ struct LaneGroupState {
   sim::BatchedStatevector bsv;
   std::vector<double> angles;
   std::vector<exec::Evaluation> padded;
+  sim::ShotSampler sampler;
 
   LaneGroupState(int n_qubits, std::size_t lanes) : bsv(n_qubits, lanes) {}
 
@@ -248,6 +253,7 @@ struct LaneGroupState {
 struct ScalarState {
   sim::Statevector sv;
   std::vector<double> angles;
+  sim::ShotSampler sampler;
 
   explicit ScalarState(int n_qubits) : sv(n_qubits) {}
 
@@ -290,8 +296,9 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
           s.prepare(plan, evals, first, real);
           if (shots_ > 0) {
             for (std::size_t k = first; k < first + real; ++k)
-              results[k] = expectations_from_samples(
-                  s.bsv.sample(k - first, shots_, rngs[k]), n, shots_);
+              results[k] = expectations_from_counts(
+                  s.bsv.sample_counts(k - first, shots_, rngs[k], s.sampler),
+                  n);
             return;
           }
           // One fused measurement pass for the whole lane group
@@ -311,8 +318,9 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
           s.prepare(plan, evals[k]);
           results[k] = shots_ == 0
                            ? s.sv.expectation_z_all()
-                           : expectations_from_samples(
-                                 s.sv.sample(shots_, rngs[k]), n, shots_);
+                           : expectations_from_counts(
+                                 s.sv.sample_counts(shots_, rngs[k], s.sampler),
+                                 n);
         };
       });
   return results;
@@ -377,8 +385,8 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
           for (std::size_t g = 0; g < n_groups; ++g) {
             const auto& src = measured_state(observable, g, s.bsv, meas);
             for (std::size_t k = first; k < first + real; ++k)
-              results[k] += observable.group_energy_from_samples(
-                  src.sample(k - first, shots_, rngs[k]), g, shots_);
+              results[k] += observable.group_energy_from_counts(
+                  src.sample_counts(k - first, shots_, rngs[k], s.sampler), g);
           }
         };
       },
@@ -388,10 +396,10 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
           s.prepare(plan, evals[k]);
           double energy = observable.constant();
           for (std::size_t g = 0; g < n_groups; ++g)
-            energy += observable.group_energy_from_samples(
+            energy += observable.group_energy_from_counts(
                 measured_state(observable, g, s.sv, meas)
-                    .sample(shots_, rngs[k]),
-                g, shots_);
+                    .sample_counts(shots_, rngs[k], s.sampler),
+                g);
           results[k] = energy;
         };
       });

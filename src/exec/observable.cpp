@@ -147,9 +147,16 @@ void CompiledObservable::expectation_lanes(const sim::BatchedStatevector& psi,
   }
 }
 
+const CompiledObservable::Group& CompiledObservable::group(
+    std::size_t g) const {
+  if (g >= groups_.size())
+    throw std::out_of_range("CompiledObservable: group index");
+  return groups_[g];
+}
+
 void CompiledObservable::apply_suffix(sim::Statevector& psi, std::size_t g,
                                       std::span<const int> layout) const {
-  for (const auto& bc : groups_[g].suffix) {
+  for (const auto& bc : group(g).suffix) {
     const int q = layout.empty()
                       ? bc.qubit
                       : layout[static_cast<std::size_t>(bc.qubit)];
@@ -161,7 +168,7 @@ void CompiledObservable::apply_suffix(sim::Statevector& psi, std::size_t g,
 void CompiledObservable::apply_suffix_lanes(sim::BatchedStatevector& psi,
                                             std::size_t g,
                                             std::span<const int> layout) const {
-  for (const auto& bc : groups_[g].suffix) {
+  for (const auto& bc : group(g).suffix) {
     const int q = layout.empty()
                       ? bc.qubit
                       : layout[static_cast<std::size_t>(bc.qubit)];
@@ -170,14 +177,17 @@ void CompiledObservable::apply_suffix_lanes(sim::BatchedStatevector& psi,
   }
 }
 
-double CompiledObservable::group_energy_from_samples(
-    std::span<const std::uint64_t> samples, std::size_t g, int shots) const {
+double CompiledObservable::group_energy_from_counts(
+    const sim::ShotCounts& counts, std::size_t g) const {
   double e = 0.0;
-  for (const auto& term : groups_[g].terms) {
-    double parity_sum = 0.0;
-    for (const auto s : samples)
-      parity_sum += (std::popcount(s & term.z_mask) & 1) ? -1.0 : 1.0;
-    e += term.coeff * (parity_sum / shots);
+  for (const auto& term : group(g).terms) {
+    std::int64_t parity_sum = 0;
+    for (std::size_t j = 0; j < counts.outcomes.size(); ++j) {
+      const std::int64_t n = counts.counts[j];
+      parity_sum +=
+          (std::popcount(counts.outcomes[j] & term.z_mask) & 1) ? -n : n;
+    }
+    e += term.coeff * (static_cast<double>(parity_sum) / counts.shots);
   }
   return e;
 }
@@ -186,7 +196,7 @@ double CompiledObservable::group_energy_exact(const sim::Statevector& psi,
                                               std::size_t g) const {
   double e = 0.0;
   const auto& amps = psi.amplitudes();
-  for (const auto& term : groups_[g].terms) {
+  for (const auto& term : group(g).terms) {
     double acc = 0.0;
     for (std::size_t i = 0; i < amps.size(); ++i) {
       const double p = std::norm(amps[i]);

@@ -468,23 +468,15 @@ std::vector<std::uint64_t> BatchedStatevector::sample(std::size_t lane,
                                                       int shots,
                                                       Prng& rng) const {
   if (lane >= lanes_) throw std::out_of_range("sample: lane index");
-  std::vector<double> cdf(dim_);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) {
-    acc += std::norm(amps_[i * lanes_ + lane]);
-    cdf[i] = acc;
-  }
-  const double total = acc;
   std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(shots));
-  for (int s = 0; s < shots; ++s) {
-    const double u = rng.uniform() * total;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    out.push_back(static_cast<std::uint64_t>(
-        std::min<std::ptrdiff_t>(it - cdf.begin(),
-                                 static_cast<std::ptrdiff_t>(cdf.size()) - 1)));
-  }
+  ShotSampler().sample(amps_.data() + lane, dim_, lanes_, shots, rng, out);
   return out;
+}
+
+const ShotCounts& BatchedStatevector::sample_counts(
+    std::size_t lane, int shots, Prng& rng, ShotSampler& sampler) const {
+  if (lane >= lanes_) throw std::out_of_range("sample_counts: lane index");
+  return sampler.count(amps_.data() + lane, dim_, lanes_, shots, rng);
 }
 
 }  // namespace qoc::sim

@@ -230,24 +230,14 @@ double Statevector::probability_one(int qubit) const {
 }
 
 std::vector<std::uint64_t> Statevector::sample(int shots, Prng& rng) const {
-  // Inverse-CDF sampling over the (small) basis; O(dim + shots log dim).
-  std::vector<double> cdf(amps_.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    acc += std::norm(amps_[i]);
-    cdf[i] = acc;
-  }
-  const double total = acc;
   std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(shots));
-  for (int s = 0; s < shots; ++s) {
-    const double u = rng.uniform() * total;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    out.push_back(static_cast<std::uint64_t>(
-        std::min<std::ptrdiff_t>(it - cdf.begin(),
-                                 static_cast<std::ptrdiff_t>(cdf.size()) - 1)));
-  }
+  ShotSampler().sample(amps_.data(), amps_.size(), 1, shots, rng, out);
   return out;
+}
+
+const ShotCounts& Statevector::sample_counts(int shots, Prng& rng,
+                                             ShotSampler& sampler) const {
+  return sampler.count(amps_.data(), amps_.size(), 1, shots, rng);
 }
 
 int Statevector::measure_qubit(int qubit, Prng& rng) {

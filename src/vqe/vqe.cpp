@@ -36,6 +36,7 @@ struct EnergyEstimator::Scratch {
   std::vector<double> angles;
   sim::Statevector psi;   // prepared ansatz state
   sim::Statevector meas;  // per-group measurement copy
+  sim::ShotSampler sampler;
 };
 
 void EnergyEstimator::prepare_noisy(std::span<const double> angles, Prng& rng,
@@ -105,9 +106,8 @@ double EnergyEstimator::energy_one(const exec::Evaluation& e, Prng& rng,
       // Noise without shot sampling: exact Z-product expectations.
       total += observable_.group_energy_exact(*meas, g);
     } else {
-      const auto samples = meas->sample(options_.shots, rng);
-      total +=
-          observable_.group_energy_from_samples(samples, g, options_.shots);
+      total += observable_.group_energy_from_counts(
+          meas->sample_counts(options_.shots, rng, scratch.sampler), g);
     }
   }
   return total;

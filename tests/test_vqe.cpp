@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "qoc/common/prng.hpp"
+#include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/vqe/vqe.hpp"
 
@@ -107,6 +108,21 @@ TEST(CompiledObservable, RejectsMalformedTerms) {
   EXPECT_THROW(exec::CompiledObservable::compile(
                    2, std::vector<exec::ObservableTerm>{{"ZQ", 1.0}}),
                std::invalid_argument);
+}
+
+TEST(CompiledObservable, PerGroupCallsRejectBadGroupIndex) {
+  const auto obs = compile_observable(Hamiltonian::h2_minimal());
+  sim::Statevector psi(2);
+  sim::BatchedStatevector lanes(2, 2);
+  sim::ShotSampler sampler;
+  Prng rng(3);
+  const sim::ShotCounts& counts = psi.sample_counts(16, rng, sampler);
+  for (const std::size_t g : {obs.groups().size(), obs.groups().size() + 5}) {
+    EXPECT_THROW(obs.apply_suffix(psi, g), std::out_of_range);
+    EXPECT_THROW(obs.apply_suffix_lanes(lanes, g), std::out_of_range);
+    EXPECT_THROW(obs.group_energy_exact(psi, g), std::out_of_range);
+    EXPECT_THROW(obs.group_energy_from_counts(counts, g), std::out_of_range);
+  }
 }
 
 TEST(EnergyEstimator, BatchedEnergiesMatchSequentialCalls) {
