@@ -49,7 +49,6 @@
 #include "qoc/noise/channels.hpp"
 #include "qoc/noise/device_model.hpp"
 #include "qoc/obs/obs.hpp"
-#include "qoc/sim/density_matrix.hpp"
 #include "qoc/transpile/lowered_cache.hpp"
 #include "qoc/transpile/transpile.hpp"
 
@@ -291,24 +290,21 @@ class StatevectorBackend final : public Backend {
 
 /// Options controlling the noisy-device simulation fidelity/cost trade.
 struct NoisyBackendOptions {
-  /// Independent noise realisations per execution. Total measurement
-  /// samples = shots; each trajectory contributes shots / trajectories.
+  /// Independent noise realisations per execution. Each trajectory takes
+  /// max(1, shots / trajectories) measurement samples, so an execution
+  /// measures trajectories times that many (510 for 512 shots over 5
+  /// trajectories, 504 over 9).
   int trajectories = 64;
-  /// Total measurement shots per execution (paper uses 1024).
+  /// Measurement shot budget per execution (paper uses 1024), split
+  /// over the trajectories as above.
   int shots = 1024;
   std::uint64_t seed = 0xD0C0FEE1ULL;
   bool enable_gate_noise = true;
   bool enable_relaxation = true;
   bool enable_readout_error = true;
-  /// Global multiplier on calibrated error rates (1.0 = calibrated).
+  /// Global multiplier on calibrated error rates and gate durations
+  /// (1.0 = calibrated); see NoiseModel for the values it may take.
   double noise_scale = 1.0;
-  /// Fuse CX.RZ.CX triples of the transpiled trajectory stream (the
-  /// lowered RZZ core) into one diagonal 2q kernel. Applies only when
-  /// the configured noise injects nothing between physical gates (noise
-  /// events are barriers a fused block may not straddle); results are
-  /// bit-identical either way, this is purely a speed knob / kill
-  /// switch.
-  bool fuse_trajectory_gates = true;
   /// Evaluation-major (k-wide) lane policy for the TRAJECTORY loop:
   /// each execution evolves k noise trajectories in lockstep on a
   /// sim::BatchedStatevector lane group (uniform gates, per-lane Kraus
@@ -318,6 +314,59 @@ struct NoisyBackendOptions {
   /// width; QOC_BATCH_LANES overrides. Per-trajectory results are
   /// bit-identical at every width.
   int batch_lanes = -1;
+};
+
+/// A device backend's noise, built once at construction from the device
+/// calibration and the noise options (noise_scale multiplies every error
+/// probability and gate duration). NoisyBackend samples it as
+/// trajectories and DensityMatrixBackend applies it exactly, both
+/// through walk(), so the density matrix is the exact oracle of the walk
+/// the trajectories sample.
+struct NoiseModel {
+  /// A gate's depolarizing error: probability p and its Kraus channel.
+  struct Depolarizing {
+    double p = 0.0;
+    noise::KrausChannel channel;
+  };
+
+  /// Validates the device, then throws std::invalid_argument when
+  /// `scale` is negative or not finite, or when err_1q, err_2q or any
+  /// readout flip probability times `scale` exceeds 1.
+  NoiseModel(const noise::DeviceModel& device, bool gate_noise,
+             bool relaxation, bool readout_error, double scale);
+
+  /// Whether walk() calls depolarize: with gate noise on it does even
+  /// at p = 0, where the density matrix still applies the channel.
+  bool gate_noise = false;
+  Depolarizing depol_1q, depol_2q;
+  /// Thermal relaxation of each physical qubit over a 1q / 2q gate;
+  /// empty when relaxation is off.
+  std::vector<noise::KrausChannel> relax_1q, relax_2q;
+  /// Readout flips of each physical qubit; empty when readout error is
+  /// off.
+  std::vector<noise::ReadoutError> readout;
+
+  /// The noise walk of a lowered op stream: for each op i, gate(i)
+  /// applies it; then, unless it is a virtual RZ (a frame change: no
+  /// pulse, no error), depolarize(qubits, depolarizing) applies its gate
+  /// error if gate noise is on, and relax(q, channel) relaxes each
+  /// operand q in operand order if relaxation is on. The scalar
+  /// trajectory, the k-wide trajectory lane group and the density matrix
+  /// differ only in these three callables.
+  template <class Gate, class Depolarize, class Relax>
+  void walk(std::span<const transpile::BoundOp> ops, Gate&& gate,
+            Depolarize&& depolarize, Relax&& relax) const {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      gate(i);
+      const transpile::BoundOp& op = ops[i];
+      if (op.kind == circuit::GateKind::Rz) continue;
+      const bool one = op.qubits.size() == 1;
+      if (gate_noise) depolarize(op.qubits, one ? depol_1q : depol_2q);
+      if (relax_1q.empty()) continue;
+      for (const int q : op.qubits)
+        relax(q, (one ? relax_1q : relax_2q)[static_cast<std::size_t>(q)]);
+    }
+  }
 };
 
 /// Device routing computed once per circuit structure and reused for
@@ -347,13 +396,15 @@ class TranspileCache {
 };
 
 /// Exact noisy execution via density-matrix evolution: the same device
-/// model and transpile pipeline as NoisyBackend, but noise channels are
-/// applied exactly (no trajectory sampling, no shot noise). Memory is
-/// O(4^n) so it is limited to devices with <= 12 qubits; it serves as the
-/// ground truth the trajectory backend is validated against, and as a
-/// deterministic noisy-expectation oracle for tests and analysis.
+/// model, noise model and transpile pipeline as NoisyBackend, but noise
+/// channels are applied exactly (no trajectory sampling, no shot noise).
+/// Memory is O(4^n) so it is limited to devices with <= 12 qubits; it
+/// serves as the ground truth the trajectory backend is validated
+/// against, and as a deterministic noisy-expectation oracle for tests and
+/// analysis.
 class DensityMatrixBackend final : public Backend {
  public:
+  /// Same meaning as the NoisyBackendOptions fields of the same name.
   struct Options {
     bool enable_gate_noise = true;
     bool enable_relaxation = true;
@@ -383,12 +434,9 @@ class DensityMatrixBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  sim::DensityMatrix evolve_transpiled(const transpile::Transpiled& t) const;
-  std::vector<double> run_transpiled(const transpile::Transpiled& t,
-                                     int n_logical) const;
-
   noise::DeviceModel device_;
   Options options_;
+  NoiseModel noise_;
   TranspileCache transpile_cache_;
 };
 
@@ -406,8 +454,9 @@ class NoisyBackend final : public Backend {
   const noise::DeviceModel& device() const { return device_; }
   const NoisyBackendOptions& options() const { return options_; }
 
-  /// Expected per-shot duration of the last-seen circuit shape (seconds);
-  /// used by the Fig. 8 scalability bench.
+  /// Expected per-shot duration (seconds) of `c` bound to theta and
+  /// input, transpiled for the device; used by the Fig. 8 scalability
+  /// bench.
   double estimate_duration_s(const circuit::Circuit& c,
                              std::span<const double> theta,
                              std::span<const double> input) const;
@@ -422,25 +471,16 @@ class NoisyBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  /// Batch-invariant noise model tables (depolarizing rates, per-qubit
-  /// relaxation channels and readout-error models): built once per
-  /// run_batch / expect_batch call instead of once per evaluation.
-  /// Defined in backend.cpp.
-  struct NoiseTables;
-
-  /// One execution from its stream (see stream_prng): trajectory j
-  /// draws from the j-th split of `exec_rng`, so concurrent executions
-  /// never interleave draws.
-  std::vector<double> run_transpiled(const transpile::Transpiled& t,
-                                     const NoiseTables& tables, int n_logical,
-                                     Prng& exec_rng) const;
-  double expect_transpiled(const transpile::Transpiled& t,
-                           const NoiseTables& tables,
-                           const exec::CompiledObservable& observable,
-                           Prng& exec_rng) const;
+  /// The trajectory readout driver behind run and expect; see
+  /// backend.cpp.
+  template <class Fold>
+  std::uint64_t measure(const transpile::Transpiled& t, int n_logical,
+                        const exec::CompiledObservable* observable,
+                        Prng& exec_rng, Fold&& fold) const;
 
   noise::DeviceModel device_;
   NoisyBackendOptions options_;
+  NoiseModel noise_;
   TranspileCache transpile_cache_;
 };
 

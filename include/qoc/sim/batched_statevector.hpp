@@ -63,8 +63,6 @@ class BatchedStatevector {
   void apply_2q(const Matrix& m, int qubit_a, int qubit_b);
   void apply_2q(const cplx* m, int qubit_a, int qubit_b);  // row-major m[16]
   void apply_diag_1q(cplx d0, cplx d1, int qubit);
-  void apply_diag_2q(cplx d00, cplx d01, cplx d10, cplx d11, int qubit_a,
-                     int qubit_b);
   void apply_cx(int control, int target);
   void apply_cz(int qubit_a, int qubit_b);
   void apply_swap(int qubit_a, int qubit_b);

@@ -407,199 +407,38 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
 }
 
 // ---------------------------------------------------------------------------
-// DensityMatrixBackend
+// NoiseModel and its three interpreters
 // ---------------------------------------------------------------------------
 
-DensityMatrixBackend::DensityMatrixBackend(noise::DeviceModel device,
-                                           Options options)
-    : device_(std::move(device)), options_(options) {
-  device_.validate();
-  if (device_.n_qubits > 12)
+NoiseModel::NoiseModel(const noise::DeviceModel& device, bool gate_noise,
+                       bool relaxation, bool readout_error, double scale)
+    : gate_noise(gate_noise) {
+  device.validate();
+  if (!std::isfinite(scale) || scale < 0.0)
     throw std::invalid_argument(
-        "DensityMatrixBackend: device too large for O(4^n) simulation");
-  if (options_.noise_scale < 0.0)
-    throw std::invalid_argument("DensityMatrixBackend: negative noise_scale");
-}
-
-sim::DensityMatrix DensityMatrixBackend::evolve_transpiled(
-    const transpile::Transpiled& t) const {
-  const int n_phys = device_.n_qubits;
-  const double scale = options_.noise_scale;
-
-  // Pre-build channels once per execution.
-  std::vector<noise::KrausChannel> relax_1q, relax_2q;
-  if (options_.enable_relaxation) {
-    for (const auto& cal : device_.qubits) {
+        "NoiseModel: noise_scale must be finite and >= 0");
+  const auto scaled = [scale](double p, const char* what) {
+    if (p * scale > 1.0)
+      throw std::invalid_argument(std::string("NoiseModel: ") + what +
+                                  " x noise_scale exceeds 1");
+    return p * scale;
+  };
+  const double p1 = scaled(device.err_1q, "err_1q");
+  const double p2 = scaled(device.err_2q, "err_2q");
+  depol_1q = {p1, noise::depolarizing_1q(p1)};
+  depol_2q = {p2, noise::depolarizing_2q(p2)};
+  for (const auto& cal : device.qubits) {
+    const noise::ReadoutError flips{
+        scaled(cal.readout_err_0to1, "readout_err_0to1"),
+        scaled(cal.readout_err_1to0, "readout_err_1to0")};
+    if (readout_error) readout.push_back(flips);
+    if (relaxation) {
       relax_1q.push_back(noise::thermal_relaxation(
-          cal.t1_s, cal.t2_s, device_.gate_time_1q_s * scale));
+          cal.t1_s, cal.t2_s, device.gate_time_1q_s * scale));
       relax_2q.push_back(noise::thermal_relaxation(
-          cal.t1_s, cal.t2_s, device_.gate_time_2q_s * scale));
+          cal.t1_s, cal.t2_s, device.gate_time_2q_s * scale));
     }
   }
-  const noise::KrausChannel depol_1q =
-      noise::depolarizing_1q(std::min(1.0, device_.err_1q * scale));
-  const noise::KrausChannel depol_2q =
-      noise::depolarizing_2q(std::min(1.0, device_.err_2q * scale));
-
-  sim::DensityMatrix rho(n_phys);
-  for (const auto& op : t.ops) {
-    rho.apply_unitary(circuit::gate_matrix(op.kind, op.angle), op.qubits);
-    if (op.kind == GateKind::Rz) continue;  // virtual, error-free
-    if (op.qubits.size() == 1) {
-      if (options_.enable_gate_noise)
-        rho.apply_channel(depol_1q.kraus(), op.qubits);
-      if (options_.enable_relaxation)
-        rho.apply_channel(
-            relax_1q[static_cast<std::size_t>(op.qubits[0])].kraus(),
-            op.qubits);
-    } else {
-      if (options_.enable_gate_noise)
-        rho.apply_channel(depol_2q.kraus(), op.qubits);
-      if (options_.enable_relaxation)
-        for (const int q : op.qubits)
-          rho.apply_channel(relax_2q[static_cast<std::size_t>(q)].kraus(),
-                            {q});
-    }
-  }
-  return rho;
-}
-
-std::vector<double> DensityMatrixBackend::run_transpiled(
-    const transpile::Transpiled& t, int n_logical) const {
-  const double scale = options_.noise_scale;
-  const sim::DensityMatrix rho = evolve_transpiled(t);
-  const auto z_phys = rho.expectation_z_all();
-  std::vector<double> out(static_cast<std::size_t>(n_logical));
-  for (int l = 0; l < n_logical; ++l) {
-    const int phys = t.final_layout[static_cast<std::size_t>(l)];
-    double z = z_phys[static_cast<std::size_t>(phys)];
-    if (options_.enable_readout_error) {
-      const auto& cal = device_.qubits[static_cast<std::size_t>(phys)];
-      const double e01 = cal.readout_err_0to1 * scale;
-      const double e10 = cal.readout_err_1to0 * scale;
-      // Exact effect of classical bit flips on <Z>.
-      z = (1.0 - e01 - e10) * z + (e10 - e01);
-    }
-    out[static_cast<std::size_t>(l)] = z;
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
-    const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
-    unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
-  std::vector<std::vector<double>> results(evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
-                                     angles);
-          const auto t = tmpl->transpile(angles);
-          results[k] = run_transpiled(t, plan.num_qubits());
-        }
-      },
-      threads);
-  return results;
-}
-
-std::vector<double> DensityMatrixBackend::execute_expect_batch(
-    const exec::CompiledCircuit& plan,
-    const exec::CompiledObservable& observable,
-    std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
-  const int n_logical = plan.num_qubits();
-  const int n_phys = device_.n_qubits;
-  const double scale = options_.noise_scale;
-  std::vector<double> results(evals.size());
-  // One exact noisy evolution per evaluation; every group's terms are
-  // then read from the final density matrix (deterministic oracle, so a
-  // single execution is counted per evaluation).
-  add_inferences(evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        sim::DensityMatrix meas(n_phys);  // per-group scratch, buffer reused
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
-                                     angles);
-          const auto t = tmpl->transpile(angles);
-          const sim::DensityMatrix rho = evolve_transpiled(t);
-
-          double energy = observable.constant();
-          for (std::size_t g = 0; g < observable.groups().size(); ++g) {
-            const auto& group = observable.groups()[g];
-            // Ideal basis-change suffix on the measured physical qubits;
-            // all-Z groups have none, so read rho directly instead of
-            // paying an O(4^n) copy.
-            const sim::DensityMatrix* src = &rho;
-            if (!group.suffix.empty()) {
-              meas = rho;
-              for (const auto& bc : group.suffix) {
-                const int phys =
-                    t.final_layout[static_cast<std::size_t>(bc.qubit)];
-                if (bc.y) meas.apply_unitary(sim::gate_sdg(), {phys});
-                meas.apply_unitary(sim::gate_h(), {phys});
-              }
-              src = &meas;
-            }
-            const auto probs = src->probabilities();
-            for (const auto& term : group.terms) {
-              // E[prod (-1)^{b'_q}] with independent classical readout
-              // flips: condition on each basis state and multiply the
-              // per-qubit flip-adjusted parities.
-              double acc = 0.0;
-              for (std::size_t s = 0; s < probs.size(); ++s) {
-                double f = probs[s];
-                for (int q = 0; q < n_logical; ++q) {
-                  if (!(term.z_mask &
-                        exec::CompiledObservable::qubit_bit(q, n_logical)))
-                    continue;
-                  const int phys =
-                      t.final_layout[static_cast<std::size_t>(q)];
-                  const int bit = static_cast<int>(
-                      (s >> (n_phys - 1 - phys)) & 1ULL);
-                  double z = bit ? -1.0 : 1.0;
-                  if (options_.enable_readout_error) {
-                    const auto& cal =
-                        device_.qubits[static_cast<std::size_t>(phys)];
-                    const double e01 = cal.readout_err_0to1 * scale;
-                    const double e10 = cal.readout_err_1to0 * scale;
-                    z = (1.0 - e01 - e10) * z + (e10 - e01);
-                  }
-                  f *= z;
-                }
-                acc += f;
-              }
-              energy += term.coeff * acc;
-            }
-          }
-          results[k] = energy;
-        }
-      },
-      threads);
-  return results;
-}
-
-// ---------------------------------------------------------------------------
-// NoisyBackend
-// ---------------------------------------------------------------------------
-
-NoisyBackend::NoisyBackend(noise::DeviceModel device,
-                           NoisyBackendOptions options)
-    : device_(std::move(device)), options_(options) {
-  device_.validate();
-  if (options_.trajectories < 1)
-    throw std::invalid_argument("NoisyBackend: trajectories < 1");
-  if (options_.shots < 1)
-    throw std::invalid_argument("NoisyBackend: shots < 1");
-  if (options_.noise_scale < 0.0)
-    throw std::invalid_argument("NoisyBackend: negative noise_scale");
 }
 
 namespace {
@@ -612,21 +451,21 @@ namespace {
 /// pass their own applier around this one draw-and-pick sequence, which
 /// is what keeps a lane bit-identical to the scalar trajectory.
 template <class ApplyPauli>
-void inject_depolarizing(int q0, int q1, double p, Prng& rng,
+void inject_depolarizing(const std::vector<int>& qubits, double p, Prng& rng,
                          ApplyPauli&& pauli) {
   if (p <= 0.0) return;
   const double u = rng.uniform();
-  if (q1 < 0) {
+  if (qubits.size() == 1) {
     // I with 1 - 3p/4, else X/Y/Z with p/4 each.
     if (u >= 0.75 * p) return;
-    pauli(std::min(static_cast<int>(u / (0.25 * p)), 2) + 1, q0);
+    pauli(std::min(static_cast<int>(u / (0.25 * p)), 2) + 1, qubits[0]);
     return;
   }
   // Two-qubit: one of the 15 non-identity Pauli pairs w.p. p/16 each.
   if (u >= 15.0 / 16.0 * p) return;
   const int idx = 1 + static_cast<int>(u / (p / 16.0));  // 1..15
-  pauli(idx >> 2, q0);
-  pauli(idx & 3, q1);
+  pauli(idx >> 2, qubits[0]);
+  pauli(idx & 3, qubits[1]);
 }
 
 void apply_pauli(sim::Statevector& sv, int which, int q) {
@@ -650,406 +489,148 @@ void apply_pauli(sim::BatchedStatevector& bsv, std::size_t lane, int which,
   }
 }
 
-/// One stream per trajectory, split from the execution's stream in
-/// trajectory order. Prng::split draws only from the parent, so this is
-/// the sequence a lazy per-trajectory split would produce: trajectory j
-/// consumes the same stream at every lane width.
-std::vector<Prng> split_streams(Prng& parent, int count) {
-  std::vector<Prng> streams;
-  streams.reserve(static_cast<std::size_t>(count));
-  for (int j = 0; j < count; ++j) streams.push_back(parent.split());
-  return streams;
-}
-
-/// Per-evaluation trajectory program: the transpiled op stream with all
-/// structure-dependent work (matrix construction, kernel selection, noise
-/// classification) hoisted out of the trajectory loop. With 64
-/// trajectories per execution this alone removes 64x redundant gate-matrix
-/// builds per op. The lowered basis is exactly {RZ, SX, X, CX}; anything
-/// else is a pipeline bug and throws rather than degrading the noise
-/// model silently.
-struct TrajectoryProgram {
-  enum class K : std::uint8_t { Rz, Sx, X, Cx, Diag2q };
-  struct Op {
-    K k;
-    int q0 = -1, q1 = -1;
-    cplx d0, d1;  // Rz diagonal; Diag2q applies (d0, d1, d1, d0)
-  };
-  std::vector<Op> ops;
+/// A lowered op stream as the trajectory interpreters apply it: each
+/// RZ's diagonal and the SX matrix are built once per execution instead
+/// of once per trajectory (with 64 trajectories per execution that
+/// removes 64x redundant builds per op). The lowered basis is exactly
+/// {RZ, SX, X, CX}; anything else is a pipeline bug and throws rather
+/// than degrading the noise model silently.
+struct GateProgram {
+  std::span<const transpile::BoundOp> ops;
+  std::vector<std::array<cplx, 2>> rz;  // op i's diagonal if it is an RZ
   Matrix sx = sim::gate_sx();
 
-  /// `fuse_cx_rz_cx` folds every adjacent CX a b; RZ(t) b; CX a b triple
-  /// (the lowered form of an RZZ core) into one Diag2q op. The fusion is
-  /// bit-identical -- each amplitude receives exactly one multiplication
-  /// by the same diagonal entry -- but it elides two noise injection
-  /// points, so callers must only enable it when the noise tables inject
-  /// nothing between physical gates (NoiseTables::gates_are_noiseless).
-  explicit TrajectoryProgram(const transpile::Transpiled& t,
-                             bool fuse_cx_rz_cx = false) {
-    ops.reserve(t.ops.size());
-    for (const auto& bop : t.ops) {
-      Op op;
-      op.q0 = bop.qubits[0];
-      switch (bop.kind) {
-        case GateKind::Rz:
-          op.k = K::Rz;
-          op.d0 = std::exp(-kI * (bop.angle / 2.0));
-          op.d1 = std::exp(kI * (bop.angle / 2.0));
-          break;
-        case GateKind::Sx:
-          op.k = K::Sx;
-          break;
-        case GateKind::X:
-          op.k = K::X;
-          break;
-        case GateKind::Cx:
-          op.k = K::Cx;
-          op.q1 = bop.qubits[1];
-          if (fuse_cx_rz_cx && ops.size() >= 2) {
-            // Match [Cx(a,b), Rz(b), Cx(a,b)] just completed by this op:
-            // CX conjugation of a target diagonal is diag(d0, d1, d1, d0)
-            // over (control, target).
-            const Op& rz = ops[ops.size() - 1];
-            const Op& cx = ops[ops.size() - 2];
-            if (cx.k == K::Cx && rz.k == K::Rz && cx.q0 == op.q0 &&
-                cx.q1 == op.q1 && rz.q0 == op.q1) {
-              Op fused;
-              fused.k = K::Diag2q;
-              fused.q0 = op.q0;
-              fused.q1 = op.q1;
-              fused.d0 = rz.d0;
-              fused.d1 = rz.d1;
-              ops.pop_back();
-              ops.pop_back();
-              ops.push_back(fused);
-              continue;
-            }
-          }
-          break;
-        default:
-          throw std::logic_error("TrajectoryProgram: unexpected gate '" +
-                                 circuit::gate_name(bop.kind) +
-                                 "' in transpiled stream");
-      }
-      ops.push_back(op);
+  explicit GateProgram(std::span<const transpile::BoundOp> lowered)
+      : ops(lowered), rz(lowered.size()) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const GateKind k = ops[i].kind;
+      if (k == GateKind::Rz)
+        rz[i] = {std::exp(-kI * (ops[i].angle / 2.0)),
+                 std::exp(kI * (ops[i].angle / 2.0))};
+      else if (k != GateKind::Sx && k != GateKind::X && k != GateKind::Cx)
+        throw std::logic_error("GateProgram: unexpected gate '" +
+                               circuit::gate_name(k) +
+                               "' in transpiled stream");
     }
   }
 
-  /// Apply `op` to a scalar trajectory state, or uniformly to every lane
-  /// of a k-wide trajectory group: the transpiled gate stream is
+  /// Apply op i to a scalar trajectory state, or uniformly to every lane
+  /// of a k-wide trajectory group: the lowered gate stream is
   /// binding-independent, so all trajectories share it, and per lane
   /// each uniform application is bit-identical to the scalar one (the
   /// batched kernels' per-lane contract).
   template <class State>
-  void apply(State& state, const Op& op) const {
-    switch (op.k) {
-      case K::Rz:
-        state.apply_diag_1q(op.d0, op.d1, op.q0);
+  void apply(State& state, std::size_t i) const {
+    const transpile::BoundOp& op = ops[i];
+    switch (op.kind) {
+      case GateKind::Rz:
+        state.apply_diag_1q(rz[i][0], rz[i][1], op.qubits[0]);
         break;
-      case K::Sx:
-        state.apply_1q(sx, op.q0);
+      case GateKind::Sx:
+        state.apply_1q(sx, op.qubits[0]);
         break;
-      case K::X:
-        state.apply_pauli_x(op.q0);
+      case GateKind::X:
+        state.apply_pauli_x(op.qubits[0]);
         break;
-      case K::Cx:
-        state.apply_cx(op.q0, op.q1);
-        break;
-      case K::Diag2q:
-        state.apply_diag_2q(op.d0, op.d1, op.d1, op.d0, op.q0, op.q1);
+      default:
+        state.apply_cx(op.qubits[0], op.qubits[1]);
         break;
     }
   }
 };
 
-}  // namespace
-
-/// Batch-invariant noise model tables: everything the trajectory loop
-/// consumes that depends only on (device, options). Built once per
-/// batched call -- per-evaluation construction was pure redundant work
-/// (identical channels every time).
-struct NoisyBackend::NoiseTables {
-  double p1 = 0.0, p2 = 0.0;
-  bool relaxation = false;
-  std::vector<noise::KrausChannel> relax_1q, relax_2q;
-  std::vector<noise::ReadoutError> readout;
-
-  NoiseTables(const noise::DeviceModel& device,
-              const NoisyBackendOptions& options) {
-    const double scale = options.noise_scale;
-    p1 = options.enable_gate_noise ? device.err_1q * scale : 0.0;
-    p2 = options.enable_gate_noise ? device.err_2q * scale : 0.0;
-    relaxation = options.enable_relaxation;
-    if (options.enable_relaxation) {
-      relax_1q.reserve(static_cast<std::size_t>(device.n_qubits));
-      relax_2q.reserve(static_cast<std::size_t>(device.n_qubits));
-      for (const auto& cal : device.qubits) {
-        relax_1q.push_back(noise::thermal_relaxation(
-            cal.t1_s, cal.t2_s, device.gate_time_1q_s * scale));
-        relax_2q.push_back(noise::thermal_relaxation(
-            cal.t1_s, cal.t2_s, device.gate_time_2q_s * scale));
-      }
-    }
-    if (options.enable_readout_error) {
-      readout.reserve(static_cast<std::size_t>(device.n_qubits));
-      for (const auto& cal : device.qubits)
-        readout.push_back(
-            {cal.readout_err_0to1 * scale, cal.readout_err_1to0 * scale});
-    }
-  }
-
-  /// True when no noise event is ever injected between physical gates:
-  /// every gate application in evolve() is then a pure unitary, which is
-  /// what licenses TrajectoryProgram's CX.RZ.CX fusion (a fused block
-  /// may not straddle a noise barrier).
-  bool gates_are_noiseless() const {
-    return p1 <= 0.0 && p2 <= 0.0 && !relaxation;
-  }
-
-  /// Evolve one noisy trajectory of `program` from |0...0> into sv.
-  void evolve(const TrajectoryProgram& program, sim::Statevector& sv,
-              Prng& rng) const {
-    const auto pauli = [&sv](int which, int q) { apply_pauli(sv, which, q); };
-    sv.reset();
-    for (const auto& op : program.ops) {
-      program.apply(sv, op);
-      // Virtual RZ: frame change only, no physical pulse, no error.
-      if (op.k == TrajectoryProgram::K::Rz) continue;
-      // Fused CX.RZ.CX blocks only exist when gates_are_noiseless(), so
-      // their two elided injection points were no-ops by construction.
-      if (op.k == TrajectoryProgram::K::Diag2q) continue;
-      if (op.q1 < 0) {
-        inject_depolarizing(op.q0, -1, p1, rng, pauli);
-        if (relaxation)
-          relax_1q[static_cast<std::size_t>(op.q0)].sample_and_apply(
-              sv, {op.q0}, rng);
-      } else {
-        inject_depolarizing(op.q0, op.q1, p2, rng, pauli);
-        if (relaxation) {
-          relax_2q[static_cast<std::size_t>(op.q0)].sample_and_apply(
-              sv, {op.q0}, rng);
-          relax_2q[static_cast<std::size_t>(op.q1)].sample_and_apply(
-              sv, {op.q1}, rng);
-        }
-      }
-    }
-  }
-
-  /// Evolve one lane group of noisy trajectories in lockstep from
-  /// |0...0>: the uniform gate stream applies to all lanes at once, and
-  /// every noise event draws per lane from that trajectory's own stream
-  /// (ascending lane order at each event -- within a single stream the
-  /// order is exactly evolve()'s, so lane L is bit-identical to a scalar
-  /// trajectory run on rngs[L]). Lanes at and beyond rngs.size() are
-  /// padding of a compacted ragged tail: they ride the uniform gates and
-  /// Kraus branch 0 but consume no randomness, so padding can never
-  /// shift a real trajectory's draws. The payoff is the relaxation path:
-  /// per gate, sample_and_apply_lanes runs the Born weight passes and
-  /// the renormalization as k independent accumulator chains instead of
-  /// k serial scalar passes.
-  void evolve_lanes(const TrajectoryProgram& program,
-                    sim::BatchedStatevector& bsv,
-                    std::span<Prng> rngs) const {
-    std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
-    for (std::size_t l = 0; l < rngs.size(); ++l) lane_rngs[l] = &rngs[l];
-    const std::span<Prng* const> kraus_rngs(lane_rngs.data(), bsv.lanes());
-    const auto depolarize = [&](int q0, int q1, double p) {
-      for (std::size_t l = 0; l < rngs.size(); ++l)
-        inject_depolarizing(q0, q1, p, rngs[l], [&](int which, int q) {
-          apply_pauli(bsv, l, which, q);
-        });
-    };
-    bsv.reset();
-    for (const auto& op : program.ops) {
-      program.apply(bsv, op);
-      // Virtual RZ: frame change only, no physical pulse, no error.
-      if (op.k == TrajectoryProgram::K::Rz) continue;
-      // Fused blocks only exist when gates_are_noiseless().
-      if (op.k == TrajectoryProgram::K::Diag2q) continue;
-      if (op.q1 < 0) {
-        depolarize(op.q0, -1, p1);
-        if (relaxation)
-          relax_1q[static_cast<std::size_t>(op.q0)].sample_and_apply_lanes(
-              bsv, op.q0, kraus_rngs);
-      } else {
-        depolarize(op.q0, op.q1, p2);
-        if (relaxation) {
-          relax_2q[static_cast<std::size_t>(op.q0)].sample_and_apply_lanes(
-              bsv, op.q0, kraus_rngs);
-          relax_2q[static_cast<std::size_t>(op.q1)].sample_and_apply_lanes(
-              bsv, op.q1, kraus_rngs);
-        }
-      }
-    }
-  }
-};
-
-std::vector<double> NoisyBackend::run_transpiled(
-    const transpile::Transpiled& t, const NoiseTables& tables, int n_logical,
-    Prng& exec_rng) const {
-  const int n_phys = device_.n_qubits;
-  const TrajectoryProgram program(
-      t, options_.fuse_trajectory_gates && tables.gates_are_noiseless());
-  const int shots_per_traj =
-      std::max(1, options_.shots / options_.trajectories);
-  std::vector<Prng> rngs = split_streams(exec_rng, options_.trajectories);
-
-  std::vector<double> acc(static_cast<std::size_t>(n_logical), 0.0);
-  std::uint64_t total_samples = 0;
-
-  // Readout: sample bitstrings from a final trajectory state and apply
-  // per-qubit classical flip errors. Shared verbatim by the scalar loop
-  // and every lane of the k-wide path, so the accumulation order over
-  // (trajectory, shot, qubit) -- and every readout draw -- is identical
-  // at every lane width.
-  const auto accumulate = [&](const std::vector<std::uint64_t>& samples,
-                              Prng& rng) {
-    for (const auto s : samples) {
-      for (int l = 0; l < n_logical; ++l) {
-        const int phys = t.final_layout[static_cast<std::size_t>(l)];
-        int bit = static_cast<int>((s >> (n_phys - 1 - phys)) & 1ULL);
-        if (options_.enable_readout_error)
-          bit = tables.readout[static_cast<std::size_t>(phys)].apply(bit, rng);
-        acc[static_cast<std::size_t>(l)] += bit ? -1.0 : 1.0;
-      }
-      ++total_samples;
-    }
-  };
-
-  // Evaluation-major trajectory partition: k trajectories evolve in
-  // lockstep on one lane group, a part-filled final group is padded,
-  // and any un-compacted remainder runs the scalar loop -- all in
-  // trajectory order on this thread.
-  const sim::LanePartition part =
-      sim::partition_lanes(n_phys, rngs.size(), options_.batch_lanes);
-  run_lanes(
-      part, rngs.size(), 1,
-      [&] {
-        return [&, bsv = sim::BatchedStatevector(n_phys, part.lanes)](
-                   std::size_t first, std::size_t real) mutable {
-          tables.evolve_lanes(program, bsv,
-                              std::span(rngs).subspan(first, real));
-          for (std::size_t l = 0; l < real; ++l) {
-            Prng& rng = rngs[first + l];
-            accumulate(bsv.sample(l, shots_per_traj, rng), rng);
-          }
-        };
+/// Scalar trajectory interpreter: one noisy trajectory of `program`
+/// from |0...0> into sv, every noise event drawing from `rng`.
+void evolve(const NoiseModel& noise, const GateProgram& program,
+            sim::Statevector& sv, Prng& rng) {
+  const auto pauli = [&sv](int which, int q) { apply_pauli(sv, which, q); };
+  sv.reset();
+  noise.walk(
+      program.ops, [&](std::size_t i) { program.apply(sv, i); },
+      [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
+        inject_depolarizing(qubits, d.p, rng, pauli);
       },
-      [&] {
-        return [&, sv = sim::Statevector(n_phys)](std::size_t j) mutable {
-          tables.evolve(program, sv, rngs[j]);
-          accumulate(sv.sample(shots_per_traj, rngs[j]), rngs[j]);
-        };
+      [&](int q, const noise::KrausChannel& relax) {
+        relax.sample_and_apply(sv, {q}, rng);
       });
-
-  for (auto& v : acc) v /= static_cast<double>(total_samples);
-  return acc;
 }
 
-double NoisyBackend::expect_transpiled(
-    const transpile::Transpiled& t, const NoiseTables& tables,
-    const exec::CompiledObservable& observable, Prng& exec_rng) const {
-  // One measured hardware execution: noisy trajectories of the routed
-  // circuit, an ideal basis-change suffix per commuting group, then shot
-  // sampling with classical readout flips on the measured qubits.
-  const int n_logical = observable.num_qubits();
-  const int n_phys = device_.n_qubits;
-  const TrajectoryProgram program(
-      t, options_.fuse_trajectory_gates && tables.gates_are_noiseless());
-  const int shots_per_traj =
-      std::max(1, options_.shots / options_.trajectories);
-  std::vector<Prng> rngs = split_streams(exec_rng, options_.trajectories);
-
-  const auto& groups = observable.groups();
-  // parity_sum[g][i]: summed parities of group g's i-th term.
-  std::vector<std::vector<double>> parity_sum(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    parity_sum[g].assign(groups[g].terms.size(), 0.0);
-  std::uint64_t total_samples = 0;
-
-  // Parity accumulation for one measured group's samples. Shared by the
-  // scalar trajectory loop and every lane of the k-wide path; lanes are
-  // visited in ascending trajectory order per observable group, so the
-  // additions into parity_sum[g][i] happen in exactly the scalar order.
-  const auto accumulate_group = [&](std::size_t g,
-                                    const std::vector<std::uint64_t>& samples,
-                                    Prng& rng) {
-    const auto& group = groups[g];
-    for (const auto s : samples) {
-      // Read every measured qubit once (flips shared by all terms of
-      // the group, exactly as one hardware shot would behave), packed
-      // into a logical-bit word the term masks index directly.
-      std::uint64_t word = 0;
-      for (int q = 0; q < n_logical; ++q) {
-        const std::uint64_t lbit =
-            exec::CompiledObservable::qubit_bit(q, n_logical);
-        if (!(group.measured_mask & lbit)) continue;
-        const int phys = t.final_layout[static_cast<std::size_t>(q)];
-        int bit = static_cast<int>((s >> (n_phys - 1 - phys)) & 1ULL);
-        if (options_.enable_readout_error)
-          bit = tables.readout[static_cast<std::size_t>(phys)].apply(bit, rng);
-        if (bit) word |= lbit;
-      }
-      for (std::size_t i = 0; i < group.terms.size(); ++i)
-        parity_sum[g][i] +=
-            (std::popcount(word & group.terms[i].z_mask) & 1) ? -1.0 : 1.0;
-    }
-  };
-
-  // Same trajectory partition as run_transpiled. A lane group applies
-  // each commuting group's suffix once for all its lanes; each lane's
-  // stream still sees its draws in scalar order: evolve draws, then
-  // group 0 sampling + flips, then group 1, ...
-  const sim::LanePartition part =
-      sim::partition_lanes(n_phys, rngs.size(), options_.batch_lanes);
-  run_lanes(
-      part, rngs.size(), 1,
-      [&] {
-        return [&, bsv = sim::BatchedStatevector(n_phys, part.lanes),
-                meas = sim::BatchedStatevector(n_phys, part.lanes)](
-                   std::size_t first, std::size_t real) mutable {
-          tables.evolve_lanes(program, bsv,
-                              std::span(rngs).subspan(first, real));
-          for (std::size_t g = 0; g < groups.size(); ++g) {
-            const auto& src =
-                measured_state(observable, g, bsv, meas, t.final_layout);
-            for (std::size_t l = 0; l < real; ++l) {
-              Prng& rng = rngs[first + l];
-              accumulate_group(g, src.sample(l, shots_per_traj, rng), rng);
-            }
-          }
-          total_samples += static_cast<std::uint64_t>(shots_per_traj) * real;
-        };
+/// Lane-group trajectory interpreter: one group of noisy trajectories in
+/// lockstep from |0...0>. Gates apply to all lanes at once, and every
+/// noise event draws per lane from that trajectory's own stream
+/// (ascending lane order at each event -- within a single stream the
+/// order is exactly evolve()'s, so lane L is bit-identical to a scalar
+/// trajectory run on rngs[L]). Lanes at and beyond rngs.size() are
+/// padding of a compacted ragged tail: they ride the uniform gates and
+/// Kraus branch 0 but consume no randomness, so padding can never shift
+/// a real trajectory's draws. The payoff is the relaxation path: per
+/// gate, sample_and_apply_lanes runs the Born weight passes and the
+/// renormalization as k independent accumulator chains instead of k
+/// serial scalar passes.
+void evolve_lanes(const NoiseModel& noise, const GateProgram& program,
+                  sim::BatchedStatevector& bsv, std::span<Prng> rngs) {
+  std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
+  for (std::size_t l = 0; l < rngs.size(); ++l) lane_rngs[l] = &rngs[l];
+  const std::span<Prng* const> kraus_rngs(lane_rngs.data(), bsv.lanes());
+  bsv.reset();
+  noise.walk(
+      program.ops, [&](std::size_t i) { program.apply(bsv, i); },
+      [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
+        for (std::size_t l = 0; l < rngs.size(); ++l)
+          inject_depolarizing(qubits, d.p, rngs[l], [&](int which, int q) {
+            apply_pauli(bsv, l, which, q);
+          });
       },
-      [&] {
-        return [&, sv = sim::Statevector(n_phys),
-                meas = sim::Statevector(n_phys)](std::size_t j) mutable {
-          tables.evolve(program, sv, rngs[j]);
-          for (std::size_t g = 0; g < groups.size(); ++g)
-            accumulate_group(
-                g,
-                measured_state(observable, g, sv, meas, t.final_layout)
-                    .sample(shots_per_traj, rngs[j]),
-                rngs[j]);
-          total_samples += static_cast<std::uint64_t>(shots_per_traj);
-        };
+      [&](int q, const noise::KrausChannel& relax) {
+        relax.sample_and_apply_lanes(bsv, q, kraus_rngs);
       });
-
-  double energy = observable.constant();
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    for (std::size_t i = 0; i < groups[g].terms.size(); ++i)
-      energy += groups[g].terms[i].coeff *
-                (parity_sum[g][i] / static_cast<double>(total_samples));
-  return energy;
 }
 
-std::vector<std::vector<double>> NoisyBackend::execute_batch(
-    const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
-    unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
-  const NoiseTables tables(device_, options_);
-  std::vector<Prng> rngs = batch_streams(options_.seed, evals);
-  std::vector<std::vector<double>> results(evals.size());
+/// Density-matrix interpreter: the exact average of the trajectories
+/// evolve() samples, every noise event applied as its channel.
+sim::DensityMatrix evolve_density(const NoiseModel& noise, int n_qubits,
+                                  std::span<const transpile::BoundOp> ops) {
+  sim::DensityMatrix rho(n_qubits);
+  noise.walk(
+      ops,
+      [&](std::size_t i) {
+        rho.apply_unitary(circuit::gate_matrix(ops[i].kind, ops[i].angle),
+                          ops[i].qubits);
+      },
+      [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
+        rho.apply_channel(d.channel.kraus(), qubits);
+      },
+      [&](int q, const noise::KrausChannel& relax) {
+        rho.apply_channel(relax.kraus(), {q});
+      });
+  return rho;
+}
+
+/// Exact effect of physical qubit `phys`'s classical readout flips on a
+/// measured +-1 value or its mean z.
+double read_out(const NoiseModel& noise, int phys, double z) {
+  if (noise.readout.empty()) return z;
+  const auto& [e01, e10] = noise.readout[static_cast<std::size_t>(phys)];
+  return (1.0 - e01 - e10) * z + (e10 - e01);
+}
+
+/// Mean of `shots` +-1 readings of which `minus` read -1. Bitwise the
+/// per-shot +-1.0 sum divided by `shots`: every partial sum of that fold
+/// is an exact integer, so it ends at exactly shots - 2 * minus.
+double pm_mean(std::int64_t minus, std::uint64_t shots) {
+  return static_cast<double>(static_cast<std::int64_t>(shots) - 2 * minus) /
+         static_cast<double>(shots);
+}
+
+/// The per-evaluation transpile loop of both device backends: resolves
+/// each evaluation's source angles, finishes the plan's routed program
+/// for them and calls body(k, lowered) for evaluation k, fanned over
+/// `threads` pool workers.
+template <class Body>
+void for_each_lowered(const exec::CompiledCircuit& plan,
+                      const transpile::RoutedProgram& routed,
+                      std::span<const exec::Evaluation> evals,
+                      unsigned threads, Body&& body) {
   parallel_for_chunked(
       0, evals.size(),
       [&](std::size_t lo, std::size_t hi) {
@@ -1058,11 +639,245 @@ std::vector<std::vector<double>> NoisyBackend::execute_batch(
           const auto& e = evals[k];
           plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
                                      angles);
-          const auto t = tmpl->transpile(angles);
-          results[k] = run_transpiled(t, tables, plan.num_qubits(), rngs[k]);
+          body(k, routed.transpile(angles));
         }
       },
       threads);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// DensityMatrixBackend
+// ---------------------------------------------------------------------------
+
+DensityMatrixBackend::DensityMatrixBackend(noise::DeviceModel device,
+                                           Options options)
+    : device_(std::move(device)),
+      options_(options),
+      noise_(device_, options_.enable_gate_noise, options_.enable_relaxation,
+             options_.enable_readout_error, options_.noise_scale) {
+  if (device_.n_qubits > 12)
+    throw std::invalid_argument(
+        "DensityMatrixBackend: device too large for O(4^n) simulation");
+}
+
+std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
+    const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
+    unsigned threads) {
+  const auto routed = transpile_cache_.get(plan, device_);
+  const int n_logical = plan.num_qubits();
+  std::vector<std::vector<double>> results(evals.size());
+  for_each_lowered(
+      plan, *routed, evals, threads,
+      [&](std::size_t k, const transpile::Transpiled& t) {
+        const auto z_phys =
+            evolve_density(noise_, device_.n_qubits, t.ops).expectation_z_all();
+        auto& out = results[k];
+        out.resize(static_cast<std::size_t>(n_logical));
+        for (int l = 0; l < n_logical; ++l) {
+          const int phys = t.final_layout[static_cast<std::size_t>(l)];
+          out[static_cast<std::size_t>(l)] =
+              read_out(noise_, phys, z_phys[static_cast<std::size_t>(phys)]);
+        }
+      });
+  return results;
+}
+
+std::vector<double> DensityMatrixBackend::execute_expect_batch(
+    const exec::CompiledCircuit& plan,
+    const exec::CompiledObservable& observable,
+    std::span<const exec::Evaluation> evals, unsigned threads) {
+  const auto routed = transpile_cache_.get(plan, device_);
+  const int n_logical = plan.num_qubits();
+  const int n_phys = device_.n_qubits;
+  std::vector<double> results(evals.size());
+  // One exact noisy evolution per evaluation; every group's terms are
+  // then read from the final density matrix (deterministic oracle, so a
+  // single execution is counted per evaluation).
+  add_inferences(evals.size());
+  for_each_lowered(
+      plan, *routed, evals, threads,
+      [&](std::size_t k, const transpile::Transpiled& t) {
+        const sim::DensityMatrix rho = evolve_density(noise_, n_phys, t.ops);
+        double energy = observable.constant();
+        for (const auto& group : observable.groups()) {
+          // Ideal basis-change suffix on the measured physical qubits;
+          // all-Z groups have none, so read rho directly instead of
+          // paying an O(4^n) copy.
+          const std::vector<double> probs = [&] {
+            if (group.suffix.empty()) return rho.probabilities();
+            sim::DensityMatrix meas = rho;
+            for (const auto& bc : group.suffix) {
+              const int phys =
+                  t.final_layout[static_cast<std::size_t>(bc.qubit)];
+              if (bc.y) meas.apply_unitary(sim::gate_sdg(), {phys});
+              meas.apply_unitary(sim::gate_h(), {phys});
+            }
+            return meas.probabilities();
+          }();
+          for (const auto& term : group.terms) {
+            // E[prod (-1)^{b'_q}] with independent classical readout
+            // flips: condition on each basis state and multiply the
+            // per-qubit flip-adjusted parities.
+            double acc = 0.0;
+            for (std::size_t s = 0; s < probs.size(); ++s) {
+              double f = probs[s];
+              for (int q = 0; q < n_logical; ++q) {
+                if (!(term.z_mask &
+                      exec::CompiledObservable::qubit_bit(q, n_logical)))
+                  continue;
+                const int phys = t.final_layout[static_cast<std::size_t>(q)];
+                const bool bit = (s >> (n_phys - 1 - phys)) & 1ULL;
+                f *= read_out(noise_, phys, bit ? -1.0 : 1.0);
+              }
+              acc += f;
+            }
+            energy += term.coeff * acc;
+          }
+        }
+        results[k] = energy;
+      });
+  return results;
+}
+
+// ---------------------------------------------------------------------------
+// NoisyBackend
+// ---------------------------------------------------------------------------
+
+NoisyBackend::NoisyBackend(noise::DeviceModel device,
+                           NoisyBackendOptions options)
+    : device_(std::move(device)),
+      options_(options),
+      noise_(device_, options_.enable_gate_noise, options_.enable_relaxation,
+             options_.enable_readout_error, options_.noise_scale) {
+  if (options_.trajectories < 1)
+    throw std::invalid_argument("NoisyBackend: trajectories < 1");
+  if (options_.shots < 1)
+    throw std::invalid_argument("NoisyBackend: shots < 1");
+}
+
+/// One measured execution of the lowered stream `t` from its stream
+/// `exec_rng`: options_.trajectories noisy trajectories, each sampled
+/// max(1, shots / trajectories) times per measured group. Every shot of
+/// group g reaches fold(g, word) as its word of read-out logical bits;
+/// returns the shots per group. `observable == nullptr` measures run's
+/// one implicit group: every logical qubit, no basis change.
+template <class Fold>
+std::uint64_t NoisyBackend::measure(const transpile::Transpiled& t,
+                                    int n_logical,
+                                    const exec::CompiledObservable* observable,
+                                    Prng& exec_rng, Fold&& fold) const {
+  const int n_phys = device_.n_qubits;
+  const GateProgram program(t.ops);
+  const int shots = std::max(1, options_.shots / options_.trajectories);
+  // One stream per trajectory, split from the execution's in trajectory
+  // order (Prng::split draws only from the parent), so trajectory j
+  // consumes the same stream at every lane width and concurrent
+  // executions never interleave draws.
+  std::vector<Prng> rngs;
+  rngs.reserve(static_cast<std::size_t>(options_.trajectories));
+  for (int j = 0; j < options_.trajectories; ++j)
+    rngs.push_back(exec_rng.split());
+  const std::size_t n_groups = observable ? observable->groups().size() : 1;
+
+  // Readout of group g's shots from one trajectory: each measured
+  // logical qubit is read once per shot (flips shared by all terms of
+  // the group, exactly as one hardware shot would behave) into a
+  // logical-bit word. Shared verbatim by the scalar loop and every lane
+  // of a k-wide group, so every readout draw and every fold happens in
+  // the same order at every lane width.
+  const auto read = [&](std::size_t g, const std::vector<std::uint64_t>& s,
+                        Prng& rng) {
+    const std::uint64_t measured =
+        observable ? observable->groups()[g].measured_mask : ~0ULL;
+    for (const auto sample : s) {
+      std::uint64_t word = 0;
+      for (int q = 0; q < n_logical; ++q) {
+        const std::uint64_t lbit =
+            exec::CompiledObservable::qubit_bit(q, n_logical);
+        if (!(measured & lbit)) continue;
+        const int phys = t.final_layout[static_cast<std::size_t>(q)];
+        int bit = static_cast<int>((sample >> (n_phys - 1 - phys)) & 1ULL);
+        if (!noise_.readout.empty())
+          bit = noise_.readout[static_cast<std::size_t>(phys)].apply(bit, rng);
+        word |= bit ? lbit : 0;
+      }
+      fold(g, word);
+    }
+  };
+
+  // Evaluation-major trajectory partition: k trajectories evolve in
+  // lockstep on one lane group, a part-filled final group is padded,
+  // and any un-compacted remainder runs the scalar loop -- all in
+  // trajectory order on this thread. A lane group applies each
+  // measured group's suffix once for all its lanes; each lane's stream
+  // still sees its draws in scalar order: the walk, then group 0's
+  // shots and flips, then group 1's, ... `meas` starts as a 1-qubit
+  // placeholder that the first suffix's copy resizes, so run's
+  // suffix-free group never allocates it.
+  const sim::LanePartition part =
+      sim::partition_lanes(n_phys, rngs.size(), options_.batch_lanes);
+  run_lanes(
+      part, rngs.size(), 1,
+      [&] {
+        return [&, bsv = sim::BatchedStatevector(n_phys, part.lanes),
+                meas = sim::BatchedStatevector(1, part.lanes)](
+                   std::size_t first, std::size_t real) mutable {
+          evolve_lanes(noise_, program, bsv,
+                       std::span(rngs).subspan(first, real));
+          for (std::size_t g = 0; g < n_groups; ++g) {
+            const auto& src = observable ? measured_state(*observable, g, bsv,
+                                                          meas, t.final_layout)
+                                         : bsv;
+            for (std::size_t l = 0; l < real; ++l) {
+              Prng& rng = rngs[first + l];
+              read(g, src.sample(l, shots, rng), rng);
+            }
+          }
+        };
+      },
+      [&] {
+        return [&, sv = sim::Statevector(n_phys),
+                meas = sim::Statevector(1)](std::size_t j) mutable {
+          evolve(noise_, program, sv, rngs[j]);
+          for (std::size_t g = 0; g < n_groups; ++g) {
+            const auto& src = observable ? measured_state(*observable, g, sv,
+                                                          meas, t.final_layout)
+                                         : sv;
+            read(g, src.sample(shots, rngs[j]), rngs[j]);
+          }
+        };
+      });
+  return static_cast<std::uint64_t>(shots) * rngs.size();
+}
+
+std::vector<std::vector<double>> NoisyBackend::execute_batch(
+    const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
+    unsigned threads) {
+  const auto routed = transpile_cache_.get(plan, device_);
+  std::vector<Prng> rngs = batch_streams(options_.seed, evals);
+  const int n_logical = plan.num_qubits();
+  std::vector<std::vector<double>> results(evals.size());
+  for_each_lowered(
+      plan, *routed, evals, threads,
+      [&](std::size_t k, const transpile::Transpiled& t) {
+        // <Z_q> folds the one implicit group that measures every qubit:
+        // ones[q] counts the shots that read q as 1.
+        std::vector<std::int64_t> ones(static_cast<std::size_t>(n_logical));
+        const std::uint64_t shots = measure(
+            t, n_logical, nullptr, rngs[k],
+            [&](std::size_t, std::uint64_t word) {
+              for (int q = 0; q < n_logical; ++q) {
+                const std::uint64_t lbit =
+                    exec::CompiledObservable::qubit_bit(q, n_logical);
+                ones[static_cast<std::size_t>(q)] += (word & lbit) != 0;
+              }
+            });
+        std::vector<double>& z = results[k];
+        z.reserve(ones.size());
+        for (const std::int64_t n : ones) z.push_back(pm_mean(n, shots));
+      });
   return results;
 }
 
@@ -1070,26 +885,33 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto tmpl = transpile_cache_.get(plan, device_);
-  const NoiseTables tables(device_, options_);
+  const auto routed = transpile_cache_.get(plan, device_);
   // One stream per evaluation; its groups then consume it sequentially
-  // inside expect_transpiled.
+  // inside measure().
   std::vector<Prng> rngs = batch_streams(options_.seed, evals);
-  add_inferences(evals.size() * observable.groups().size());
+  const auto& groups = observable.groups();
+  add_inferences(evals.size() * groups.size());
   std::vector<double> results(evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> angles;
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& e = evals[k];
-          plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
-                                     angles);
-          const auto t = tmpl->transpile(angles);
-          results[k] = expect_transpiled(t, tables, observable, rngs[k]);
-        }
-      },
-      threads);
+  for_each_lowered(
+      plan, *routed, evals, threads,
+      [&](std::size_t k, const transpile::Transpiled& t) {
+        // odd[g][i]: group g's shots with odd parity under its term i.
+        std::vector<std::vector<std::int64_t>> odd(groups.size());
+        for (std::size_t g = 0; g < groups.size(); ++g)
+          odd[g].assign(groups[g].terms.size(), 0);
+        const std::uint64_t shots = measure(
+            t, observable.num_qubits(), &observable, rngs[k],
+            [&](std::size_t g, std::uint64_t word) {
+              const auto& terms = groups[g].terms;
+              for (std::size_t i = 0; i < terms.size(); ++i)
+                odd[g][i] += std::popcount(word & terms[i].z_mask) & 1;
+            });
+        double energy = observable.constant();
+        for (std::size_t g = 0; g < groups.size(); ++g)
+          for (std::size_t i = 0; i < groups[g].terms.size(); ++i)
+            energy += groups[g].terms[i].coeff * pm_mean(odd[g][i], shots);
+        results[k] = energy;
+      });
   return results;
 }
 

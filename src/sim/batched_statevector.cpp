@@ -150,16 +150,6 @@ void BatchedStatevector::apply_diag_1q(cplx d0, cplx d1, int qubit) {
                                  bcast_.data());
 }
 
-void BatchedStatevector::apply_diag_2q(cplx d00, cplx d01, cplx d10, cplx d11,
-                                       int qubit_a, int qubit_b) {
-  check_pair(qubit_a, qubit_b, "apply_diag_2q: qubit pair");
-  const cplx d[4] = {d00, d01, d10, d11};
-  for (int e = 0; e < 4; ++e)
-    std::fill_n(bcast_.data() + e * lanes_, lanes_, d[e]);
-  kernels::batched_apply_diag_2q(amps_.data(), dim_, stride_of(qubit_a),
-                                 stride_of(qubit_b), lanes_, bcast_.data());
-}
-
 void BatchedStatevector::apply_cx(int control, int target) {
   check_pair(control, target, "apply_cx: qubit pair");
   kernels::batched_apply_cx(amps_.data(), dim_, stride_of(control),

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
@@ -184,39 +185,6 @@ TEST(NoisyBackend, SuccessiveRunsDiffer) {
   EXPECT_NE(f1[0], f2[0]);
 }
 
-TEST(NoisyBackend, TrajectoryCxRzCxFusionIsBitIdentical) {
-  // With gate noise and relaxation disabled the trajectory stream has no
-  // noise barriers, so the CX.RZ.CX triples of lowered RZZ gates fuse
-  // into one diagonal 2q kernel. The fusion must be invisible: same
-  // results bit-for-bit, same RNG consumption.
-  Circuit c(3);
-  c.ry(0, ParamRef::trainable(0));
-  c.rzz(0, 1, ParamRef::trainable(1));
-  c.rzz(1, 2, ParamRef::trainable(2));
-  c.cx(0, 2);
-  const std::vector<double> theta = {0.3, 0.9, -1.2};
-
-  auto make = [&](bool fuse, bool noisy) {
-    NoisyBackendOptions opt;
-    opt.trajectories = 4;
-    opt.shots = 128;
-    opt.seed = 99;
-    opt.enable_gate_noise = noisy;
-    opt.enable_relaxation = noisy;
-    opt.fuse_trajectory_gates = fuse;
-    return NoisyBackend(DeviceModel::ibmq_manila(), opt);
-  };
-
-  for (const bool noisy : {false, true}) {
-    NoisyBackend fused = make(true, noisy);
-    NoisyBackend unfused = make(false, noisy);
-    const auto a = fused.run(c, theta, {});
-    const auto b = unfused.run(c, theta, {});
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
-
 // One noisy execution with an explicit trajectory lane width; everything
 // else (seed, device, circuit, bindings) held fixed so widths can be
 // compared bitwise.
@@ -261,7 +229,7 @@ TEST(NoisyBackend, KWideTrajectoriesBitIdenticalToScalar) {
     for (std::size_t q = 0; q < ref.size(); ++q)
       EXPECT_EQ(ref[q], wide[q]) << "lanes=" << lanes << " q=" << q;
   }
-  // Noise-free config: the fused Diag2q stream runs lane-uniform too.
+  // Noise-free config: the walk draws nothing; only shot sampling does.
   const auto ref_clean = run_noisy_lanes(1, 12, false, false, false);
   const auto wide_clean = run_noisy_lanes(8, 12, false, false, false);
   for (std::size_t q = 0; q < ref_clean.size(); ++q)
@@ -369,6 +337,36 @@ TEST(NoisyBackend, RejectsBadOptions) {
   opt.noise_scale = -1.0;
   EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
                std::invalid_argument);
+  // A non-finite scale, with relaxation on and off.
+  for (const bool relaxation : {true, false}) {
+    opt.enable_relaxation = relaxation;
+    for (const double scale : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+      opt.noise_scale = scale;
+      EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
+                   std::invalid_argument)
+          << "scale=" << scale << " relaxation=" << relaxation;
+    }
+  }
+  opt.enable_relaxation = true;
+  // 40x makes a lima readout flip probability 1.64.
+  opt.noise_scale = 40.0;
+  EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
+               std::invalid_argument);
+  // Scaled gate errors above 1 on a device without readout error.
+  DeviceModel device = DeviceModel::ideal(2);
+  device.err_2q = 0.4;
+  opt.noise_scale = 3.0;
+  EXPECT_THROW(NoisyBackend(device, opt), std::invalid_argument);
+  device.err_2q = 0.0;
+  device.err_1q = 0.5;
+  EXPECT_THROW(NoisyBackend(device, opt), std::invalid_argument);
+  opt.noise_scale = 2.0;  // exactly 1 is a valid probability
+  EXPECT_NO_THROW(NoisyBackend(device, opt));
+  // The largest scale any caller uses keeps every catalog device valid.
+  opt.noise_scale = 5.0;
+  for (const auto& name : DeviceModel::available())
+    EXPECT_NO_THROW(NoisyBackend(DeviceModel::by_name(name), opt)) << name;
 }
 
 TEST(NoisyBackend, CircuitLargerThanDeviceThrows) {

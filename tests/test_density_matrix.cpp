@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
@@ -192,6 +193,47 @@ TEST(DensityMatrixBackend, RejectsLargeDevices) {
   EXPECT_THROW(
       backend::DensityMatrixBackend(noise::DeviceModel::ibmq_toronto()),
       std::invalid_argument);
+}
+
+TEST(DensityMatrixBackend, RejectsBadOptions) {
+  backend::DensityMatrixBackend::Options opt;
+  const auto lima = noise::DeviceModel::ibmq_lima();
+  // A negative or non-finite scale, with relaxation on and off.
+  for (const bool relaxation : {true, false}) {
+    opt.enable_relaxation = relaxation;
+    for (const double scale : {-1.0, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+      opt.noise_scale = scale;
+      EXPECT_THROW(backend::DensityMatrixBackend(lima, opt),
+                   std::invalid_argument)
+          << "scale=" << scale << " relaxation=" << relaxation;
+    }
+  }
+  opt.enable_relaxation = true;
+  // 40x makes a lima readout flip probability 1.64.
+  opt.noise_scale = 40.0;
+  EXPECT_THROW(backend::DensityMatrixBackend(lima, opt),
+               std::invalid_argument);
+  // Scaled gate errors above 1 on a device without readout error.
+  noise::DeviceModel device = noise::DeviceModel::ideal(2);
+  device.err_2q = 0.4;
+  opt.noise_scale = 3.0;
+  EXPECT_THROW(backend::DensityMatrixBackend(device, opt),
+               std::invalid_argument);
+  device.err_2q = 0.0;
+  device.err_1q = 0.5;
+  EXPECT_THROW(backend::DensityMatrixBackend(device, opt),
+               std::invalid_argument);
+  opt.noise_scale = 2.0;  // exactly 1 is a valid probability
+  EXPECT_NO_THROW(backend::DensityMatrixBackend(device, opt));
+  // The largest scale any caller uses keeps every catalog device that
+  // fits the density matrix valid.
+  opt.noise_scale = 5.0;
+  for (const auto& name : noise::DeviceModel::available()) {
+    const auto d = noise::DeviceModel::by_name(name);
+    if (d.n_qubits <= 12)
+      EXPECT_NO_THROW(backend::DensityMatrixBackend(d, opt)) << name;
+  }
 }
 
 }  // namespace

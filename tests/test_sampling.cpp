@@ -1,7 +1,7 @@
 // Shot sampling: the guide-table sim::ShotSampler against the
 // std::lower_bound sampler it replaced, its counts form and the count
 // folds against the per-shot folds they replaced, and cross-commit pins
-// of sampled estimator and backend results.
+// of sampled estimator and backend results and of the device backends.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <string>
 
 #include "qoc/backend/backend.hpp"
+#include "qoc/circuit/layers.hpp"
 #include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/sampler.hpp"
@@ -364,9 +365,11 @@ TEST(CountFolds, BackendExpectMatchesPerShotFoldBitwise) {
 // ---- Cross-commit pins ------------------------------------------------------
 //
 // Sampled results recorded as IEEE bit patterns from the lower_bound
-// sampler and the per-shot folds. The bitwise determinism tests compare
-// two runs of one build; these compare against fixed values, so a change
-// that moves any sampled outcome, stream draw or fold fails here.
+// sampler and the per-shot folds, and device-backend results recorded
+// while NoisyBackend and DensityMatrixBackend each still had their own
+// noise walk. The bitwise determinism tests compare two runs of one
+// build; these compare against fixed values, so a change that moves any
+// sampled outcome, stream draw, noise event or fold fails here.
 
 std::vector<qoc::exec::Evaluation> pin_evals(
     std::vector<std::vector<double>>& thetas, std::size_t count,
@@ -474,6 +477,84 @@ TEST(SampledPins, NoisyBackend) {
               {0xbfcb000000000000ULL, 0x3fdc000000000000ULL,
                0xbfd6000000000000ULL, 0x3fe9b99999999998ULL,
                0xbfe559999999999aULL, 0x3fcd666666666666ULL});
+}
+
+/// A device backend on ibmq_manila, three bindings of an RZZ ring plus an
+/// RY layer on 4 qubits (the ring's closing edge is routed through SWAPs,
+/// and each lowered RZZ core is a CX.RZ.CX triple): run_batch <Z_q>
+/// picks, then expect_batch energies of a Heisenberg-4 observable (X and
+/// Y suffix groups). `make` returns a fresh backend for each call.
+template <class Make>
+std::vector<double> device_pins(Make make) {
+  qoc::circuit::Circuit c(4);
+  qoc::circuit::add_rzz_ring_layer(c);
+  qoc::circuit::add_ry_layer(c);
+  const auto plan = qoc::exec::CompiledCircuit::compile(c);
+  std::vector<std::vector<double>> thetas;
+  const auto evals = pin_evals(thetas, 3, c.num_trainable());
+  const auto z = make().run_batch(plan, evals, 2);
+  const auto e = make().expect_batch(
+      plan,
+      qoc::vqe::compile_observable(qoc::vqe::Hamiltonian::heisenberg(4, 0.7)),
+      evals, 2);
+  return {z[0][0], z[1][1], z[2][2], z[2][3], e[0], e[1], e[2]};
+}
+
+NoisyBackend pin_noisy_backend(int trajectories, int lanes, bool gate_noise) {
+  NoisyBackendOptions opt;
+  opt.trajectories = trajectories;
+  opt.shots = 256;
+  opt.seed = 0xDE71CEULL;
+  opt.enable_gate_noise = gate_noise;
+  opt.enable_relaxation = gate_noise;
+  opt.batch_lanes = lanes;
+  return NoisyBackend(DeviceModel::ibmq_manila(), opt);
+}
+
+TEST(SampledPins, DensityMatrixBackend) {
+  DensityMatrixBackend::Options opt;
+  opt.noise_scale = 3.0;
+  expect_pins(device_pins([&] {
+                return DensityMatrixBackend(DeviceModel::ibmq_manila(), opt);
+              }),
+              {0x3fe915aaa38fbf99ULL, 0x3fe78b504ce9cd9eULL, 0x3fdce10ab3e9fd3aULL,
+               0x3fe08e2769a9aabfULL, 0x3fe6f94f74d359aeULL, 0x3fee7d4c99c09462ULL,
+               0x3fcc8bc22c38c58cULL});
+}
+
+TEST(SampledPins, NoisyBackendRaggedTrajectoriesAtLaneWidths1And8) {
+  // 5 trajectories are one padded lane group, 12 a full group plus a
+  // padded one; lanes = 1 runs both on the scalar loop.
+  const std::map<int, std::vector<std::uint64_t>> want = {
+      {5, {0x3fed7d7d7d7d7d7dULL, 0x3fe3333333333333ULL, 0x3fe3333333333333ULL,
+            0x3fe4f4f4f4f4f4f5ULL, 0x3ff0e8e8e8e8e8e8ULL, 0x3ff2aaaaaaaaaaacULL,
+            0x3fd75dc42a90f75cULL}},
+      {12, {0x3fedb6db6db6db6eULL, 0x3fe9a69a69a69a6aULL, 0x3fe1041041041041ULL,
+            0x3fe4924924924925ULL, 0x3ff349f49f49f49fULL, 0x3ff693e93e93e93fULL,
+            0x3fc1111111111110ULL}}};
+  for (const auto& [trajectories, pins] : want)
+    for (const int lanes : {1, 8}) {
+      SCOPED_TRACE("trajectories=" + std::to_string(trajectories) +
+                   " lanes=" + std::to_string(lanes));
+      expect_pins(device_pins([&] {
+                    return pin_noisy_backend(trajectories, lanes, true);
+                  }),
+                  pins);
+    }
+}
+
+TEST(SampledPins, NoisyBackendWithoutGateNoiseOrRelaxation) {
+  // Readout flips only: every gate of the trajectory walk is noiseless.
+  const std::vector<std::uint64_t> want = {
+      0x3fedb6db6db6db6eULL, 0x3fedf7df7df7df7eULL, 0x3fe1861861861862ULL,
+      0x3fe5965965965966ULL, 0x3feec16c16c16c16ULL, 0x3ff60b60b60b60b7ULL,
+      0x3fcc71c71c71c71cULL};
+  for (const int lanes : {1, 8}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    expect_pins(
+        device_pins([&] { return pin_noisy_backend(12, lanes, false); }),
+        want);
+  }
 }
 
 }  // namespace
