@@ -346,15 +346,17 @@ struct NoiseModel {
   /// off.
   std::vector<noise::ReadoutError> readout;
 
-  /// The noise walk of a lowered op stream: for each op i, gate(i)
-  /// applies it; then, unless it is a virtual RZ (a frame change: no
-  /// pulse, no error), depolarize(qubits, depolarizing) applies its gate
-  /// error if gate noise is on, and relax(q, channel) relaxes each
-  /// operand q in operand order if relaxation is on. The scalar
-  /// trajectory, the k-wide trajectory lane group and the density matrix
-  /// differ only in these three callables.
+  /// The noise walk of a lowered op stream whose qubit q is physical
+  /// qubit physical[q]: for each op i, gate(i) applies it; then, unless
+  /// it is a virtual RZ (a frame change: no pulse, no error),
+  /// depolarize(qubits, depolarizing) applies its gate error if gate
+  /// noise is on, and relax(q, channel) relaxes each operand q in
+  /// operand order, with physical[q]'s channel, if relaxation is on. The
+  /// scalar trajectory, the k-wide trajectory lane group and the density
+  /// matrix differ only in these three callables.
   template <class Gate, class Depolarize, class Relax>
-  void walk(std::span<const transpile::BoundOp> ops, Gate&& gate,
+  void walk(std::span<const transpile::BoundOp> ops,
+            std::span<const int> physical, Gate&& gate,
             Depolarize&& depolarize, Relax&& relax) const {
     for (std::size_t i = 0; i < ops.size(); ++i) {
       gate(i);
@@ -364,20 +366,34 @@ struct NoiseModel {
       if (gate_noise) depolarize(op.qubits, one ? depol_1q : depol_2q);
       if (relax_1q.empty()) continue;
       for (const int q : op.qubits)
-        relax(q, (one ? relax_1q : relax_2q)[static_cast<std::size_t>(q)]);
+        relax(q, (one ? relax_1q : relax_2q)[static_cast<std::size_t>(
+                     physical[static_cast<std::size_t>(q)])]);
     }
   }
 };
+
+/// A routed program over the active qubits of its plan; defined in
+/// backend.cpp.
+struct ActiveProgram;
 
 /// Device routing computed once per circuit structure and reused for
 /// every binding (see transpile::RoutedTemplate), bundled with the
 /// per-zero-angle-pattern lowered-stream cache
 /// (transpile::RoutedProgram). Shared by the two transpiling backends.
+///
+/// Each entry is relabelled onto its plan's active qubits once, when it
+/// is routed: the routed template's operand qubits plus final_layout (a
+/// measured qubit with no gate stays), numbered 0..m-1 in increasing
+/// physical order, with the map back to physical qubits kept beside it.
+/// An idle qubit gets no gate and so no noise draw; its amplitudes stay
+/// zeros that add +0.0 to every weight, norm and CDF sum, and the
+/// monotone relabel keeps the order of every nonzero amplitude, so every
+/// result is bit-identical to simulating the whole device.
 class TranspileCache {
  public:
-  /// Routed program for the plan's structure, computing it on miss.
-  std::shared_ptr<const transpile::RoutedProgram> get(
-      const exec::CompiledCircuit& plan, const noise::DeviceModel& device)
+  /// Active-qubit program for the plan's structure, computing it on miss.
+  std::shared_ptr<const ActiveProgram> get(const exec::CompiledCircuit& plan,
+                                           const noise::DeviceModel& device)
       QOC_EXCLUDES(mutex_);
 
  private:
@@ -389,8 +405,8 @@ class TranspileCache {
   // circuit. Bounded by clearing wholesale at a fixed cap.
   std::unordered_map<
       std::uint64_t,
-      std::vector<std::pair<circuit::Circuit,
-                            std::shared_ptr<const transpile::RoutedProgram>>>>
+      std::vector<
+          std::pair<circuit::Circuit, std::shared_ptr<const ActiveProgram>>>>
       cache_ QOC_GUARDED_BY(mutex_);
   std::size_t entries_ QOC_GUARDED_BY(mutex_) = 0;
 };
@@ -398,8 +414,9 @@ class TranspileCache {
 /// Exact noisy execution via density-matrix evolution: the same device
 /// model, noise model and transpile pipeline as NoisyBackend, but noise
 /// channels are applied exactly (no trajectory sampling, no shot noise).
-/// Memory is O(4^n) so it is limited to devices with <= 12 qubits; it
-/// serves as the ground truth the trajectory backend is validated
+/// The density matrix spans a circuit's m active qubits, so memory is
+/// O(4^m); construction still rejects devices with more than 12 qubits.
+/// It serves as the ground truth the trajectory backend is validated
 /// against, and as a deterministic noisy-expectation oracle for tests and
 /// analysis.
 class DensityMatrixBackend final : public Backend {
@@ -441,8 +458,10 @@ class DensityMatrixBackend final : public Backend {
 };
 
 /// Simulated NISQ device: transpiles to the device and runs noise
-/// trajectories. Thread-safe for concurrent run() calls (each execution
-/// draws from its own stream under the stream rule).
+/// trajectories, each a statevector over the circuit's m active qubits
+/// (O(2^m) memory per trajectory). Thread-safe for concurrent run()
+/// calls (each execution draws from its own stream under the stream
+/// rule).
 class NoisyBackend final : public Backend {
  public:
   NoisyBackend(noise::DeviceModel device, NoisyBackendOptions options = {});
@@ -474,7 +493,8 @@ class NoisyBackend final : public Backend {
   /// The trajectory readout driver behind run and expect; see
   /// backend.cpp.
   template <class Fold>
-  std::uint64_t measure(const transpile::Transpiled& t, int n_logical,
+  std::uint64_t measure(const transpile::Transpiled& t,
+                        std::span<const int> physical, int n_logical,
                         const exec::CompiledObservable* observable,
                         Prng& exec_rng, Fold&& fold) const;
 

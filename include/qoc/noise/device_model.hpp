@@ -7,8 +7,11 @@
 // representative calibration data from the 2021/22 era of those chips:
 // coupling map, single-/two-qubit gate error rates, readout error, T1/T2
 // and gate durations. The NoisyBackend turns these into depolarizing +
-// thermal-relaxation trajectory noise. See DESIGN.md "substitutions" for
-// why this preserves the phenomena the paper studies.
+// thermal-relaxation trajectory noise. What the paper studies -- noisy
+// parameter-shift gradients, whose error grows with gate count, SWAP
+// routing and readout error -- depends on these rates and on the
+// coupling map, both of which a snapshot carries; the exact day-to-day
+// drift of the real chips it cannot reproduce.
 
 #include <cstddef>
 #include <string>
@@ -49,7 +52,12 @@ struct DeviceModel {
   /// endpoints); empty if disconnected.
   std::vector<int> shortest_path(int from, int to) const;
 
-  /// Uniform validation: indices in range, calibrations present, etc.
+  /// Throws std::invalid_argument unless: n_qubits > 0 with one
+  /// calibration per qubit; every coupling edge joins two distinct
+  /// in-range qubits; every T1 and T2 is > 0; err_1q, err_2q and every
+  /// readout flip probability lie in [0, 1]; and gate_time_1q_s,
+  /// gate_time_2q_s and readout_time_s are finite and >= 0. Each check
+  /// fails for NaN.
   void validate() const;
 
   // ---- Calibration snapshot factories ------------------------------------

@@ -51,7 +51,7 @@ class LoweredPlan {
   /// this binding (what substitute() would reproduce), sparing a miss
   /// the redundant replay.
   LoweredPlan(const RoutedTemplate& t, std::span<const double> source_angles,
-              int n_device_qubits, std::vector<BoundOp>* bound_out = nullptr);
+              int n_qubits, std::vector<BoundOp>* bound_out = nullptr);
 
   /// Re-bind the traced stream with new angle values. Returns false (and
   /// leaves `out` unspecified) if any recorded structure decision
@@ -107,11 +107,13 @@ class LoweredPlan {
 };
 
 /// A routed template plus its per-zero-pattern lowered-stream cache:
-/// the unit TranspileCache stores per circuit structure.
+/// the unit TranspileCache stores per circuit structure. `n_qubits` is
+/// the size of the register the template's qubit indices address: the
+/// device's, or the active qubits TranspileCache relabels it onto.
 class RoutedProgram {
  public:
-  RoutedProgram(RoutedTemplate tmpl, int n_device_qubits)
-      : tmpl_(std::move(tmpl)), n_device_qubits_(n_device_qubits) {}
+  RoutedProgram(RoutedTemplate tmpl, int n_qubits)
+      : tmpl_(std::move(tmpl)), n_qubits_(n_qubits) {}
 
   const RoutedTemplate& tmpl() const { return tmpl_; }
 
@@ -127,7 +129,7 @@ class RoutedProgram {
 
  private:
   RoutedTemplate tmpl_;
-  int n_device_qubits_ = 0;
+  int n_qubits_ = 0;
   mutable common::Mutex mutex_;
   /// Keyed by the packed zero-angle bitmask of the source angles;
   /// cleared wholesale at a fixed cap (unbounded pattern families, e.g.

@@ -81,7 +81,42 @@ std::vector<double> Backend::execute_expect_batch(
 // TranspileCache
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
+/// A plan's routed program relabelled onto its m active qubits (see
+/// TranspileCache): its ops and final_layout index active qubits, and
+/// active qubit q is physical qubit physical[q].
+struct ActiveProgram {
+  ActiveProgram(transpile::RoutedTemplate tmpl, int n_device)
+      : physical(relabel(tmpl, n_device)),
+        routed(std::move(tmpl), n_active()) {}
+
+  int n_active() const { return static_cast<int>(physical.size()); }
+
+  /// Relabels `tmpl` onto its active qubits and returns their physical
+  /// qubits.
+  static std::vector<int> relabel(transpile::RoutedTemplate& tmpl,
+                                  int n_device) {
+    std::vector<int> index(static_cast<std::size_t>(n_device), -1);
+    for (const auto& op : tmpl.ops)
+      for (const int q : op.qubits) index[static_cast<std::size_t>(q)] = 0;
+    for (const int q : tmpl.final_layout)
+      index[static_cast<std::size_t>(q)] = 0;
+    std::vector<int> physical;
+    for (int p = 0; p < n_device; ++p)
+      if (index[static_cast<std::size_t>(p)] == 0) {
+        index[static_cast<std::size_t>(p)] = static_cast<int>(physical.size());
+        physical.push_back(p);
+      }
+    for (auto& op : tmpl.ops)
+      for (int& q : op.qubits) q = index[static_cast<std::size_t>(q)];
+    for (int& q : tmpl.final_layout) q = index[static_cast<std::size_t>(q)];
+    return physical;
+  }
+
+  std::vector<int> physical;
+  transpile::RoutedProgram routed;
+};
+
+std::shared_ptr<const ActiveProgram> TranspileCache::get(
     const exec::CompiledCircuit& plan, const noise::DeviceModel& device) {
   // Probe by the cheap structure hash, but NEVER trust a hash hit alone:
   // structure_hash() explicitly allows collisions, and serving a
@@ -103,7 +138,7 @@ std::shared_ptr<const transpile::RoutedProgram> TranspileCache::get(
   // Route before touching the map: route_template throws for unroutable
   // circuits, and an early insert would leak an empty bucket the
   // entries_ cap never sees.
-  auto tmpl = std::make_shared<const transpile::RoutedProgram>(
+  auto tmpl = std::make_shared<const ActiveProgram>(
       transpile::route_template(plan.source(), device), device.n_qubits);
   cache_[plan.structure_hash()].emplace_back(plan.source(), tmpl);
   ++entries_;
@@ -540,13 +575,14 @@ struct GateProgram {
 };
 
 /// Scalar trajectory interpreter: one noisy trajectory of `program`
-/// from |0...0> into sv, every noise event drawing from `rng`.
+/// (its qubit q on physical qubit physical[q]) from |0...0> into sv,
+/// every noise event drawing from `rng`.
 void evolve(const NoiseModel& noise, const GateProgram& program,
-            sim::Statevector& sv, Prng& rng) {
+            std::span<const int> physical, sim::Statevector& sv, Prng& rng) {
   const auto pauli = [&sv](int which, int q) { apply_pauli(sv, which, q); };
   sv.reset();
   noise.walk(
-      program.ops, [&](std::size_t i) { program.apply(sv, i); },
+      program.ops, physical, [&](std::size_t i) { program.apply(sv, i); },
       [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
         inject_depolarizing(qubits, d.p, rng, pauli);
       },
@@ -568,13 +604,14 @@ void evolve(const NoiseModel& noise, const GateProgram& program,
 /// renormalization as k independent accumulator chains instead of k
 /// serial scalar passes.
 void evolve_lanes(const NoiseModel& noise, const GateProgram& program,
-                  sim::BatchedStatevector& bsv, std::span<Prng> rngs) {
+                  std::span<const int> physical, sim::BatchedStatevector& bsv,
+                  std::span<Prng> rngs) {
   std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
   for (std::size_t l = 0; l < rngs.size(); ++l) lane_rngs[l] = &rngs[l];
   const std::span<Prng* const> kraus_rngs(lane_rngs.data(), bsv.lanes());
   bsv.reset();
   noise.walk(
-      program.ops, [&](std::size_t i) { program.apply(bsv, i); },
+      program.ops, physical, [&](std::size_t i) { program.apply(bsv, i); },
       [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
         for (std::size_t l = 0; l < rngs.size(); ++l)
           inject_depolarizing(qubits, d.p, rngs[l], [&](int which, int q) {
@@ -588,11 +625,12 @@ void evolve_lanes(const NoiseModel& noise, const GateProgram& program,
 
 /// Density-matrix interpreter: the exact average of the trajectories
 /// evolve() samples, every noise event applied as its channel.
-sim::DensityMatrix evolve_density(const NoiseModel& noise, int n_qubits,
+sim::DensityMatrix evolve_density(const NoiseModel& noise,
+                                  std::span<const int> physical,
                                   std::span<const transpile::BoundOp> ops) {
-  sim::DensityMatrix rho(n_qubits);
+  sim::DensityMatrix rho(static_cast<int>(physical.size()));
   noise.walk(
-      ops,
+      ops, physical,
       [&](std::size_t i) {
         rho.apply_unitary(circuit::gate_matrix(ops[i].kind, ops[i].angle),
                           ops[i].qubits);
@@ -665,20 +703,22 @@ DensityMatrixBackend::DensityMatrixBackend(noise::DeviceModel device,
 std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto prog = transpile_cache_.get(plan, device_);
+  const std::span<const int> physical = prog->physical;
   const int n_logical = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
   for_each_lowered(
-      plan, *routed, evals, threads,
+      plan, prog->routed, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
-        const auto z_phys =
-            evolve_density(noise_, device_.n_qubits, t.ops).expectation_z_all();
+        const auto z =
+            evolve_density(noise_, physical, t.ops).expectation_z_all();
         auto& out = results[k];
         out.resize(static_cast<std::size_t>(n_logical));
         for (int l = 0; l < n_logical; ++l) {
-          const int phys = t.final_layout[static_cast<std::size_t>(l)];
+          const auto q = static_cast<std::size_t>(
+              t.final_layout[static_cast<std::size_t>(l)]);
           out[static_cast<std::size_t>(l)] =
-              read_out(noise_, phys, z_phys[static_cast<std::size_t>(phys)]);
+              read_out(noise_, physical[q], z[q]);
         }
       });
   return results;
@@ -688,31 +728,31 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto prog = transpile_cache_.get(plan, device_);
+  const std::span<const int> physical = prog->physical;
   const int n_logical = plan.num_qubits();
-  const int n_phys = device_.n_qubits;
+  const int n_active = prog->n_active();
   std::vector<double> results(evals.size());
   // One exact noisy evolution per evaluation; every group's terms are
   // then read from the final density matrix (deterministic oracle, so a
   // single execution is counted per evaluation).
   add_inferences(evals.size());
   for_each_lowered(
-      plan, *routed, evals, threads,
+      plan, prog->routed, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
-        const sim::DensityMatrix rho = evolve_density(noise_, n_phys, t.ops);
+        const sim::DensityMatrix rho = evolve_density(noise_, physical, t.ops);
         double energy = observable.constant();
         for (const auto& group : observable.groups()) {
-          // Ideal basis-change suffix on the measured physical qubits;
-          // all-Z groups have none, so read rho directly instead of
-          // paying an O(4^n) copy.
+          // Ideal basis-change suffix on the measured qubits; all-Z
+          // groups have none, so read rho directly instead of paying an
+          // O(4^m) copy.
           const std::vector<double> probs = [&] {
             if (group.suffix.empty()) return rho.probabilities();
             sim::DensityMatrix meas = rho;
             for (const auto& bc : group.suffix) {
-              const int phys =
-                  t.final_layout[static_cast<std::size_t>(bc.qubit)];
-              if (bc.y) meas.apply_unitary(sim::gate_sdg(), {phys});
-              meas.apply_unitary(sim::gate_h(), {phys});
+              const int q = t.final_layout[static_cast<std::size_t>(bc.qubit)];
+              if (bc.y) meas.apply_unitary(sim::gate_sdg(), {q});
+              meas.apply_unitary(sim::gate_h(), {q});
             }
             return meas.probabilities();
           }();
@@ -727,9 +767,10 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
                 if (!(term.z_mask &
                       exec::CompiledObservable::qubit_bit(q, n_logical)))
                   continue;
-                const int phys = t.final_layout[static_cast<std::size_t>(q)];
-                const bool bit = (s >> (n_phys - 1 - phys)) & 1ULL;
-                f *= read_out(noise_, phys, bit ? -1.0 : 1.0);
+                const int a = t.final_layout[static_cast<std::size_t>(q)];
+                const bool bit = (s >> (n_active - 1 - a)) & 1ULL;
+                f *= read_out(noise_, physical[static_cast<std::size_t>(a)],
+                              bit ? -1.0 : 1.0);
               }
               acc += f;
             }
@@ -757,7 +798,8 @@ NoisyBackend::NoisyBackend(noise::DeviceModel device,
     throw std::invalid_argument("NoisyBackend: shots < 1");
 }
 
-/// One measured execution of the lowered stream `t` from its stream
+/// One measured execution of the lowered stream `t` over active qubits
+/// (active qubit q is physical qubit physical[q]) from its stream
 /// `exec_rng`: options_.trajectories noisy trajectories, each sampled
 /// max(1, shots / trajectories) times per measured group. Every shot of
 /// group g reaches fold(g, word) as its word of read-out logical bits;
@@ -765,10 +807,11 @@ NoisyBackend::NoisyBackend(noise::DeviceModel device,
 /// one implicit group: every logical qubit, no basis change.
 template <class Fold>
 std::uint64_t NoisyBackend::measure(const transpile::Transpiled& t,
+                                    std::span<const int> physical,
                                     int n_logical,
                                     const exec::CompiledObservable* observable,
                                     Prng& exec_rng, Fold&& fold) const {
-  const int n_phys = device_.n_qubits;
+  const int n_active = static_cast<int>(physical.size());
   const GateProgram program(t.ops);
   const int shots = std::max(1, options_.shots / options_.trajectories);
   // One stream per trajectory, split from the execution's in trajectory
@@ -797,10 +840,12 @@ std::uint64_t NoisyBackend::measure(const transpile::Transpiled& t,
         const std::uint64_t lbit =
             exec::CompiledObservable::qubit_bit(q, n_logical);
         if (!(measured & lbit)) continue;
-        const int phys = t.final_layout[static_cast<std::size_t>(q)];
-        int bit = static_cast<int>((sample >> (n_phys - 1 - phys)) & 1ULL);
+        const int a = t.final_layout[static_cast<std::size_t>(q)];
+        int bit = static_cast<int>((sample >> (n_active - 1 - a)) & 1ULL);
         if (!noise_.readout.empty())
-          bit = noise_.readout[static_cast<std::size_t>(phys)].apply(bit, rng);
+          bit = noise_.readout[static_cast<std::size_t>(
+                                   physical[static_cast<std::size_t>(a)])]
+                    .apply(bit, rng);
         word |= bit ? lbit : 0;
       }
       fold(g, word);
@@ -817,14 +862,14 @@ std::uint64_t NoisyBackend::measure(const transpile::Transpiled& t,
   // placeholder that the first suffix's copy resizes, so run's
   // suffix-free group never allocates it.
   const sim::LanePartition part =
-      sim::partition_lanes(n_phys, rngs.size(), options_.batch_lanes);
+      sim::partition_lanes(n_active, rngs.size(), options_.batch_lanes);
   run_lanes(
       part, rngs.size(), 1,
       [&] {
-        return [&, bsv = sim::BatchedStatevector(n_phys, part.lanes),
+        return [&, bsv = sim::BatchedStatevector(n_active, part.lanes),
                 meas = sim::BatchedStatevector(1, part.lanes)](
                    std::size_t first, std::size_t real) mutable {
-          evolve_lanes(noise_, program, bsv,
+          evolve_lanes(noise_, program, physical, bsv,
                        std::span(rngs).subspan(first, real));
           for (std::size_t g = 0; g < n_groups; ++g) {
             const auto& src = observable ? measured_state(*observable, g, bsv,
@@ -838,9 +883,9 @@ std::uint64_t NoisyBackend::measure(const transpile::Transpiled& t,
         };
       },
       [&] {
-        return [&, sv = sim::Statevector(n_phys),
+        return [&, sv = sim::Statevector(n_active),
                 meas = sim::Statevector(1)](std::size_t j) mutable {
-          evolve(noise_, program, sv, rngs[j]);
+          evolve(noise_, program, physical, sv, rngs[j]);
           for (std::size_t g = 0; g < n_groups; ++g) {
             const auto& src = observable ? measured_state(*observable, g, sv,
                                                           meas, t.final_layout)
@@ -855,18 +900,18 @@ std::uint64_t NoisyBackend::measure(const transpile::Transpiled& t,
 std::vector<std::vector<double>> NoisyBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto prog = transpile_cache_.get(plan, device_);
   std::vector<Prng> rngs = batch_streams(options_.seed, evals);
   const int n_logical = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
   for_each_lowered(
-      plan, *routed, evals, threads,
+      plan, prog->routed, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
         // <Z_q> folds the one implicit group that measures every qubit:
         // ones[q] counts the shots that read q as 1.
         std::vector<std::int64_t> ones(static_cast<std::size_t>(n_logical));
         const std::uint64_t shots = measure(
-            t, n_logical, nullptr, rngs[k],
+            t, prog->physical, n_logical, nullptr, rngs[k],
             [&](std::size_t, std::uint64_t word) {
               for (int q = 0; q < n_logical; ++q) {
                 const std::uint64_t lbit =
@@ -885,7 +930,7 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto routed = transpile_cache_.get(plan, device_);
+  const auto prog = transpile_cache_.get(plan, device_);
   // One stream per evaluation; its groups then consume it sequentially
   // inside measure().
   std::vector<Prng> rngs = batch_streams(options_.seed, evals);
@@ -893,14 +938,14 @@ std::vector<double> NoisyBackend::execute_expect_batch(
   add_inferences(evals.size() * groups.size());
   std::vector<double> results(evals.size());
   for_each_lowered(
-      plan, *routed, evals, threads,
+      plan, prog->routed, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
         // odd[g][i]: group g's shots with odd parity under its term i.
         std::vector<std::vector<std::int64_t>> odd(groups.size());
         for (std::size_t g = 0; g < groups.size(); ++g)
           odd[g].assign(groups[g].terms.size(), 0);
         const std::uint64_t shots = measure(
-            t, observable.num_qubits(), &observable, rngs[k],
+            t, prog->physical, observable.num_qubits(), &observable, rngs[k],
             [&](std::size_t g, std::uint64_t word) {
               const auto& terms = groups[g].terms;
               for (std::size_t i = 0; i < terms.size(); ++i)

@@ -1,5 +1,6 @@
 #include "qoc/noise/device_model.hpp"
 
+#include <cmath>
 #include <deque>
 #include <stdexcept>
 
@@ -50,6 +51,9 @@ std::vector<int> DeviceModel::shortest_path(int from, int to) const {
 }
 
 void DeviceModel::validate() const {
+  // Every range check is written so that NaN fails it.
+  const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  const auto duration = [](double t) { return std::isfinite(t) && t >= 0.0; };
   if (n_qubits <= 0) throw std::invalid_argument("DeviceModel: n_qubits <= 0");
   if (static_cast<int>(qubits.size()) != n_qubits)
     throw std::invalid_argument("DeviceModel: calibration count mismatch");
@@ -58,14 +62,16 @@ void DeviceModel::validate() const {
       throw std::invalid_argument("DeviceModel: bad coupling edge");
   }
   for (const auto& q : qubits) {
-    if (q.t1_s <= 0 || q.t2_s <= 0)
-      throw std::invalid_argument("DeviceModel: non-positive T1/T2");
-    if (q.readout_err_0to1 < 0 || q.readout_err_0to1 > 1 ||
-        q.readout_err_1to0 < 0 || q.readout_err_1to0 > 1)
-      throw std::invalid_argument("DeviceModel: readout error out of range");
+    if (!(q.t1_s > 0.0) || !(q.t2_s > 0.0))
+      throw std::invalid_argument("DeviceModel: T1/T2 not > 0");
+    if (!probability(q.readout_err_0to1) || !probability(q.readout_err_1to0))
+      throw std::invalid_argument("DeviceModel: readout error out of [0, 1]");
   }
-  if (err_1q < 0 || err_1q > 1 || err_2q < 0 || err_2q > 1)
-    throw std::invalid_argument("DeviceModel: gate error out of range");
+  if (!probability(err_1q) || !probability(err_2q))
+    throw std::invalid_argument("DeviceModel: gate error out of [0, 1]");
+  if (!duration(gate_time_1q_s) || !duration(gate_time_2q_s) ||
+      !duration(readout_time_s))
+    throw std::invalid_argument("DeviceModel: duration not finite and >= 0");
 }
 
 namespace {

@@ -383,7 +383,7 @@ struct LoweredPlanBuilder {
 
 LoweredPlan::LoweredPlan(const RoutedTemplate& t,
                          std::span<const double> source_angles,
-                         int n_device_qubits,
+                         int n_qubits,
                          std::vector<BoundOp>* bound_out) {
   LoweredPlanBuilder b(*this);
   for (const auto& op : t.ops) {
@@ -407,7 +407,7 @@ LoweredPlan::LoweredPlan(const RoutedTemplate& t,
     top.id = op.id;
     ops_.push_back(std::move(top));
   }
-  stats_ = compute_stats(bound, n_device_qubits);
+  stats_ = compute_stats(bound, n_qubits);
   // The stream just built IS this binding's result; hand it to the
   // caller so a cache miss does not pay a redundant replay.
   if (bound_out != nullptr) *bound_out = std::move(bound);
@@ -501,7 +501,7 @@ Transpiled RoutedProgram::transpile(
   // every future evaluation of this pattern pay failed replay + fresh
   // trace forever.
   auto fresh = std::make_shared<const LoweredPlan>(
-      tmpl_, source_angles, n_device_qubits_, &out.ops);
+      tmpl_, source_angles, n_qubits_, &out.ops);
   out.stats = fresh->stats();
   {
     const common::MutexLock lock(mutex_);

@@ -363,6 +363,11 @@ TEST(NoisyBackend, RejectsBadOptions) {
   EXPECT_THROW(NoisyBackend(device, opt), std::invalid_argument);
   opt.noise_scale = 2.0;  // exactly 1 is a valid probability
   EXPECT_NO_THROW(NoisyBackend(device, opt));
+  // A NaN calibration fails DeviceModel::validate.
+  DeviceModel nan_readout = DeviceModel::ibmq_lima();
+  nan_readout.qubits[1].readout_err_0to1 =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(NoisyBackend(nan_readout, opt), std::invalid_argument);
   // The largest scale any caller uses keeps every catalog device valid.
   opt.noise_scale = 5.0;
   for (const auto& name : DeviceModel::available())

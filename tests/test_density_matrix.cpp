@@ -226,6 +226,11 @@ TEST(DensityMatrixBackend, RejectsBadOptions) {
                std::invalid_argument);
   opt.noise_scale = 2.0;  // exactly 1 is a valid probability
   EXPECT_NO_THROW(backend::DensityMatrixBackend(device, opt));
+  // A NaN calibration fails DeviceModel::validate.
+  noise::DeviceModel nan_err = lima;
+  nan_err.err_2q = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(backend::DensityMatrixBackend(nan_err, opt),
+               std::invalid_argument);
   // The largest scale any caller uses keeps every catalog device that
   // fits the density matrix valid.
   opt.noise_scale = 5.0;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "qoc/common/prng.hpp"
 #include "qoc/noise/channels.hpp"
@@ -197,6 +199,59 @@ TEST(DeviceModel, IdealDeviceIsNoiseFreeAllToAll) {
   for (int a = 0; a < 4; ++a)
     for (int b = 0; b < 4; ++b)
       if (a != b) EXPECT_TRUE(d.connected(a, b));
+}
+
+TEST(DeviceModel, ValidateRejectsNanAndOutOfRangeValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Field {
+    const char* name;
+    void (*set)(DeviceModel&, double);
+    std::vector<double> bad;
+  };
+  // T1 and T2 must be > 0, probabilities lie in [0, 1], and durations
+  // are finite and >= 0. NaN fails every check.
+  const std::vector<Field> fields = {
+      {"t1", [](DeviceModel& d, double v) { d.qubits[1].t1_s = v; },
+       {nan, 0.0, -1e-6}},
+      {"t2", [](DeviceModel& d, double v) { d.qubits[1].t2_s = v; },
+       {nan, 0.0, -1e-6}},
+      {"readout_err_0to1",
+       [](DeviceModel& d, double v) { d.qubits[1].readout_err_0to1 = v; },
+       {nan, -1e-9, 1.0 + 1e-9}},
+      {"readout_err_1to0",
+       [](DeviceModel& d, double v) { d.qubits[1].readout_err_1to0 = v; },
+       {nan, -1e-9, 1.0 + 1e-9}},
+      {"err_1q", [](DeviceModel& d, double v) { d.err_1q = v; },
+       {nan, -1e-9, 1.0 + 1e-9}},
+      {"err_2q", [](DeviceModel& d, double v) { d.err_2q = v; },
+       {nan, -1e-9, 1.0 + 1e-9}},
+      {"gate_time_1q_s", [](DeviceModel& d, double v) { d.gate_time_1q_s = v; },
+       {nan, -1e-9, inf}},
+      {"gate_time_2q_s", [](DeviceModel& d, double v) { d.gate_time_2q_s = v; },
+       {nan, -1e-9, inf}},
+      {"readout_time_s", [](DeviceModel& d, double v) { d.readout_time_s = v; },
+       {nan, -1e-9, inf}},
+  };
+  for (const auto& f : fields)
+    for (const double v : f.bad) {
+      DeviceModel d = DeviceModel::ibmq_lima();
+      f.set(d, v);
+      EXPECT_THROW(d.validate(), std::invalid_argument)
+          << f.name << " = " << v;
+    }
+  // The closed ends of every range are accepted, as is an infinite T1 or
+  // T2 (no relaxation).
+  DeviceModel edge = DeviceModel::ibmq_lima();
+  edge.qubits[0] = {inf, inf, 0.0, 1.0};
+  edge.qubits[1].readout_err_0to1 = 1.0;
+  edge.qubits[1].readout_err_1to0 = 0.0;
+  edge.err_1q = 0.0;
+  edge.err_2q = 1.0;
+  edge.gate_time_1q_s = 0.0;
+  edge.gate_time_2q_s = 0.0;
+  edge.readout_time_s = 0.0;
+  EXPECT_NO_THROW(edge.validate());
 }
 
 TEST(DeviceModel, AdjacencyMatchesCoupling) {

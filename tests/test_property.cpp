@@ -94,7 +94,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DeviceTaskCase{"ibmq_lima", "vowel4"},
                       DeviceTaskCase{"ibmq_casablanca", "mnist4"},
                       DeviceTaskCase{"ibmq_manila", "vowel4"},
-                      DeviceTaskCase{"ibmq_lima", "mnist2"}));
+                      DeviceTaskCase{"ibmq_lima", "mnist2"},
+                      DeviceTaskCase{"ibmq_toronto", "mnist4"},
+                      DeviceTaskCase{"ibmq_toronto", "vowel4"}));
 
 // ---- Failure injection ---------------------------------------------------------
 

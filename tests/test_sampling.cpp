@@ -557,4 +557,110 @@ TEST(SampledPins, NoisyBackendWithoutGateNoiseOrRelaxation) {
   }
 }
 
+// ---- Gap-device pins -------------------------------------------------------
+//
+// Every catalog device gives all its qubits one calibration, and every
+// task circuit on it touches a prefix of the physical qubits, where an
+// active-qubit index equals the physical one. So the pins above cannot
+// tell a noise or readout lookup by compact index from one by physical
+// index. These run on ibmq_lima rewired to the coupling 0-3, 3-1, 1-2,
+// 2-4, with its own T1, T2 and readout flips on every qubit:
+//  - RY.CX(0,1).RY: the CX routes through physical 3, so physical 2
+//    sits idle between the active qubits {0, 1, 3};
+//  - a 3-qubit circuit whose logical qubit 2 has no gate but is
+//    measured.
+// Recorded from the full-register simulation, before active-qubit
+// compaction.
+
+DeviceModel gap_device() {
+  DeviceModel d = DeviceModel::ibmq_lima();
+  d.coupling = {{0, 3}, {3, 1}, {1, 2}, {2, 4}};
+  for (std::size_t q = 0; q < d.qubits.size(); ++q) {
+    const double s = static_cast<double>(q);
+    d.qubits[q] = {(60.0 + 20.0 * s) * 1e-6, (45.0 + 10.0 * s) * 1e-6,
+                   0.01 + 0.015 * s, 0.02 + 0.02 * s};
+  }
+  d.validate();
+  return d;
+}
+
+std::vector<qoc::circuit::Circuit> gap_circuits() {
+  using qoc::circuit::ParamRef;
+  qoc::circuit::Circuit routed(2);
+  qoc::circuit::add_ry_layer(routed);
+  routed.cx(0, 1);
+  qoc::circuit::add_ry_layer(routed);
+  qoc::circuit::Circuit measured_idle(3);
+  for (const int q : {0, 1})
+    measured_idle.ry(q, ParamRef::trainable(measured_idle.new_trainable()));
+  measured_idle.cx(1, 0);
+  for (const int q : {0, 1})
+    measured_idle.ry(q, ParamRef::trainable(measured_idle.new_trainable()));
+  return {routed, measured_idle};
+}
+
+/// Both gap circuits, two bindings each: every run_batch <Z_q>, then the
+/// expect_batch energies of a Heisenberg observable on all the circuit's
+/// qubits (X and Y suffix groups). `make` returns a fresh backend for
+/// each call.
+template <class Make>
+std::vector<double> gap_pins(Make make) {
+  std::vector<double> out;
+  for (const auto& c : gap_circuits()) {
+    const auto plan = qoc::exec::CompiledCircuit::compile(c);
+    std::vector<std::vector<double>> thetas;
+    const auto evals = pin_evals(thetas, 2, c.num_trainable());
+    for (const auto& z : make().run_batch(plan, evals, 2))
+      out.insert(out.end(), z.begin(), z.end());
+    const auto e = make().expect_batch(
+        plan,
+        qoc::vqe::compile_observable(
+            qoc::vqe::Hamiltonian::heisenberg(c.num_qubits(), 0.7)),
+        evals, 2);
+    out.insert(out.end(), e.begin(), e.end());
+  }
+  return out;
+}
+
+TEST(SampledPins, GapDeviceNoisyBackendAtLaneWidths1And8) {
+  // 5 trajectories are one padded lane group, 12 a full group plus a
+  // padded one; lanes = 1 runs both on the scalar loop.
+  const std::map<int, std::vector<std::uint64_t>> want = {
+      {5, {0x3fe2f2f2f2f2f2f3ULL, 0x3fe7777777777777ULL, 0x3fd3535353535353ULL,
+           0x3febfbfbfbfbfbfcULL, 0x3fda2d6093c6fa2dULL, 0x3fd703d09d6a3703ULL,
+           0xbfc5959595959596ULL, 0x3fe2323232323232ULL, 0x3fec3c3c3c3c3c3cULL,
+           0x3fe2323232323232ULL, 0x3fb9191919191919ULL, 0x3febbbbbbbbbbbbcULL,
+           0x3fd24578abdf1245ULL, 0x3fe4e81b4e81b4e6ULL}},
+      {12, {0x3fe28a28a28a28a3ULL, 0x3fe3cf3cf3cf3cf4ULL, 0x3fd0c30c30c30c31ULL,
+            0x3febefbefbefbefcULL, 0x3fd27d27d27d27d2ULL, 0x3fd3e93e93e93e94ULL,
+            0xbfc4514514514514ULL, 0x3fdb6db6db6db6dbULL, 0x3feb2cb2cb2cb2cbULL,
+            0x3fe28a28a28a28a3ULL, 0x3fd1451451451451ULL, 0x3fec71c71c71c71cULL,
+            0x3fd2222222222222ULL, 0x3fde93e93e93e93dULL}}};
+  for (const auto& [trajectories, pins] : want)
+    for (const int lanes : {1, 8}) {
+      SCOPED_TRACE("trajectories=" + std::to_string(trajectories) +
+                   " lanes=" + std::to_string(lanes));
+      NoisyBackendOptions opt;
+      opt.trajectories = trajectories;
+      opt.shots = 256;
+      opt.seed = 0x6A9DEULL;
+      opt.noise_scale = 2.0;
+      opt.batch_lanes = lanes;
+      expect_pins(gap_pins([&] { return NoisyBackend(gap_device(), opt); }),
+                  pins);
+    }
+}
+
+TEST(SampledPins, GapDeviceDensityMatrixBackend) {
+  DensityMatrixBackend::Options opt;
+  opt.noise_scale = 2.0;
+  expect_pins(
+      gap_pins([&] { return DensityMatrixBackend(gap_device(), opt); }),
+      {0x3fe518722f4f5f6eULL, 0x3fe465546a6291cbULL, 0x3fd1b8671719fa9aULL,
+       0x3feaedee93ee176cULL, 0x3fd8486a2e4734b2ULL, 0x3fd05d95d2f05d4fULL,
+       0xbfd184fdb290f510ULL, 0x3fd9f318cb7b5572ULL, 0x3feae147ae147ae7ULL,
+       0x3fe12d81c3c1043eULL, 0x3fc8575485956d50ULL, 0x3feae147ae147ae8ULL,
+       0x3fd9e43298f4751dULL, 0x3fe31cb6f43d21daULL});
+}
+
 }  // namespace
