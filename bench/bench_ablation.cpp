@@ -1,5 +1,5 @@
-// Ablation benches for the design choices DESIGN.md calls out (beyond the
-// paper's own ablations in Fig. 7):
+// Ablation benches for three modelling choices of this reproduction
+// (beyond the paper's own ablations in Fig. 7):
 //
 //  (1) noise-component ablation: how much each modelled noise source
 //      (gate depolarizing / thermal relaxation / readout) contributes to

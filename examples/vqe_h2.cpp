@@ -9,7 +9,10 @@
 // Build & run:   ./build/vqe_h2
 
 #include <cstdio>
+#include <memory>
 
+#include "qoc/backend/backend.hpp"
+#include "qoc/noise/device_model.hpp"
 #include "qoc/vqe/vqe.hpp"
 
 int main() {
@@ -41,11 +44,14 @@ int main() {
                 static_cast<unsigned long long>(res.total_executions));
   }
 
-  // Run 2: sampled + noisy estimator with PGP (the on-chip setting).
+  // Run 2: the on-chip setting -- PGP with 512 shots per measured group
+  // on the simulated ibmq_santiago. Its noise lifts every energy above
+  // the ideal ground state, so the reference is the same solve on the
+  // device's exact density-matrix oracle.
   {
-    EstimatorOptions opt;
+    const noise::DeviceModel device = noise::DeviceModel::ibmq_santiago();
+    backend::NoisyBackendOptions opt;
     opt.shots = 512;
-    opt.gate_noise = 2e-3;
     opt.seed = 17;
     VqeConfig cfg;
     cfg.steps = 60;
@@ -54,12 +60,23 @@ int main() {
     cfg.pruner.accumulation_window = 1;
     cfg.pruner.pruning_window = 2;
     cfg.pruner.ratio = 0.5;
-    VqeSolver solver(EnergyEstimator(h2, opt), ansatz, cfg);
+    VqeSolver solver(
+        EnergyEstimator(h2,
+                        std::make_shared<backend::NoisyBackend>(device, opt)),
+        ansatz, cfg);
     const VqeResult res = solver.run();
-    std::printf("512 shots + noise + PGP     : E = %.6f "
+    VqeSolver oracle(
+        EnergyEstimator(
+            h2, std::make_shared<backend::DensityMatrixBackend>(device)),
+        ansatz, cfg);
+    const VqeResult ref = oracle.run();
+    std::printf("%s, 512 shots + PGP: E = %.6f "
                 "(error %.2e, %llu executions)\n",
-                res.best_energy, res.best_energy - exact,
+                device.name.c_str(), res.best_energy, res.best_energy - exact,
                 static_cast<unsigned long long>(res.total_executions));
+    std::printf("  density-matrix solve on the same device: E = %.6f "
+                "(error %.2e)\n",
+                ref.best_energy, ref.best_energy - exact);
   }
 
   // Bonus: transverse-field Ising chain on 4 qubits.

@@ -140,6 +140,14 @@ class Backend {
     return execute_expect_batch(plan, observable, evals, threads);
   }
 
+  /// Compile-or-reuse a plan for `c`, keyed on exec::structure_hash and
+  /// confirmed with exec::structure_equal on every hit. The circuit-based
+  /// run() path and vqe::EnergyEstimator share it. The cache is cleared
+  /// when it outgrows a fixed cap, so callers that generate unbounded
+  /// families of circuits cannot leak. Thread-safe.
+  std::shared_ptr<const exec::CompiledCircuit> plan_cached(
+      const circuit::Circuit& c);
+
   virtual std::string name() const = 0;
 
   /// True when this backend's results are a pure function of the
@@ -215,14 +223,6 @@ class Backend {
   std::vector<Prng> batch_streams(std::uint64_t seed,
                                   std::span<const exec::Evaluation> evals);
 
-  /// Compile-or-reuse a plan for `c`, keyed on exec::structure_hash and
-  /// confirmed with exec::structure_equal on every hit. Lets the
-  /// circuit-based run() path share all plan-level caching. The cache is
-  /// cleared when it outgrows a fixed cap, so callers that generate
-  /// unbounded families of circuits cannot leak.
-  std::shared_ptr<const exec::CompiledCircuit> plan_cached(
-      const circuit::Circuit& c);
-
  private:
   std::atomic<std::uint64_t> inferences_{0};
   std::atomic<std::uint64_t> serials_{0};
@@ -237,7 +237,8 @@ class Backend {
 struct StatevectorBackendOptions {
   int shots = 0;
   std::uint64_t seed = 0x51A7E7EC7ULL;
-  /// Evaluation-major (k-wide) lane policy for the batch paths:
+  /// Evaluation-major (k-wide) lane policy for run_batch and exact
+  /// expect_batch:
   /// -1 defers to the static lane table (default), 0 or 1 forces the scalar
   /// per-evaluation path (kill switch), >= 2 pins the lane width
   /// (clamped even, <= 32). The QOC_BATCH_LANES environment variable
@@ -255,8 +256,9 @@ struct StatevectorBackendOptions {
 /// evaluations at a time on a sim::BatchedStatevector lane group
 /// (vectorizing across bindings); the scalar path handles the tail and
 /// remains the bitwise oracle -- lane-grouped results are bit-identical
-/// to per-evaluation execution, and sampled mode draws from the same
-/// per-evaluation streams either way.
+/// to per-evaluation execution, and sampled run_batch draws from the
+/// same per-evaluation streams either way. Sampled expect_batch always
+/// runs the scalar path.
 class StatevectorBackend final : public Backend {
  public:
   explicit StatevectorBackend(int shots = 0,

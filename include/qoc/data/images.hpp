@@ -8,8 +8,12 @@
 // (distinct oriented strokes/blobs per class, in the spirit of digit /
 // garment silhouettes) with per-example jitter and pixel noise. The
 // difficulty knob controls inter-class separation so tasks land in the
-// paper's accuracy regimes (2-class "easy", 4-class "hard"). See DESIGN.md
-// for why this substitution preserves the studied behaviour.
+// paper's accuracy regimes (2-class "easy", 4-class "hard"). What the
+// paper studies -- how noisy on-chip gradients and pruning affect
+// training -- sees an image only through the 16 encoder angles of this
+// pipeline, so it depends on the task's class count and separability,
+// which the stand-ins set, not on the pixels of real digits or garments.
+// Absolute accuracies on the real datasets they cannot reproduce.
 
 #include <cstdint>
 #include <vector>

@@ -22,10 +22,10 @@
 //
 // A plan is one lowering of one source circuit, so its identity is the
 // source's structure: every per-structure cache (Backend::plan_cached,
-// the transpiling backends' routed templates, the serve registry,
-// vqe::EnergyEstimator's ansatz plan) probes with structure_hash and
-// confirms each hit with structure_equal, so an entry is reused exactly
-// when the circuit structure is unchanged.
+// the transpiling backends' routed templates, the serve registry)
+// probes with structure_hash and confirms each hit with
+// structure_equal, so an entry is reused exactly when the circuit
+// structure is unchanged.
 
 #include <cstdint>
 #include <span>

@@ -120,11 +120,7 @@ class CompiledObservable {
   double group_energy_from_counts(const sim::ShotCounts& counts,
                                   std::size_t g) const;
 
-  /// Exact energy contribution of group g from a state already rotated
-  /// by apply_suffix (the shots == 0 noisy-estimator path).
-  double group_energy_exact(const sim::Statevector& psi, std::size_t g) const;
-
-  // apply_suffix, apply_suffix_lanes and both group_energy_* calls throw
+  // apply_suffix, apply_suffix_lanes and group_energy_from_counts throw
   // std::out_of_range for g >= groups().size().
 
   /// Sample-bit mask convention: qubit q contributes bit (n-1-q), the

@@ -24,6 +24,9 @@ struct PauliTerm {
 
 class Hamiltonian {
  public:
+  /// Throws std::invalid_argument unless 1 <= n_qubits <= 10 and every
+  /// term has n_qubits characters from {I, X, Y, Z} and a finite
+  /// coefficient.
   Hamiltonian(int n_qubits, std::vector<PauliTerm> terms);
 
   int num_qubits() const { return n_qubits_; }
@@ -65,7 +68,7 @@ class Hamiltonian {
 /// measurement program (see exec::CompiledObservable): identity terms
 /// fold into a constant, the rest pack into qubit-wise commuting groups
 /// with one basis-change suffix each. This is what
-/// Backend::expect_batch and the EnergyEstimator consume.
+/// Backend::expect_batch consumes; EnergyEstimator holds one.
 exec::CompiledObservable compile_observable(const Hamiltonian& hamiltonian);
 
 }  // namespace qoc::vqe

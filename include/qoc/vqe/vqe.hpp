@@ -4,27 +4,24 @@
 // pruning, demonstrating the paper's claim that the techniques apply
 // beyond QNNs.
 //
-// The energy estimator mimics a hardware measurement pipeline: the
-// ansatz state is sampled with a finite shot budget, one measured
-// execution per qubit-wise-commuting group of Pauli terms (term
-// expectation = average parity of the relevant bits after the group's
-// basis change), with optional per-gate depolarizing noise -- or, with
-// shots = 0, exact expectations for noise-free experiments.
-//
-// Bind once, run many: the estimator compiles the ansatz into an
-// exec::CompiledCircuit and the Hamiltonian into an
-// exec::CompiledObservable the first time it sees each structure, and
-// whole energy / parameter-shift sweeps are submitted as one energies()
-// batch fanned over the shared thread pool. Exact noise-free results
-// are bit-identical to the pre-batching per-term path.
+// Energies are measured on a backend::Backend, the same execution
+// surface QNN training uses: EnergyEstimator compiles the Hamiltonian
+// into an exec::CompiledObservable once and submits every energy /
+// parameter-shift sweep as one Backend::expect_batch call against the
+// backend's cached plan of the ansatz. The backend decides how <H> is
+// measured: StatevectorBackend exactly (shots = 0) or with one sampled
+// execution per qubit-wise-commuting group of Pauli terms, NoisyBackend
+// as noisy trajectories on a device model, DensityMatrixBackend as the
+// exact noisy oracle of that device. Exact statevector energies are
+// bit-identical to the per-term vqe::Hamiltonian::expectation loop.
 
 #include <cstdint>
-#include <functional>
-#include <optional>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
-#include "qoc/common/prng.hpp"
 #include "qoc/exec/compiled_circuit.hpp"
 #include "qoc/exec/observable.hpp"
 #include "qoc/train/optimizer.hpp"
@@ -33,18 +30,26 @@
 
 namespace qoc::vqe {
 
+/// Configuration of the estimator's own StatevectorBackend.
 struct EstimatorOptions {
-  int shots = 0;            // 0 = exact expectation values
-  double gate_noise = 0.0;  // depolarizing probability injected per gate
+  int shots = 0;  // 0 = exact expectation values
   std::uint64_t seed = 0xE57ULL;
 };
 
-/// Evaluates <H> for a bound ansatz. Each energy() call counts the number
-/// of circuit executions consumed (one per measurement basis -- i.e. per
-/// commuting group -- when sampling or noisy; one when exact).
+/// Evaluates <H> for a bound ansatz on a backend. Each call consumes the
+/// backend's inferences under Backend::expect_batch's accounting: one
+/// per commuting group per evaluation when sampling, one per evaluation
+/// when a single execution yields every term.
 class EnergyEstimator {
  public:
+  /// Measures on a StatevectorBackend(options.shots, options.seed).
   EnergyEstimator(Hamiltonian hamiltonian, EstimatorOptions options = {});
+
+  /// Measures on `backend`, e.g. a NoisyBackend or DensityMatrixBackend
+  /// over a catalog device. Copies of the estimator share it. Throws
+  /// std::invalid_argument when `backend` is null.
+  EnergyEstimator(Hamiltonian hamiltonian,
+                  std::shared_ptr<backend::Backend> backend);
 
   const Hamiltonian& hamiltonian() const { return hamiltonian_; }
 
@@ -52,47 +57,24 @@ class EnergyEstimator {
   double energy(const circuit::Circuit& ansatz,
                 std::span<const double> theta);
 
-  /// Batched energies: one result per evaluation of the compiled ansatz
-  /// ((theta, input) binding plus optional single-op parameter shift,
-  /// exactly as Backend::run_batch consumes them). Evaluations fan over
-  /// up to `threads` workers of the shared pool (0 = one per hardware
-  /// core). Per-evaluation PRNG streams are assigned in submission
-  /// order and consumed sequentially inside each evaluation, so results
-  /// are deterministic and independent of the thread count.
+  /// Batched energies: one result per evaluation of the ansatz ((theta,
+  /// input) binding plus optional single-op parameter shift), computed
+  /// by Backend::expect_batch over up to `threads` workers of the shared
+  /// pool (0 = one per hardware core). Its determinism contract applies:
+  /// results are bit-identical for every thread count.
   std::vector<double> energies(const circuit::Circuit& ansatz,
                                std::span<const exec::Evaluation> evals,
                                unsigned threads = 1);
 
-  /// Circuit executions consumed so far (the VQE analogue of Fig. 6's
-  /// #inference axis).
-  std::uint64_t executions() const { return executions_; }
+  /// The backend's Backend::inference_count: circuit executions consumed
+  /// so far (the VQE analogue of Fig. 6's #inference axis), including
+  /// any other work submitted to a shared backend.
+  std::uint64_t executions() const { return backend_->inference_count(); }
 
  private:
-  /// Per-worker-chunk scratch (angle buffers, statevectors, sampler), hoisted
-  /// out of the per-evaluation loop; defined in vqe.cpp.
-  struct Scratch;
-
-  /// Compile-or-reuse the plan for this ansatz structure.
-  void ensure_compiled(const circuit::Circuit& ansatz);
-
-  /// <H> for one evaluation; draws (noise events, then shot samples)
-  /// come sequentially from `rng` only.
-  double energy_one(const exec::Evaluation& e, Prng& rng,
-                    Scratch& scratch) const;
-
-  /// Noisy state preparation into `sv` (reset first): uncompiled walk of
-  /// the source circuit with one depolarizing event per touched qubit
-  /// per gate (the pre-plan arithmetic, kept so noise applies per source
-  /// gate).
-  void prepare_noisy(std::span<const double> angles, Prng& rng,
-                     sim::Statevector& sv) const;
-
   Hamiltonian hamiltonian_;
-  EstimatorOptions options_;
-  Prng rng_;
-  std::uint64_t executions_ = 0;
-  std::optional<exec::CompiledCircuit> plan_;  // current ansatz structure
   exec::CompiledObservable observable_;
+  std::shared_ptr<backend::Backend> backend_;
 };
 
 struct VqeConfig {
@@ -104,13 +86,12 @@ struct VqeConfig {
   train::PrunerConfig pruner;
   std::uint64_t seed = 1;
   /// Worker threads for the batched energy sweeps the solver submits
-  /// (every gradient is one EnergyEstimator::energies call): 1 =
-  /// sequential, 0 = one worker per hardware core, n = at most n
-  /// workers of the shared qoc::common::ThreadPool. Inherits the
-  /// Backend::run_batch / expect_batch determinism contract —
-  /// per-evaluation PRNG streams are assigned in submission order, so
-  /// a VQE trajectory is bit-reproducible for every value of
-  /// `threads`, and changing `threads` changes wall-clock only.
+  /// (every gradient is one EnergyEstimator::energies call, so one
+  /// Backend::expect_batch): 1 = sequential, 0 = one worker per
+  /// hardware core, n = at most n workers of the shared
+  /// qoc::common::ThreadPool. expect_batch's determinism contract makes
+  /// a VQE trajectory bit-reproducible for every value of `threads`, so
+  /// changing `threads` changes wall-clock only.
   unsigned threads = 1;
 };
 

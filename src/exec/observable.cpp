@@ -192,19 +192,4 @@ double CompiledObservable::group_energy_from_counts(
   return e;
 }
 
-double CompiledObservable::group_energy_exact(const sim::Statevector& psi,
-                                              std::size_t g) const {
-  double e = 0.0;
-  const auto& amps = psi.amplitudes();
-  for (const auto& term : group(g).terms) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < amps.size(); ++i) {
-      const double p = std::norm(amps[i]);
-      acc += (std::popcount(i & term.z_mask) & 1) ? -p : p;
-    }
-    e += term.coeff * acc;
-  }
-  return e;
-}
-
 }  // namespace qoc::exec

@@ -1,5 +1,6 @@
 #include "qoc/vqe/hamiltonian.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "qoc/linalg/eigen.hpp"
@@ -32,6 +33,8 @@ Hamiltonian::Hamiltonian(int n_qubits, std::vector<PauliTerm> terms)
       throw std::invalid_argument(
           "Hamiltonian: term length must equal n_qubits");
     for (const char c : t.paulis) pauli_index(c);  // validates
+    if (!std::isfinite(t.coeff))
+      throw std::invalid_argument("Hamiltonian: coefficient is not finite");
   }
 }
 

@@ -266,27 +266,6 @@ TEST(ThreadInvariance, NoisyExpectBatch) {
   EXPECT_EQ(seq, run_with(0));
 }
 
-TEST(ThreadInvariance, EstimatorEnergiesSampledNoisy) {
-  const vqe::Hamiltonian h = vqe::Hamiltonian::h2_minimal();
-  const auto ansatz = vqe::VqeSolver::hardware_efficient_ansatz(2, 2);
-  Prng rng(15);
-  std::vector<double> theta(static_cast<std::size_t>(ansatz.num_trainable()));
-  for (auto& t : theta) t = rng.uniform(-1.0, 1.0);
-  std::vector<exec::Evaluation> evals(8, make_eval(theta, {}));
-
-  vqe::EstimatorOptions opt;
-  opt.shots = 128;
-  opt.gate_noise = 5e-3;
-  opt.seed = 77;
-  auto run_with = [&](unsigned threads) {
-    vqe::EnergyEstimator est(h, opt);
-    return est.energies(ansatz, evals, threads);
-  };
-  const auto seq = run_with(1);
-  EXPECT_EQ(seq, run_with(4));
-  EXPECT_EQ(seq, run_with(0));
-}
-
 TEST(ThreadInvariance, VqeSolverHistoryMatchesAcrossThreadCounts) {
   const vqe::Hamiltonian h = vqe::Hamiltonian::h2_minimal();
   auto run_with = [&](unsigned threads) {

@@ -384,12 +384,12 @@ std::vector<qoc::exec::Evaluation> pin_evals(
   return evals;
 }
 
-/// EnergyEstimator energies of three bindings, Heisenberg-4, 1024 shots.
-std::vector<double> estimator_pins(double gate_noise) {
+/// EnergyEstimator energies of three bindings, Heisenberg-4, 1024 shots,
+/// drawn from its StatevectorBackend's stream_prng streams.
+std::vector<double> estimator_pins() {
   const auto ansatz = qoc::vqe::VqeSolver::hardware_efficient_ansatz(4, 2);
   qoc::vqe::EstimatorOptions opt;
   opt.shots = 1024;
-  opt.gate_noise = gate_noise;
   opt.seed = 0x5A3DULL;
   qoc::vqe::EnergyEstimator est(qoc::vqe::Hamiltonian::heisenberg(4, 0.7),
                                 opt);
@@ -451,15 +451,9 @@ void expect_pins(const std::vector<double>& got,
 }
 
 TEST(SampledPins, EnergyEstimator) {
-  expect_pins(estimator_pins(0.0),
-              {0x3fcbd33333333331ULL, 0xbfbfd9999999999bULL,
-               0xbf96666666666668ULL});
-}
-
-TEST(SampledPins, EnergyEstimatorGateNoise) {
-  expect_pins(estimator_pins(0.02),
-              {0xbfb8266666666666ULL, 0xbfd9333333333334ULL,
-               0x3f86666666666610ULL});
+  expect_pins(estimator_pins(),
+              {0x3fb719999999999cULL, 0xbfa6666666666672ULL,
+               0x3f90ccccccccccc8ULL});
 }
 
 TEST(SampledPins, StatevectorBackendAtLaneWidths1And8) {

@@ -62,6 +62,19 @@ says what*. This linter makes them mechanical:
                       time_points/durations is fine; it is the
                       `steady_clock` spelling that is confined.
 
+  backend-only-execution
+                      The paper's layer (src/train, src/qml, src/vqe and
+                      their headers) executes circuits only through a
+                      backend::Backend, so it never constructs a
+                      sim::Statevector, sim::BatchedStatevector or
+                      sim::DensityMatrix. A private simulator there is a
+                      second execution engine: its draws, noise and
+                      inference counts escape the backends' stream rule
+                      and accounting. References and pointers to states
+                      are fine. src/vqe/hamiltonian.cpp is exempt: it
+                      holds the reference Hamiltonian::expectation that
+                      tests compare the backends against.
+
 Comments and string literals are stripped before pattern matching, so
 documentation mentioning a forbidden construct does not trip the rules.
 
@@ -304,6 +317,30 @@ def rule_obs_clock(root, files):
                 "clock read is auditable as pure observation")
 
 
+ENGINE_LAYERS = ("src/train/", "src/qml/", "src/vqe/",
+                 "include/qoc/train/", "include/qoc/qml/",
+                 "include/qoc/vqe/")
+ENGINE_EXEMPT = {"src/vqe/hamiltonian.cpp"}
+# A state type named as a value (a variable, member, temporary or
+# container element), not as a reference, pointer or scope.
+SIM_STATE = re.compile(
+    r"\bsim::(?:Statevector|BatchedStatevector|DensityMatrix)\b"
+    r"(?!\s*(?:[&*]|::))")
+
+
+def rule_backend_only_execution(root, files):
+    for path, text in files.items():
+        if not path.startswith(ENGINE_LAYERS) or path in ENGINE_EXEMPT:
+            continue
+        for line in find_lines(SIM_STATE, text):
+            yield Violation(
+                "backend-only-execution", path, line,
+                "simulator state constructed outside a backend; execute "
+                "through backend::Backend (run_batch / expect_batch) so "
+                "draws follow the stream rule and every execution is an "
+                "inference")
+
+
 RULES = [
     rule_kernel_flags,
     rule_avx2_containment,
@@ -312,6 +349,7 @@ RULES = [
     rule_kernel_fma,
     rule_raw_mutex,
     rule_obs_clock,
+    rule_backend_only_execution,
 ]
 
 RULE_NAMES = [
@@ -322,6 +360,7 @@ RULE_NAMES = [
     "kernel-fma",
     "raw-mutex",
     "obs-clock",
+    "backend-only-execution",
 ]
 
 
@@ -351,6 +390,7 @@ EXPECTED_FIXTURE_HITS = {
     "kernel-fma": {"src/sim/fixture_kernel.cpp"},
     "raw-mutex": {"include/qoc/fixture/fixture_raw_lock.hpp"},
     "obs-clock": {"src/exec/fixture_raw_clock.cpp"},
+    "backend-only-execution": {"src/vqe/fixture_private_engine.cpp"},
 }
 
 
@@ -366,11 +406,11 @@ def self_test():
         expected = EXPECTED_FIXTURE_HITS[rule]
         got = hits.get(rule, set())
         if got == expected:
-            print("self-test: rule %-18s fires on %s: OK" %
+            print("self-test: rule %-22s fires on %s: OK" %
                   (rule, ", ".join(sorted(expected))))
         else:
             ok = False
-            print("self-test: rule %-18s FAILED: expected %s, got %s" %
+            print("self-test: rule %-22s FAILED: expected %s, got %s" %
                   (rule, sorted(expected), sorted(got)))
     unexpected = set(hits) - set(RULE_NAMES)
     if unexpected:
