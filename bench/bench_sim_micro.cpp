@@ -18,7 +18,6 @@
 #include "qoc/sim/kernels.hpp"
 #include "qoc/sim/statevector.hpp"
 #include "qoc/train/param_shift.hpp"
-#include "qoc/transpile/lowered_cache.hpp"
 #include "qoc/transpile/transpile.hpp"
 
 namespace {
@@ -396,8 +395,9 @@ void BM_RunBatchRaggedTail(benchmark::State& state) {
 BENCHMARK(BM_RunBatchRaggedTail)->Arg(128)->Arg(132);
 
 void BM_TranspileWithTemplate(benchmark::State& state) {
-  // Cached routing (the run_batch path) vs BM_TranspileTaskCircuit's full
-  // pipeline.
+  // Cached routing vs BM_TranspileTaskCircuit's full pipeline: this is
+  // the per-binding lowering NoisyBackend and DensityMatrixBackend run
+  // for every evaluation.
   const qml::QnnModel model = qml::make_fashion4_model();
   Prng rng(3);
   const auto theta = model.init_params(rng);
@@ -414,28 +414,6 @@ void BM_TranspileWithTemplate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TranspileWithTemplate);
-
-void BM_TranspileWithProgramCache(benchmark::State& state) {
-  // The zero-angle-pattern lowered-stream cache on top of the routed
-  // template (the path NoisyBackend/DensityMatrixBackend batches take):
-  // after the first binding of a pattern, per-evaluation work is recipe
-  // replay + decision validation instead of lower_to_basis + optimize.
-  const qml::QnnModel model = qml::make_fashion4_model();
-  Prng rng(3);
-  const auto theta = model.init_params(rng);
-  const std::vector<double> input(16, 0.5);
-  const auto device = noise::DeviceModel::ibmq_manila();
-  const transpile::RoutedProgram prog(
-      transpile::route_template(model.circuit(), device), device.n_qubits);
-  std::vector<double> angles;
-  for (auto _ : state) {
-    model.plan().resolve_source_angles(theta, input,
-                                       exec::Evaluation::kNoShift, 0.0,
-                                       angles);
-    benchmark::DoNotOptimize(prog.transpile(angles));
-  }
-}
-BENCHMARK(BM_TranspileWithProgramCache);
 
 void BM_NoisyBackendRunBatch(benchmark::State& state) {
   const qml::QnnModel model = qml::make_mnist2_model();

@@ -49,7 +49,6 @@
 #include "qoc/noise/channels.hpp"
 #include "qoc/noise/device_model.hpp"
 #include "qoc/obs/obs.hpp"
-#include "qoc/transpile/lowered_cache.hpp"
 #include "qoc/transpile/transpile.hpp"
 
 namespace qoc::backend {
@@ -374,14 +373,14 @@ struct NoiseModel {
   }
 };
 
-/// A routed program over the active qubits of its plan; defined in
+/// A routed template over the active qubits of its plan; defined in
 /// backend.cpp.
 struct ActiveProgram;
 
 /// Device routing computed once per circuit structure and reused for
-/// every binding (see transpile::RoutedTemplate), bundled with the
-/// per-zero-angle-pattern lowered-stream cache
-/// (transpile::RoutedProgram). Shared by the two transpiling backends.
+/// every binding (see transpile::RoutedTemplate). Shared by the two
+/// transpiling backends, which finish the pipeline for each binding with
+/// transpile::transpile_with_angles.
 ///
 /// Each entry is relabelled onto its plan's active qubits once, when it
 /// is routed: the routed template's operand qubits plus final_layout (a

@@ -7,6 +7,9 @@
 // directly reducing the noise a circuit accrues (every eliminated CX is
 // ~1% error on 2021-era hardware).
 //
+// Each pass takes its stream by value and moves ops through, so a caller
+// that hands over an rvalue pays no copy of the stream.
+//
 // Passes (all semantics-preserving up to global phase):
 //   * merge_rz      -- fuse runs of RZ on the same qubit into one; drop
 //                      angles that are 0 (mod 2 pi)
@@ -22,21 +25,19 @@
 namespace qoc::transpile {
 
 /// True when `angle` is 0 (mod 2 pi) within the pipeline's tolerance.
-/// THE canonical zero test: lowering elision, merge_rz cleanup and the
-/// RoutedProgram replay validation all share this single definition --
-/// the cache's bit-identical-replay contract depends on them agreeing.
+/// The one zero test: lowering elision and merge_rz cleanup share it.
 bool rz_angle_is_zero(double angle);
 
 /// Fuse consecutive RZ rotations per qubit (they commute with nothing in
 /// between on that qubit's timeline); elide zero rotations.
-std::vector<BoundOp> merge_rz(const std::vector<BoundOp>& ops);
+std::vector<BoundOp> merge_rz(std::vector<BoundOp> ops);
 
 /// Cancel adjacent CX pairs with identical (control, target). A virtual
 /// RZ on the *control* qubit commutes through CX and does not block
 /// cancellation; any other interposed gate does.
-std::vector<BoundOp> cancel_cx(const std::vector<BoundOp>& ops);
+std::vector<BoundOp> cancel_cx(std::vector<BoundOp> ops);
 
 /// Iterate merge_rz + cancel_cx until no further reduction.
-std::vector<BoundOp> optimize(const std::vector<BoundOp>& ops);
+std::vector<BoundOp> optimize(std::vector<BoundOp> ops);
 
 }  // namespace qoc::transpile

@@ -130,7 +130,10 @@ RoutedTemplate route_template(const circuit::Circuit& c,
 /// Finish the pipeline for one binding: substitute per-source-op angles
 /// (from exec::CompiledCircuit::resolve_source_angles or equivalent),
 /// lower to the device basis and optimize. Produces output bit-identical
-/// to transpile() on the same circuit and binding.
+/// to transpile() on the same circuit and binding. This is the one
+/// per-binding lowering of both device backends; a template relabelled
+/// onto a subset of the device's qubits (see backend::TranspileCache)
+/// lowers the same way.
 Transpiled transpile_with_angles(const RoutedTemplate& t,
                                  std::span<const double> source_angles,
                                  const noise::DeviceModel& device);

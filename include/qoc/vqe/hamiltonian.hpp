@@ -24,9 +24,9 @@ struct PauliTerm {
 
 class Hamiltonian {
  public:
-  /// Throws std::invalid_argument unless 1 <= n_qubits <= 10 and every
-  /// term has n_qubits characters from {I, X, Y, Z} and a finite
-  /// coefficient.
+  /// Throws std::invalid_argument unless 1 <= n_qubits <= 30 (the
+  /// CompiledObservable range) and every term has n_qubits characters
+  /// from {I, X, Y, Z} and a finite coefficient.
   Hamiltonian(int n_qubits, std::vector<PauliTerm> terms);
 
   int num_qubits() const { return n_qubits_; }
@@ -39,10 +39,12 @@ class Hamiltonian {
   double term_expectation(const sim::Statevector& psi,
                           const PauliTerm& term) const;
 
-  /// Dense matrix representation (n <= 10), for exact diagonalisation.
+  /// Dense matrix representation, for exact diagonalisation. Throws
+  /// std::invalid_argument above 10 qubits.
   linalg::Matrix to_matrix() const;
 
-  /// Exact ground-state energy via the Jacobi eigensolver.
+  /// Exact ground-state energy via the Jacobi eigensolver (to_matrix's
+  /// 10-qubit limit applies).
   double exact_ground_energy() const;
 
   // ---- Model Hamiltonians --------------------------------------------------

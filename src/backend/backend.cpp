@@ -81,13 +81,12 @@ std::vector<double> Backend::execute_expect_batch(
 // TranspileCache
 // ---------------------------------------------------------------------------
 
-/// A plan's routed program relabelled onto its m active qubits (see
+/// A plan's routed template relabelled onto its m active qubits (see
 /// TranspileCache): its ops and final_layout index active qubits, and
 /// active qubit q is physical qubit physical[q].
 struct ActiveProgram {
-  ActiveProgram(transpile::RoutedTemplate tmpl, int n_device)
-      : physical(relabel(tmpl, n_device)),
-        routed(std::move(tmpl), n_active()) {}
+  ActiveProgram(transpile::RoutedTemplate routed, int n_device)
+      : physical(relabel(routed, n_device)), tmpl(std::move(routed)) {}
 
   int n_active() const { return static_cast<int>(physical.size()); }
 
@@ -113,7 +112,7 @@ struct ActiveProgram {
   }
 
   std::vector<int> physical;
-  transpile::RoutedProgram routed;
+  transpile::RoutedTemplate tmpl;
 };
 
 std::shared_ptr<const ActiveProgram> TranspileCache::get(
@@ -651,12 +650,13 @@ double pm_mean(std::int64_t minus, std::uint64_t shots) {
 }
 
 /// The per-evaluation transpile loop of both device backends: resolves
-/// each evaluation's source angles, finishes the plan's routed program
+/// each evaluation's source angles, lowers the plan's routed template
 /// for them and calls body(k, lowered) for evaluation k, fanned over
 /// `threads` pool workers.
 template <class Body>
 void for_each_lowered(const exec::CompiledCircuit& plan,
-                      const transpile::RoutedProgram& routed,
+                      const ActiveProgram& prog,
+                      const noise::DeviceModel& device,
                       std::span<const exec::Evaluation> evals,
                       unsigned threads, Body&& body) {
   parallel_for_chunked(
@@ -667,7 +667,8 @@ void for_each_lowered(const exec::CompiledCircuit& plan,
           const auto& e = evals[k];
           plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
                                      angles);
-          body(k, routed.transpile(angles));
+          body(k,
+               transpile::transpile_with_angles(prog.tmpl, angles, device));
         }
       },
       threads);
@@ -698,7 +699,7 @@ std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
   const int n_logical = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
   for_each_lowered(
-      plan, prog->routed, evals, threads,
+      plan, *prog, device_, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
         const auto z =
             evolve_density(noise_, physical, t.ops).expectation_z_all();
@@ -728,7 +729,7 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
   // single execution is counted per evaluation).
   add_inferences(evals.size());
   for_each_lowered(
-      plan, prog->routed, evals, threads,
+      plan, *prog, device_, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
         const sim::DensityMatrix rho = evolve_density(noise_, physical, t.ops);
         double energy = observable.constant();
@@ -895,7 +896,7 @@ std::vector<std::vector<double>> NoisyBackend::execute_batch(
   const int n_logical = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
   for_each_lowered(
-      plan, prog->routed, evals, threads,
+      plan, *prog, device_, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
         // <Z_q> folds the one implicit group that measures every qubit:
         // ones[q] counts the shots that read q as 1.
@@ -928,7 +929,7 @@ std::vector<double> NoisyBackend::execute_expect_batch(
   add_inferences(evals.size() * groups.size());
   std::vector<double> results(evals.size());
   for_each_lowered(
-      plan, prog->routed, evals, threads,
+      plan, *prog, device_, evals, threads,
       [&](std::size_t k, const transpile::Transpiled& t) {
         // odd[g][i]: group g's shots with odd parity under its term i.
         std::vector<std::vector<std::int64_t>> odd(groups.size());

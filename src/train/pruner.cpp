@@ -13,7 +13,8 @@ void PrunerConfig::validate() const {
     throw std::invalid_argument("PrunerConfig: accumulation_window < 1");
   if (pruning_window < 0)
     throw std::invalid_argument("PrunerConfig: pruning_window < 0");
-  if (ratio < 0.0 || ratio > 1.0)
+  // Written as "inside the range" so that NaN fails too.
+  if (!(ratio >= 0.0 && ratio <= 1.0))
     throw std::invalid_argument("PrunerConfig: ratio out of [0,1]");
 }
 

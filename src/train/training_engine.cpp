@@ -1,6 +1,7 @@
 #include "qoc/train/training_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace qoc::train {
@@ -9,7 +10,8 @@ void TrainingConfig::validate() const {
   if (steps < 1) throw std::invalid_argument("TrainingConfig: steps < 1");
   if (batch_size == 0)
     throw std::invalid_argument("TrainingConfig: batch_size == 0");
-  if (lr_start <= 0.0 || lr_end < 0.0)
+  if (!std::isfinite(lr_start) || !std::isfinite(lr_end) || lr_start <= 0.0 ||
+      lr_end < 0.0)
     throw std::invalid_argument("TrainingConfig: bad learning rates");
   if (eval_every < 0)
     throw std::invalid_argument("TrainingConfig: eval_every < 0");

@@ -1,6 +1,8 @@
 #include "qoc/transpile/optimize.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace qoc::transpile {
 
@@ -13,56 +15,53 @@ bool rz_angle_is_zero(double a) {
   return m < 1e-12 || two_pi - m < 1e-12;
 }
 
-std::vector<BoundOp> merge_rz(const std::vector<BoundOp>& ops) {
-  std::vector<BoundOp> out;
-  out.reserve(ops.size());
-  for (const auto& op : ops) {
-    if (op.kind == GateKind::Rz && !out.empty()) {
-      // Walk back past ops on other qubits? No -- only merge if the
-      // immediately preceding op on this qubit's timeline is also RZ.
-      // Scan back while intervening ops do not touch this qubit.
+std::vector<BoundOp> merge_rz(std::vector<BoundOp> ops) {
+  // ops[0, kept) is the merged stream so far; it is compacted in place.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    BoundOp& op = ops[i];
+    if (op.kind == GateKind::Rz) {
+      // Merge only if the preceding op on this qubit's timeline is also
+      // RZ: scan back while intervening ops do not touch this qubit.
       const int q = op.qubits[0];
       bool merged = false;
-      for (auto it = out.rbegin(); it != out.rend(); ++it) {
-        bool touches = false;
-        for (const int oq : it->qubits)
-          if (oq == q) touches = true;
-        if (!touches) continue;
-        if (it->kind == GateKind::Rz) {
-          it->angle += op.angle;
+      for (std::size_t j = kept; j-- > 0;) {
+        const auto& qs = ops[j].qubits;
+        if (std::find(qs.begin(), qs.end(), q) == qs.end()) continue;
+        if (ops[j].kind == GateKind::Rz) {
+          ops[j].angle += op.angle;
           merged = true;
         }
         break;
       }
       if (merged) continue;
     }
-    out.push_back(op);
+    if (kept != i) ops[kept] = std::move(op);
+    ++kept;
   }
+  ops.resize(kept);
   // Drop zero rotations.
-  std::vector<BoundOp> cleaned;
-  cleaned.reserve(out.size());
-  for (const auto& op : out)
-    if (!(op.kind == GateKind::Rz && rz_angle_is_zero(op.angle)))
-      cleaned.push_back(op);
-  return cleaned;
+  std::erase_if(ops, [](const BoundOp& op) {
+    return op.kind == GateKind::Rz && rz_angle_is_zero(op.angle);
+  });
+  return ops;
 }
 
-std::vector<BoundOp> cancel_cx(const std::vector<BoundOp>& ops) {
-  std::vector<BoundOp> out = ops;
+std::vector<BoundOp> cancel_cx(std::vector<BoundOp> ops) {
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].kind != GateKind::Cx) continue;
-      const int control = out[i].qubits[0];
-      const int target = out[i].qubits[1];
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].kind != GateKind::Cx) continue;
+      const int control = ops[i].qubits[0];
+      const int target = ops[i].qubits[1];
       // Scan forward for the partner CX; RZ on the control commutes.
-      for (std::size_t j = i + 1; j < out.size(); ++j) {
-        const auto& next = out[j];
+      for (std::size_t j = i + 1; j < ops.size(); ++j) {
+        const auto& next = ops[j];
         if (next.kind == GateKind::Cx && next.qubits[0] == control &&
             next.qubits[1] == target) {
-          out.erase(out.begin() + static_cast<std::ptrdiff_t>(j));
-          out.erase(out.begin() + static_cast<std::ptrdiff_t>(i));
+          ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(j));
+          ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
           changed = true;
           break;
         }
@@ -77,16 +76,14 @@ std::vector<BoundOp> cancel_cx(const std::vector<BoundOp>& ops) {
       if (changed) break;
     }
   }
-  return out;
+  return ops;
 }
 
-std::vector<BoundOp> optimize(const std::vector<BoundOp>& ops) {
-  std::vector<BoundOp> cur = ops;
+std::vector<BoundOp> optimize(std::vector<BoundOp> ops) {
   for (;;) {
-    const std::size_t before = cur.size();
-    cur = merge_rz(cur);
-    cur = cancel_cx(cur);
-    if (cur.size() >= before) return cur;
+    const std::size_t before = ops.size();
+    ops = cancel_cx(merge_rz(std::move(ops)));
+    if (ops.size() >= before) return ops;
   }
 }
 

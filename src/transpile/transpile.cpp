@@ -66,8 +66,7 @@ EulerZYZ zyz_decompose(const Matrix& u) {
 
 namespace {
 
-// The canonical zero test shared with merge_rz and the RoutedProgram
-// replay (see optimize.hpp).
+// The zero test shared with merge_rz (see optimize.hpp).
 bool angle_is_zero(double a) { return rz_angle_is_zero(a); }
 
 void emit_rz(std::vector<BoundOp>& out, int q, double angle) {
@@ -93,15 +92,25 @@ void emit_zxzxz(std::vector<BoundOp>& out, int q, const EulerZYZ& e) {
   emit_rz(out, q, e.phi);
 }
 
-void lower_1q(std::vector<BoundOp>& out, const BoundOp& op) {
-  switch (op.kind) {
+/// H is fixed, so its decomposition is computed once per process. CZ,
+/// RXX, RZX, CRX and the Toffoli network all lower through it.
+void emit_h(std::vector<BoundOp>& out, int q) {
+  static const EulerZYZ kH = zyz_decompose(circuit::gate_matrix(GateKind::H));
+  emit_zxzxz(out, q, kH);
+}
+
+void lower_1q(std::vector<BoundOp>& out, GateKind kind, int q, double angle) {
+  switch (kind) {
     case GateKind::I:
       return;
+    case GateKind::H:
+      emit_h(out, q);
+      return;
     case GateKind::X:
-      out.push_back({GateKind::X, op.qubits, 0.0});
+      out.push_back({GateKind::X, {q}, 0.0});
       return;
     case GateKind::Sx:
-      emit_sx(out, op.qubits[0]);
+      emit_sx(out, q);
       return;
     case GateKind::Rz:
     case GateKind::Z:
@@ -111,22 +120,21 @@ void lower_1q(std::vector<BoundOp>& out, const BoundOp& op) {
     case GateKind::Tdg:
     case GateKind::Phase: {
       // All diagonal gates are virtual RZ up to global phase.
-      double angle = op.angle;
-      switch (op.kind) {
+      switch (kind) {
         case GateKind::Z: angle = kPi; break;
         case GateKind::S: angle = kPi / 2.0; break;
         case GateKind::Sdg: angle = -kPi / 2.0; break;
         case GateKind::T: angle = kPi / 4.0; break;
         case GateKind::Tdg: angle = -kPi / 4.0; break;
-        default: break;  // Rz / Phase keep op.angle
+        default: break;  // Rz / Phase keep the bound angle
       }
-      emit_rz(out, op.qubits[0], angle);
+      emit_rz(out, q, angle);
       return;
     }
     default: {
       // Generic path: take the unitary, ZYZ-decompose, emit ZXZXZ.
-      const Matrix u = circuit::gate_matrix(op.kind, op.angle);
-      emit_zxzxz(out, op.qubits[0], zyz_decompose(u));
+      const Matrix u = circuit::gate_matrix(kind, angle);
+      emit_zxzxz(out, q, zyz_decompose(u));
       return;
     }
   }
@@ -136,10 +144,6 @@ void emit_cx(std::vector<BoundOp>& out, int control, int target) {
   out.push_back({GateKind::Cx, {control, target}, 0.0});
 }
 
-void emit_h(std::vector<BoundOp>& out, int q) {
-  lower_1q(out, {GateKind::H, {q}, 0.0});
-}
-
 /// CX a b ; RZ(angle) b ; CX a b == RZZ(angle) on (a, b).
 void emit_rzz_core(std::vector<BoundOp>& out, int a, int b, double angle) {
   emit_cx(out, a, b);
@@ -147,10 +151,9 @@ void emit_rzz_core(std::vector<BoundOp>& out, int a, int b, double angle) {
   emit_cx(out, a, b);
 }
 
-void lower_2q(std::vector<BoundOp>& out, const BoundOp& op) {
-  const int a = op.qubits[0];
-  const int b = op.qubits[1];
-  switch (op.kind) {
+void lower_2q(std::vector<BoundOp>& out, GateKind kind, int a, int b,
+              double angle) {
+  switch (kind) {
     case GateKind::Cx:
       emit_cx(out, a, b);
       return;
@@ -166,13 +169,13 @@ void lower_2q(std::vector<BoundOp>& out, const BoundOp& op) {
       emit_cx(out, a, b);
       return;
     case GateKind::Rzz:
-      emit_rzz_core(out, a, b, op.angle);
+      emit_rzz_core(out, a, b, angle);
       return;
     case GateKind::Rxx:
       // XX = (H x H) ZZ (H x H)
       emit_h(out, a);
       emit_h(out, b);
-      emit_rzz_core(out, a, b, op.angle);
+      emit_rzz_core(out, a, b, angle);
       emit_h(out, a);
       emit_h(out, b);
       return;
@@ -181,50 +184,59 @@ void lower_2q(std::vector<BoundOp>& out, const BoundOp& op) {
       // RYY(t) = (Sdg x Sdg)? -- emitted as Sdg, H sandwich; verified in
       // tests: RYY(t) = (S H x S H)? Use Rx basis change instead:
       // Y = Rx(pi/2) Z Rx(-pi/2)  =>  RYY = (Rx(pi/2) x Rx(pi/2)) RZZ (...)
-      lower_1q(out, {GateKind::Rx, {a}, kPi / 2.0});
-      lower_1q(out, {GateKind::Rx, {b}, kPi / 2.0});
-      emit_rzz_core(out, a, b, op.angle);
-      lower_1q(out, {GateKind::Rx, {a}, -kPi / 2.0});
-      lower_1q(out, {GateKind::Rx, {b}, -kPi / 2.0});
+      lower_1q(out, GateKind::Rx, a, kPi / 2.0);
+      lower_1q(out, GateKind::Rx, b, kPi / 2.0);
+      emit_rzz_core(out, a, b, angle);
+      lower_1q(out, GateKind::Rx, a, -kPi / 2.0);
+      lower_1q(out, GateKind::Rx, b, -kPi / 2.0);
       return;
     case GateKind::Rzx:
       // ZX = (I x H) ZZ (I x H)
       emit_h(out, b);
-      emit_rzz_core(out, a, b, op.angle);
+      emit_rzz_core(out, a, b, angle);
       emit_h(out, b);
       return;
     case GateKind::Crz:
       // CRZ(t) = RZ(t/2) target ; CX ; RZ(-t/2) target ; CX.
-      emit_rz(out, b, op.angle / 2.0);
+      emit_rz(out, b, angle / 2.0);
       emit_cx(out, a, b);
-      emit_rz(out, b, -op.angle / 2.0);
+      emit_rz(out, b, -angle / 2.0);
       emit_cx(out, a, b);
       return;
     case GateKind::Crx:
       // CRX = (I x H) CRZ (I x H).
       emit_h(out, b);
-      lower_2q(out, {GateKind::Crz, op.qubits, op.angle});
+      lower_2q(out, GateKind::Crz, a, b, angle);
       emit_h(out, b);
       return;
     case GateKind::Cry:
       // CRY(t) = RY(t/2) ; CX ; RY(-t/2) ; CX  (ABC decomposition).
-      lower_1q(out, {GateKind::Ry, {b}, op.angle / 2.0});
+      lower_1q(out, GateKind::Ry, b, angle / 2.0);
       emit_cx(out, a, b);
-      lower_1q(out, {GateKind::Ry, {b}, -op.angle / 2.0});
+      lower_1q(out, GateKind::Ry, b, -angle / 2.0);
       emit_cx(out, a, b);
       return;
     case GateKind::Cp:
       // CP(l) = RZ(l/2) c ; RZ(l/2) t ; CX ; RZ(-l/2) t ; CX (up to phase).
-      emit_rz(out, a, op.angle / 2.0);
-      emit_rz(out, b, op.angle / 2.0);
+      emit_rz(out, a, angle / 2.0);
+      emit_rz(out, b, angle / 2.0);
       emit_cx(out, a, b);
-      emit_rz(out, b, -op.angle / 2.0);
+      emit_rz(out, b, -angle / 2.0);
       emit_cx(out, a, b);
       return;
     default:
       throw std::logic_error("lower_2q: unhandled kind " +
-                             circuit::gate_name(op.kind));
+                             circuit::gate_name(kind));
   }
+}
+
+/// Lowers one 1- or 2-qubit op onto the end of `out`.
+void lower_op(std::vector<BoundOp>& out, GateKind kind,
+              const std::vector<int>& qubits, double angle) {
+  if (circuit::gate_arity(kind) == 1)
+    lower_1q(out, kind, qubits[0], angle);
+  else
+    lower_2q(out, kind, qubits[0], qubits[1], angle);
 }
 
 }  // namespace
@@ -263,12 +275,7 @@ std::vector<BoundOp> decompose_multiqubit(const std::vector<BoundOp>& ops) {
 std::vector<BoundOp> lower_to_basis(const std::vector<BoundOp>& ops) {
   std::vector<BoundOp> out;
   out.reserve(ops.size() * 3);
-  for (const auto& op : ops) {
-    if (circuit::gate_arity(op.kind) == 1)
-      lower_1q(out, op);
-    else
-      lower_2q(out, op);
-  }
+  for (const auto& op : ops) lower_op(out, op.kind, op.qubits, op.angle);
   return out;
 }
 
@@ -397,15 +404,16 @@ RoutedTemplate route_template(const circuit::Circuit& c,
 Transpiled transpile_with_angles(const RoutedTemplate& t,
                                  std::span<const double> source_angles,
                                  const noise::DeviceModel& device) {
-  std::vector<BoundOp> bound;
-  bound.reserve(t.ops.size());
-  for (const auto& op : t.ops) {
-    const double angle =
-        op.src >= 0 ? source_angles[static_cast<std::size_t>(op.src)] : 0.0;
-    bound.push_back(BoundOp{op.kind, op.qubits, angle});
-  }
+  // Lowers straight from the template: the same ops lower_to_basis
+  // would emit for the bound stream, without building it.
+  std::vector<BoundOp> lowered;
+  lowered.reserve(t.ops.size() * 3);
+  for (const auto& op : t.ops)
+    lower_op(lowered, op.kind, op.qubits,
+             op.src >= 0 ? source_angles[static_cast<std::size_t>(op.src)]
+                         : 0.0);
   Transpiled out;
-  out.ops = optimize(lower_to_basis(bound));
+  out.ops = optimize(std::move(lowered));
   out.final_layout = t.final_layout;
   out.n_swaps_inserted = t.n_swaps_inserted;
   out.stats = compute_stats(out.ops, device.n_qubits);

@@ -26,8 +26,8 @@ int pauli_index(char c) {
 
 Hamiltonian::Hamiltonian(int n_qubits, std::vector<PauliTerm> terms)
     : n_qubits_(n_qubits), terms_(std::move(terms)) {
-  if (n_qubits < 1 || n_qubits > 10)
-    throw std::invalid_argument("Hamiltonian: n_qubits out of [1,10]");
+  if (n_qubits < 1 || n_qubits > 30)
+    throw std::invalid_argument("Hamiltonian: n_qubits out of [1,30]");
   for (const auto& t : terms_) {
     if (static_cast<int>(t.paulis.size()) != n_qubits)
       throw std::invalid_argument(
@@ -67,6 +67,8 @@ double Hamiltonian::expectation(const sim::Statevector& psi) const {
 }
 
 linalg::Matrix Hamiltonian::to_matrix() const {
+  if (n_qubits_ > 10)
+    throw std::invalid_argument("Hamiltonian::to_matrix: n_qubits > 10");
   const std::size_t dim = std::size_t{1} << n_qubits_;
   linalg::Matrix h(dim, dim);
   for (const auto& t : terms_) {

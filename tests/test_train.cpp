@@ -4,17 +4,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
 #include "qoc/common/prng.hpp"
 #include "qoc/train/optimizer.hpp"
 #include "qoc/train/pruner.hpp"
+#include "qoc/train/training_engine.hpp"
 
 namespace {
 
 using namespace qoc::train;
 using qoc::Prng;
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---- Optimizers -----------------------------------------------------------------
 
@@ -175,6 +180,35 @@ TEST(PrunerConfig, Validation) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = PrunerConfig{};
   cfg.ratio = 1.5;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // NaN compares false both ways, so a range check written as "out of
+  // range" would let it through to sample_mask's size_t cast.
+  for (const double r : {kNaN, kInf, -kInf}) {
+    cfg.ratio = r;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << r;
+  }
+  for (const double r : {0.0, 1.0}) {
+    cfg.ratio = r;
+    EXPECT_NO_THROW(cfg.validate()) << r;
+  }
+}
+
+TEST(TrainingConfig, ValidationRejectsNonFiniteLearningRates) {
+  for (const double lr : {kNaN, kInf, -kInf, 0.0, -0.1}) {
+    TrainingConfig cfg;
+    cfg.lr_start = lr;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << lr;
+  }
+  for (const double lr : {kNaN, kInf, -kInf, -0.1}) {
+    TrainingConfig cfg;
+    cfg.lr_end = lr;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << lr;
+  }
+  TrainingConfig cfg;
+  cfg.lr_end = 0.0;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.use_pruning = true;
+  cfg.pruner.ratio = kNaN;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 

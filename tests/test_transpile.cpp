@@ -3,14 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
 
 #include "qoc/circuit/circuit.hpp"
 #include "qoc/circuit/layers.hpp"
 #include "qoc/common/prng.hpp"
+#include "qoc/exec/compiled_circuit.hpp"
+#include "qoc/qml/qnn.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/statevector.hpp"
-#include "qoc/transpile/lowered_cache.hpp"
 #include "qoc/transpile/transpile.hpp"
 
 namespace {
@@ -264,7 +270,7 @@ TEST(FullTranspile, DurationPositiveAndScalesWithDepth) {
   EXPECT_GT(estimated_duration_s(b, device), estimated_duration_s(a, device));
 }
 
-// ---- RoutedProgram: the zero-angle-pattern lowered-stream cache ------------
+// ---- Template lowering: transpile_with_angles vs the full pipeline -------
 
 /// Bitwise equality of two transpiled streams (ops, layout, stats).
 void expect_transpiled_equal(const Transpiled& a, const Transpiled& b) {
@@ -284,7 +290,7 @@ void expect_transpiled_equal(const Transpiled& a, const Transpiled& b) {
   EXPECT_EQ(a.stats.depth, b.stats.depth);
 }
 
-/// Source angles exactly as the cached path receives them.
+/// Source angles exactly as the template path receives them.
 std::vector<double> source_angles_of(const Circuit& c,
                                      const std::vector<double>& theta) {
   std::vector<double> out;
@@ -311,10 +317,10 @@ Circuit lowering_mix_circuit() {
   return c;
 }
 
-TEST(RoutedProgram, BitIdenticalToFullPipelineAcrossBindings) {
+TEST(TemplateLowering, BitIdenticalToFullPipelineAcrossBindings) {
   const Circuit c = lowering_mix_circuit();
   const auto device = DeviceModel::ibmq_manila();
-  const RoutedProgram prog(route_template(c, device), device.n_qubits);
+  const auto tmpl = route_template(c, device);
 
   Prng rng(77);
   std::vector<std::vector<double>> bindings;
@@ -326,56 +332,53 @@ TEST(RoutedProgram, BitIdenticalToFullPipelineAcrossBindings) {
     if (k >= 2) theta[3] = theta[6] = 0.0;
     bindings.push_back(std::move(theta));
   }
-  // Revisit every pattern with fresh values: those calls are cache HITS
-  // and must still match the uncached pipeline bit-for-bit.
+  // Revisit every binding with shifted values on the same template: it
+  // holds no per-binding state, so every lowering matches the full
+  // pipeline bit-for-bit.
   for (int round = 0; round < 2; ++round) {
     for (auto theta : bindings) {
       for (auto& v : theta)
         if (v != 0.0) v += 0.1 * round;
       const auto expected = transpile(c, theta, {}, device);
-      const auto got = prog.transpile(source_angles_of(c, theta));
+      const auto got =
+          transpile_with_angles(tmpl, source_angles_of(c, theta), device);
       expect_transpiled_equal(got, expected);
     }
   }
-  EXPECT_EQ(prog.cached_patterns(), 3u);  // k=0; k=1; k=2,3 share
 }
 
-TEST(RoutedProgram, DecisionFlipFallsBackToFreshTrace) {
+TEST(TemplateLowering, BindingDependentStructureMatchesFullPipeline) {
   // rz(theta0) and an adjacent constant rz(-0.7) merge; for theta0 = 0.7
   // the merged rotation is zero and the pair (plus the then-cancellable
   // CX pair around it) vanishes structurally. A binding with the SAME
-  // zero-angle pattern but a different value must not inherit that
-  // structure: the replay detects the flipped decision and re-traces.
+  // zero-angle pattern but a different value keeps that structure, and
+  // both must lower from one template exactly as the full pipeline does.
   Circuit c(2);
   c.rz(0, ParamRef::trainable(0));
   c.rz(0, ParamRef::constant(-0.7));
   c.cx(0, 1);
   c.ry(1, ParamRef::trainable(1));
   const auto device = DeviceModel::ibmq_manila();
+  const auto tmpl = route_template(c, device);
 
-  for (const bool cancel_first : {true, false}) {
-    const RoutedProgram prog(route_template(c, device), device.n_qubits);
-    const std::vector<double> cancelling = {0.7, 0.4};
-    const std::vector<double> generic = {0.5, 0.4};  // same zero pattern
-    const auto& first = cancel_first ? cancelling : generic;
-    const auto& second = cancel_first ? generic : cancelling;
-    for (const auto* theta : {&first, &second}) {
-      const auto expected = transpile(c, *theta, {}, device);
-      const auto got = prog.transpile(source_angles_of(c, *theta));
-      expect_transpiled_equal(got, expected);
-    }
-    // The two bindings disagree on the merged-RZ structure: the cached
-    // plan serves the first, the second falls back.
-    const auto a = transpile(c, cancelling, {}, device);
-    const auto b = transpile(c, generic, {}, device);
-    EXPECT_NE(a.ops.size(), b.ops.size());
+  const std::vector<double> cancelling = {0.7, 0.4};
+  const std::vector<double> generic = {0.5, 0.4};  // same zero pattern
+  for (const auto* theta : {&cancelling, &generic}) {
+    const auto expected = transpile(c, *theta, {}, device);
+    const auto got =
+        transpile_with_angles(tmpl, source_angles_of(c, *theta), device);
+    expect_transpiled_equal(got, expected);
   }
+  // The two bindings disagree on the merged-RZ structure.
+  const auto a = transpile(c, cancelling, {}, device);
+  const auto b = transpile(c, generic, {}, device);
+  EXPECT_NE(a.ops.size(), b.ops.size());
 }
 
-TEST(RoutedProgram, MatchesTemplatePathOnTaskScaleCircuit) {
+TEST(TemplateLowering, MatchesFullPipelineOnTaskScaleCircuit) {
   // A full hardware-efficient stack through routing with SWAP insertion:
-  // cached path vs transpile_with_angles vs full transpile, all three
-  // bitwise identical per binding.
+  // transpile_with_angles vs full transpile, bitwise identical per
+  // binding.
   Circuit c(4);
   qoc::circuit::add_ry_layer(c);
   qoc::circuit::add_rz_layer(c);
@@ -383,7 +386,6 @@ TEST(RoutedProgram, MatchesTemplatePathOnTaskScaleCircuit) {
   qoc::circuit::add_ry_layer(c);
   const auto device = DeviceModel::ibmq_santiago();
   const auto tmpl = route_template(c, device);
-  const RoutedProgram prog(route_template(c, device), device.n_qubits);
 
   Prng rng(5);
   for (int k = 0; k < 3; ++k) {
@@ -392,10 +394,196 @@ TEST(RoutedProgram, MatchesTemplatePathOnTaskScaleCircuit) {
     const auto angles = source_angles_of(c, theta);
     const auto full = transpile(c, theta, {}, device);
     const auto via_template = transpile_with_angles(tmpl, angles, device);
-    const auto via_cache = prog.transpile(angles);
     expect_transpiled_equal(via_template, full);
-    expect_transpiled_equal(via_cache, full);
   }
+}
+
+// ---- LoweringPins: lowered streams pinned across commits -------------------
+
+/// 64-bit FNV-1a over lowered streams: every op's kind, qubits and angle
+/// bit pattern, then final_layout and n_swaps_inserted.
+class LoweringDigest {
+ public:
+  void add(const Transpiled& t) {
+    for (const auto& op : t.ops) {
+      word(static_cast<std::uint64_t>(op.kind));
+      for (const int q : op.qubits) word(static_cast<std::uint64_t>(q));
+      word(std::bit_cast<std::uint64_t>(op.angle));
+    }
+    for (const int q : t.final_layout) word(static_cast<std::uint64_t>(q));
+    word(t.n_swaps_inserted);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Toffoli networks around trainable rotations; on the line and T-shaped
+/// devices the second CCX's operands need SWAPs.
+Circuit toffoli_circuit() {
+  Circuit c(4);
+  c.h(0);
+  c.ry(1, ParamRef::trainable(0));
+  c.ccx(0, 1, 2);
+  c.rx(3, ParamRef::trainable(1));
+  c.ccx(1, 3, 0);
+  c.crx(2, 3, ParamRef::trainable(2));
+  c.rz(2, ParamRef::trainable(3));
+  return c;
+}
+
+/// One binding as a backend receives it: unshifted parameters plus an
+/// optional parameter shift on one source op.
+struct PinBinding {
+  std::vector<double> theta;
+  std::vector<double> input;
+  std::size_t shift_op = qoc::exec::Evaluation::kNoShift;
+  double shift = 0.0;
+};
+
+/// Eight seeded bindings: five random, binding 0 shifted by +pi/2 and by
+/// -pi/2 on its second parameter, and binding 1 with every other
+/// parameter pruned to zero.
+std::vector<PinBinding> pin_bindings(const Circuit& c, std::uint64_t seed) {
+  Prng rng(seed);
+  std::vector<PinBinding> out;
+  for (int k = 0; k < 5; ++k) {
+    PinBinding b;
+    b.theta.resize(static_cast<std::size_t>(c.num_trainable()));
+    for (auto& v : b.theta) v = rng.uniform(-kPi, kPi);
+    b.input.resize(static_cast<std::size_t>(c.num_inputs()));
+    for (auto& x : b.input) x = rng.uniform(0, kPi);
+    out.push_back(std::move(b));
+  }
+  std::size_t op = 0;
+  while (c.op(op).param.source != ParamRef::Source::Trainable ||
+         c.op(op).param.index != 1)
+    ++op;
+  for (const double shift : {kPi / 2.0, -kPi / 2.0}) {
+    PinBinding b = out[0];
+    b.shift_op = op;
+    b.shift = shift;
+    out.push_back(std::move(b));
+  }
+  PinBinding pruned = out[1];
+  for (std::size_t j = 0; j < pruned.theta.size(); j += 2)
+    pruned.theta[j] = 0.0;
+  out.push_back(std::move(pruned));
+  return out;
+}
+
+struct LoweringPin {
+  const char* circuit;
+  const char* device;
+  std::uint64_t full;   // transpile()
+  std::uint64_t templ;  // transpile_with_angles() on route_template()
+};
+
+// A change that moves any of these digests alters the stream a device
+// executes, so it must say so and re-record them. MNIST-2 and Fashion-2
+// share one circuit, and qubits 0-3 are coupled alike on lima and
+// jakarta, so those rows repeat.
+constexpr LoweringPin kLoweringPins[] = {
+    {"mnist2", "ibmq_manila",
+     0x14a55ea5d0bd04aaULL, 0x14a55ea5d0bd04aaULL},
+    {"mnist2", "ibmq_lima",
+     0xd7a92b361590b72eULL, 0xd7a92b361590b72eULL},
+    {"mnist2", "ibmq_jakarta",
+     0xd7a92b361590b72eULL, 0xd7a92b361590b72eULL},
+    {"fashion2", "ibmq_manila",
+     0x14a55ea5d0bd04aaULL, 0x14a55ea5d0bd04aaULL},
+    {"fashion2", "ibmq_lima",
+     0xd7a92b361590b72eULL, 0xd7a92b361590b72eULL},
+    {"fashion2", "ibmq_jakarta",
+     0xd7a92b361590b72eULL, 0xd7a92b361590b72eULL},
+    {"mnist4", "ibmq_manila",
+     0xb1670d8e4399f353ULL, 0xb1670d8e4399f353ULL},
+    {"mnist4", "ibmq_lima",
+     0x3c0ab07265bfb431ULL, 0x3c0ab07265bfb431ULL},
+    {"mnist4", "ibmq_jakarta",
+     0x3c0ab07265bfb431ULL, 0x3c0ab07265bfb431ULL},
+    {"fashion4", "ibmq_manila",
+     0x2b8b6e434f6cf39cULL, 0x2b8b6e434f6cf39cULL},
+    {"fashion4", "ibmq_lima",
+     0xef9c6278a2914f64ULL, 0xef9c6278a2914f64ULL},
+    {"fashion4", "ibmq_jakarta",
+     0xef9c6278a2914f64ULL, 0xef9c6278a2914f64ULL},
+    {"vowel4", "ibmq_manila",
+     0xb544d9abead76cccULL, 0xb544d9abead76cccULL},
+    {"vowel4", "ibmq_lima",
+     0x756fa69876ac5540ULL, 0x756fa69876ac5540ULL},
+    {"vowel4", "ibmq_jakarta",
+     0x756fa69876ac5540ULL, 0x756fa69876ac5540ULL},
+    {"lowering_mix", "ibmq_manila",
+     0xb0b03943736b2168ULL, 0xb0b03943736b2168ULL},
+    {"lowering_mix", "ibmq_lima",
+     0x0e417f03c96ee833ULL, 0x0e417f03c96ee833ULL},
+    {"lowering_mix", "ibmq_jakarta",
+     0x0e417f03c96ee833ULL, 0x0e417f03c96ee833ULL},
+    {"toffoli", "ibmq_manila",
+     0xbbf04a585fedbba1ULL, 0xbbf04a585fedbba1ULL},
+    {"toffoli", "ibmq_lima",
+     0x1f4d67ae4650ceb9ULL, 0x1f4d67ae4650ceb9ULL},
+    {"toffoli", "ibmq_jakarta",
+     0x1f4d67ae4650ceb9ULL, 0x1f4d67ae4650ceb9ULL},
+};
+
+TEST(LoweringPins, StreamsMatchRecordedDigests) {
+  std::vector<std::pair<std::string, Circuit>> circuits;
+  for (const char* task :
+       {"mnist2", "fashion2", "mnist4", "fashion4", "vowel4"})
+    circuits.emplace_back(task, qoc::qml::make_task_model(task).circuit());
+  circuits.emplace_back("lowering_mix", lowering_mix_circuit());
+  circuits.emplace_back("toffoli", toffoli_circuit());
+
+  std::size_t checked = 0;
+  for (const auto& [name, c] : circuits) {
+    const auto plan = qoc::exec::CompiledCircuit::compile(c);
+    const auto bindings = pin_bindings(c, 2026);
+    for (const char* device_name :
+         {"ibmq_manila", "ibmq_lima", "ibmq_jakarta"}) {
+      const auto device = DeviceModel::by_name(device_name);
+      const auto tmpl = route_template(c, device);
+      LoweringDigest full;
+      LoweringDigest templ;
+      std::vector<double> angles;
+      for (const auto& b : bindings) {
+        std::vector<double> theta = b.theta;
+        if (b.shift_op != qoc::exec::Evaluation::kNoShift)
+          theta[static_cast<std::size_t>(c.op(b.shift_op).param.index)] +=
+              b.shift;
+        full.add(transpile(c, theta, b.input, device));
+        plan.resolve_source_angles(b.theta, b.input, b.shift_op, b.shift,
+                                   angles);
+        templ.add(transpile_with_angles(tmpl, angles, device));
+      }
+      const LoweringPin* pin = nullptr;
+      for (const auto& p : kLoweringPins)
+        if (name == p.circuit && std::string(device_name) == p.device)
+          pin = &p;
+      char line[160];
+      std::snprintf(line, sizeof line,
+                    "{\"%s\", \"%s\", 0x%016llxULL, 0x%016llxULL},",
+                    name.c_str(), device_name,
+                    static_cast<unsigned long long>(full.value()),
+                    static_cast<unsigned long long>(templ.value()));
+      if (pin == nullptr) {
+        ADD_FAILURE() << "no pin recorded; measured " << line;
+        continue;
+      }
+      EXPECT_EQ(full.value(), pin->full) << "measured " << line;
+      EXPECT_EQ(templ.value(), pin->templ) << "measured " << line;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kLoweringPins));
 }
 
 TEST(Stats, CountsByKind) {

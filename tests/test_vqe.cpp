@@ -39,6 +39,21 @@ TEST(Hamiltonian, ValidatesTerms) {
   EXPECT_NO_THROW(Hamiltonian(2, {{"ZI", 1.0}}));
 }
 
+TEST(Hamiltonian, QubitRangeMatchesCompiledObservable) {
+  // Construction accepts 1..30 qubits like CompiledObservable; only the
+  // dense matrix (and so exact diagonalisation) stops at 10.
+  const auto big = Hamiltonian::heisenberg(16, 1.0);
+  EXPECT_EQ(big.num_qubits(), 16);
+  EXPECT_EQ(vqe::compile_observable(big).num_qubits(), 16);
+  EXPECT_THROW(big.to_matrix(), std::invalid_argument);
+  EXPECT_THROW(big.exact_ground_energy(), std::invalid_argument);
+  EXPECT_NO_THROW(Hamiltonian::heisenberg(10, 1.0).to_matrix());
+  EXPECT_NO_THROW(Hamiltonian(30, {{std::string(30, 'Z'), 1.0}}));
+  EXPECT_THROW(Hamiltonian(31, {{std::string(31, 'Z'), 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(Hamiltonian(0, {}), std::invalid_argument);
+}
+
 TEST(Hamiltonian, SingleZExpectationOnBasisStates) {
   const Hamiltonian h(1, {{"Z", 1.0}});
   sim::Statevector zero(1);
