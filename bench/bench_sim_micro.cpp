@@ -1,5 +1,5 @@
 // Google-benchmark micro-benchmarks for the hot paths of the stack:
-// statevector gate application, noisy trajectory execution, transpilation,
+// statevector gate application, noisy device execution, transpilation,
 // and a full parameter-shift gradient step.
 
 #include <benchmark/benchmark.h>
@@ -222,13 +222,12 @@ void BM_NoisyBackendRun(benchmark::State& state) {
   const auto theta = model.init_params(rng);
   const std::vector<double> input(16, 0.5);
   backend::NoisyBackendOptions opt;
-  opt.trajectories = static_cast<int>(state.range(0));
   opt.shots = 256;
   backend::NoisyBackend qc(noise::DeviceModel::ibmq_santiago(), opt);
   for (auto _ : state)
     benchmark::DoNotOptimize(qc.run(model.circuit(), theta, input));
 }
-BENCHMARK(BM_NoisyBackendRun)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_NoisyBackendRun);
 
 void BM_ParameterShiftJacobian(benchmark::State& state) {
   const qml::QnnModel model = qml::make_mnist2_model();
@@ -421,7 +420,6 @@ void BM_NoisyBackendRunBatch(benchmark::State& state) {
   const auto theta = model.init_params(rng);
   const std::vector<double> input(16, 0.5);
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 32;
   opt.shots = 256;
   backend::NoisyBackend qc(noise::DeviceModel::ibmq_santiago(), opt);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -435,52 +433,6 @@ void BM_NoisyBackendRunBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_NoisyBackendRunBatch)->Arg(8)->Arg(32);
-
-/// Synthetic n-qubit line device with the default calibration numbers
-/// (err_1q 3e-4, err_2q 1e-2, T1/T2 100us, stock readout error): the
-/// stock IBMQ snapshots top out at 7 qubits, and the k-wide
-/// trajectory acceptance line wants n in the 10-12 range.
-noise::DeviceModel noisy_line_device(int n) {
-  noise::DeviceModel d;
-  d.name = "line" + std::to_string(n);
-  d.n_qubits = n;
-  for (int q = 0; q + 1 < n; ++q) d.coupling.emplace_back(q, q + 1);
-  d.qubits.assign(static_cast<std::size_t>(n), noise::QubitCalibration{});
-  d.validate();
-  return d;
-}
-
-void BM_NoisyBackendRunLanes(benchmark::State& state) {
-  // k-wide noisy trajectories (PR 10) vs the scalar trajectory loop:
-  // the same 32-trajectory run with batch_lanes pinned to 1 (scalar),
-  // 8, or 16 (wider lanes amortize per-event kernel overhead and win
-  // monotonically here; k=16 is the measured best). Per-trajectory
-  // results are bit-identical at every width (test_backend proves it);
-  // this line is the throughput payoff on a depolarizing+relaxation
-  // device at the register sizes the lane layout targets.
-  const int n = static_cast<int>(state.range(0));
-  const int lanes = static_cast<int>(state.range(1));
-  const circuit::Circuit c = layered_ring_ansatz(n);
-  std::vector<double> theta(static_cast<std::size_t>(n));
-  for (int q = 0; q < n; ++q)
-    theta[static_cast<std::size_t>(q)] = 0.2 + 0.1 * q;
-  const std::vector<double> input;
-  backend::NoisyBackendOptions opt;
-  opt.trajectories = 32;
-  opt.shots = 256;
-  opt.batch_lanes = lanes;
-  backend::NoisyBackend qc(noisy_line_device(n), opt);
-  for (auto _ : state) benchmark::DoNotOptimize(qc.run(c, theta, input));
-  state.SetItemsProcessed(state.iterations() * opt.trajectories);
-  state.SetLabel(lanes == 1 ? "scalar" : "k-wide");
-}
-BENCHMARK(BM_NoisyBackendRunLanes)
-    ->Args({10, 1})
-    ->Args({10, 8})
-    ->Args({10, 16})
-    ->Args({12, 1})
-    ->Args({12, 8})
-    ->Args({12, 16});
 
 void BM_ImagePipeline(benchmark::State& state) {
   data::SyntheticImages gen(data::SyntheticImages::Style::Fashion, 4, 6);

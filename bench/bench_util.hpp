@@ -159,7 +159,6 @@ inline std::vector<Task> paper_tasks(const std::vector<std::string>& names) {
 
 inline backend::NoisyBackendOptions default_noisy_options(std::uint64_t seed) {
   backend::NoisyBackendOptions opt;
-  opt.trajectories = fast_mode() ? 4 : 8;
   opt.shots = 1024;  // paper: "we set all the circuits to run 1024 shots"
   opt.seed = seed;
   // Calibrated error rates alone understate real-device damage (coherent

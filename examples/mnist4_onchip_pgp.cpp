@@ -29,10 +29,9 @@ int main() {
   const qml::QnnModel model = qml::make_mnist4_model();
 
   // Device: ibmq_jakarta calibration snapshot driving depolarizing +
-  // thermal-relaxation + readout trajectory noise.
+  // thermal-relaxation + readout noise.
   const auto device = noise::DeviceModel::ibmq_jakarta();
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 8;
   opt.shots = 256;
   opt.seed = 2022;
   backend::NoisyBackend qc(device, opt);

@@ -6,9 +6,8 @@
 //   train_cli [--task mnist2|mnist4|fashion2|fashion4|vowel4]
 //             [--protocol classical|qc|pgp] [--steps N] [--batch N]
 //             [--optimizer sgd|momentum|adam] [--ratio R] [--wa N] [--wp N]
-//             [--shots N] [--trajectories N] [--noise-scale X]
-//             [--seed N] [--threads N] [--save-theta FILE]
-//             [--save-history FILE]
+//             [--shots N] [--noise-scale X] [--seed N] [--threads N]
+//             [--save-theta FILE] [--save-history FILE]
 //
 // Example:
 //   ./build/examples/train_cli --task fashion2 --protocol pgp --steps 30
@@ -39,7 +38,6 @@ struct Args {
   int wa = 1;
   int wp = 2;
   int shots = 1024;
-  int trajectories = 8;
   double noise_scale = 2.5;
   std::uint64_t seed = 42;
   unsigned threads = 0;
@@ -55,9 +53,8 @@ struct Args {
       "                 [--protocol classical|qc|pgp] [--steps N]\n"
       "                 [--batch N] [--optimizer sgd|momentum|adam]\n"
       "                 [--ratio R] [--wa N] [--wp N] [--shots N]\n"
-      "                 [--trajectories N] [--noise-scale X] [--seed N]\n"
-      "                 [--threads N] [--save-theta FILE]\n"
-      "                 [--save-history FILE]\n");
+      "                 [--noise-scale X] [--seed N] [--threads N]\n"
+      "                 [--save-theta FILE] [--save-history FILE]\n");
   std::exit(2);
 }
 
@@ -78,7 +75,6 @@ Args parse_args(int argc, char** argv) {
     else if (flag == "--wa") a.wa = std::atoi(next());
     else if (flag == "--wp") a.wp = std::atoi(next());
     else if (flag == "--shots") a.shots = std::atoi(next());
-    else if (flag == "--trajectories") a.trajectories = std::atoi(next());
     else if (flag == "--noise-scale") a.noise_scale = std::atof(next());
     else if (flag == "--seed") a.seed = static_cast<std::uint64_t>(std::atoll(next()));
     else if (flag == "--threads") a.threads = static_cast<unsigned>(std::atoi(next()));
@@ -139,7 +135,6 @@ int main(int argc, char** argv) {
     be = std::make_unique<backend::StatevectorBackend>(0);
   } else if (args.protocol == "qc" || args.protocol == "pgp") {
     backend::NoisyBackendOptions opt;
-    opt.trajectories = args.trajectories;
     opt.shots = args.shots;
     opt.noise_scale = args.noise_scale;
     opt.seed = args.seed ^ 0xBACCULL;

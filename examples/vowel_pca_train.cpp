@@ -43,7 +43,6 @@ int main() {
               model.num_params(), model.circuit().num_ops());
 
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 8;
   opt.shots = 256;
   opt.seed = 5;
   backend::NoisyBackend qc(noise::DeviceModel::ibmq_lima(), opt);

@@ -9,13 +9,15 @@
 //    vector to simulate quantum measurement", Sec. 4.1).
 //
 //  * NoisyBackend -- the stand-in for the real IBM devices: the circuit is
-//    routed + lowered for the device, then executed as stochastic noise
-//    trajectories with depolarizing gate errors, thermal relaxation and
-//    readout bit-flips, and finally sampled with a finite shot budget.
+//    routed + lowered for the device, its density matrix is evolved
+//    exactly under depolarizing gate errors and thermal relaxation, and
+//    each of its shots is then drawn from the exact readout distribution
+//    (readout bit-flips included), as 1,024 independent device runs
+//    would be.
 //
-//  * DensityMatrixBackend -- the same device pipeline evolved exactly as
-//    a density matrix: the deterministic noisy oracle NoisyBackend is
-//    validated against.
+//  * DensityMatrixBackend -- the same device engine read out exactly:
+//    the deterministic noisy oracle NoisyBackend's counts are tested
+//    against.
 //
 // All count every run() as one "inference", the x-axis of Fig. 6.
 //
@@ -46,8 +48,8 @@
 #include "qoc/common/thread_annotations.hpp"
 #include "qoc/exec/compiled_circuit.hpp"
 #include "qoc/exec/observable.hpp"
-#include "qoc/noise/channels.hpp"
 #include "qoc/noise/device_model.hpp"
+#include "qoc/noise/noise_model.hpp"
 #include "qoc/obs/obs.hpp"
 #include "qoc/transpile/transpile.hpp"
 
@@ -60,6 +62,14 @@ namespace qoc::backend {
 inline Prng stream_prng(std::uint64_t seed, std::uint64_t id) {
   return Prng(seed + 0x9E3779B97F4A7C15ULL * (id + 1));
 }
+
+/// Throws std::invalid_argument, naming `who`, when any theta, input or
+/// shift value of `evals` is NaN or infinite. Every Backend entry point
+/// runs it before executing, and qoc::serve at submission: a non-finite
+/// binding has no defined outcome, and on a sampled backend it would
+/// fail the sampler for every evaluation coalesced with it.
+void require_finite(std::span<const exec::Evaluation> evals,
+                    const std::string& who);
 
 class Backend {
  public:
@@ -78,10 +88,11 @@ class Backend {
   std::vector<double> run(const exec::CompiledCircuit& plan,
                           std::span<const double> theta,
                           std::span<const double> input) {
-    add_inferences(1);
     const exec::Evaluation eval{theta, input};
-    return std::move(execute_batch(
-        plan, std::span<const exec::Evaluation>(&eval, 1), 1)[0]);
+    const std::span<const exec::Evaluation> one(&eval, 1);
+    require_finite(one, name());
+    add_inferences(1);
+    return std::move(execute_batch(plan, one, 1)[0]);
   }
 
   /// Execute every evaluation of the batch against the compiled plan.
@@ -104,10 +115,12 @@ class Backend {
   /// serial counter (which still advances past it). qoc::serve relies
   /// on this to coalesce jobs from many clients into arbitrary batches
   /// without changing any job's outcome.
-  /// Each evaluation counts as one inference.
+  /// Each evaluation counts as one inference. A non-finite theta, input
+  /// or shift throws std::invalid_argument before anything executes.
   std::vector<std::vector<double>> run_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads = 1) {
+    require_finite(evals, name());
     add_inferences(evals.size());
     QOC_TRACE_SPAN_ARG("backend", "run_batch", "evals", evals.size());
     QOC_METRIC_SCOPED_TIMER_NS("qoc_backend_run_batch_ns");
@@ -134,6 +147,7 @@ class Backend {
                                    unsigned threads = 1) {
     if (observable.num_qubits() != plan.num_qubits())
       throw std::invalid_argument("expect_batch: qubit count mismatch");
+    require_finite(evals, name());
     QOC_TRACE_SPAN_ARG("backend", "expect_batch", "evals", evals.size());
     QOC_METRIC_SCOPED_TIMER_NS("qoc_backend_expect_batch_ns");
     return execute_expect_batch(plan, observable, evals, threads);
@@ -150,9 +164,9 @@ class Backend {
   virtual std::string name() const = 0;
 
   /// True when this backend's results are a pure function of the
-  /// submitted bindings: no shot sampling, no noise trajectories, no
-  /// internal RNG state. Consumers may memoise results keyed on
-  /// bindings (qoc::serve's result cache does) only when this holds.
+  /// submitted bindings: no shot sampling, no internal RNG state.
+  /// Consumers may memoise results keyed on bindings (qoc::serve's
+  /// result cache does) only when this holds.
   virtual bool deterministic() const { return false; }
 
   /// Stamp out a fresh, independently-usable backend with this
@@ -289,88 +303,27 @@ class StatevectorBackend final : public Backend {
   int batch_lanes_ = -1;
 };
 
-/// Options controlling the noisy-device simulation fidelity/cost trade.
+/// Options of the simulated device.
 struct NoisyBackendOptions {
-  /// Independent noise realisations per execution. Each trajectory takes
-  /// max(1, shots / trajectories) measurement samples, so an execution
-  /// measures trajectories times that many (510 for 512 shots over 5
-  /// trajectories, 504 over 9).
+  /// No effect: the device engine evolves each evaluation's density
+  /// matrix exactly, so there are no noise trajectories to count. The
+  /// field stays only because bench/e2e assigns it, and goes with that
+  /// assignment at the next benchmark change.
   int trajectories = 64;
-  /// Measurement shot budget per execution (paper uses 1024), split
-  /// over the trajectories as above.
+  /// Measurement shots per execution (paper uses 1024), each drawn
+  /// independently from the exact readout distribution.
   int shots = 1024;
   std::uint64_t seed = 0xD0C0FEE1ULL;
   bool enable_gate_noise = true;
   bool enable_relaxation = true;
   bool enable_readout_error = true;
   /// Global multiplier on calibrated error rates and gate durations
-  /// (1.0 = calibrated); see NoiseModel for the values it may take.
+  /// (1.0 = calibrated); see noise::NoiseModel for the values it may
+  /// take.
   double noise_scale = 1.0;
-  /// Evaluation-major (k-wide) lane policy for the TRAJECTORY loop:
-  /// each execution evolves k noise trajectories in lockstep on a
-  /// sim::BatchedStatevector lane group (uniform gates, per-lane Kraus
-  /// draws from each trajectory's own pinned stream). Same semantics as
-  /// StatevectorBackendOptions::batch_lanes: -1 defers to the static
-  /// lane table, 0 or 1 forces the scalar trajectory loop, >= 2 pins the
-  /// width; QOC_BATCH_LANES overrides. Per-trajectory results are
-  /// bit-identical at every width.
+  /// No effect, like `trajectories`: the device engine runs no lane
+  /// groups. It goes with bench/e2e's assignment too.
   int batch_lanes = -1;
-};
-
-/// A device backend's noise, built once at construction from the device
-/// calibration and the noise options (noise_scale multiplies every error
-/// probability and gate duration). NoisyBackend samples it as
-/// trajectories and DensityMatrixBackend applies it exactly, both
-/// through walk(), so the density matrix is the exact oracle of the walk
-/// the trajectories sample.
-struct NoiseModel {
-  /// A gate's depolarizing error: probability p and its Kraus channel.
-  struct Depolarizing {
-    double p = 0.0;
-    noise::KrausChannel channel;
-  };
-
-  /// Validates the device, then throws std::invalid_argument when
-  /// `scale` is negative or not finite, or when err_1q, err_2q or any
-  /// readout flip probability times `scale` exceeds 1.
-  NoiseModel(const noise::DeviceModel& device, bool gate_noise,
-             bool relaxation, bool readout_error, double scale);
-
-  /// Whether walk() calls depolarize: with gate noise on it does even
-  /// at p = 0, where the density matrix still applies the channel.
-  bool gate_noise = false;
-  Depolarizing depol_1q, depol_2q;
-  /// Thermal relaxation of each physical qubit over a 1q / 2q gate;
-  /// empty when relaxation is off.
-  std::vector<noise::KrausChannel> relax_1q, relax_2q;
-  /// Readout flips of each physical qubit; empty when readout error is
-  /// off.
-  std::vector<noise::ReadoutError> readout;
-
-  /// The noise walk of a lowered op stream whose qubit q is physical
-  /// qubit physical[q]: for each op i, gate(i) applies it; then, unless
-  /// it is a virtual RZ (a frame change: no pulse, no error),
-  /// depolarize(qubits, depolarizing) applies its gate error if gate
-  /// noise is on, and relax(q, channel) relaxes each operand q in
-  /// operand order, with physical[q]'s channel, if relaxation is on. The
-  /// scalar trajectory, the k-wide trajectory lane group and the density
-  /// matrix differ only in these three callables.
-  template <class Gate, class Depolarize, class Relax>
-  void walk(std::span<const transpile::BoundOp> ops,
-            std::span<const int> physical, Gate&& gate,
-            Depolarize&& depolarize, Relax&& relax) const {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      gate(i);
-      const transpile::BoundOp& op = ops[i];
-      if (op.kind == circuit::GateKind::Rz) continue;
-      const bool one = op.qubits.size() == 1;
-      if (gate_noise) depolarize(op.qubits, one ? depol_1q : depol_2q);
-      if (relax_1q.empty()) continue;
-      for (const int q : op.qubits)
-        relax(q, (one ? relax_1q : relax_2q)[static_cast<std::size_t>(
-                     physical[static_cast<std::size_t>(q)])]);
-    }
-  }
 };
 
 /// A routed template over the active qubits of its plan; defined in
@@ -379,17 +332,15 @@ struct ActiveProgram;
 
 /// Device routing computed once per circuit structure and reused for
 /// every binding (see transpile::RoutedTemplate). Shared by the two
-/// transpiling backends, which finish the pipeline for each binding with
+/// device backends, which finish the pipeline for each binding with
 /// transpile::transpile_with_angles.
 ///
 /// Each entry is relabelled onto its plan's active qubits once, when it
 /// is routed: the routed template's operand qubits plus final_layout (a
 /// measured qubit with no gate stays), numbered 0..m-1 in increasing
 /// physical order, with the map back to physical qubits kept beside it.
-/// An idle qubit gets no gate and so no noise draw; its amplitudes stay
-/// zeros that add +0.0 to every weight, norm and CDF sum, and the
-/// monotone relabel keeps the order of every nonzero amplitude, so every
-/// result is bit-identical to simulating the whole device.
+/// An idle qubit gets no gate and no noise and stays |0>, so the device
+/// engine's density matrix spans only the m active qubits.
 class TranspileCache {
  public:
   /// Active-qubit program for the plan's structure, computing it on miss.
@@ -412,14 +363,13 @@ class TranspileCache {
   std::size_t entries_ QOC_GUARDED_BY(mutex_) = 0;
 };
 
-/// Exact noisy execution via density-matrix evolution: the same device
-/// model, noise model and transpile pipeline as NoisyBackend, but noise
-/// channels are applied exactly (no trajectory sampling, no shot noise).
-/// The density matrix spans a circuit's m active qubits, so memory is
-/// O(4^m); construction still rejects devices with more than 12 qubits.
-/// It serves as the ground truth the trajectory backend is validated
-/// against, and as a deterministic noisy-expectation oracle for tests and
-/// analysis.
+/// The device read out exactly: the same device model, noise model,
+/// transpile pipeline and density-matrix engine as NoisyBackend, with
+/// every readout mean summed over the exact distribution instead of
+/// drawn from it. It is the deterministic noisy oracle NoisyBackend's
+/// counts are tested against. A circuit may touch at most 12 qubits of
+/// the device (its density matrix holds 4^m entries); execution throws
+/// std::invalid_argument above that.
 class DensityMatrixBackend final : public Backend {
  public:
   /// Same meaning as the NoisyBackendOptions fields of the same name.
@@ -435,7 +385,7 @@ class DensityMatrixBackend final : public Backend {
   DensityMatrixBackend(noise::DeviceModel device, Options options);
 
   std::string name() const override { return "density:" + device_.name; }
-  /// Exact channel evolution: no sampling anywhere.
+  /// Exact readout: no sampling anywhere.
   bool deterministic() const override { return true; }
   std::unique_ptr<Backend> clone_replica() const override {
     return std::make_unique<DensityMatrixBackend>(device_, options_);
@@ -454,15 +404,17 @@ class DensityMatrixBackend final : public Backend {
  private:
   noise::DeviceModel device_;
   Options options_;
-  NoiseModel noise_;
+  noise::NoiseModel noise_;
   TranspileCache transpile_cache_;
 };
 
-/// Simulated NISQ device: transpiles to the device and runs noise
-/// trajectories, each a statevector over the circuit's m active qubits
-/// (O(2^m) memory per trajectory). Thread-safe for concurrent run()
-/// calls (each execution draws from its own stream under the stream
-/// rule).
+/// Simulated NISQ device: transpiles to the device, evolves each
+/// evaluation's density matrix over the circuit's m active qubits
+/// exactly (at most 12, else execution throws std::invalid_argument),
+/// and draws its `shots` outcomes from the exact readout distribution
+/// with the evaluation's stream under the stream rule. So an estimate
+/// carries only shot noise, as on a device whose every shot is an
+/// independent noisy run. Thread-safe for concurrent run() calls.
 class NoisyBackend final : public Backend {
  public:
   NoisyBackend(noise::DeviceModel device, NoisyBackendOptions options = {});
@@ -491,17 +443,9 @@ class NoisyBackend final : public Backend {
       std::span<const exec::Evaluation> evals, unsigned threads) override;
 
  private:
-  /// The trajectory readout driver behind run and expect; see
-  /// backend.cpp.
-  template <class Fold>
-  std::uint64_t measure(const transpile::Transpiled& t,
-                        std::span<const int> physical, int n_logical,
-                        const exec::CompiledObservable* observable,
-                        Prng& exec_rng, Fold&& fold) const;
-
   noise::DeviceModel device_;
   NoisyBackendOptions options_;
-  NoiseModel noise_;
+  noise::NoiseModel noise_;
   TranspileCache transpile_cache_;
 };
 

@@ -1,6 +1,6 @@
 #pragma once
-// Data-parallel helpers used by the backends to fan trajectory / batch
-// work across hardware threads. Both entry points route through the
+// Data-parallel helpers used by the backends to fan batch work across
+// hardware threads. Both entry points route through the
 // shared persistent qoc::common::ThreadPool -- no per-call thread spawns
 // (PR 1 created and joined fresh std::threads on every call, which
 // dominated small-batch run_batch latency).

@@ -1,9 +1,8 @@
 #pragma once
 // Deterministic pseudo-random number generation for the whole QOC stack.
 //
-// Everything stochastic in this repository -- shot sampling, noise
-// trajectories, dataset generation, pruning-mask sampling, parameter
-// initialisation -- draws from a qoc::Prng seeded explicitly by the caller.
+// Everything stochastic in this repository -- shot sampling, dataset
+// generation, pruning-mask sampling, parameter initialisation -- draws from a qoc::Prng seeded explicitly by the caller.
 // This makes every experiment in bench/ reproducible bit-for-bit.
 
 #include <cmath>
@@ -105,8 +104,8 @@ class Prng {
 
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-  /// Derive an independent child stream (e.g. one per worker thread or
-  /// per trajectory) without correlating with the parent sequence.
+  /// Derive an independent child stream (e.g. one per worker thread)
+  /// without correlating with the parent sequence.
   Prng split() {
     SplitMix64 sm((*this)() ^ 0xA5A5A5A5A5A5A5A5ULL);
     Prng child(0);

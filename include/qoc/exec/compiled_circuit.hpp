@@ -2,7 +2,7 @@
 // Compiled execution plans: bind once, run many.
 //
 // Every high-frequency consumer of a circuit -- param-shift Jacobians,
-// masked batch gradients, noisy-trajectory inference -- executes the SAME
+// masked batch gradients, noisy-device inference -- executes the SAME
 // circuit structure over and over with different parameter bindings. The
 // generic path re-resolves every ParamRef, re-allocates every gate matrix
 // and re-dispatches through the dense apply_matrix kernel on each run.

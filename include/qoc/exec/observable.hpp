@@ -99,19 +99,8 @@ class CompiledObservable {
                          std::span<double> out) const;
 
   /// Apply group g's basis-change suffix to `psi` (rotates every
-  /// measured qubit into the Z basis). A non-empty `layout` maps each
-  /// suffix qubit through layout[q] first (logical -> physical, for
-  /// states held in a routed device register).
-  void apply_suffix(sim::Statevector& psi, std::size_t g,
-                    std::span<const int> layout = {}) const;
-
-  /// Same suffix on every lane of a batched state (one application per
-  /// lane group -- the k-wide sampled path measures each group once per
-  /// lane group, not once per lane). `layout` works as in apply_suffix;
-  /// the k-wide noisy-trajectory path passes the device routing's final
-  /// layout so lane groups measure the routed physical register.
-  void apply_suffix_lanes(sim::BatchedStatevector& psi, std::size_t g,
-                          std::span<const int> layout = {}) const;
+  /// measured qubit into the Z basis).
+  void apply_suffix(sim::Statevector& psi, std::size_t g) const;
 
   /// Energy contribution of group g from shot counts drawn AFTER
   /// apply_suffix: sum over member terms of coeff * mean parity. Parity
@@ -120,8 +109,8 @@ class CompiledObservable {
   double group_energy_from_counts(const sim::ShotCounts& counts,
                                   std::size_t g) const;
 
-  // apply_suffix, apply_suffix_lanes and group_energy_from_counts throw
-  // std::out_of_range for g >= groups().size().
+  // apply_suffix and group_energy_from_counts throw std::out_of_range
+  // for g >= groups().size().
 
   /// Sample-bit mask convention: qubit q contributes bit (n-1-q), the
   /// position Statevector::sample uses for basis-state indices.

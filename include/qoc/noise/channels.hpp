@@ -1,5 +1,5 @@
 #pragma once
-// Quantum noise channels for trajectory (quantum-jump) simulation.
+// Quantum noise channels of the simulated device.
 //
 // Real-device noise is modelled the standard NISQ way:
 //   * every gate carries a depolarizing error with the calibrated error
@@ -9,19 +9,15 @@
 //   * measurement flips each readout bit with the calibrated probability.
 //
 // Channels are represented by their Kraus operators {K_i} with
-// sum_i K_i^dagger K_i = I. A trajectory step samples branch i with
-// probability ||K_i |psi>||^2 and renormalises -- an unbiased unravelling
-// of the density-matrix evolution that keeps memory at O(2^n) instead of
-// O(4^n).
+// sum_i K_i^dagger K_i = I. sim::DensityMatrix applies them exactly;
+// noise::NoiseModel folds them into the superoperators the device
+// engine applies.
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
-#include "qoc/sim/batched_statevector.hpp"
-#include "qoc/sim/statevector.hpp"
 
 namespace qoc::noise {
 
@@ -40,28 +36,6 @@ class KrausChannel {
 
   /// Verifies sum K^dagger K == I within tol.
   bool is_trace_preserving(double tol = 1e-9) const;
-
-  /// Sample one Kraus branch according to the Born weights on `sv` and
-  /// apply it (renormalising). `qubits` must have size arity().
-  /// Returns the sampled branch index.
-  std::size_t sample_and_apply(sim::Statevector& sv,
-                               const std::vector<int>& qubits,
-                               qoc::Prng& rng) const;
-
-  /// k-wide trajectory step: one Born draw and branch application per
-  /// lane of a batched state, each lane using its own stream.
-  /// `lane_rngs` must have sv.lanes() entries; a nullptr entry marks a
-  /// padding lane (ragged trajectory tail): it consumes no randomness
-  /// and gets branch 0, staying a valid discarded state. Per ACTIVE
-  /// lane the weights, the draw, the branch walk, the applied matrix
-  /// and the renormalization are bit-identical to sample_and_apply on
-  /// that lane's state -- the weight passes and the normalization just
-  /// run k accumulator chains at once, which is what makes per-gate
-  /// relaxation affordable in the k-wide trajectory path.
-  /// Single-qubit channels only (the trajectory noise model's
-  /// relaxation channels); throws for arity 2.
-  void sample_and_apply_lanes(sim::BatchedStatevector& sv, int qubit,
-                              std::span<qoc::Prng* const> lane_rngs) const;
 
  private:
   std::string name_;

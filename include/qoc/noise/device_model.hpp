@@ -6,8 +6,8 @@
 // The real machines are unavailable offline, so each DeviceModel carries
 // representative calibration data from the 2021/22 era of those chips:
 // coupling map, single-/two-qubit gate error rates, readout error, T1/T2
-// and gate durations. The NoisyBackend turns these into depolarizing +
-// thermal-relaxation trajectory noise. What the paper studies -- noisy
+// and gate durations. The NoisyBackend turns these into depolarizing,
+// thermal-relaxation and readout noise. What the paper studies -- noisy
 // parameter-shift gradients, whose error grows with gate count, SWAP
 // routing and readout error -- depends on these rates and on the
 // coupling map, both of which a snapshot carries; the exact day-to-day

@@ -143,30 +143,9 @@ class BatchedStatevector {
                                          int qubit_a, const cplx* m_b,
                                          int qubit_b);
 
-  // ---- Single-lane mutation (trajectory noise) ---------------------------
-  // The k-wide noisy-trajectory path evolves k trajectories in lockstep:
-  // gates are lane-uniform and Kraus branches per-lane-batched, but a
-  // depolarizing hit injects a Pauli into ONE trajectory's lane. Each
-  // call is bit-identical on lane `lane` to the matching Statevector
-  // method and leaves every other lane's bits untouched.
-
-  void apply_pauli_x_lane(int qubit, std::size_t lane);
-  void apply_pauli_y_lane(int qubit, std::size_t lane);
-  void apply_pauli_z_lane(int qubit, std::size_t lane);
-
   /// Sum of |amp|^2 over one lane; replicates Statevector::norm_squared
   /// (same std::norm terms in the same row-ascending order).
   double norm_squared(std::size_t lane) const;
-
-  /// Normalize every lane independently, bit-identical per lane to
-  /// Statevector::normalize: the same row-ascending norm sum, the same
-  /// sqrt, the same inv = 1/n multiply per amplitude. All lane norms
-  /// are checked before any lane is scaled; an underflowing lane throws
-  /// like the scalar does, leaving the buffer unscaled. Unlike the
-  /// scalar, the norm sums of all lanes accumulate in one k-wide pass
-  /// (k independent accumulator chains), which is what makes the
-  /// trajectory path's per-gate renormalization profitable k-wide.
-  void normalize_lanes();
 
   // ---- Per-lane measurement ----------------------------------------------
 

@@ -19,9 +19,9 @@
 namespace qoc::sim {
 
 // ---- Evaluation-major (k-wide) lane policy ---------------------------------
-// StatevectorBackend's and NoisyBackend's batch paths switch to the
-// BatchedStatevector SoA layout when a compiled structure receives
-// enough distinct bindings (or trajectories) on a small register. The
+// StatevectorBackend's batch paths switch to the BatchedStatevector SoA
+// layout when a compiled structure receives enough distinct bindings on
+// a small register. The
 // crossover is a cost-model call so the policy is testable and shared
 // by every dispatch site.
 

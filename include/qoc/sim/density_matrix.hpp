@@ -2,12 +2,10 @@
 // Density-matrix simulator: exact mixed-state evolution under gates and
 // CPTP noise channels.
 //
-// The NoisyBackend unravels noise into stochastic trajectories (memory
-// O(2^n), but Monte-Carlo error in the result). This simulator evolves
-// rho directly (memory O(4^n), exact noise averages), serving two roles:
-//   * ground truth for validating the trajectory sampler (tests assert
-//     trajectory means converge to the density-matrix result), and
-//   * the exact-expectation DensityMatrixBackend for small circuits.
+// It applies gates and Kraus channels one at a time with gather/scatter
+// loops: the reference the channel tests check physics against. The
+// device backends hold their density matrices in a fused superoperator
+// engine instead (qoc::backend, backend.cpp).
 //
 // Same bit convention as Statevector: qubit 0 is the most significant bit
 // of a basis index. rho is stored row-major, dim x dim.

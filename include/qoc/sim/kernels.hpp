@@ -253,66 +253,6 @@ void batched_apply_pauli_y(cplx* amps, std::size_t dim, std::size_t stride,
 void batched_apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride,
                            std::size_t k);
 
-// ---- Single-lane kernels (trajectory noise on a k-wide state) --------------
-// Touch exactly ONE lane of the SoA buffer, leaving every other lane's
-// bits untouched. The k-wide noisy-trajectory path needs these: gates
-// and Kraus branch applications are lane-uniform or per-lane-batched,
-// but a depolarizing hit injects a Pauli into a single trajectory's
-// lane. The per-lane arithmetic is the single-state scalar reference
-// (swaps, negations and +-i rotations), so lane `lane` after a call is
-// bit-identical to the scalar state after the matching apply_pauli_*.
-// Strided single-lane access has no SIMD form; all modes share the
-// portable loop.
-
-void lane_apply_pauli_x(cplx* amps, std::size_t dim, std::size_t stride,
-                        std::size_t k, std::size_t lane);
-void lane_apply_pauli_y(cplx* amps, std::size_t dim, std::size_t stride,
-                        std::size_t k, std::size_t lane);
-void lane_apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride,
-                        std::size_t k, std::size_t lane);
-
-// ---- Trajectory-noise weight and renormalization kernels -------------------
-// The per-gate relaxation step of a noisy trajectory is dominated not by
-// the gate butterflies but by the Born weight pass ||K_i |psi>||^2 per
-// Kraus branch and the renormalization that follows the sampled branch.
-// These kernels give that inner loop the same dispatch treatment as the
-// gates above.
-//
-// Weight reference arithmetic (one 2x2 branch m, row-major, uniform
-// across lanes -- candidate branches are lane-invariant, only the
-// SAMPLED branch differs per lane): one accumulator per state receives,
-// per (base, off) row pair in the blocked order,
-//   w += |m00*a0 + m01*a1|^2 + |m10*a0 + m11*a1|^2
-// with every complex product expanded to real mul/add (no __muldc3
-// libcalls). Matrices with structural zeros (the relaxation channels'
-// Kraus operators are real diagonal or real anti-diagonal) take
-// shortcut forms that drop the all-zero products -- exact zeros, inside
-// the sign-of-zeros caveat above, and the weights are sums of squares
-// so not even a zero sign can change. The scalar and k-wide forms share
-// the per-element expression tree AND the shortcut classification, so
-// lane L of the batched pass is bit-identical to the scalar pass on
-// state L.
-
-/// ||m |psi>||^2 on the stride-`stride` qubit of one state.
-double kraus_weight(const cplx* amps, std::size_t dim, std::size_t stride,
-                    const cplx* m);
-
-/// k-wide weight pass: w[l] = ||m |psi_l>||^2 for each lane.
-void batched_kraus_weight(const cplx* amps, std::size_t dim,
-                          std::size_t stride, std::size_t k, const cplx* m,
-                          double* w);
-
-/// Per-lane squared norms: sums[l] receives Statevector::norm_squared's
-/// accumulation chain (std::norm terms, row ascending) for lane l.
-/// `sums` must hold k doubles.
-void batched_norms(const cplx* amps, std::size_t dim, std::size_t k,
-                   double* sums);
-
-/// row[l] *= scale[l] for every row of a k-wide buffer: the per-lane
-/// renormalization scaling pass (complex times real, elementwise).
-void batched_scale(cplx* amps, std::size_t dim, std::size_t k,
-                   const double* scale);
-
 namespace detail {
 
 /// Function table for one SIMD ISA. Entries may be null (kernel has no
@@ -352,12 +292,6 @@ struct SimdVTable {
                                  std::size_t, std::size_t) = nullptr;
   void (*batched_apply_pauli_y)(cplx*, std::size_t, std::size_t,
                                 std::size_t) = nullptr;
-  void (*batched_kraus_weight)(const cplx*, std::size_t, std::size_t,
-                               std::size_t, const cplx*, double*) = nullptr;
-  void (*batched_norms)(const cplx*, std::size_t, std::size_t,
-                        double*) = nullptr;
-  void (*batched_scale)(cplx*, std::size_t, std::size_t,
-                        const double*) = nullptr;
 };
 
 /// Defined in kernels_avx2.cpp: the AVX2 table when that TU was built

@@ -1,13 +1,14 @@
 #pragma once
 // The one shot sampler behind every finite-shot measurement
 // (Statevector::sample, BatchedStatevector::sample and their counts
-// forms).
+// forms, and the device backends' readout distributions).
 //
 // Measuring a register `shots` times draws basis indices from the Born
-// distribution |amp_i|^2. The reference is inverse-CDF sampling: the
-// running sum cdf[i] = |amp_0|^2 + ... + |amp_i|^2 in index order, then
-// per shot r = rng.uniform() and the first i with cdf[i] >= r * total
-// (std::lower_bound). ShotSampler returns exactly those indices and
+// distribution |amp_i|^2, or from an explicit probability vector p_i.
+// The reference is inverse-CDF sampling: the running sum cdf[i] =
+// w_0 + ... + w_i of the weights (w_i = |amp_i|^2 or p_i) in index
+// order, then per shot r = rng.uniform() and the first i with cdf[i] >=
+// r * total (std::lower_bound). ShotSampler returns exactly those indices and
 // consumes exactly one rng.uniform() per shot in shot order, so every
 // outcome and the stream state after the call are bit-identical to the
 // reference. Instead of a binary search per shot, whose branches
@@ -61,9 +62,20 @@ class ShotSampler {
   const ShotCounts& count(const linalg::cplx* amps, std::size_t dim,
                           std::size_t stride, int shots, Prng& rng);
 
+  /// The same counts form over the weights probs[i], i in [0, dim):
+  /// every entry must be >= 0, so the CDF is monotone. The device
+  /// backends draw their shots from a density matrix's readout
+  /// distribution through it.
+  const ShotCounts& count(const double* probs, std::size_t dim, int shots,
+                          Prng& rng);
+
  private:
-  void build(const linalg::cplx* amps, std::size_t dim, std::size_t stride,
-             int shots);
+  /// Builds the CDF of weight(0), ..., weight(dim - 1) and its guide
+  /// table.
+  template <class Weight>
+  void build(std::size_t dim, int shots, Weight&& weight);
+  /// `shots` draws from the built CDF, folded into counts_.
+  const ShotCounts& fold(std::size_t dim, int shots, Prng& rng);
   std::size_t draw(Prng& rng) const;
 
   std::vector<double> cdf_;

@@ -5,9 +5,9 @@
 // held in a 2^n complex vector, gates are applied by in-place sparse
 // updates, and measurement is simulated by sampling from |amplitude|^2
 // (exactly the baseline described in Sec. 4.1 of the paper). The same
-// engine also powers the noisy-device trajectory simulation in
-// qoc::backend::NoisyBackend, which is why apply_matrix supports
-// non-unitary operators (Kraus branches) followed by renormalisation.
+// engine also holds the device backends' density matrices (a 2n-qubit
+// vector, see qoc::backend::NoisyBackend), which is why the gate methods
+// take non-unitary matrices too (superoperators).
 //
 // Bit convention: qubit 0 is the MOST significant bit of the basis index.
 // |q0 q1 ... q_{n-1}> corresponds to index (q0 << (n-1)) | ... | q_{n-1}.
@@ -38,6 +38,10 @@ class Statevector {
   std::size_t dim() const { return amps_.size(); }
 
   const std::vector<cplx>& amplitudes() const { return amps_; }
+  /// Mutable amplitudes, for a pass no gate method expresses (the device
+  /// engine's 2-qubit depolarizing pass over a vectorised density
+  /// matrix).
+  cplx* data() { return amps_.data(); }
   cplx amplitude(std::size_t basis_index) const { return amps_[basis_index]; }
 
   /// Reset to |0...0>.
@@ -49,8 +53,7 @@ class Statevector {
 
   // ---- Gate application --------------------------------------------------
 
-  /// Apply a 2x2 matrix to `qubit`. Works for non-unitary matrices too
-  /// (used for Kraus trajectory branches).
+  /// Apply a 2x2 matrix to `qubit`. Works for non-unitary matrices too.
   void apply_1q(const Matrix& m, int qubit);
 
   /// Same, from a row-major stack buffer m[4]; avoids the heap-backed
@@ -89,8 +92,7 @@ class Statevector {
   /// qubits[0] is the highest bit of the matrix index. k <= 6.
   void apply_matrix(const Matrix& m, const std::vector<int>& qubits);
 
-  /// Fast Pauli applications (used heavily by the stochastic noise
-  /// trajectory sampler; avoids the generic matrix path).
+  /// Fast Pauli applications (avoid the generic matrix path).
   void apply_pauli_x(int qubit);
   void apply_pauli_y(int qubit);
   void apply_pauli_z(int qubit);

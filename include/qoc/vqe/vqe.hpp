@@ -11,8 +11,8 @@
 // backend's cached plan of the ansatz. The backend decides how <H> is
 // measured: StatevectorBackend exactly (shots = 0) or with one sampled
 // execution per qubit-wise-commuting group of Pauli terms, NoisyBackend
-// as noisy trajectories on a device model, DensityMatrixBackend as the
-// exact noisy oracle of that device. Exact statevector energies are
+// as sampled shots of a device model, DensityMatrixBackend as the exact
+// noisy oracle of that device. Exact statevector energies are
 // bit-identical to the per-term vqe::Hamiltonian::expectation loop.
 
 #include <cstdint>

@@ -5,12 +5,11 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
+#include <string>
 
 #include "qoc/common/parallel.hpp"
 #include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/cost_model.hpp"
-#include "qoc/sim/density_matrix.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/statevector.hpp"
 
@@ -18,8 +17,6 @@ namespace qoc::backend {
 
 using circuit::GateKind;
 using linalg::cplx;
-using linalg::kI;
-using linalg::Matrix;
 
 // ---------------------------------------------------------------------------
 // Backend base: plan cache + the stream rule
@@ -47,6 +44,18 @@ std::shared_ptr<const exec::CompiledCircuit> Backend::plan_cached(
       exec::CompiledCircuit::compile(c)));
   ++plan_cache_entries_;
   return bucket.back();
+}
+
+void require_finite(std::span<const exec::Evaluation> evals,
+                    const std::string& who) {
+  const auto finite = [](std::span<const double> v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double x) { return std::isfinite(x); });
+  };
+  for (const auto& e : evals)
+    if (!finite(e.theta) || !finite(e.input) || !std::isfinite(e.shift))
+      throw std::invalid_argument(who +
+                                  ": non-finite theta, input or shift");
 }
 
 std::vector<Prng> Backend::batch_streams(
@@ -152,8 +161,8 @@ namespace {
 
 /// Lane-policy observability: how much of a dispatch ran k-wide, how
 /// many padding lanes the compacted ragged tail burned, and how many
-/// work items fell through to the scalar path. Counts work items
-/// (evaluations or noise trajectories), never drives control flow.
+/// evaluations fell through to the scalar path. Counts evaluations,
+/// never drives control flow.
 void note_lane_metrics(const sim::LanePartition& part, std::size_t total) {
   if (part.lanes > 1) {
     QOC_METRIC_COUNTER_ADD("qoc_sim_lane_wide_groups_total", part.groups());
@@ -169,9 +178,8 @@ void note_lane_metrics(const sim::LanePartition& part, std::size_t total) {
                          total - part.tail_start);
 }
 
-/// The loop behind every k-wide dispatch: runs `total` work items
-/// (evaluations, or one execution's noise trajectories) as `part`
-/// splits them -- its lane groups, then the scalar tail -- fanned over
+/// The loop behind every k-wide dispatch: runs `total` evaluations as
+/// `part` splits them -- its lane groups, then the scalar tail -- fanned over
 /// `threads` pool workers (1 = in order on the caller). Per worker
 /// chunk, make_group() returns the callable group(first, real) run on
 /// each of the chunk's lane groups and make_scalar() the callable
@@ -179,7 +187,7 @@ void note_lane_metrics(const sim::LanePartition& part, std::size_t total) {
 /// capture is allocated once per chunk. A group covers items [first,
 /// first + real); real < part.lanes marks the compacted ragged tail,
 /// whose remaining lanes are padding: they compute a discarded state
-/// and must never touch an item's results or RNG stream.
+/// and must never touch an evaluation's results or RNG stream.
 template <class MakeGroup, class MakeScalar>
 void run_lanes(const sim::LanePartition& part, std::size_t total,
                unsigned threads, MakeGroup&& make_group,
@@ -205,18 +213,13 @@ void run_lanes(const sim::LanePartition& part, std::size_t total,
 
 /// The state commuting group g is measured on: `state` itself for
 /// all-Z groups (no O(2^n) copy), else `scratch` holding a copy rotated
-/// by g's basis-change suffix. `layout` maps suffix qubits as in
-/// CompiledObservable::apply_suffix.
-template <class State>
-const State& measured_state(const exec::CompiledObservable& observable,
-                            std::size_t g, const State& state, State& scratch,
-                            std::span<const int> layout = {}) {
+/// by g's basis-change suffix.
+const sim::Statevector& measured_state(
+    const exec::CompiledObservable& observable, std::size_t g,
+    const sim::Statevector& state, sim::Statevector& scratch) {
   if (observable.groups()[g].suffix.empty()) return state;
   scratch = state;
-  if constexpr (std::is_same_v<State, sim::BatchedStatevector>)
-    observable.apply_suffix_lanes(scratch, g, layout);
-  else
-    observable.apply_suffix(scratch, g, layout);
+  observable.apply_suffix(scratch, g);
   return scratch;
 }
 
@@ -431,244 +434,328 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
 }
 
 // ---------------------------------------------------------------------------
-// NoiseModel and its three interpreters
+// The device engine
 // ---------------------------------------------------------------------------
-
-NoiseModel::NoiseModel(const noise::DeviceModel& device, bool gate_noise,
-                       bool relaxation, bool readout_error, double scale)
-    : gate_noise(gate_noise) {
-  device.validate();
-  if (!std::isfinite(scale) || scale < 0.0)
-    throw std::invalid_argument(
-        "NoiseModel: noise_scale must be finite and >= 0");
-  const auto scaled = [scale](double p, const char* what) {
-    if (p * scale > 1.0)
-      throw std::invalid_argument(std::string("NoiseModel: ") + what +
-                                  " x noise_scale exceeds 1");
-    return p * scale;
-  };
-  const double p1 = scaled(device.err_1q, "err_1q");
-  const double p2 = scaled(device.err_2q, "err_2q");
-  depol_1q = {p1, noise::depolarizing_1q(p1)};
-  depol_2q = {p2, noise::depolarizing_2q(p2)};
-  for (const auto& cal : device.qubits) {
-    const noise::ReadoutError flips{
-        scaled(cal.readout_err_0to1, "readout_err_0to1"),
-        scaled(cal.readout_err_1to0, "readout_err_1to0")};
-    if (readout_error) readout.push_back(flips);
-    if (relaxation) {
-      relax_1q.push_back(noise::thermal_relaxation(
-          cal.t1_s, cal.t2_s, device.gate_time_1q_s * scale));
-      relax_2q.push_back(noise::thermal_relaxation(
-          cal.t1_s, cal.t2_s, device.gate_time_2q_s * scale));
-    }
-  }
-}
 
 namespace {
 
-/// Depolarizing error after a physical gate. For Pauli channels the branch
-/// weights are state-independent, so we sample Paulis directly instead of
-/// paying the generic Kraus-branch norm computation. `pauli(which, q)`
-/// applies Pauli `which` (1 = X, 2 = Y, 3 = Z, anything else = I) to
-/// qubit q: the scalar trajectory loop and each lane of a k-wide group
-/// pass their own applier around this one draw-and-pick sequence, which
-/// is what keeps a lane bit-identical to the scalar trajectory.
-template <class ApplyPauli>
-void inject_depolarizing(const std::vector<int>& qubits, double p, Prng& rng,
-                         ApplyPauli&& pauli) {
-  if (p <= 0.0) return;
-  const double u = rng.uniform();
-  if (qubits.size() == 1) {
-    // I with 1 - 3p/4, else X/Y/Z with p/4 each.
-    if (u >= 0.75 * p) return;
-    pauli(std::min(static_cast<int>(u / (0.25 * p)), 2) + 1, qubits[0]);
-    return;
-  }
-  // Two-qubit: one of the 15 non-identity Pauli pairs w.p. p/16 each.
-  if (u >= 15.0 / 16.0 * p) return;
-  const int idx = 1 + static_cast<int>(u / (p / 16.0));  // 1..15
-  pauli(idx >> 2, qubits[0]);
-  pauli(idx & 3, qubits[1]);
-}
+/// The most active qubits the engine holds: its density vector has 4^m
+/// entries (16 Mi for m = 12, 256 MiB).
+constexpr int kMaxActiveQubits = 12;
 
-void apply_pauli(sim::Statevector& sv, int which, int q) {
-  switch (which) {
-    case 1: sv.apply_pauli_x(q); break;
-    case 2: sv.apply_pauli_y(q); break;
-    case 3: sv.apply_pauli_z(q); break;
-    default: break;
-  }
-}
-
-/// Same Pauli on ONE lane of a k-wide group (single-lane kernels:
-/// bit-identical on that lane, every other lane untouched).
-void apply_pauli(sim::BatchedStatevector& bsv, std::size_t lane, int which,
-                 int q) {
-  switch (which) {
-    case 1: bsv.apply_pauli_x_lane(q, lane); break;
-    case 2: bsv.apply_pauli_y_lane(q, lane); break;
-    case 3: bsv.apply_pauli_z_lane(q, lane); break;
-    default: break;
-  }
-}
-
-/// A lowered op stream as the trajectory interpreters apply it: each
-/// RZ's diagonal and the SX matrix are built once per execution instead
-/// of once per trajectory (with 64 trajectories per execution that
-/// removes 64x redundant builds per op). The lowered basis is exactly
-/// {RZ, SX, X, CX}; anything else is a pipeline bug and throws rather
-/// than degrading the noise model silently.
-struct GateProgram {
-  std::span<const transpile::BoundOp> ops;
-  std::vector<std::array<cplx, 2>> rz;  // op i's diagonal if it is an RZ
-  Matrix sx = sim::gate_sx();
-
-  explicit GateProgram(std::span<const transpile::BoundOp> lowered)
-      : ops(lowered), rz(lowered.size()) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const GateKind k = ops[i].kind;
-      if (k == GateKind::Rz)
-        rz[i] = {std::exp(-kI * (ops[i].angle / 2.0)),
-                 std::exp(kI * (ops[i].angle / 2.0))};
-      else if (k != GateKind::Sx && k != GateKind::X && k != GateKind::Cx)
-        throw std::logic_error("GateProgram: unexpected gate '" +
-                               circuit::gate_name(k) +
-                               "' in transpiled stream");
-    }
-  }
-
-  /// Apply op i to a scalar trajectory state, or uniformly to every lane
-  /// of a k-wide trajectory group: the lowered gate stream is
-  /// binding-independent, so all trajectories share it, and per lane
-  /// each uniform application is bit-identical to the scalar one (the
-  /// batched kernels' per-lane contract).
-  template <class State>
-  void apply(State& state, std::size_t i) const {
-    const transpile::BoundOp& op = ops[i];
-    switch (op.kind) {
-      case GateKind::Rz:
-        state.apply_diag_1q(rz[i][0], rz[i][1], op.qubits[0]);
-        break;
-      case GateKind::Sx:
-        state.apply_1q(sx, op.qubits[0]);
-        break;
-      case GateKind::X:
-        state.apply_pauli_x(op.qubits[0]);
-        break;
-      default:
-        state.apply_cx(op.qubits[0], op.qubits[1]);
-        break;
-    }
-  }
-};
-
-/// Scalar trajectory interpreter: one noisy trajectory of `program`
-/// (its qubit q on physical qubit physical[q]) from |0...0> into sv,
-/// every noise event drawing from `rng`.
-void evolve(const NoiseModel& noise, const GateProgram& program,
-            std::span<const int> physical, sim::Statevector& sv, Prng& rng) {
-  const auto pauli = [&sv](int which, int q) { apply_pauli(sv, which, q); };
-  sv.reset();
-  noise.walk(
-      program.ops, physical, [&](std::size_t i) { program.apply(sv, i); },
-      [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
-        inject_depolarizing(qubits, d.p, rng, pauli);
-      },
-      [&](int q, const noise::KrausChannel& relax) {
-        relax.sample_and_apply(sv, {q}, rng);
-      });
-}
-
-/// Lane-group trajectory interpreter: one group of noisy trajectories in
-/// lockstep from |0...0>. Gates apply to all lanes at once, and every
-/// noise event draws per lane from that trajectory's own stream
-/// (ascending lane order at each event -- within a single stream the
-/// order is exactly evolve()'s, so lane L is bit-identical to a scalar
-/// trajectory run on rngs[L]). Lanes at and beyond rngs.size() are
-/// padding of a compacted ragged tail: they ride the uniform gates and
-/// Kraus branch 0 but consume no randomness, so padding can never shift
-/// a real trajectory's draws. The payoff is the relaxation path: per
-/// gate, sample_and_apply_lanes runs the Born weight passes and the
-/// renormalization as k independent accumulator chains instead of k
-/// serial scalar passes.
-void evolve_lanes(const NoiseModel& noise, const GateProgram& program,
-                  std::span<const int> physical, sim::BatchedStatevector& bsv,
-                  std::span<Prng> rngs) {
-  std::array<Prng*, sim::BatchedStatevector::kMaxLanes> lane_rngs{};
-  for (std::size_t l = 0; l < rngs.size(); ++l) lane_rngs[l] = &rngs[l];
-  const std::span<Prng* const> kraus_rngs(lane_rngs.data(), bsv.lanes());
-  bsv.reset();
-  noise.walk(
-      program.ops, physical, [&](std::size_t i) { program.apply(bsv, i); },
-      [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
-        for (std::size_t l = 0; l < rngs.size(); ++l)
-          inject_depolarizing(qubits, d.p, rngs[l], [&](int which, int q) {
-            apply_pauli(bsv, l, which, q);
-          });
-      },
-      [&](int q, const noise::KrausChannel& relax) {
-        relax.sample_and_apply_lanes(bsv, q, kraus_rngs);
-      });
-}
-
-/// Density-matrix interpreter: the exact average of the trajectories
-/// evolve() samples, every noise event applied as its channel.
-sim::DensityMatrix evolve_density(const NoiseModel& noise,
-                                  std::span<const int> physical,
-                                  std::span<const transpile::BoundOp> ops) {
-  sim::DensityMatrix rho(static_cast<int>(physical.size()));
-  noise.walk(
-      ops, physical,
-      [&](std::size_t i) {
-        rho.apply_unitary(circuit::gate_matrix(ops[i].kind, ops[i].angle),
-                          ops[i].qubits);
-      },
-      [&](const std::vector<int>& qubits, const NoiseModel::Depolarizing& d) {
-        rho.apply_channel(d.channel.kraus(), qubits);
-      },
-      [&](int q, const noise::KrausChannel& relax) {
-        rho.apply_channel(relax.kraus(), {q});
-      });
-  return rho;
-}
-
-/// Exact effect of physical qubit `phys`'s classical readout flips on a
-/// measured +-1 value or its mean z.
-double read_out(const NoiseModel& noise, int phys, double z) {
-  if (noise.readout.empty()) return z;
-  const auto& [e01, e10] = noise.readout[static_cast<std::size_t>(phys)];
-  return (1.0 - e01 - e10) * z + (e10 - e01);
+/// Ideal basis changes into Z, as superoperators: H for an X group, Sdg
+/// then H for a Y group (CompiledObservable's suffix gates).
+const noise::Superop& basis_change(bool y) {
+  static const noise::Superop x_basis = noise::unitary_superop(sim::gate_h());
+  static const noise::Superop y_basis =
+      noise::unitary_superop(sim::gate_h() * sim::gate_sdg());
+  return y ? y_basis : x_basis;
 }
 
 /// Mean of `shots` +-1 readings of which `minus` read -1. Bitwise the
 /// per-shot +-1.0 sum divided by `shots`: every partial sum of that fold
 /// is an exact integer, so it ends at exactly shots - 2 * minus.
-double pm_mean(std::int64_t minus, std::uint64_t shots) {
-  return static_cast<double>(static_cast<std::int64_t>(shots) - 2 * minus) /
-         static_cast<double>(shots);
+double pm_mean(std::int64_t minus, int shots) {
+  return static_cast<double>(shots - 2 * minus) / static_cast<double>(shots);
 }
 
-/// The per-evaluation transpile loop of both device backends: resolves
-/// each evaluation's source angles, lowers the plan's routed template
-/// for them and calls body(k, lowered) for evaluation k, fanned over
-/// `threads` pool workers.
+/// One evaluation's noisy state, exactly: the density matrix rho over
+/// the m active qubits of a routed program, held as a 2m-qubit
+/// Statevector whose row qubit q is qubit q and column qubit q is qubit
+/// m + q (sim::DensityMatrix's layout). Active qubit q is physical qubit
+/// physical[q], and every superoperator and readout flip is looked up by
+/// that physical qubit. One engine is per-chunk scratch: it allocates
+/// once and is reused for each evaluation of its chunk.
+///
+/// evolve() applies a lowered stream {RZ, SX, X, CX} as NoiseModel
+/// describes it. Each qubit keeps a pending 4x4, the product of its 1q
+/// gates since its last CX: RZ scales two of its rows (a frame change,
+/// no error), SX and X left-multiply their noisy superoperators. A CX
+/// applies both operands' pending 4x4s to rho, then the CX to the row
+/// and column qubits, then the 2q depolarizing error, and makes each
+/// operand's 2q relaxation its new pending 4x4. The end applies every
+/// pending 4x4. So rho sees one 4^m pass per CX operand instead of one
+/// per gate, and only 4x4 products run per 1q gate.
+///
+/// The readout is a device's: the distribution p[s] = Re rho[s, s] over
+/// the 2^m outcomes, with each measured qubit's readout confusion
+/// applied -- exactly the distribution independent per-shot flips give.
+/// With shots == 0 a mean is its exact sum over p; otherwise it is the
+/// mean of `shots` outcomes drawn from p through sim::ShotSampler.
+class DeviceEngine {
+ public:
+  DeviceEngine(const noise::NoiseModel& noise, std::span<const int> physical)
+      : noise_(noise),
+        physical_(physical),
+        m_(static_cast<int>(physical.size())),
+        rho_(2 * m_),
+        meas_(1),
+        pending_(physical.size()),
+        dirty_(physical.size()),
+        p_(std::size_t{1} << m_) {}
+
+  /// rho <- the lowered stream `ops` applied to |0...0><0...0|.
+  void evolve(std::span<const transpile::BoundOp> ops) {
+    rho_.reset();
+    std::fill(dirty_.begin(), dirty_.end(), false);
+    for (const auto& op : ops) {
+      const int q = op.qubits[0];
+      switch (op.kind) {
+        case GateKind::Rz:
+          phase(q, op.angle);
+          break;
+        case GateKind::Sx:
+          gate(q, noise_.sx[physical(q)]);
+          break;
+        case GateKind::X:
+          gate(q, noise_.x[physical(q)]);
+          break;
+        case GateKind::Cx:
+          cx(q, op.qubits[1]);
+          break;
+        default:
+          throw std::logic_error("device engine: unexpected gate '" +
+                                 circuit::gate_name(op.kind) +
+                                 "' in lowered stream");
+      }
+    }
+    for (int q = 0; q < m_; ++q) flush(q);
+  }
+
+  /// <Z_l> of every logical qubit l, read on active qubit layout[l].
+  void z_all(std::span<const int> layout, int shots, Prng* rng,
+             std::vector<double>& out) {
+    masks_.clear();
+    std::uint64_t measured = 0;
+    for (const int a : layout) {
+      masks_.push_back(bit(a));
+      measured |= bit(a);
+    }
+    read_out(layout, measured, {});
+    out.resize(layout.size());
+    means(shots, rng, out);
+  }
+
+  /// <H>: each commuting group read out after its basis change, its
+  /// terms' parities averaged over the group's distribution. Sampled
+  /// groups draw from `rng` in group order.
+  double energy(const exec::CompiledObservable& observable,
+                std::span<const int> layout, int shots, Prng* rng) {
+    const int n = observable.num_qubits();
+    const auto active = [&](std::uint64_t logical) {
+      std::uint64_t mask = 0;
+      for (int q = 0; q < n; ++q)
+        if (logical & exec::CompiledObservable::qubit_bit(q, n))
+          mask |= bit(layout[static_cast<std::size_t>(q)]);
+      return mask;
+    };
+    double energy = observable.constant();
+    for (const auto& group : observable.groups()) {
+      masks_.clear();
+      for (const auto& term : group.terms) masks_.push_back(active(term.z_mask));
+      read_out(layout, active(group.measured_mask), group.suffix);
+      values_.resize(masks_.size());
+      means(shots, rng, values_);
+      for (std::size_t i = 0; i < group.terms.size(); ++i)
+        energy += group.terms[i].coeff * values_[i];
+    }
+    return energy;
+  }
+
+ private:
+  std::size_t physical(int q) const {
+    return static_cast<std::size_t>(physical_[static_cast<std::size_t>(q)]);
+  }
+  /// Outcome bit of active qubit a.
+  std::uint64_t bit(int a) const { return std::uint64_t{1} << (m_ - 1 - a); }
+
+  noise::Superop& pending(int q) {
+    const auto i = static_cast<std::size_t>(q);
+    if (!dirty_[i]) {
+      pending_[i] = {1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+                     0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0};
+      dirty_[i] = true;
+    }
+    return pending_[i];
+  }
+
+  /// RZ(theta) = diag(e^{-i theta/2}, e^{i theta/2}) as a superoperator
+  /// is diag(1, e^{-i theta}, e^{i theta}, 1): it scales rows 1 and 2 of
+  /// the pending 4x4.
+  void phase(int q, double theta) {
+    noise::Superop& s = pending(q);
+    const double c = std::cos(theta), sn = std::sin(theta);
+    for (std::size_t j = 0; j < 4; ++j) {
+      const cplx a = s[4 + j], b = s[8 + j];
+      s[4 + j] = {a.real() * c + a.imag() * sn, a.imag() * c - a.real() * sn};
+      s[8 + j] = {b.real() * c - b.imag() * sn, b.imag() * c + b.real() * sn};
+    }
+  }
+
+  void gate(int q, const noise::Superop& s) {
+    const auto i = static_cast<std::size_t>(q);
+    pending_[i] = dirty_[i] ? noise::compose(s, pending_[i]) : s;
+    dirty_[i] = true;
+  }
+
+  void flush(int q) {
+    const auto i = static_cast<std::size_t>(q);
+    if (!dirty_[i]) return;
+    rho_.apply_2q(pending_[i].data(), q, m_ + q);
+    dirty_[i] = false;
+  }
+
+  void cx(int a, int b) {
+    flush(a);
+    flush(b);
+    rho_.apply_cx(a, b);
+    rho_.apply_cx(m_ + a, m_ + b);  // CX is real: conj(CX) = CX
+    if (noise_.p2 > 0.0) depolarize(a, b);
+    if (noise_.relax_2q.empty()) return;
+    for (const int q : {a, b}) {
+      pending_[static_cast<std::size_t>(q)] = noise_.relax_2q[physical(q)];
+      dirty_[static_cast<std::size_t>(q)] = true;
+    }
+  }
+
+  /// rho <- (1 - p2) rho + p2 Tr_ab(rho) (x) I/4, block by block: each
+  /// block fixes every bit but the row and column bits of a and b, and
+  /// its trace over a and b is the sum of its four (ab, ab) diagonal
+  /// entries.
+  void depolarize(int a, int b) {
+    const int n = 2 * m_;
+    const auto stride = [n](int q) { return std::size_t{1} << (n - 1 - q); };
+    const std::size_t ra = stride(a), rb = stride(b), ca = stride(m_ + a),
+                      cb = stride(m_ + b);
+    std::array<std::size_t, 16> block;
+    for (std::size_t o = 0; o < 16; ++o)
+      block[o] = ((o & 8) ? ra : 0) | ((o & 4) ? rb : 0) | ((o & 2) ? ca : 0) |
+                 ((o & 1) ? cb : 0);
+    const std::array<std::size_t, 4> diag = {0, rb | cb, ra | ca,
+                                             ra | rb | ca | cb};
+    // The four block bits in ascending order, for spreading a block
+    // number over the bits they leave free.
+    std::array<std::size_t, 4> low = {ra, rb, ca, cb};
+    std::sort(low.begin(), low.end());
+    const double keep = 1.0 - noise_.p2, quarter = 0.25 * noise_.p2;
+    cplx* rho = rho_.data();
+    for (std::size_t k = 0; k < (rho_.dim() >> 4); ++k) {
+      std::size_t base = k;
+      for (const std::size_t bit : low)
+        base = ((base & ~(bit - 1)) << 1) | (base & (bit - 1));
+      cplx trace = 0.0;
+      for (const std::size_t d : diag) trace += rho[base | d];
+      for (const std::size_t o : block) rho[base | o] *= keep;
+      for (const std::size_t d : diag) rho[base | d] += quarter * trace;
+    }
+  }
+
+  /// p <- the readout distribution of rho after `suffix` (its qubits
+  /// logical, mapped through `layout`), with the readout confusion of
+  /// each active qubit in `measured`. Rounding can leave a diagonal
+  /// entry a hair below zero; it reads +0, so the sampler's CDF stays
+  /// monotone.
+  void read_out(
+      std::span<const int> layout, std::uint64_t measured,
+      std::span<const exec::CompiledObservable::BasisChange> suffix) {
+    const sim::Statevector* src = &rho_;
+    if (!suffix.empty()) {
+      meas_ = rho_;
+      for (const auto& bc : suffix) {
+        const int a = layout[static_cast<std::size_t>(bc.qubit)];
+        meas_.apply_2q(basis_change(bc.y).data(), a, m_ + a);
+      }
+      src = &meas_;
+    }
+    const std::size_t dim = p_.size();
+    const cplx* rho = src->amplitudes().data();
+    for (std::size_t s = 0; s < dim; ++s) {
+      const double d = rho[s * (dim + 1)].real();
+      p_[s] = d > 0.0 ? d : 0.0;
+    }
+    if (noise_.readout.empty()) return;
+    for (int a = 0; a < m_; ++a) {
+      const std::uint64_t flip = bit(a);
+      if (!(measured & flip)) continue;
+      const auto& [e01, e10] = noise_.readout[physical(a)];
+      for (std::size_t s = 0; s < dim; ++s) {
+        if (s & flip) continue;
+        const double p0 = p_[s], p1 = p_[s | flip];
+        p_[s] = (1.0 - e01) * p0 + e10 * p1;
+        p_[s | flip] = e01 * p0 + (1.0 - e10) * p1;
+      }
+    }
+  }
+
+  /// out[i] <- the mean of (-1)^parity(s & masks_[i]) over outcomes s:
+  /// exact under p when shots == 0, else over `shots` draws from p on
+  /// `rng`, folded as counts (exact integers, so bitwise the per-shot
+  /// fold).
+  void means(int shots, Prng* rng, std::span<double> out) {
+    if (shots == 0) {
+      for (std::size_t i = 0; i < masks_.size(); ++i) {
+        double acc = 0.0;
+        for (std::size_t s = 0; s < p_.size(); ++s)
+          acc += (std::popcount(s & masks_[i]) & 1) ? -p_[s] : p_[s];
+        out[i] = acc;
+      }
+      return;
+    }
+    const sim::ShotCounts& c = sampler_.count(p_.data(), p_.size(), shots, *rng);
+    for (std::size_t i = 0; i < masks_.size(); ++i) {
+      std::int64_t odd = 0;
+      for (std::size_t j = 0; j < c.outcomes.size(); ++j)
+        if (std::popcount(c.outcomes[j] & masks_[i]) & 1) odd += c.counts[j];
+      out[i] = pm_mean(odd, shots);
+    }
+  }
+
+  const noise::NoiseModel& noise_;
+  std::span<const int> physical_;
+  int m_;
+  sim::Statevector rho_;
+  // Starts as a 1-qubit placeholder that the first suffix's copy
+  // resizes, so run's suffix-free readout never allocates it.
+  sim::Statevector meas_;
+  std::vector<noise::Superop> pending_;
+  std::vector<bool> dirty_;  // pending_[q] differs from the identity
+  std::vector<double> p_;
+  std::vector<std::uint64_t> masks_;
+  std::vector<double> values_;
+  sim::ShotSampler sampler_;
+};
+
+/// The per-evaluation loop of both device backends: lowers the plan's
+/// routed template for each evaluation's angles, evolves its density
+/// matrix and calls body(k, engine, lowered) for evaluation k, fanned
+/// over `threads` pool workers with one engine per worker chunk. Throws
+/// std::invalid_argument, before anything executes, when the program
+/// touches more than kMaxActiveQubits qubits.
 template <class Body>
-void for_each_lowered(const exec::CompiledCircuit& plan,
+void for_each_evolved(const exec::CompiledCircuit& plan,
                       const ActiveProgram& prog,
                       const noise::DeviceModel& device,
+                      const noise::NoiseModel& noise,
                       std::span<const exec::Evaluation> evals,
                       unsigned threads, Body&& body) {
+  if (prog.n_active() > kMaxActiveQubits)
+    throw std::invalid_argument(
+        "device backend: the circuit touches " +
+        std::to_string(prog.n_active()) + " qubits, above the " +
+        std::to_string(kMaxActiveQubits) + " a density matrix can hold");
   parallel_for_chunked(
       0, evals.size(),
       [&](std::size_t lo, std::size_t hi) {
+        DeviceEngine engine(noise, prog.physical);
         std::vector<double> angles;
         for (std::size_t k = lo; k < hi; ++k) {
           const auto& e = evals[k];
           plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
                                      angles);
-          body(k,
-               transpile::transpile_with_angles(prog.tmpl, angles, device));
+          const transpile::Transpiled t =
+              transpile::transpile_with_angles(prog.tmpl, angles, device);
+          engine.evolve(t.ops);
+          body(k, engine, t);
         }
       },
       threads);
@@ -685,33 +772,18 @@ DensityMatrixBackend::DensityMatrixBackend(noise::DeviceModel device,
     : device_(std::move(device)),
       options_(options),
       noise_(device_, options_.enable_gate_noise, options_.enable_relaxation,
-             options_.enable_readout_error, options_.noise_scale) {
-  if (device_.n_qubits > 12)
-    throw std::invalid_argument(
-        "DensityMatrixBackend: device too large for O(4^n) simulation");
-}
+             options_.enable_readout_error, options_.noise_scale) {}
 
 std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto prog = transpile_cache_.get(plan, device_);
-  const std::span<const int> physical = prog->physical;
-  const int n_logical = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
-  for_each_lowered(
-      plan, *prog, device_, evals, threads,
-      [&](std::size_t k, const transpile::Transpiled& t) {
-        const auto z =
-            evolve_density(noise_, physical, t.ops).expectation_z_all();
-        auto& out = results[k];
-        out.resize(static_cast<std::size_t>(n_logical));
-        for (int l = 0; l < n_logical; ++l) {
-          const auto q = static_cast<std::size_t>(
-              t.final_layout[static_cast<std::size_t>(l)]);
-          out[static_cast<std::size_t>(l)] =
-              read_out(noise_, physical[q], z[q]);
-        }
-      });
+  for_each_evolved(plan, *transpile_cache_.get(plan, device_), device_, noise_,
+                   evals, threads,
+                   [&](std::size_t k, DeviceEngine& engine,
+                       const transpile::Transpiled& t) {
+                     engine.z_all(t.final_layout, 0, nullptr, results[k]);
+                   });
   return results;
 }
 
@@ -719,57 +791,17 @@ std::vector<double> DensityMatrixBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto prog = transpile_cache_.get(plan, device_);
-  const std::span<const int> physical = prog->physical;
-  const int n_logical = plan.num_qubits();
-  const int n_active = prog->n_active();
-  std::vector<double> results(evals.size());
-  // One exact noisy evolution per evaluation; every group's terms are
-  // then read from the final density matrix (deterministic oracle, so a
-  // single execution is counted per evaluation).
+  // One exact evolution per evaluation yields every group, so a single
+  // execution counts per evaluation.
   add_inferences(evals.size());
-  for_each_lowered(
-      plan, *prog, device_, evals, threads,
-      [&](std::size_t k, const transpile::Transpiled& t) {
-        const sim::DensityMatrix rho = evolve_density(noise_, physical, t.ops);
-        double energy = observable.constant();
-        for (const auto& group : observable.groups()) {
-          // Ideal basis-change suffix on the measured qubits; all-Z
-          // groups have none, so read rho directly instead of paying an
-          // O(4^m) copy.
-          const std::vector<double> probs = [&] {
-            if (group.suffix.empty()) return rho.probabilities();
-            sim::DensityMatrix meas = rho;
-            for (const auto& bc : group.suffix) {
-              const int q = t.final_layout[static_cast<std::size_t>(bc.qubit)];
-              if (bc.y) meas.apply_unitary(sim::gate_sdg(), {q});
-              meas.apply_unitary(sim::gate_h(), {q});
-            }
-            return meas.probabilities();
-          }();
-          for (const auto& term : group.terms) {
-            // E[prod (-1)^{b'_q}] with independent classical readout
-            // flips: condition on each basis state and multiply the
-            // per-qubit flip-adjusted parities.
-            double acc = 0.0;
-            for (std::size_t s = 0; s < probs.size(); ++s) {
-              double f = probs[s];
-              for (int q = 0; q < n_logical; ++q) {
-                if (!(term.z_mask &
-                      exec::CompiledObservable::qubit_bit(q, n_logical)))
-                  continue;
-                const int a = t.final_layout[static_cast<std::size_t>(q)];
-                const bool bit = (s >> (n_active - 1 - a)) & 1ULL;
-                f *= read_out(noise_, physical[static_cast<std::size_t>(a)],
-                              bit ? -1.0 : 1.0);
-              }
-              acc += f;
-            }
-            energy += term.coeff * acc;
-          }
-        }
-        results[k] = energy;
-      });
+  std::vector<double> results(evals.size());
+  for_each_evolved(plan, *transpile_cache_.get(plan, device_), device_, noise_,
+                   evals, threads,
+                   [&](std::size_t k, DeviceEngine& engine,
+                       const transpile::Transpiled& t) {
+                     results[k] =
+                         engine.energy(observable, t.final_layout, 0, nullptr);
+                   });
   return results;
 }
 
@@ -783,109 +815,8 @@ NoisyBackend::NoisyBackend(noise::DeviceModel device,
       options_(options),
       noise_(device_, options_.enable_gate_noise, options_.enable_relaxation,
              options_.enable_readout_error, options_.noise_scale) {
-  if (options_.trajectories < 1)
-    throw std::invalid_argument("NoisyBackend: trajectories < 1");
   if (options_.shots < 1)
     throw std::invalid_argument("NoisyBackend: shots < 1");
-}
-
-/// One measured execution of the lowered stream `t` over active qubits
-/// (active qubit q is physical qubit physical[q]) from its stream
-/// `exec_rng`: options_.trajectories noisy trajectories, each sampled
-/// max(1, shots / trajectories) times per measured group. Every shot of
-/// group g reaches fold(g, word) as its word of read-out logical bits;
-/// returns the shots per group. `observable == nullptr` measures run's
-/// one implicit group: every logical qubit, no basis change.
-template <class Fold>
-std::uint64_t NoisyBackend::measure(const transpile::Transpiled& t,
-                                    std::span<const int> physical,
-                                    int n_logical,
-                                    const exec::CompiledObservable* observable,
-                                    Prng& exec_rng, Fold&& fold) const {
-  const int n_active = static_cast<int>(physical.size());
-  const GateProgram program(t.ops);
-  const int shots = std::max(1, options_.shots / options_.trajectories);
-  // One stream per trajectory, split from the execution's in trajectory
-  // order (Prng::split draws only from the parent), so trajectory j
-  // consumes the same stream at every lane width and concurrent
-  // executions never interleave draws.
-  std::vector<Prng> rngs;
-  rngs.reserve(static_cast<std::size_t>(options_.trajectories));
-  for (int j = 0; j < options_.trajectories; ++j)
-    rngs.push_back(exec_rng.split());
-  const std::size_t n_groups = observable ? observable->groups().size() : 1;
-
-  // Readout of group g's shots from one trajectory: each measured
-  // logical qubit is read once per shot (flips shared by all terms of
-  // the group, exactly as one hardware shot would behave) into a
-  // logical-bit word. Shared verbatim by the scalar loop and every lane
-  // of a k-wide group, so every readout draw and every fold happens in
-  // the same order at every lane width.
-  const auto read = [&](std::size_t g, const std::vector<std::uint64_t>& s,
-                        Prng& rng) {
-    const std::uint64_t measured =
-        observable ? observable->groups()[g].measured_mask : ~0ULL;
-    for (const auto sample : s) {
-      std::uint64_t word = 0;
-      for (int q = 0; q < n_logical; ++q) {
-        const std::uint64_t lbit =
-            exec::CompiledObservable::qubit_bit(q, n_logical);
-        if (!(measured & lbit)) continue;
-        const int a = t.final_layout[static_cast<std::size_t>(q)];
-        int bit = static_cast<int>((sample >> (n_active - 1 - a)) & 1ULL);
-        if (!noise_.readout.empty())
-          bit = noise_.readout[static_cast<std::size_t>(
-                                   physical[static_cast<std::size_t>(a)])]
-                    .apply(bit, rng);
-        word |= bit ? lbit : 0;
-      }
-      fold(g, word);
-    }
-  };
-
-  // Evaluation-major trajectory partition: k trajectories evolve in
-  // lockstep on one lane group, a part-filled final group is padded,
-  // and any un-compacted remainder runs the scalar loop -- all in
-  // trajectory order on this thread. A lane group applies each
-  // measured group's suffix once for all its lanes; each lane's stream
-  // still sees its draws in scalar order: the walk, then group 0's
-  // shots and flips, then group 1's, ... `meas` starts as a 1-qubit
-  // placeholder that the first suffix's copy resizes, so run's
-  // suffix-free group never allocates it.
-  const sim::LanePartition part =
-      sim::partition_lanes(n_active, rngs.size(), options_.batch_lanes);
-  run_lanes(
-      part, rngs.size(), 1,
-      [&] {
-        return [&, bsv = sim::BatchedStatevector(n_active, part.lanes),
-                meas = sim::BatchedStatevector(1, part.lanes)](
-                   std::size_t first, std::size_t real) mutable {
-          evolve_lanes(noise_, program, physical, bsv,
-                       std::span(rngs).subspan(first, real));
-          for (std::size_t g = 0; g < n_groups; ++g) {
-            const auto& src = observable ? measured_state(*observable, g, bsv,
-                                                          meas, t.final_layout)
-                                         : bsv;
-            for (std::size_t l = 0; l < real; ++l) {
-              Prng& rng = rngs[first + l];
-              read(g, src.sample(l, shots, rng), rng);
-            }
-          }
-        };
-      },
-      [&] {
-        return [&, sv = sim::Statevector(n_active),
-                meas = sim::Statevector(1)](std::size_t j) mutable {
-          evolve(noise_, program, physical, sv, rngs[j]);
-          for (std::size_t g = 0; g < n_groups; ++g) {
-            const auto& src = observable ? measured_state(*observable, g, sv,
-                                                          meas, t.final_layout)
-                                         : sv;
-            read(g, src.sample(shots, rngs[j]), rngs[j]);
-          }
-        };
-      });
-  return static_cast<std::uint64_t>(shots) * rngs.size();
 }
 
 std::vector<std::vector<double>> NoisyBackend::execute_batch(
@@ -893,27 +824,13 @@ std::vector<std::vector<double>> NoisyBackend::execute_batch(
     unsigned threads) {
   const auto prog = transpile_cache_.get(plan, device_);
   std::vector<Prng> rngs = batch_streams(options_.seed, evals);
-  const int n_logical = plan.num_qubits();
   std::vector<std::vector<double>> results(evals.size());
-  for_each_lowered(
-      plan, *prog, device_, evals, threads,
-      [&](std::size_t k, const transpile::Transpiled& t) {
-        // <Z_q> folds the one implicit group that measures every qubit:
-        // ones[q] counts the shots that read q as 1.
-        std::vector<std::int64_t> ones(static_cast<std::size_t>(n_logical));
-        const std::uint64_t shots = measure(
-            t, prog->physical, n_logical, nullptr, rngs[k],
-            [&](std::size_t, std::uint64_t word) {
-              for (int q = 0; q < n_logical; ++q) {
-                const std::uint64_t lbit =
-                    exec::CompiledObservable::qubit_bit(q, n_logical);
-                ones[static_cast<std::size_t>(q)] += (word & lbit) != 0;
-              }
-            });
-        std::vector<double>& z = results[k];
-        z.reserve(ones.size());
-        for (const std::int64_t n : ones) z.push_back(pm_mean(n, shots));
-      });
+  for_each_evolved(plan, *prog, device_, noise_, evals, threads,
+                   [&](std::size_t k, DeviceEngine& engine,
+                       const transpile::Transpiled& t) {
+                     engine.z_all(t.final_layout, options_.shots, &rngs[k],
+                                  results[k]);
+                   });
   return results;
 }
 
@@ -922,32 +839,16 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
   const auto prog = transpile_cache_.get(plan, device_);
-  // One stream per evaluation; its groups then consume it sequentially
-  // inside measure().
+  // One stream per evaluation; its groups consume it in group order.
   std::vector<Prng> rngs = batch_streams(options_.seed, evals);
-  const auto& groups = observable.groups();
-  add_inferences(evals.size() * groups.size());
+  add_inferences(evals.size() * observable.groups().size());
   std::vector<double> results(evals.size());
-  for_each_lowered(
-      plan, *prog, device_, evals, threads,
-      [&](std::size_t k, const transpile::Transpiled& t) {
-        // odd[g][i]: group g's shots with odd parity under its term i.
-        std::vector<std::vector<std::int64_t>> odd(groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g)
-          odd[g].assign(groups[g].terms.size(), 0);
-        const std::uint64_t shots = measure(
-            t, prog->physical, observable.num_qubits(), &observable, rngs[k],
-            [&](std::size_t g, std::uint64_t word) {
-              const auto& terms = groups[g].terms;
-              for (std::size_t i = 0; i < terms.size(); ++i)
-                odd[g][i] += std::popcount(word & terms[i].z_mask) & 1;
-            });
-        double energy = observable.constant();
-        for (std::size_t g = 0; g < groups.size(); ++g)
-          for (std::size_t i = 0; i < groups[g].terms.size(); ++i)
-            energy += groups[g].terms[i].coeff * pm_mean(odd[g][i], shots);
-        results[k] = energy;
-      });
+  for_each_evolved(plan, *prog, device_, noise_, evals, threads,
+                   [&](std::size_t k, DeviceEngine& engine,
+                       const transpile::Transpiled& t) {
+                     results[k] = engine.energy(observable, t.final_layout,
+                                                options_.shots, &rngs[k]);
+                   });
   return results;
 }
 

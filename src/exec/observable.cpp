@@ -154,26 +154,11 @@ const CompiledObservable::Group& CompiledObservable::group(
   return groups_[g];
 }
 
-void CompiledObservable::apply_suffix(sim::Statevector& psi, std::size_t g,
-                                      std::span<const int> layout) const {
+void CompiledObservable::apply_suffix(sim::Statevector& psi,
+                                      std::size_t g) const {
   for (const auto& bc : group(g).suffix) {
-    const int q = layout.empty()
-                      ? bc.qubit
-                      : layout[static_cast<std::size_t>(bc.qubit)];
-    if (bc.y) psi.apply_1q(kSdgEntries, q);
-    psi.apply_1q(kHEntries, q);
-  }
-}
-
-void CompiledObservable::apply_suffix_lanes(sim::BatchedStatevector& psi,
-                                            std::size_t g,
-                                            std::span<const int> layout) const {
-  for (const auto& bc : group(g).suffix) {
-    const int q = layout.empty()
-                      ? bc.qubit
-                      : layout[static_cast<std::size_t>(bc.qubit)];
-    if (bc.y) psi.apply_1q(kSdgEntries, q);
-    psi.apply_1q(kHEntries, q);
+    if (bc.y) psi.apply_1q(kSdgEntries, bc.qubit);
+    psi.apply_1q(kHEntries, bc.qubit);
   }
 }
 

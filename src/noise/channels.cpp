@@ -1,27 +1,11 @@
 #include "qoc/noise/channels.hpp"
 
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "qoc/sim/gates.hpp"
-#include "qoc/sim/kernels.hpp"
 
 namespace qoc::noise {
-
-namespace {
-
-/// A 2x2 Kraus operator as the row-major stack buffer the weight
-/// kernels take (see kernels.hpp, "Trajectory-noise weight kernels":
-/// scalar and k-wide passes share expression trees and structural
-/// shortcuts inside the kernel layer, which is what keeps per-lane
-/// results bit-identical between sample_and_apply and
-/// sample_and_apply_lanes).
-std::array<linalg::cplx, 4> kraus_buf(const Matrix& k) {
-  return {k(0, 0), k(0, 1), k(1, 0), k(1, 1)};
-}
-
-}  // namespace
 
 KrausChannel::KrausChannel(std::string name, std::vector<Matrix> kraus_ops)
     : name_(std::move(name)), kraus_(std::move(kraus_ops)) {
@@ -40,114 +24,6 @@ bool KrausChannel::is_trace_preserving(double tol) const {
   Matrix sum(dim, dim);
   for (const auto& k : kraus_) sum += k.adjoint() * k;
   return linalg::approx_equal(sum, Matrix::identity(dim), tol);
-}
-
-std::size_t KrausChannel::sample_and_apply(sim::Statevector& sv,
-                                           const std::vector<int>& qubits,
-                                           qoc::Prng& rng) const {
-  if (static_cast<int>(qubits.size()) != arity_)
-    throw std::invalid_argument("KrausChannel: qubit count mismatch");
-
-  // Branch weights: w_i = ||K_i |psi>||^2. For single-qubit channels the
-  // weights are computed in one pass without copying the statevector
-  // (this is the inner loop of every noisy trajectory).
-  std::vector<double> weights(kraus_.size(), 0.0);
-  double total = 0.0;
-  if (arity_ == 1) {
-    const int n = sv.num_qubits();
-    const std::size_t stride = std::size_t{1} << (n - 1 - qubits[0]);
-    const auto& amps = sv.amplitudes();
-    const std::size_t dim = amps.size();
-    for (std::size_t i = 0; i < kraus_.size(); ++i) {
-      const auto m = kraus_buf(kraus_[i]);
-      weights[i] =
-          sim::kernels::kraus_weight(amps.data(), dim, stride, m.data());
-      total += weights[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < kraus_.size(); ++i) {
-      sim::Statevector tmp = sv;
-      tmp.apply_matrix(kraus_[i], qubits);
-      weights[i] = tmp.norm_squared();
-      total += weights[i];
-    }
-  }
-  if (total <= 0.0)
-    throw std::runtime_error("KrausChannel: vanishing branch weights");
-
-  double u = rng.uniform() * total;
-  std::size_t pick = kraus_.size() - 1;
-  for (std::size_t i = 0; i < kraus_.size(); ++i) {
-    u -= weights[i];
-    if (u < 0.0) {
-      pick = i;
-      break;
-    }
-  }
-  sv.apply_matrix(kraus_[pick], qubits);
-  sv.normalize();
-  return pick;
-}
-
-void KrausChannel::sample_and_apply_lanes(
-    sim::BatchedStatevector& sv, int qubit,
-    std::span<qoc::Prng* const> lane_rngs) const {
-  if (arity_ != 1)
-    throw std::invalid_argument(
-        "KrausChannel: sample_and_apply_lanes supports 1-qubit channels");
-  const std::size_t k = sv.lanes();
-  if (lane_rngs.size() != k)
-    throw std::invalid_argument("KrausChannel: lane_rngs size mismatch");
-
-  const int n = sv.num_qubits();
-  const std::size_t stride = std::size_t{1} << (n - 1 - qubit);
-  const auto& amps = sv.amplitudes();
-  const std::size_t dim = sv.dim();
-
-  // Per-lane branch weights via the k-wide weight kernel: lane L's
-  // accumulator receives the same per-(base, off) terms in the same
-  // order as the scalar kraus_weight pass above -- the k chains of one
-  // branch just run interleaved, which is where the k-wide layout beats
-  // k scalar passes (independent, vectorizable accumulators instead of
-  // one serial dependency chain).
-  const std::size_t n_branches = kraus_.size();
-  std::vector<double> weights(n_branches * k, 0.0);
-  std::array<double, sim::BatchedStatevector::kMaxLanes> total{};
-  for (std::size_t i = 0; i < n_branches; ++i) {
-    const auto m = kraus_buf(kraus_[i]);
-    double* w = weights.data() + i * k;
-    sim::kernels::batched_kraus_weight(amps.data(), dim, stride, k, m.data(),
-                                       w);
-    for (std::size_t l = 0; l < k; ++l) total[l] += w[l];
-  }
-
-  // Per-lane draw and branch walk, identical to the scalar path.
-  std::array<std::size_t, sim::BatchedStatevector::kMaxLanes> pick{};
-  for (std::size_t l = 0; l < k; ++l) {
-    if (lane_rngs[l] == nullptr) continue;  // padding lane: branch 0, no draw
-    if (total[l] <= 0.0)
-      throw std::runtime_error("KrausChannel: vanishing branch weights");
-    double u = lane_rngs[l]->uniform() * total[l];
-    std::size_t p = n_branches - 1;
-    for (std::size_t i = 0; i < n_branches; ++i) {
-      u -= weights[i * k + l];
-      if (u < 0.0) {
-        p = i;
-        break;
-      }
-    }
-    pick[l] = p;
-  }
-
-  // Entry-major per-lane matrices of the chosen branches; the batched
-  // kernel's per-lane butterfly is the scalar apply_1q reference, so
-  // each lane sees exactly the arithmetic of apply_matrix(kraus_[pick]).
-  std::array<linalg::cplx, 4 * sim::BatchedStatevector::kMaxLanes> m;
-  for (std::size_t e = 0; e < 4; ++e)
-    for (std::size_t l = 0; l < k; ++l)
-      m[e * k + l] = kraus_[pick[l]](e >> 1, e & 1);
-  sv.apply_1q_lanes(m.data(), qubit);
-  sv.normalize_lanes();
 }
 
 KrausChannel depolarizing_1q(double p) {
@@ -191,9 +67,7 @@ KrausChannel phase_damping(double lambda) {
     throw std::invalid_argument("phase_damping: lambda out of [0,1]");
   // Phase-flip representation: with probability p = (1 - sqrt(1-lambda))/2
   // apply Z. Identical channel to the usual {diag(1, sqrt(1-lambda)),
-  // diag(0, sqrt(lambda))} Kraus pair, but preserves populations along
-  // every single trajectory (not just on average), which is the physically
-  // sensible unravelling for quantum-jump simulation.
+  // diag(0, sqrt(lambda))} Kraus pair.
   const double p = 0.5 * (1.0 - std::sqrt(1.0 - lambda));
   Matrix k0{{std::sqrt(1.0 - p), 0.0}, {0.0, std::sqrt(1.0 - p)}};
   Matrix k1{{std::sqrt(p), 0.0}, {0.0, -std::sqrt(p)}};

@@ -926,6 +926,10 @@ void validate_submission(const detail::SessionState* owner,
   if (input.size() < static_cast<std::size_t>(entry->plan.num_inputs()))
     throw std::invalid_argument(
         "serve: input shorter than the plan's feature count");
+  // Rejected here, not in the lane: a non-finite binding coalesced into
+  // a sampled batch would fail its batch-mates' jobs too.
+  const exec::Evaluation eval{theta, input};
+  backend::require_finite(std::span(&eval, 1), "serve");
 }
 
 /// Shared submission path for run and expect jobs (they differ only in

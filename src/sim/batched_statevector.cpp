@@ -363,29 +363,6 @@ void BatchedStatevector::apply_diag_run_then_1q_pair_lanes(
   } while (done < count);
 }
 
-// ---- Single-lane mutation (trajectory noise) -------------------------------
-
-void BatchedStatevector::apply_pauli_x_lane(int qubit, std::size_t lane) {
-  check_qubit(qubit, "apply_pauli_x_lane: qubit index");
-  if (lane >= lanes_) throw std::out_of_range("apply_pauli_x_lane: lane");
-  kernels::lane_apply_pauli_x(amps_.data(), dim_, stride_of(qubit), lanes_,
-                              lane);
-}
-
-void BatchedStatevector::apply_pauli_y_lane(int qubit, std::size_t lane) {
-  check_qubit(qubit, "apply_pauli_y_lane: qubit index");
-  if (lane >= lanes_) throw std::out_of_range("apply_pauli_y_lane: lane");
-  kernels::lane_apply_pauli_y(amps_.data(), dim_, stride_of(qubit), lanes_,
-                              lane);
-}
-
-void BatchedStatevector::apply_pauli_z_lane(int qubit, std::size_t lane) {
-  check_qubit(qubit, "apply_pauli_z_lane: qubit index");
-  if (lane >= lanes_) throw std::out_of_range("apply_pauli_z_lane: lane");
-  kernels::lane_apply_pauli_z(amps_.data(), dim_, stride_of(qubit), lanes_,
-                              lane);
-}
-
 double BatchedStatevector::norm_squared(std::size_t lane) const {
   if (lane >= lanes_) throw std::out_of_range("norm_squared: lane index");
   // Same std::norm accumulation (and same TU / default contraction
@@ -393,25 +370,6 @@ double BatchedStatevector::norm_squared(std::size_t lane) const {
   double s = 0.0;
   for (std::size_t i = 0; i < dim_; ++i) s += std::norm(amps_[i * lanes_ + lane]);
   return s;
-}
-
-void BatchedStatevector::normalize_lanes() {
-  // k-wide per-lane norm sums: lane L receives the same std::norm terms
-  // in the same row-ascending order as Statevector::norm_squared, just
-  // interleaved with the other lanes' independent accumulators; the
-  // scale pass multiplies by the reciprocal exactly as
-  // Statevector::normalize. Both passes run in the kernel layer (AVX2
-  // forms when available), since this is the trajectory-noise hot loop.
-  std::array<double, kMaxLanes> sums{};
-  kernels::batched_norms(amps_.data(), dim_, lanes_, sums.data());
-  std::array<double, kMaxLanes> inv{};
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    const double n = std::sqrt(sums[l]);
-    if (n < 1e-300)
-      throw std::runtime_error("BatchedStatevector::normalize_lanes: zero norm");
-    inv[l] = 1.0 / n;
-  }
-  kernels::batched_scale(amps_.data(), dim_, lanes_, inv.data());
 }
 
 // ---- Per-lane measurement --------------------------------------------------

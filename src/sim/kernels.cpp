@@ -757,230 +757,4 @@ void batched_apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride,
   portable_batched_apply_pauli_z(amps, dim, stride, k);
 }
 
-// ---- Single-lane kernels ---------------------------------------------------
-// One trajectory lane of the SoA buffer; same (base, off) enumeration
-// and per-element expressions as the scalar pauli loops above, with
-// every row index scaled by k and offset by the lane.
-
-void lane_apply_pauli_x(cplx* amps, std::size_t dim, std::size_t stride,
-                        std::size_t k, std::size_t lane) {
-  for (std::size_t base = 0; base < dim; base += 2 * stride)
-    for (std::size_t off = 0; off < stride; ++off) {
-      const std::size_t i0 = base + off;
-      std::swap(amps[i0 * k + lane], amps[(i0 + stride) * k + lane]);
-    }
-}
-
-void lane_apply_pauli_y(cplx* amps, std::size_t dim, std::size_t stride,
-                        std::size_t k, std::size_t lane) {
-  const cplx i{0.0, 1.0};
-  for (std::size_t base = 0; base < dim; base += 2 * stride)
-    for (std::size_t off = 0; off < stride; ++off) {
-      cplx* p0 = amps + (base + off) * k + lane;
-      cplx* p1 = p0 + stride * k;
-      const cplx a0 = *p0;
-      const cplx a1 = *p1;
-      *p0 = -i * a1;
-      *p1 = i * a0;
-    }
-}
-
-void lane_apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride,
-                        std::size_t k, std::size_t lane) {
-  for (std::size_t base = stride; base < dim; base += 2 * stride)
-    for (std::size_t off = 0; off < stride; ++off) {
-      cplx& a = amps[(base + off) * k + lane];
-      a = -a;
-    }
-}
-
-// ---- Trajectory-noise weight / renormalization kernels ---------------------
-
-namespace {
-
-/// Largest lane count the batched weight/norm accumulators size for
-/// (BatchedStatevector::kMaxLanes; kernels.hpp keeps no dependency on
-/// the statevector headers).
-constexpr std::size_t kMaxWeightLanes = 32;
-
-/// Weight-pass structure classes (see kernels.hpp): the relaxation
-/// channels' Kraus operators are real diagonal (thermal K0, phase
-/// damping) or real upper-anti-diagonal (amplitude damping). Exact-zero
-/// tests, so every form and ISA classifies identically; dropping a
-/// structurally-zero product cannot change even a zero sign here, since
-/// each dropped term is squared or added to a square.
-enum class KrausForm { kRealDiag, kRealUpper, kDense };
-
-KrausForm classify_kraus(const cplx* m) {
-  const bool real = m[0].imag() == 0.0 && m[1].imag() == 0.0 &&
-                    m[2].imag() == 0.0 && m[3].imag() == 0.0;
-  if (real && m[1] == cplx{} && m[2] == cplx{}) return KrausForm::kRealDiag;
-  if (real && m[0] == cplx{} && m[2] == cplx{} && m[3] == cplx{})
-    return KrausForm::kRealUpper;
-  return KrausForm::kDense;
-}
-
-// Per-element weight terms, one per form. These inline helpers ARE the
-// reference expression trees: the scalar and batched portable passes
-// call them verbatim, and the AVX2 forms mirror them vector-op for
-// scalar-op (commuted multiplication operands only).
-inline double kraus_term_dense(const double* c, cplx a0, cplx a1) {
-  // c = {m00r, m00i, m01r, m01i, m10r, m10i, m11r, m11i}
-  const double a0r = a0.real(), a0i = a0.imag();
-  const double a1r = a1.real(), a1i = a1.imag();
-  const double b0r = (c[0] * a0r - c[1] * a0i) + (c[2] * a1r - c[3] * a1i);
-  const double b0i = (c[0] * a0i + c[1] * a0r) + (c[2] * a1i + c[3] * a1r);
-  const double b1r = (c[4] * a0r - c[5] * a0i) + (c[6] * a1r - c[7] * a1i);
-  const double b1i = (c[4] * a0i + c[5] * a0r) + (c[6] * a1i + c[7] * a1r);
-  return (b0r * b0r + b0i * b0i) + (b1r * b1r + b1i * b1i);
-}
-
-inline double kraus_term_real_diag(double m00, double m11, cplx a0, cplx a1) {
-  const double b0r = m00 * a0.real(), b0i = m00 * a0.imag();
-  const double b1r = m11 * a1.real(), b1i = m11 * a1.imag();
-  return (b0r * b0r + b0i * b0i) + (b1r * b1r + b1i * b1i);
-}
-
-inline double kraus_term_real_upper(double m01, cplx a1) {
-  const double b0r = m01 * a1.real(), b0i = m01 * a1.imag();
-  return b0r * b0r + b0i * b0i;
-}
-
-template <typename Term>
-double kraus_weight_loop(const cplx* amps, std::size_t dim,
-                         std::size_t stride, Term term) {
-  double w = 0.0;
-  for (std::size_t base = 0; base < dim; base += 2 * stride)
-    for (std::size_t off = 0; off < stride; ++off)
-      w += term(amps[base + off], amps[base + off + stride]);
-  return w;
-}
-
-template <typename Term>
-void batched_kraus_weight_loop(const cplx* amps, std::size_t dim,
-                               std::size_t stride, std::size_t k, double* w,
-                               Term term) {
-  std::array<double, kMaxWeightLanes> acc{};
-  for (std::size_t base = 0; base < dim; base += 2 * stride)
-    for (std::size_t off = 0; off < stride; ++off) {
-      const cplx* r0 = amps + (base + off) * k;
-      const cplx* r1 = r0 + stride * k;
-      for (std::size_t l = 0; l < k; ++l) acc[l] += term(r0[l], r1[l]);
-    }
-  for (std::size_t l = 0; l < k; ++l) w[l] = acc[l];
-}
-
-void portable_batched_kraus_weight(const cplx* amps, std::size_t dim,
-                                   std::size_t stride, std::size_t k,
-                                   const cplx* m, double* w) {
-  switch (classify_kraus(m)) {
-    case KrausForm::kRealDiag: {
-      const double m00 = m[0].real(), m11 = m[3].real();
-      batched_kraus_weight_loop(amps, dim, stride, k, w,
-                                [=](cplx a0, cplx a1) {
-                                  return kraus_term_real_diag(m00, m11, a0,
-                                                              a1);
-                                });
-      return;
-    }
-    case KrausForm::kRealUpper: {
-      const double m01 = m[1].real();
-      batched_kraus_weight_loop(
-          amps, dim, stride, k, w,
-          [=](cplx, cplx a1) { return kraus_term_real_upper(m01, a1); });
-      return;
-    }
-    case KrausForm::kDense: {
-      const double c[8] = {m[0].real(), m[0].imag(), m[1].real(), m[1].imag(),
-                           m[2].real(), m[2].imag(), m[3].real(), m[3].imag()};
-      batched_kraus_weight_loop(
-          amps, dim, stride, k, w,
-          [&](cplx a0, cplx a1) { return kraus_term_dense(c, a0, a1); });
-      return;
-    }
-  }
-}
-
-void portable_batched_norms(const cplx* amps, std::size_t dim, std::size_t k,
-                            double* sums) {
-  std::array<double, kMaxWeightLanes> acc{};
-  for (std::size_t i = 0; i < dim; ++i) {
-    const cplx* row = amps + i * k;
-    for (std::size_t l = 0; l < k; ++l) acc[l] += std::norm(row[l]);
-  }
-  for (std::size_t l = 0; l < k; ++l) sums[l] = acc[l];
-}
-
-void portable_batched_scale(cplx* amps, std::size_t dim, std::size_t k,
-                            const double* scale) {
-  for (std::size_t i = 0; i < dim; ++i) {
-    cplx* row = amps + i * k;
-    for (std::size_t l = 0; l < k; ++l) row[l] *= scale[l];
-  }
-}
-
-}  // namespace
-
-double kraus_weight(const cplx* amps, std::size_t dim, std::size_t stride,
-                    const cplx* m) {
-  // Single accumulator chain: no SIMD form (vectorizing the sum would
-  // re-associate it); the structural shortcuts carry the speedup.
-  switch (classify_kraus(m)) {
-    case KrausForm::kRealDiag: {
-      const double m00 = m[0].real(), m11 = m[3].real();
-      return kraus_weight_loop(amps, dim, stride, [=](cplx a0, cplx a1) {
-        return kraus_term_real_diag(m00, m11, a0, a1);
-      });
-    }
-    case KrausForm::kRealUpper: {
-      const double m01 = m[1].real();
-      return kraus_weight_loop(amps, dim, stride, [=](cplx, cplx a1) {
-        return kraus_term_real_upper(m01, a1);
-      });
-    }
-    case KrausForm::kDense:
-    default: {
-      const double c[8] = {m[0].real(), m[0].imag(), m[1].real(), m[1].imag(),
-                           m[2].real(), m[2].imag(), m[3].real(), m[3].imag()};
-      return kraus_weight_loop(amps, dim, stride, [&](cplx a0, cplx a1) {
-        return kraus_term_dense(c, a0, a1);
-      });
-    }
-  }
-}
-
-void batched_kraus_weight(const cplx* amps, std::size_t dim,
-                          std::size_t stride, std::size_t k, const cplx* m,
-                          double* w) {
-  if (use_batched_simd(k)) {
-    if (const auto* t = active_simd(); t->batched_kraus_weight != nullptr) {
-      t->batched_kraus_weight(amps, dim, stride, k, m, w);
-      return;
-    }
-  }
-  portable_batched_kraus_weight(amps, dim, stride, k, m, w);
-}
-
-void batched_norms(const cplx* amps, std::size_t dim, std::size_t k,
-                   double* sums) {
-  if (use_batched_simd(k)) {
-    if (const auto* t = active_simd(); t->batched_norms != nullptr) {
-      t->batched_norms(amps, dim, k, sums);
-      return;
-    }
-  }
-  portable_batched_norms(amps, dim, k, sums);
-}
-
-void batched_scale(cplx* amps, std::size_t dim, std::size_t k,
-                   const double* scale) {
-  if (use_batched_simd(k)) {
-    if (const auto* t = active_simd(); t->batched_scale != nullptr) {
-      t->batched_scale(amps, dim, k, scale);
-      return;
-    }
-  }
-  portable_batched_scale(amps, dim, k, scale);
-}
-
 }  // namespace qoc::sim::kernels

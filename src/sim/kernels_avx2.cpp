@@ -282,10 +282,10 @@ void avx2_batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
                            std::size_t k, const cplx* m) {
   // Matrix entries split into re/im halves once per call; the row loop
   // then spends its shuffle budget on one swap per amplitude vector.
-  // All-real matrices (per-lane RY columns, picked relaxation Kraus
-  // branches) take the real-butterfly path -- componentwise scaling, as
-  // in the pair kernels; the dropped im-part products are exact zeros,
-  // so only zero signs can change (see kernels.hpp).
+  // All-real matrices (per-lane RY columns) take the real-butterfly
+  // path -- componentwise scaling, as in the pair kernels; the dropped
+  // im-part products are exact zeros, so only zero signs can change
+  // (see kernels.hpp).
   constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
   __m256d re[4][kMaxLp], im[4][kMaxLp];
   const std::size_t lp = k / 2;
@@ -924,197 +924,6 @@ void avx2_batched_apply_diag_run_then_1q_pair(cplx* amps, std::size_t dim,
     run.template operator()<false>();
 }
 
-// ---- Trajectory-noise weight / renormalization kernels ---------------------
-// Per-lane weight and norm accumulator chains must match the portable
-// reference exactly. The real (diag / anti-diag) forms and the norm pass
-// pack FOUR lanes per accumulator register: hadd of two adjacent
-// lane-pair squares collapses each lane's re^2 + im^2 in one op,
-// yielding [l0, l2, l1, l3] slot order (unpermuted at extraction), so
-// no per-element permute/duplicate work is spent on horizontal
-// reduction. Each slot's chain is still term-by-term the scalar sum.
-// The dense form and any k % 4 tail pair keep the two-lane scheme: one
-// lane pair's sums duplicated per 128-bit half ([w_l0, w_l0, w_l1,
-// w_l1]), hadd collapsing per half, the duplicate slot receiving the
-// same additions with operands commuted (bitwise-equal sums).
-// Structural classification duplicates kernels.cpp's exact-zero tests,
-// so both TUs always agree on the shortcut taken.
-
-inline bool kraus_entries_real(const cplx* m) {
-  return m[0].imag() == 0.0 && m[1].imag() == 0.0 && m[2].imag() == 0.0 &&
-         m[3].imag() == 0.0;
-}
-
-void avx2_batched_kraus_weight(const cplx* amps, std::size_t dim,
-                               std::size_t stride, std::size_t k,
-                               const cplx* m, double* w) {
-  constexpr std::size_t kMaxLp = 16;
-  const std::size_t lp = k / 2;
-  __m256d acc[kMaxLp];
-  for (std::size_t l = 0; l < lp; ++l) acc[l] = _mm256_setzero_pd();
-
-  // Quad-lane layout for the real forms: q4 four-lane accumulators in
-  // [l0, l2, l1, l3] slot order, plus one duplicated-pair accumulator
-  // (at index q4) when k % 4 == 2.
-  const std::size_t q4 = k / 4;
-  const bool pair_tail = (k % 4) != 0;
-
-  const bool real = kraus_entries_real(m);
-  if (real && m[1] == cplx{} && m[2] == cplx{}) {
-    // Real diagonal: b0 = m00 * a0, b1 = m11 * a1 componentwise.
-    const __m256d m00 = _mm256_set1_pd(m[0].real());
-    const __m256d m11 = _mm256_set1_pd(m[3].real());
-    for (std::size_t base = 0; base < dim; base += 2 * stride)
-      for (std::size_t off = 0; off < stride; ++off) {
-        const cplx* r0 = amps + (base + off) * k;
-        const cplx* r1 = r0 + stride * k;
-        for (std::size_t q = 0; q < q4; ++q) {
-          const __m256d b0x = _mm256_mul_pd(load2(r0 + 4 * q), m00);
-          const __m256d b0y = _mm256_mul_pd(load2(r0 + 4 * q + 2), m00);
-          const __m256d b1x = _mm256_mul_pd(load2(r1 + 4 * q), m11);
-          const __m256d b1y = _mm256_mul_pd(load2(r1 + 4 * q + 2), m11);
-          const __m256d n0 = _mm256_hadd_pd(_mm256_mul_pd(b0x, b0x),
-                                            _mm256_mul_pd(b0y, b0y));
-          const __m256d n1 = _mm256_hadd_pd(_mm256_mul_pd(b1x, b1x),
-                                            _mm256_mul_pd(b1y, b1y));
-          acc[q] = _mm256_add_pd(acc[q], _mm256_add_pd(n0, n1));
-        }
-        if (pair_tail) {
-          const __m256d b0 = _mm256_mul_pd(load2(r0 + 4 * q4), m00);
-          const __m256d b1 = _mm256_mul_pd(load2(r1 + 4 * q4), m11);
-          const __m256d t0 = _mm256_mul_pd(b0, b0);
-          const __m256d t1 = _mm256_mul_pd(b1, b1);
-          const __m256d u = _mm256_hadd_pd(t0, t1);
-          const __m256d term = _mm256_add_pd(u, _mm256_permute_pd(u, 0x5));
-          acc[q4] = _mm256_add_pd(acc[q4], term);
-        }
-      }
-  } else if (real && m[0] == cplx{} && m[2] == cplx{} && m[3] == cplx{}) {
-    // Real upper anti-diagonal (amplitude damping): only b0 = m01 * a1.
-    const __m256d m01 = _mm256_set1_pd(m[1].real());
-    for (std::size_t base = 0; base < dim; base += 2 * stride)
-      for (std::size_t off = 0; off < stride; ++off) {
-        const cplx* r1 = amps + (base + off + stride) * k;
-        for (std::size_t q = 0; q < q4; ++q) {
-          const __m256d b0x = _mm256_mul_pd(load2(r1 + 4 * q), m01);
-          const __m256d b0y = _mm256_mul_pd(load2(r1 + 4 * q + 2), m01);
-          const __m256d n0 = _mm256_hadd_pd(_mm256_mul_pd(b0x, b0x),
-                                            _mm256_mul_pd(b0y, b0y));
-          acc[q] = _mm256_add_pd(acc[q], n0);
-        }
-        if (pair_tail) {
-          const __m256d b0 = _mm256_mul_pd(load2(r1 + 4 * q4), m01);
-          const __m256d t0 = _mm256_mul_pd(b0, b0);
-          acc[q4] = _mm256_add_pd(acc[q4], _mm256_hadd_pd(t0, t0));
-        }
-      }
-  } else {
-    // Dense 2x2: the full per-element expression, entries pre-split.
-    __m256d re[4], im[4];
-    for (int e = 0; e < 4; ++e) {
-      re[e] = _mm256_set1_pd(m[e].real());
-      im[e] = _mm256_set1_pd(m[e].imag());
-    }
-    for (std::size_t base = 0; base < dim; base += 2 * stride)
-      for (std::size_t off = 0; off < stride; ++off) {
-        const cplx* r0 = amps + (base + off) * k;
-        const cplx* r1 = r0 + stride * k;
-        for (std::size_t l = 0; l < lp; ++l) {
-          const __m256d a0 = load2(r0 + 2 * l);
-          const __m256d a1 = load2(r1 + 2 * l);
-          const __m256d a0s = swap_ri(a0);
-          const __m256d a1s = swap_ri(a1);
-          const __m256d b0 = _mm256_add_pd(cmul_pre(a0, a0s, re[0], im[0]),
-                                           cmul_pre(a1, a1s, re[1], im[1]));
-          const __m256d b1 = _mm256_add_pd(cmul_pre(a0, a0s, re[2], im[2]),
-                                           cmul_pre(a1, a1s, re[3], im[3]));
-          const __m256d t0 = _mm256_mul_pd(b0, b0);
-          const __m256d t1 = _mm256_mul_pd(b1, b1);
-          const __m256d u = _mm256_hadd_pd(t0, t1);
-          const __m256d term = _mm256_add_pd(u, _mm256_permute_pd(u, 0x5));
-          acc[l] = _mm256_add_pd(acc[l], term);
-        }
-      }
-    // Dense used the two-lane duplicated-pair layout throughout.
-    for (std::size_t l = 0; l < lp; ++l) {
-      alignas(32) double out[4];
-      _mm256_store_pd(out, acc[l]);
-      w[2 * l] = out[0];
-      w[2 * l + 1] = out[2];
-    }
-    return;
-  }
-
-  // Real forms: unpermute the quad accumulators, then the tail pair.
-  for (std::size_t q = 0; q < q4; ++q) {
-    alignas(32) double out[4];
-    _mm256_store_pd(out, acc[q]);
-    w[4 * q] = out[0];
-    w[4 * q + 1] = out[2];
-    w[4 * q + 2] = out[1];
-    w[4 * q + 3] = out[3];
-  }
-  if (pair_tail) {
-    alignas(32) double out[4];
-    _mm256_store_pd(out, acc[q4]);
-    w[k - 2] = out[0];
-    w[k - 1] = out[2];
-  }
-}
-
-void avx2_batched_norms(const cplx* amps, std::size_t dim, std::size_t k,
-                        double* sums) {
-  constexpr std::size_t kMaxLp = 16;
-  const std::size_t lp = k / 2;
-  const std::size_t q4 = k / 4;
-  const bool pair_tail = (k % 4) != 0;
-  __m256d acc[kMaxLp];
-  for (std::size_t l = 0; l < lp; ++l) acc[l] = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < dim; ++i) {
-    const cplx* row = amps + i * k;
-    for (std::size_t q = 0; q < q4; ++q) {
-      const __m256d vx = load2(row + 4 * q);
-      const __m256d vy = load2(row + 4 * q + 2);
-      const __m256d n = _mm256_hadd_pd(_mm256_mul_pd(vx, vx),
-                                       _mm256_mul_pd(vy, vy));
-      acc[q] = _mm256_add_pd(acc[q], n);
-    }
-    if (pair_tail) {
-      const __m256d v = load2(row + 4 * q4);
-      const __m256d t = _mm256_mul_pd(v, v);
-      acc[q4] = _mm256_add_pd(acc[q4], _mm256_hadd_pd(t, t));
-    }
-  }
-  for (std::size_t q = 0; q < q4; ++q) {
-    alignas(32) double out[4];
-    _mm256_store_pd(out, acc[q]);
-    sums[4 * q] = out[0];
-    sums[4 * q + 1] = out[2];
-    sums[4 * q + 2] = out[1];
-    sums[4 * q + 3] = out[3];
-  }
-  if (pair_tail) {
-    alignas(32) double out[4];
-    _mm256_store_pd(out, acc[q4]);
-    sums[k - 2] = out[0];
-    sums[k - 1] = out[2];
-  }
-}
-
-void avx2_batched_scale(cplx* amps, std::size_t dim, std::size_t k,
-                        const double* scale) {
-  constexpr std::size_t kMaxLp = 16;
-  const std::size_t lp = k / 2;
-  __m256d sc[kMaxLp];
-  for (std::size_t l = 0; l < lp; ++l)
-    sc[l] = _mm256_set_pd(scale[2 * l + 1], scale[2 * l + 1], scale[2 * l],
-                          scale[2 * l]);
-  for (std::size_t i = 0; i < dim; ++i) {
-    cplx* row = amps + i * k;
-    for (std::size_t l = 0; l < lp; ++l)
-      store2(row + 2 * l, _mm256_mul_pd(load2(row + 2 * l), sc[l]));
-  }
-}
-
 const detail::SimdVTable kAvx2VTable = {
     .name = "avx2",
     .apply_1q = avx2_apply_1q,
@@ -1132,9 +941,6 @@ const detail::SimdVTable kAvx2VTable = {
         avx2_batched_apply_diag_run_then_1q_pair,
     .batched_apply_diag_run = avx2_batched_apply_diag_run,
     .batched_apply_pauli_y = avx2_batched_apply_pauli_y,
-    .batched_kraus_weight = avx2_batched_kraus_weight,
-    .batched_norms = avx2_batched_norms,
-    .batched_scale = avx2_batched_scale,
 };
 
 }  // namespace

@@ -12,14 +12,14 @@
 
 namespace qoc::sim {
 
-void ShotSampler::build(const linalg::cplx* amps, std::size_t dim,
-                        std::size_t stride, int shots) {
+template <class Weight>
+void ShotSampler::build(std::size_t dim, int shots, Weight&& weight) {
   if (shots < 0) throw std::invalid_argument("sample: shots < 0");
   if (dim == 0) throw std::invalid_argument("sample: empty distribution");
   cdf_.resize(dim);
   double acc = 0.0;
   for (std::size_t i = 0; i < dim; ++i) {
-    acc += std::norm(amps[i * stride]);
+    acc += weight(i);
     cdf_[i] = acc;
   }
   total_ = acc;
@@ -52,7 +52,7 @@ inline std::size_t ShotSampler::draw(Prng& rng) const {
 void ShotSampler::sample(const linalg::cplx* amps, std::size_t dim,
                          std::size_t stride, int shots, Prng& rng,
                          std::vector<std::uint64_t>& out) {
-  build(amps, dim, stride, shots);
+  build(dim, shots, [=](std::size_t i) { return std::norm(amps[i * stride]); });
   out.resize(static_cast<std::size_t>(shots));
   for (auto& o : out) o = draw(rng);
 }
@@ -60,7 +60,17 @@ void ShotSampler::sample(const linalg::cplx* amps, std::size_t dim,
 const ShotCounts& ShotSampler::count(const linalg::cplx* amps,
                                      std::size_t dim, std::size_t stride,
                                      int shots, Prng& rng) {
-  build(amps, dim, stride, shots);
+  build(dim, shots, [=](std::size_t i) { return std::norm(amps[i * stride]); });
+  return fold(dim, shots, rng);
+}
+
+const ShotCounts& ShotSampler::count(const double* probs, std::size_t dim,
+                                     int shots, Prng& rng) {
+  build(dim, shots, [=](std::size_t i) { return probs[i]; });
+  return fold(dim, shots, rng);
+}
+
+const ShotCounts& ShotSampler::fold(std::size_t dim, int shots, Prng& rng) {
   tally_.resize(dim);
   // Reserve the most distinct outcomes a call can see, so a reused
   // sampler never reallocates on a varying count (allocations of

@@ -1,11 +1,13 @@
 // Tests for the execution backends: exact vs sampled statevector execution,
-// noisy-device trajectory behaviour, inference counting, and failure
-// injection (garbage configurations must be rejected).
+// noisy-device behaviour, inference counting, and failure injection
+// (garbage configurations and bindings must be rejected).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
@@ -75,7 +77,6 @@ TEST(StatevectorBackend, RejectsNegativeShots) {
 
 TEST(NoisyBackend, NoiseFreeDeviceMatchesExactUpToShotNoise) {
   NoisyBackendOptions opt;
-  opt.trajectories = 8;
   opt.shots = 65536;
   NoisyBackend noisy(DeviceModel::ideal(4), opt);
   StatevectorBackend exact(0);
@@ -95,7 +96,6 @@ TEST(NoisyBackend, NoiseShrinksExpectationMagnitudes) {
   // Depolarizing noise pulls <Z> toward 0: a circuit preparing <Z> = 1
   // exactly should read slightly less than 1 on a noisy device.
   NoisyBackendOptions opt;
-  opt.trajectories = 256;
   opt.shots = 8192;
   opt.noise_scale = 5.0;  // exaggerate for test stability
   NoisyBackend noisy(DeviceModel::ibmq_lima(), opt);
@@ -117,7 +117,6 @@ TEST(NoisyBackend, NoiseShrinksExpectationMagnitudes) {
 TEST(NoisyBackend, NoisierDeviceDegradesMore) {
   auto make_run = [](const DeviceModel& device) {
     NoisyBackendOptions opt;
-    opt.trajectories = 512;
     opt.shots = 8192;
     opt.noise_scale = 4.0;
     NoisyBackend backend(device, opt);
@@ -138,7 +137,6 @@ TEST(NoisyBackend, NoisierDeviceDegradesMore) {
 
 TEST(NoisyBackend, ReadoutErrorAloneBiasesGroundState) {
   NoisyBackendOptions opt;
-  opt.trajectories = 1;
   opt.shots = 40000;
   opt.enable_gate_noise = false;
   opt.enable_relaxation = false;
@@ -156,7 +154,6 @@ TEST(NoisyBackend, ReadoutErrorAloneBiasesGroundState) {
 TEST(NoisyBackend, DeterministicGivenSameSeedAndSerial) {
   auto build = [] {
     NoisyBackendOptions opt;
-    opt.trajectories = 16;
     opt.shots = 256;
     opt.seed = 777;
     return NoisyBackend(DeviceModel::ibmq_manila(), opt);
@@ -173,7 +170,6 @@ TEST(NoisyBackend, DeterministicGivenSameSeedAndSerial) {
 
 TEST(NoisyBackend, SuccessiveRunsDiffer) {
   NoisyBackendOptions opt;
-  opt.trajectories = 4;
   opt.shots = 64;
   NoisyBackend backend(DeviceModel::ibmq_manila(), opt);
   Circuit c(2);
@@ -185,151 +181,8 @@ TEST(NoisyBackend, SuccessiveRunsDiffer) {
   EXPECT_NE(f1[0], f2[0]);
 }
 
-// One noisy execution with an explicit trajectory lane width; everything
-// else (seed, device, circuit, bindings) held fixed so widths can be
-// compared bitwise.
-std::vector<double> run_noisy_lanes(int lanes, int trajectories, bool gate_noise,
-                                    bool relaxation, bool readout) {
-  NoisyBackendOptions opt;
-  opt.trajectories = trajectories;
-  opt.shots = 512;
-  opt.seed = 0xFEEDFACEULL;
-  opt.enable_gate_noise = gate_noise;
-  opt.enable_relaxation = relaxation;
-  opt.enable_readout_error = readout;
-  opt.batch_lanes = lanes;
-  NoisyBackend backend(DeviceModel::ibmq_manila(), opt);
-  Circuit c(4);
-  qoc::circuit::add_rzz_ring_layer(c);
-  qoc::circuit::add_ry_layer(c);
-  const std::vector<double> theta = {0.3, -0.8, 1.2, 0.5, 0.9, -0.4, 0.2, 1.5};
-  return backend.run(c, theta, {});
-}
-
-TEST(NoisyBackend, KWideTrajectoriesBitIdenticalToScalar) {
-  // The k-wide trajectory loop (gates lane-uniform, noise drawn per lane
-  // from each trajectory's own stream) must reproduce the scalar loop
-  // BITWISE -- including ragged trajectory counts: 16 = full groups,
-  // 12 = full group + padded group, 5 = one padded group, 9 = full
-  // group + scalar tail.
-  for (const int traj : {16, 12, 5, 9}) {
-    for (const bool relaxation : {true, false}) {
-      const auto ref = run_noisy_lanes(1, traj, true, relaxation, true);
-      const auto wide = run_noisy_lanes(8, traj, true, relaxation, true);
-      ASSERT_EQ(ref.size(), wide.size());
-      for (std::size_t q = 0; q < ref.size(); ++q)
-        EXPECT_EQ(ref[q], wide[q])  // bitwise, not approximate
-            << "traj=" << traj << " relaxation=" << relaxation << " q=" << q;
-    }
-  }
-  // Width invariance: every lane width is the same trajectory sequence.
-  const auto ref = run_noisy_lanes(1, 16, true, true, true);
-  for (const int lanes : {2, 4}) {
-    const auto wide = run_noisy_lanes(lanes, 16, true, true, true);
-    for (std::size_t q = 0; q < ref.size(); ++q)
-      EXPECT_EQ(ref[q], wide[q]) << "lanes=" << lanes << " q=" << q;
-  }
-  // Noise-free config: the walk draws nothing; only shot sampling does.
-  const auto ref_clean = run_noisy_lanes(1, 12, false, false, false);
-  const auto wide_clean = run_noisy_lanes(8, 12, false, false, false);
-  for (std::size_t q = 0; q < ref_clean.size(); ++q)
-    EXPECT_EQ(ref_clean[q], wide_clean[q]) << "q=" << q;
-}
-
-TEST(NoisyBackend, KWideBatchPinnedStreamsMatchScalar) {
-  // run_batch over a noisy backend with pinned per-evaluation streams:
-  // lane-grouped trajectories must not shift any evaluation's draws.
-  auto build = [](int lanes) {
-    NoisyBackendOptions opt;
-    opt.trajectories = 12;
-    opt.shots = 384;
-    opt.seed = 0xFEEDFACEULL;
-    opt.batch_lanes = lanes;
-    return NoisyBackend(DeviceModel::ibmq_manila(), opt);
-  };
-  Circuit c(4);
-  qoc::circuit::add_rzz_ring_layer(c);
-  qoc::circuit::add_ry_layer(c);
-  const auto plan = qoc::exec::CompiledCircuit::compile(c);
-  std::vector<std::vector<double>> thetas;
-  std::vector<qoc::exec::Evaluation> evals;
-  for (int i = 0; i < 5; ++i) {
-    std::vector<double> t(8);
-    for (int j = 0; j < 8; ++j) t[j] = 0.2 * (i + 1) + 0.13 * j;
-    thetas.push_back(std::move(t));
-  }
-  for (int i = 0; i < 5; ++i) {
-    qoc::exec::Evaluation e;
-    e.theta = thetas[static_cast<std::size_t>(i)];
-    if (i % 2 == 0) e.rng_stream = 77u + static_cast<std::uint64_t>(i);
-    evals.push_back(e);
-  }
-  NoisyBackend scalar = build(1);
-  NoisyBackend wide = build(8);
-  const auto ref = scalar.run_batch(plan, evals, 2);
-  const auto got = wide.run_batch(plan, evals, 2);
-  ASSERT_EQ(ref.size(), got.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    for (std::size_t q = 0; q < ref[i].size(); ++q)
-      EXPECT_EQ(ref[i][q], got[i][q]) << "eval=" << i << " q=" << q;
-}
-
-TEST(NoisyBackend, KWideExpectBitIdenticalToScalar) {
-  // expect_batch through the k-wide trajectory loop: basis-change
-  // suffixes are applied lane-uniform through the routed final layout,
-  // and readout flips consume each trajectory's stream in scalar order.
-  auto build = [](int lanes, int trajectories) {
-    NoisyBackendOptions opt;
-    opt.trajectories = trajectories;
-    opt.shots = 384;
-    opt.seed = 0xFEEDFACEULL;
-    opt.batch_lanes = lanes;
-    return NoisyBackend(DeviceModel::ibmq_manila(), opt);
-  };
-  Circuit c(4);
-  qoc::circuit::add_rzz_ring_layer(c);
-  qoc::circuit::add_ry_layer(c);
-  const auto plan = qoc::exec::CompiledCircuit::compile(c);
-  std::vector<qoc::exec::ObservableTerm> terms;
-  terms.push_back({"IIII", 0.5});
-  for (int q = 0; q + 1 < 4; ++q)
-    for (const char p : {'X', 'Y', 'Z'}) {
-      std::string s(4, 'I');
-      s[static_cast<std::size_t>(q)] = p;
-      s[static_cast<std::size_t>(q) + 1] = p;
-      terms.push_back({s, 0.8 + 0.05 * q});
-    }
-  const auto obs = qoc::exec::CompiledObservable::compile(4, terms);
-  std::vector<std::vector<double>> thetas;
-  std::vector<qoc::exec::Evaluation> evals;
-  for (int i = 0; i < 3; ++i) {
-    std::vector<double> t(8);
-    for (int j = 0; j < 8; ++j) t[j] = 0.31 * (i + 1) - 0.07 * j;
-    thetas.push_back(std::move(t));
-  }
-  for (int i = 0; i < 3; ++i) {
-    qoc::exec::Evaluation e;
-    e.theta = thetas[static_cast<std::size_t>(i)];
-    if (i == 1) e.rng_stream = 99u;
-    evals.push_back(e);
-  }
-  for (const int traj : {12, 5}) {
-    NoisyBackend scalar = build(1, traj);
-    NoisyBackend wide = build(8, traj);
-    const auto ref = scalar.expect_batch(plan, obs, evals, 2);
-    const auto got = wide.expect_batch(plan, obs, evals, 2);
-    ASSERT_EQ(ref.size(), got.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      EXPECT_EQ(ref[i], got[i]) << "traj=" << traj << " eval=" << i;
-  }
-}
-
 TEST(NoisyBackend, RejectsBadOptions) {
   NoisyBackendOptions opt;
-  opt.trajectories = 0;
-  EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
-               std::invalid_argument);
-  opt.trajectories = 4;
   opt.shots = 0;
   EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
                std::invalid_argument);
@@ -387,6 +240,71 @@ TEST(NoisyBackend, DurationEstimatePositive) {
   qoc::circuit::add_rzz_ring_layer(c);
   std::vector<double> theta(4, 0.4);
   EXPECT_GT(backend.estimate_duration_s(c, theta, {}), 0.0);
+}
+
+// ---- Non-finite bindings -----------------------------------------------------
+
+// A NaN or infinite theta, input or shift has no defined outcome: every
+// backend's run, run_batch and expect_batch must throw
+// std::invalid_argument before anything executes or counts, exact and
+// sampled alike (the sampled ones used to throw std::domain_error from
+// the sampler, the exact ones to return NaN).
+TEST(NonFiniteBindings, EveryBackendRejectsBeforeExecuting) {
+  Circuit c(2);
+  c.ry(0, ParamRef::input(0));
+  c.ry(1, ParamRef::trainable(0));
+  c.cx(0, 1);
+  c.rz(1, ParamRef::trainable(1));
+  const auto plan = qoc::exec::CompiledCircuit::compile(c);
+  const auto obs =
+      qoc::vqe::compile_observable(qoc::vqe::Hamiltonian::h2_minimal());
+  NoisyBackendOptions noisy_opt;
+  noisy_opt.shots = 256;
+  std::vector<std::unique_ptr<Backend>> backends;
+  backends.push_back(std::make_unique<StatevectorBackend>(0));
+  backends.push_back(std::make_unique<StatevectorBackend>(256, 1));
+  backends.push_back(
+      std::make_unique<NoisyBackend>(DeviceModel::ibmq_manila(), noisy_opt));
+  backends.push_back(
+      std::make_unique<DensityMatrixBackend>(DeviceModel::ibmq_manila()));
+
+  const std::vector<double> theta = {0.4, -0.7}, input = {0.9};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()})
+    for (const int where : {0, 1, 2}) {  // theta, input, shift
+      std::vector<double> t = theta, x = input;
+      qoc::exec::Evaluation e{t, x};
+      if (where == 0) t[1] = bad;
+      if (where == 1) x[0] = bad;
+      if (where == 2) {
+        e.shift_op = 1;
+        e.shift = bad;
+      }
+      const qoc::exec::Evaluation good{theta, input};
+      const std::vector<qoc::exec::Evaluation> batch = {good, e};
+      for (auto& b : backends) {
+        SCOPED_TRACE(b->name() + " bad=" + std::to_string(bad) +
+                     " where=" + std::to_string(where));
+        if (where != 2) {
+          EXPECT_THROW(b->run(c, t, x), std::invalid_argument);
+          EXPECT_THROW(b->run(plan, t, x), std::invalid_argument);
+        }
+        EXPECT_THROW(b->run_batch(plan, batch, 2), std::invalid_argument);
+        EXPECT_THROW(b->expect_batch(plan, obs, batch, 2),
+                     std::invalid_argument);
+        EXPECT_EQ(b->inference_count(), 0u);
+      }
+    }
+  // The good binding alone still runs everywhere.
+  for (auto& b : backends) {
+    const qoc::exec::Evaluation good{theta, input};
+    const auto z = b->run_batch(plan, std::span(&good, 1), 1);
+    for (const double v : z[0]) EXPECT_TRUE(std::isfinite(v)) << b->name();
+    EXPECT_TRUE(std::isfinite(
+        b->expect_batch(plan, obs, std::span(&good, 1), 1)[0]))
+        << b->name();
+  }
 }
 
 // ---- The stream rule -------------------------------------------------------
@@ -466,7 +384,6 @@ TEST_F(StreamRule, SampledStatevectorExpectBatch) {
 
 TEST_F(StreamRule, NoisyRunBatch) {
   NoisyBackendOptions opt;
-  opt.trajectories = 6;
   opt.shots = 96;
   opt.seed = 5;
   NoisyBackend auto_backend(DeviceModel::ibmq_manila(), opt);
@@ -556,9 +473,9 @@ TEST(ExpectBatch, DensityMatrixNoiseFreeMatchesExact) {
   EXPECT_NEAR(e_dm, e_exact, 1e-9);
 }
 
-TEST(ExpectBatch, NoisyTrajectoriesMatchDensityMatrixOracle) {
-  // With noise enabled, trajectory estimates must converge to the exact
-  // density-matrix result for the same device.
+TEST(ExpectBatch, NoisyBackendMatchesDensityMatrixOracle) {
+  // With noise enabled, sampled energies must agree with the exact
+  // density-matrix result for the same device up to shot noise.
   const auto h = qoc::vqe::Hamiltonian::h2_minimal();
   const auto obs = qoc::vqe::compile_observable(h);
   const auto ansatz = qoc::vqe::VqeSolver::hardware_efficient_ansatz(2, 1);
@@ -573,12 +490,22 @@ TEST(ExpectBatch, NoisyTrajectoriesMatchDensityMatrixOracle) {
   const double e_dm = dm.expect_batch(plan, obs, std::span(&eval, 1), 1)[0];
 
   NoisyBackendOptions opt;
-  opt.trajectories = 256;
   opt.shots = 16384;
   NoisyBackend noisy(DeviceModel::ibmq_manila(), opt);
-  const double e_traj =
+  const double e_noisy =
       noisy.expect_batch(plan, obs, std::span(&eval, 1), 1)[0];
-  EXPECT_NEAR(e_traj, e_dm, 0.08);
+  // Group g contributes the mean of `shots` independent single-shot
+  // values v = sum_i c_i (-1)^parity_i, each within [-S_g, S_g] for
+  // S_g = sum_i |c_i|, so Var(v) <= S_g^2 (Popoviciu) and the energy's
+  // standard deviation is at most sqrt(sum_g S_g^2 / shots). k = 5: a
+  // correct backend fails with probability below 5.7e-7.
+  double variance = 0.0;
+  for (const auto& group : obs.groups()) {
+    double range = 0.0;
+    for (const auto& term : group.terms) range += std::abs(term.coeff);
+    variance += range * range / opt.shots;
+  }
+  EXPECT_NEAR(e_noisy, e_dm, 5.0 * std::sqrt(variance));
 }
 
 TEST(ExpectBatch, QubitMismatchThrows) {

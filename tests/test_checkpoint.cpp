@@ -151,7 +151,6 @@ TEST(ParallelPaths, AccuracyThreadCountInvariantOnExactBackend) {
 TEST(ParallelPaths, NoisyBackendToleratesConcurrentRuns) {
   // Smoke test: concurrent run() calls must not crash or corrupt counters.
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 4;
   opt.shots = 64;
   backend::NoisyBackend qc(noise::DeviceModel::ibmq_manila(), opt);
   const qml::QnnModel model = qml::make_mnist2_model();

@@ -157,7 +157,6 @@ TEST(ControlledGates, CircuitBuilderValidatesToffoliQubits) {
 
 TEST(ControlledGates, NoisyBackendRunsToffoliCircuits) {
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 8;
   opt.shots = 1024;
   backend::NoisyBackend qc(noise::DeviceModel::ibmq_jakarta(), opt);
   Circuit c(3);

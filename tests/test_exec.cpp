@@ -268,7 +268,6 @@ TEST(RunBatch, MatchesLoopedRunNoisyBackend) {
   const std::vector<double> input = random_vector(16, rng);
 
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 8;
   opt.shots = 128;
   backend::NoisyBackend a(noise::DeviceModel::ibmq_santiago(), opt);
   backend::NoisyBackend b(noise::DeviceModel::ibmq_santiago(), opt);

@@ -141,13 +141,12 @@ TEST(Integration, PrunedTrainingStillLearns) {
 }
 
 TEST(Integration, NoisyOnChipTrainingLearns) {
-  // QC-Train on the simulated device: fewer shots/trajectories to keep the
+  // QC-Train on the simulated device: fewer shots to keep the
   // test fast; the task is easy so even noisy gradients converge.
   const qml::QnnModel model = qml::make_mnist2_model();
   const auto td = easy_two_class(12);
 
   NoisyBackendOptions opt;
-  opt.trajectories = 16;
   opt.shots = 512;
   opt.seed = 99;
   NoisyBackend backend(noise::DeviceModel::ibmq_santiago(), opt);

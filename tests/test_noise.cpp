@@ -1,5 +1,5 @@
-// Tests for noise channels (Kraus algebra + trajectory statistics) and
-// device calibration models.
+// Tests for noise channels (Kraus algebra) and device calibration
+// models.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "qoc/common/prng.hpp"
 #include "qoc/noise/channels.hpp"
 #include "qoc/noise/device_model.hpp"
+#include "qoc/sim/density_matrix.hpp"
 #include "qoc/sim/gates.hpp"
 
 namespace {
@@ -18,6 +19,7 @@ using namespace qoc::noise;
 using qoc::Prng;
 using qoc::linalg::cplx;
 using qoc::linalg::Matrix;
+using qoc::sim::DensityMatrix;
 using qoc::sim::Statevector;
 
 // ---- Kraus completeness (CPTP) ---------------------------------------------
@@ -66,13 +68,15 @@ TEST(ThermalRelaxation, ClipsT2AboveTwoT1) {
 
 TEST(ThermalRelaxation, ZeroDurationIsIdentityChannel) {
   const auto ch = thermal_relaxation(100e-6, 80e-6, 0.0);
-  Prng rng(1);
   Statevector sv(1);
   sv.apply_1q(qoc::sim::gate_h(), 0);
-  const auto before = sv.amplitudes();
-  ch.sample_and_apply(sv, {0}, rng);
-  for (std::size_t i = 0; i < 2; ++i)
-    EXPECT_NEAR(std::abs(sv.amplitudes()[i] - before[i]), 0.0, 1e-12);
+  const DensityMatrix before = DensityMatrix::from_statevector(sv);
+  DensityMatrix rho = before;
+  rho.apply_channel(ch.kraus(), {0});
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t c = 0; c < 2; ++c)
+      EXPECT_NEAR(std::abs(rho.element(r, c) - before.element(r, c)), 0.0,
+                  1e-12);
 }
 
 TEST(ChannelValidation, RejectsBadProbabilities) {
@@ -80,49 +84,6 @@ TEST(ChannelValidation, RejectsBadProbabilities) {
   EXPECT_THROW(depolarizing_1q(1.1), std::invalid_argument);
   EXPECT_THROW(amplitude_damping(2.0), std::invalid_argument);
   EXPECT_THROW(thermal_relaxation(-1.0, 1.0, 1.0), std::invalid_argument);
-}
-
-// ---- Trajectory statistics ---------------------------------------------------
-
-TEST(TrajectoryStats, AmplitudeDampingDecaysExcitedState) {
-  // Prepare |1>; after amplitude damping with gamma, P(1) ~ 1 - gamma.
-  const double gamma = 0.3;
-  const auto ch = amplitude_damping(gamma);
-  Prng rng(2);
-  const int trials = 20000;
-  int ones = 0;
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    sv.apply_1q(qoc::sim::gate_x(), 0);
-    ch.sample_and_apply(sv, {0}, rng);
-    if (sv.probability_one(0) > 0.5) ++ones;
-  }
-  EXPECT_NEAR(static_cast<double>(ones) / trials, 1.0 - gamma, 0.02);
-}
-
-TEST(TrajectoryStats, DepolarizingFlipsGroundStateAtExpectedRate) {
-  // On |0>, X and Y branches flip the state (p/4 each), Z/I do not.
-  const double p = 0.4;
-  const auto ch = depolarizing_1q(p);
-  Prng rng(3);
-  const int trials = 20000;
-  int flipped = 0;
-  for (int t = 0; t < trials; ++t) {
-    Statevector sv(1);
-    ch.sample_and_apply(sv, {0}, rng);
-    if (sv.probability_one(0) > 0.5) ++flipped;
-  }
-  EXPECT_NEAR(static_cast<double>(flipped) / trials, p / 2.0, 0.02);
-}
-
-TEST(TrajectoryStats, PhaseDampingPreservesPopulations) {
-  const auto ch = phase_damping(0.7);
-  Prng rng(4);
-  Statevector sv(1);
-  sv.apply_1q(qoc::sim::gate_ry(1.234), 0);
-  const double p1_before = sv.probability_one(0);
-  for (int i = 0; i < 50; ++i) ch.sample_and_apply(sv, {0}, rng);
-  EXPECT_NEAR(sv.probability_one(0), p1_before, 1e-9);
 }
 
 TEST(ReadoutError, FlipRatesMatchCalibration) {

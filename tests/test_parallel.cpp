@@ -214,7 +214,6 @@ TEST(ThreadInvariance, NoisyRunBatch) {
   std::vector<exec::Evaluation> evals(6, make_eval(theta, input));
 
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 4;
   opt.shots = 64;
   auto run_with = [&](unsigned threads) {
     backend::NoisyBackend qc(noise::DeviceModel::ibmq_santiago(), opt);
@@ -255,7 +254,6 @@ TEST(ThreadInvariance, NoisyExpectBatch) {
   std::vector<exec::Evaluation> evals(5, make_eval(theta, {}));
 
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 4;
   opt.shots = 64;
   auto run_with = [&](unsigned threads) {
     backend::NoisyBackend qc(noise::DeviceModel::ibmq_santiago(), opt);

@@ -57,7 +57,6 @@ TEST(ReadoutMitigator, RecoverExpectationThroughNoisyBackend) {
   // much closer to the ideal than the raw measurement.
   const auto device = DeviceModel::ibmq_lima();
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 1;
   opt.shots = 60000;
   opt.enable_gate_noise = false;
   opt.enable_relaxation = false;

@@ -1,7 +1,7 @@
 // Tests for qoc::replay: binary log round-trip stability, the text dump,
 // bitwise replay identity across pool configurations (1 vs 4 replicas,
 // folding on/off, cache on/off) and backend tiers (exact, sampled,
-// noisy-trajectory, density), divergence detection, and graceful typed
+// noisy, density), divergence detection, and graceful typed
 // rejection of truncated / corrupt / version-skewed logs.
 
 #include <gtest/gtest.h>
@@ -191,7 +191,7 @@ TEST(Replay, BitwiseIdenticalAcrossPoolConfigs) {
 }
 
 // Stochastic tiers: the replayed backend draws from the same pinned
-// streams, so sampled / trajectory / density results are bit-identical
+// streams, so sampled / noisy / density results are bit-identical
 // too (given an identically-constructed backend).
 TEST(Replay, SampledBackendReplaysBitwise) {
   backend::StatevectorBackend recorded(/*shots=*/128, /*seed=*/99);
@@ -207,9 +207,8 @@ TEST(Replay, SampledBackendReplaysBitwise) {
   }
 }
 
-TEST(Replay, NoisyTrajectoryBackendReplaysBitwise) {
+TEST(Replay, NoisyBackendReplaysBitwise) {
   backend::NoisyBackendOptions nopt;
-  nopt.trajectories = 4;
   nopt.shots = 64;
   backend::NoisyBackend recorded(noise::DeviceModel::ibmq_santiago(), nopt);
   const replay::TraceLog log = record_session(recorded);

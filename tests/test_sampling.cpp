@@ -223,6 +223,30 @@ TEST(ShotSampler, EveryBatchedLaneMatchesReference) {
   }
 }
 
+TEST(ShotSampler, ProbabilityEntryDrawsLikeAmplitudeEntry) {
+  // The device backends' entry point: the same CDF over p_i = |amp_i|^2
+  // must draw the amplitude path's outcomes and leave the stream where
+  // it does.
+  Prng state_rng(12);
+  Statevector sv(6);
+  std::vector<cplx> amps(sv.dim());
+  for (auto& a : amps) a = {state_rng.normal(), state_rng.normal()};
+  sv.set_amplitudes(amps);
+  std::vector<double> probs(amps.size());
+  for (std::size_t i = 0; i < amps.size(); ++i) probs[i] = std::norm(amps[i]);
+  for (const int shots : {0, 1, 1023, 1024}) {
+    Prng a(7), b(7);
+    ShotSampler amp_sampler, prob_sampler;
+    const ShotCounts& want = amp_sampler.count(amps.data(), amps.size(), 1,
+                                               shots, a);
+    const ShotCounts& got = prob_sampler.count(probs.data(), probs.size(),
+                                               shots, b);
+    EXPECT_EQ(got.outcomes, want.outcomes) << "shots=" << shots;
+    EXPECT_EQ(got.counts, want.counts) << "shots=" << shots;
+    EXPECT_EQ(a(), b()) << "shots=" << shots;
+  }
+}
+
 TEST(ShotSampler, ReusedAcrossSizesKeepsCountsClean) {
   // One sampler per worker chunk sees states of any size in any order;
   // its tallies must come back zeroed after every call.
@@ -366,10 +390,12 @@ TEST(CountFolds, BackendExpectMatchesPerShotFoldBitwise) {
 //
 // Sampled results recorded as IEEE bit patterns from the lower_bound
 // sampler and the per-shot folds, and device-backend results recorded
-// while NoisyBackend and DensityMatrixBackend each still had their own
-// noise walk. The bitwise determinism tests compare two runs of one
+// from the fused density-matrix engine (NoisyBackend's draws and
+// DensityMatrixBackend's low bits moved when it replaced the noise
+// trajectories; test_device_oracle.cpp pins the exact values across
+// that change). The bitwise determinism tests compare two runs of one
 // build; these compare against fixed values, so a change that moves any
-// sampled outcome, stream draw, noise event or fold fails here.
+// sampled outcome, stream draw, superoperator or fold fails here.
 
 std::vector<qoc::exec::Evaluation> pin_evals(
     std::vector<std::vector<double>>& thetas, std::size_t count,
@@ -428,7 +454,6 @@ std::vector<double> noisy_pins() {
   std::vector<std::vector<double>> thetas;
   const auto evals = pin_evals(thetas, 3, ansatz.num_trainable());
   NoisyBackendOptions opt;
-  opt.trajectories = 8;
   opt.shots = 256;
   opt.seed = 0x9015EULL;
   NoisyBackend run_backend(DeviceModel::ibmq_manila(), opt);
@@ -468,9 +493,9 @@ TEST(SampledPins, StatevectorBackendAtLaneWidths1And8) {
 
 TEST(SampledPins, NoisyBackend) {
   expect_pins(noisy_pins(),
-              {0xbfcb000000000000ULL, 0x3fdc000000000000ULL,
-               0xbfd6000000000000ULL, 0x3fe9b99999999998ULL,
-               0xbfe559999999999aULL, 0x3fcd666666666666ULL});
+              {0xbfd1000000000000ULL, 0x3fde000000000000ULL,
+               0xbfd6000000000000ULL, 0x3feef99999999998ULL,
+               0xbfe4ffffffffffffULL, 0x3fd7733333333333ULL});
 }
 
 /// A device backend on ibmq_manila, three bindings of an RZZ ring plus an
@@ -494,61 +519,30 @@ std::vector<double> device_pins(Make make) {
   return {z[0][0], z[1][1], z[2][2], z[2][3], e[0], e[1], e[2]};
 }
 
-NoisyBackend pin_noisy_backend(int trajectories, int lanes, bool gate_noise) {
-  NoisyBackendOptions opt;
-  opt.trajectories = trajectories;
-  opt.shots = 256;
-  opt.seed = 0xDE71CEULL;
-  opt.enable_gate_noise = gate_noise;
-  opt.enable_relaxation = gate_noise;
-  opt.batch_lanes = lanes;
-  return NoisyBackend(DeviceModel::ibmq_manila(), opt);
-}
-
 TEST(SampledPins, DensityMatrixBackend) {
   DensityMatrixBackend::Options opt;
   opt.noise_scale = 3.0;
   expect_pins(device_pins([&] {
                 return DensityMatrixBackend(DeviceModel::ibmq_manila(), opt);
               }),
-              {0x3fe915aaa38fbf99ULL, 0x3fe78b504ce9cd9eULL, 0x3fdce10ab3e9fd3aULL,
-               0x3fe08e2769a9aabfULL, 0x3fe6f94f74d359aeULL, 0x3fee7d4c99c09462ULL,
-               0x3fcc8bc22c38c58cULL});
-}
-
-TEST(SampledPins, NoisyBackendRaggedTrajectoriesAtLaneWidths1And8) {
-  // 5 trajectories are one padded lane group, 12 a full group plus a
-  // padded one; lanes = 1 runs both on the scalar loop.
-  const std::map<int, std::vector<std::uint64_t>> want = {
-      {5, {0x3fed7d7d7d7d7d7dULL, 0x3fe3333333333333ULL, 0x3fe3333333333333ULL,
-            0x3fe4f4f4f4f4f4f5ULL, 0x3ff0e8e8e8e8e8e8ULL, 0x3ff2aaaaaaaaaaacULL,
-            0x3fd75dc42a90f75cULL}},
-      {12, {0x3fedb6db6db6db6eULL, 0x3fe9a69a69a69a6aULL, 0x3fe1041041041041ULL,
-            0x3fe4924924924925ULL, 0x3ff349f49f49f49fULL, 0x3ff693e93e93e93fULL,
-            0x3fc1111111111110ULL}}};
-  for (const auto& [trajectories, pins] : want)
-    for (const int lanes : {1, 8}) {
-      SCOPED_TRACE("trajectories=" + std::to_string(trajectories) +
-                   " lanes=" + std::to_string(lanes));
-      expect_pins(device_pins([&] {
-                    return pin_noisy_backend(trajectories, lanes, true);
-                  }),
-                  pins);
-    }
+              {0x3fe915aaa38fbf9eULL, 0x3fe78b504ce9cdabULL, 0x3fdce10ab3e9fd43ULL,
+               0x3fe08e2769a9aac5ULL, 0x3fe6f94f74d359b2ULL, 0x3fee7d4c99c09474ULL,
+               0x3fcc8bc22c38c598ULL});
 }
 
 TEST(SampledPins, NoisyBackendWithoutGateNoiseOrRelaxation) {
-  // Readout flips only: every gate of the trajectory walk is noiseless.
-  const std::vector<std::uint64_t> want = {
-      0x3fedb6db6db6db6eULL, 0x3fedf7df7df7df7eULL, 0x3fe1861861861862ULL,
-      0x3fe5965965965966ULL, 0x3feec16c16c16c16ULL, 0x3ff60b60b60b60b7ULL,
-      0x3fcc71c71c71c71cULL};
-  for (const int lanes : {1, 8}) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    expect_pins(
-        device_pins([&] { return pin_noisy_backend(12, lanes, false); }),
-        want);
-  }
+  // Readout flips only: every gate is noiseless.
+  NoisyBackendOptions opt;
+  opt.shots = 256;
+  opt.seed = 0xDE71CEULL;
+  opt.enable_gate_noise = false;
+  opt.enable_relaxation = false;
+  expect_pins(device_pins([&] {
+                return NoisyBackend(DeviceModel::ibmq_manila(), opt);
+              }),
+              {0x3febc00000000000ULL, 0x3fec400000000000ULL, 0x3fe4000000000000ULL,
+               0x3fe5400000000000ULL, 0x3fee733333333333ULL, 0x3ffa566666666668ULL,
+               0x3fdeccccccccccccULL});
 }
 
 // ---- Gap-device pins -------------------------------------------------------
@@ -563,8 +557,8 @@ TEST(SampledPins, NoisyBackendWithoutGateNoiseOrRelaxation) {
 //    sits idle between the active qubits {0, 1, 3};
 //  - a 3-qubit circuit whose logical qubit 2 has no gate but is
 //    measured.
-// Recorded from the full-register simulation, before active-qubit
-// compaction.
+// Re-recorded from the fused density-matrix engine; ExactPins in
+// test_device_oracle.cpp hold this device's exact values from before it.
 
 DeviceModel gap_device() {
   DeviceModel d = DeviceModel::ibmq_lima();
@@ -616,33 +610,17 @@ std::vector<double> gap_pins(Make make) {
   return out;
 }
 
-TEST(SampledPins, GapDeviceNoisyBackendAtLaneWidths1And8) {
-  // 5 trajectories are one padded lane group, 12 a full group plus a
-  // padded one; lanes = 1 runs both on the scalar loop.
-  const std::map<int, std::vector<std::uint64_t>> want = {
-      {5, {0x3fe2f2f2f2f2f2f3ULL, 0x3fe7777777777777ULL, 0x3fd3535353535353ULL,
-           0x3febfbfbfbfbfbfcULL, 0x3fda2d6093c6fa2dULL, 0x3fd703d09d6a3703ULL,
-           0xbfc5959595959596ULL, 0x3fe2323232323232ULL, 0x3fec3c3c3c3c3c3cULL,
-           0x3fe2323232323232ULL, 0x3fb9191919191919ULL, 0x3febbbbbbbbbbbbcULL,
-           0x3fd24578abdf1245ULL, 0x3fe4e81b4e81b4e6ULL}},
-      {12, {0x3fe28a28a28a28a3ULL, 0x3fe3cf3cf3cf3cf4ULL, 0x3fd0c30c30c30c31ULL,
-            0x3febefbefbefbefcULL, 0x3fd27d27d27d27d2ULL, 0x3fd3e93e93e93e94ULL,
-            0xbfc4514514514514ULL, 0x3fdb6db6db6db6dbULL, 0x3feb2cb2cb2cb2cbULL,
-            0x3fe28a28a28a28a3ULL, 0x3fd1451451451451ULL, 0x3fec71c71c71c71cULL,
-            0x3fd2222222222222ULL, 0x3fde93e93e93e93dULL}}};
-  for (const auto& [trajectories, pins] : want)
-    for (const int lanes : {1, 8}) {
-      SCOPED_TRACE("trajectories=" + std::to_string(trajectories) +
-                   " lanes=" + std::to_string(lanes));
-      NoisyBackendOptions opt;
-      opt.trajectories = trajectories;
-      opt.shots = 256;
-      opt.seed = 0x6A9DEULL;
-      opt.noise_scale = 2.0;
-      opt.batch_lanes = lanes;
-      expect_pins(gap_pins([&] { return NoisyBackend(gap_device(), opt); }),
-                  pins);
-    }
+TEST(SampledPins, GapDeviceNoisyBackend) {
+  NoisyBackendOptions opt;
+  opt.shots = 256;
+  opt.seed = 0x6A9DEULL;
+  opt.noise_scale = 2.0;
+  expect_pins(gap_pins([&] { return NoisyBackend(gap_device(), opt); }),
+              {0x3fe4c00000000000ULL, 0x3fe5800000000000ULL, 0x3fcd000000000000ULL,
+               0x3feb400000000000ULL, 0x3fda999999999999ULL, 0x3fd559999999999aULL,
+               0xbfcf000000000000ULL, 0x3fd9000000000000ULL, 0x3febc00000000000ULL,
+               0x3fde800000000000ULL, 0x3fcc000000000000ULL, 0x3fe9800000000000ULL,
+               0x3fd9e66666666666ULL, 0x3fe1d9999999999aULL});
 }
 
 TEST(SampledPins, GapDeviceDensityMatrixBackend) {
@@ -650,11 +628,11 @@ TEST(SampledPins, GapDeviceDensityMatrixBackend) {
   opt.noise_scale = 2.0;
   expect_pins(
       gap_pins([&] { return DensityMatrixBackend(gap_device(), opt); }),
-      {0x3fe518722f4f5f6eULL, 0x3fe465546a6291cbULL, 0x3fd1b8671719fa9aULL,
-       0x3feaedee93ee176cULL, 0x3fd8486a2e4734b2ULL, 0x3fd05d95d2f05d4fULL,
-       0xbfd184fdb290f510ULL, 0x3fd9f318cb7b5572ULL, 0x3feae147ae147ae7ULL,
-       0x3fe12d81c3c1043eULL, 0x3fc8575485956d50ULL, 0x3feae147ae147ae8ULL,
-       0x3fd9e43298f4751dULL, 0x3fe31cb6f43d21daULL});
+      {0x3fe518722f4f5f68ULL, 0x3fe465546a6291caULL, 0x3fd1b8671719faa1ULL,
+       0x3feaedee93ee176bULL, 0x3fd8486a2e4734adULL, 0x3fd05d95d2f05d52ULL,
+       0xbfd184fdb290f512ULL, 0x3fd9f318cb7b5571ULL, 0x3feae147ae147adfULL,
+       0x3fe12d81c3c1043aULL, 0x3fc8575485956d47ULL, 0x3feae147ae147ae2ULL,
+       0x3fd9e43298f4750cULL, 0x3fe31cb6f43d21d6ULL});
 }
 
 }  // namespace

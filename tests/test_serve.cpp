@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -110,7 +112,6 @@ TEST(Serve, NoisyResultsMatchStreamedDirectRunBatchBitwise) {
   const auto qnn = make_qnn(3, 4, 1);
   const auto plan = exec::CompiledCircuit::compile(qnn);
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 4;
   opt.shots = 64;
   backend::NoisyBackend served_backend(noise::DeviceModel::ibmq_santiago(),
                                        opt);
@@ -209,8 +210,7 @@ TEST(Serve, ExpectJobsMatchDirectExpectBatch) {
   // submission exactly like run jobs.
   {
     backend::NoisyBackendOptions opt;
-    opt.trajectories = 4;
-    opt.shots = 64;
+      opt.shots = 64;
     backend::NoisyBackend served_backend(noise::DeviceModel::ibmq_santiago(),
                                          opt);
     backend::NoisyBackend direct_backend(noise::DeviceModel::ibmq_santiago(),
@@ -245,7 +245,6 @@ TEST(Serve, ExpectJobsMatchDirectExpectBatch) {
 TEST(Serve, ResultsInvariantToClientThreadingAndInterleaving) {
   const auto qnn = make_qnn(3, 4, 1);
   backend::NoisyBackendOptions opt;
-  opt.trajectories = 4;
   opt.shots = 64;
   constexpr unsigned kClients = 4;
   constexpr unsigned kJobs = 4;
@@ -351,6 +350,40 @@ TEST(Serve, SubmissionValidation) {
   EXPECT_THROW(client.submit(handle, short_theta, input),
                std::invalid_argument);
   EXPECT_THROW(client.submit(handle, theta, {}), std::invalid_argument);
+}
+
+TEST(Serve, NonFiniteSubmissionFailsOnlyItself) {
+  // Two clients' jobs coalesce on a sampled replica, one with a NaN
+  // theta. The offender is rejected at submit; before, both jobs reached
+  // the backend together and both futures failed in the sampler.
+  backend::StatevectorBackend backend(1024);
+  serve::ServeSession session(backend, fast_options());
+  const auto qnn = make_qnn(3, 4, 1);
+  const auto handle = session.register_circuit(qnn);
+  const auto h = session.register_observable(
+      vqe::compile_observable(vqe::Hamiltonian::heisenberg(3, 0.7)));
+  auto neighbour = session.client();
+  auto offender = session.client();
+
+  const auto theta = make_theta(qnn.num_trainable(), 0, 0);
+  const auto input = make_input(qnn.num_inputs(), 0, 0);
+  auto bad_theta = theta;
+  bad_theta[0] = std::numeric_limits<double>::quiet_NaN();
+  auto bad_input = input;
+  bad_input[1] = -std::numeric_limits<double>::infinity();
+
+  auto job = neighbour.submit(handle, theta, input);
+  EXPECT_THROW(offender.submit(handle, bad_theta, input),
+               std::invalid_argument);
+  EXPECT_THROW(offender.submit(handle, theta, bad_input),
+               std::invalid_argument);
+  EXPECT_THROW(offender.submit_expect(handle, h, bad_theta, input),
+               std::invalid_argument);
+  for (const double z : job.get()) EXPECT_TRUE(std::isfinite(z));
+  const auto m = session.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.failed, 0u);
 }
 
 TEST(Serve, DeadlineFlushCompletesSparseTraffic) {

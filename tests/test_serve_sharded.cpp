@@ -177,7 +177,6 @@ TEST(ServeSharded, NoisyRunAndExpectMatchSingleBackendBitwise) {
   const vqe::Hamiltonian h = vqe::Hamiltonian::heisenberg(3, 1.0);
   const auto obs = vqe::compile_observable(h);
   backend::NoisyBackendOptions nopt;
-  nopt.trajectories = 4;
   nopt.shots = 64;
   constexpr unsigned kJobs = 6;
 

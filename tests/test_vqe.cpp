@@ -144,13 +144,11 @@ TEST(CompiledObservable, RejectsMalformedTerms) {
 TEST(CompiledObservable, PerGroupCallsRejectBadGroupIndex) {
   const auto obs = compile_observable(Hamiltonian::h2_minimal());
   sim::Statevector psi(2);
-  sim::BatchedStatevector lanes(2, 2);
   sim::ShotSampler sampler;
   Prng rng(3);
   const sim::ShotCounts& counts = psi.sample_counts(16, rng, sampler);
   for (const std::size_t g : {obs.groups().size(), obs.groups().size() + 5}) {
     EXPECT_THROW(obs.apply_suffix(psi, g), std::out_of_range);
-    EXPECT_THROW(obs.apply_suffix_lanes(lanes, g), std::out_of_range);
     EXPECT_THROW(obs.group_energy_from_counts(counts, g), std::out_of_range);
   }
 }
@@ -273,7 +271,6 @@ TEST(EnergyEstimator, ForwardsToBackend) {
   evals[2].shift = -1.5707963267948966;
 
   backend::NoisyBackendOptions noisy;
-  noisy.trajectories = 4;
   noisy.shots = 64;
   noisy.seed = 23;
   using Make = std::function<std::shared_ptr<backend::Backend>()>;

@@ -9,7 +9,7 @@
 // stored in the log, so a recorded trace is self-describing):
 //   exact    10-qubit QNN on the exact statevector backend
 //   sampled  same structure, shots=256 Born sampling
-//   noisy    4-qubit circuit on ibmq_santiago noise trajectories
+//   noisy    4-qubit circuit on the ibmq_santiago device, 64 shots
 //   density  4-qubit circuit on exact density-matrix evolution
 //   mixed    8-structure catalog + expects + duplicates + result cache
 //
@@ -40,8 +40,8 @@ using namespace qoc;
 constexpr const char* kScenarios[] = {"exact", "sampled", "noisy", "density",
                                       "mixed"};
 
-/// Small 4-qubit QNN for the transpiling backends (fits the 5-qubit
-/// santiago device and keeps trajectory counts CI-cheap).
+/// Small 4-qubit QNN for the device backends (fits the 5-qubit santiago
+/// device).
 circuit::Circuit small_qnn() {
   circuit::Circuit c(4);
   circuit::add_rotation_encoder(c, 4);
@@ -77,8 +77,7 @@ std::unique_ptr<backend::Backend> make_backend(const std::string& scenario) {
   if (scenario == "noisy")
     return std::make_unique<backend::NoisyBackend>(
         noise::DeviceModel::ibmq_santiago(),
-        backend::NoisyBackendOptions{.trajectories = 4, .shots = 64,
-                                     .seed = 0xD1CE5EEDULL});
+        backend::NoisyBackendOptions{.shots = 64, .seed = 0xD1CE5EEDULL});
   if (scenario == "density")
     return std::make_unique<backend::DensityMatrixBackend>(
         noise::DeviceModel::ibmq_santiago());
