@@ -104,9 +104,10 @@ void routing_ablation() {
       const auto device = noise::DeviceModel::by_name(dev_name);
       const auto t =
           transpile::transpile(model.circuit(), theta, input, device);
+      const auto stats = transpile::compute_stats(t.ops, device.n_qubits);
       std::printf("%-12s %-16s %8zu %8zu %8zu %11.3f\n", task.name.c_str(),
-                  dev_name.c_str(), t.stats.n_cx, t.n_swaps_inserted,
-                  t.stats.depth,
+                  dev_name.c_str(), stats.n_cx, t.n_swaps_inserted,
+                  stats.depth,
                   transpile::estimated_success_probability(t, device));
     }
   }

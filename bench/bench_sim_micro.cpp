@@ -395,8 +395,7 @@ BENCHMARK(BM_RunBatchRaggedTail)->Arg(128)->Arg(132);
 
 void BM_TranspileWithTemplate(benchmark::State& state) {
   // Cached routing vs BM_TranspileTaskCircuit's full pipeline: this is
-  // the per-binding lowering NoisyBackend and DensityMatrixBackend run
-  // for every evaluation.
+  // the per-binding lowering NoisyBackend runs for every evaluation.
   const qml::QnnModel model = qml::make_fashion4_model();
   Prng rng(3);
   const auto theta = model.init_params(rng);
@@ -409,7 +408,7 @@ void BM_TranspileWithTemplate(benchmark::State& state) {
                                        exec::Evaluation::kNoShift, 0.0,
                                        angles);
     benchmark::DoNotOptimize(
-        transpile::transpile_with_angles(tmpl, angles, device));
+        transpile::transpile_with_angles(tmpl, angles));
   }
 }
 BENCHMARK(BM_TranspileWithTemplate);

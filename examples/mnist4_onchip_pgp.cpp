@@ -43,10 +43,11 @@ int main() {
     std::vector<double> input(16, 0.5);
     const auto t =
         transpile::transpile(model.circuit(), theta, input, device);
+    const auto stats = transpile::compute_stats(t.ops, device.n_qubits);
     std::printf("device %s: transpiled to %zu CX + %zu SX + %zu RZ "
                 "(%zu SWAPs inserted, depth %zu)\n",
-                device.name.c_str(), t.stats.n_cx, t.stats.n_sx, t.stats.n_rz,
-                t.n_swaps_inserted, t.stats.depth);
+                device.name.c_str(), stats.n_cx, stats.n_sx, stats.n_rz,
+                t.n_swaps_inserted, stats.depth);
     std::printf("estimated circuit success probability: %.3f\n\n",
                 transpile::estimated_success_probability(t, device));
   }

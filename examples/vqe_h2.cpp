@@ -47,7 +47,8 @@ int main() {
   // Run 2: the on-chip setting -- PGP with 512 shots per measured group
   // on the simulated ibmq_santiago. Its noise lifts every energy above
   // the ideal ground state, so the reference is the same solve on the
-  // device's exact density-matrix oracle.
+  // device read out exactly (shots = 0: the density matrix's own
+  // distribution, no shot noise).
   {
     const noise::DeviceModel device = noise::DeviceModel::ibmq_santiago();
     backend::NoisyBackendOptions opt;
@@ -65,9 +66,11 @@ int main() {
                         std::make_shared<backend::NoisyBackend>(device, opt)),
         ansatz, cfg);
     const VqeResult res = solver.run();
+    backend::NoisyBackendOptions exact_opt = opt;
+    exact_opt.shots = 0;
     VqeSolver oracle(
         EnergyEstimator(
-            h2, std::make_shared<backend::DensityMatrixBackend>(device)),
+            h2, std::make_shared<backend::NoisyBackend>(device, exact_opt)),
         ansatz, cfg);
     const VqeResult ref = oracle.run();
     std::printf("%s, 512 shots + PGP: E = %.6f "

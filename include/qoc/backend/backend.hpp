@@ -2,7 +2,8 @@
 // Execution backends.
 //
 // A Backend runs a bound PQC and returns the Pauli-Z expectation value of
-// every (logical) qubit -- the f(theta) of Eq. 1. Three implementations:
+// every (logical) qubit -- the f(theta) of Eq. 1. Two implementations,
+// each exact at shots == 0 and sampled at shots > 0:
 //
 //  * StatevectorBackend -- the paper's "Classical-Train" baseline: exact
 //    amplitudes, optional shot sampling ("sample based on the amplitude
@@ -13,13 +14,10 @@
 //    exactly under depolarizing gate errors and thermal relaxation, and
 //    each of its shots is then drawn from the exact readout distribution
 //    (readout bit-flips included), as 1,024 independent device runs
-//    would be.
+//    would be. With shots == 0 it sums that distribution instead: the
+//    deterministic noisy oracle its sampled counts are tested against.
 //
-//  * DensityMatrixBackend -- the same device engine read out exactly:
-//    the deterministic noisy oracle NoisyBackend's counts are tested
-//    against.
-//
-// All count every run() as one "inference", the x-axis of Fig. 6.
+// Both count every run() as one "inference", the x-axis of Fig. 6.
 //
 // The one execution primitive is the batch: callers compile a circuit
 // into an exec::CompiledCircuit once (per model) and submit many
@@ -91,8 +89,9 @@ class Backend {
     const exec::Evaluation eval{theta, input};
     const std::span<const exec::Evaluation> one(&eval, 1);
     require_finite(one, name());
+    auto results = execute_batch(plan, one, 1);
     add_inferences(1);
-    return std::move(execute_batch(plan, one, 1)[0]);
+    return std::move(results[0]);
   }
 
   /// Execute every evaluation of the batch against the compiled plan.
@@ -115,16 +114,18 @@ class Backend {
   /// serial counter (which still advances past it). qoc::serve relies
   /// on this to coalesce jobs from many clients into arbitrary batches
   /// without changing any job's outcome.
-  /// Each evaluation counts as one inference. A non-finite theta, input
-  /// or shift throws std::invalid_argument before anything executes.
+  /// Each evaluation counts as one inference once the batch has run. A
+  /// non-finite theta, input or shift throws std::invalid_argument
+  /// before anything executes.
   std::vector<std::vector<double>> run_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads = 1) {
     require_finite(evals, name());
-    add_inferences(evals.size());
     QOC_TRACE_SPAN_ARG("backend", "run_batch", "evals", evals.size());
     QOC_METRIC_SCOPED_TIMER_NS("qoc_backend_run_batch_ns");
-    return execute_batch(plan, evals, threads);
+    auto results = execute_batch(plan, evals, threads);
+    add_inferences(evals.size());
+    return results;
   }
 
   /// Batched Hamiltonian expectations: one energy per evaluation,
@@ -192,12 +193,13 @@ class Backend {
   /// once, through the single add_inferences() path, no matter which
   /// entry point submitted it -- run(), a run_batch() of any size, or a
   /// serve-coalesced batch. The run paths count at the public wrapper
-  /// (one per evaluation); the expect paths count inside the backend
-  /// implementation because the cost is backend-dependent (one per
-  /// *measured execution*: evals x commuting groups when sampling,
-  /// evals when a single execution yields every term analytically).
-  /// Cache hits that never execute (plan caches, serve's result cache)
-  /// are not inferences and must not count.
+  /// (one per evaluation) after execute_batch returns; the expect paths
+  /// count inside the backend implementation because the cost is
+  /// backend-dependent (one per *measured execution*: evals x commuting
+  /// groups when sampling, evals when a single execution yields every
+  /// term analytically). A call that throws before executing counts
+  /// nothing, and neither do cache hits that never execute (plan
+  /// caches, serve's result cache).
   std::uint64_t inference_count() const {
     return inferences_.load(std::memory_order_relaxed);
   }
@@ -311,7 +313,10 @@ struct NoisyBackendOptions {
   /// assignment at the next benchmark change.
   int trajectories = 64;
   /// Measurement shots per execution (paper uses 1024), each drawn
-  /// independently from the exact readout distribution.
+  /// independently from the exact readout distribution. 0 reads the
+  /// device out exactly: every mean is summed over that distribution,
+  /// as StatevectorBackend's shots == 0 is. Negative throws
+  /// std::invalid_argument.
   int shots = 1024;
   std::uint64_t seed = 0xD0C0FEE1ULL;
   bool enable_gate_noise = true;
@@ -331,8 +336,8 @@ struct NoisyBackendOptions {
 struct ActiveProgram;
 
 /// Device routing computed once per circuit structure and reused for
-/// every binding (see transpile::RoutedTemplate). Shared by the two
-/// device backends, which finish the pipeline for each binding with
+/// every binding (see transpile::RoutedTemplate). NoisyBackend holds
+/// one and finishes the pipeline for each binding with
 /// transpile::transpile_with_angles.
 ///
 /// Each entry is relabelled onto its plan's active qubits once, when it
@@ -363,75 +368,29 @@ class TranspileCache {
   std::size_t entries_ QOC_GUARDED_BY(mutex_) = 0;
 };
 
-/// The device read out exactly: the same device model, noise model,
-/// transpile pipeline and density-matrix engine as NoisyBackend, with
-/// every readout mean summed over the exact distribution instead of
-/// drawn from it. It is the deterministic noisy oracle NoisyBackend's
-/// counts are tested against. A circuit may touch at most 12 qubits of
-/// the device (its density matrix holds 4^m entries); execution throws
-/// std::invalid_argument above that.
-class DensityMatrixBackend final : public Backend {
- public:
-  /// Same meaning as the NoisyBackendOptions fields of the same name.
-  struct Options {
-    bool enable_gate_noise = true;
-    bool enable_relaxation = true;
-    bool enable_readout_error = true;
-    double noise_scale = 1.0;
-  };
-
-  explicit DensityMatrixBackend(noise::DeviceModel device)
-      : DensityMatrixBackend(std::move(device), Options{}) {}
-  DensityMatrixBackend(noise::DeviceModel device, Options options);
-
-  std::string name() const override { return "density:" + device_.name; }
-  /// Exact readout: no sampling anywhere.
-  bool deterministic() const override { return true; }
-  std::unique_ptr<Backend> clone_replica() const override {
-    return std::make_unique<DensityMatrixBackend>(device_, options_);
-  }
-  const noise::DeviceModel& device() const { return device_; }
-
- protected:
-  std::vector<std::vector<double>> execute_batch(
-      const exec::CompiledCircuit& plan,
-      std::span<const exec::Evaluation> evals, unsigned threads) override;
-  std::vector<double> execute_expect_batch(
-      const exec::CompiledCircuit& plan,
-      const exec::CompiledObservable& observable,
-      std::span<const exec::Evaluation> evals, unsigned threads) override;
-
- private:
-  noise::DeviceModel device_;
-  Options options_;
-  noise::NoiseModel noise_;
-  TranspileCache transpile_cache_;
-};
-
 /// Simulated NISQ device: transpiles to the device, evolves each
 /// evaluation's density matrix over the circuit's m active qubits
-/// exactly (at most 12, else execution throws std::invalid_argument),
-/// and draws its `shots` outcomes from the exact readout distribution
-/// with the evaluation's stream under the stream rule. So an estimate
-/// carries only shot noise, as on a device whose every shot is an
-/// independent noisy run. Thread-safe for concurrent run() calls.
+/// exactly (at most 12, else execution throws std::invalid_argument
+/// before anything draws or counts), and draws its `shots` outcomes
+/// from the exact readout distribution with the evaluation's stream
+/// under the stream rule. So an estimate carries only shot noise, as on
+/// a device whose every shot is an independent noisy run. With shots ==
+/// 0 each mean is summed over that distribution instead: no streams are
+/// reserved, expect_batch counts one inference per evaluation, and the
+/// results are a pure function of the bindings. Thread-safe for
+/// concurrent run() calls.
 class NoisyBackend final : public Backend {
  public:
   NoisyBackend(noise::DeviceModel device, NoisyBackendOptions options = {});
 
   std::string name() const override { return "noisy:" + device_.name; }
+  /// The exact readout (shots == 0) is a pure function of the bindings.
+  bool deterministic() const override { return options_.shots == 0; }
   std::unique_ptr<Backend> clone_replica() const override {
     return std::make_unique<NoisyBackend>(device_, options_);
   }
   const noise::DeviceModel& device() const { return device_; }
   const NoisyBackendOptions& options() const { return options_; }
-
-  /// Expected per-shot duration (seconds) of `c` bound to theta and
-  /// input, transpiled for the device; used by the Fig. 8 scalability
-  /// bench.
-  double estimate_duration_s(const circuit::Circuit& c,
-                             std::span<const double> theta,
-                             std::span<const double> input) const;
 
  protected:
   std::vector<std::vector<double>> execute_batch(

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
 
 namespace qoc::noise {
@@ -68,12 +67,6 @@ KrausChannel thermal_relaxation(double t1, double t2, double duration);
 struct ReadoutError {
   double prob_flip_0to1 = 0.0;  // P(read 1 | prepared 0)
   double prob_flip_1to0 = 0.0;  // P(read 0 | prepared 1)
-
-  /// Apply to a measured bit value.
-  int apply(int bit, qoc::Prng& rng) const {
-    if (bit == 0) return rng.bernoulli(prob_flip_0to1) ? 1 : 0;
-    return rng.bernoulli(prob_flip_1to0) ? 0 : 1;
-  }
 };
 
 }  // namespace qoc::noise

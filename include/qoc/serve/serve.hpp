@@ -31,7 +31,7 @@
 //   * A bounded LRU result cache keyed on (structure, observable,
 //     bitwise bindings) serves repeat requests without touching the
 //     backend -- enabled only when every replica reports
-//     deterministic() (exact statevector, density matrix), since
+//     deterministic() (statevector or device at shots = 0), since
 //     memoising sampled results would silently change their statistics.
 //   * In-flight duplicate folding: when the executing replica is
 //     deterministic, bitwise-identical bindings queued into the same

@@ -77,7 +77,8 @@ struct RoutingResult {
 RoutingResult route(const std::vector<BoundOp>& ops, int n_logical,
                     const noise::DeviceModel& device);
 
-/// Gate statistics used by the noise model and the scalability study.
+/// Gate counts and depth of a lowered stream, for reports and the
+/// success-probability and duration estimates below.
 struct TranspileStats {
   std::size_t n_rz = 0;        // virtual, error-free
   std::size_t n_sx = 0;
@@ -91,15 +92,15 @@ struct TranspileStats {
 };
 TranspileStats compute_stats(const std::vector<BoundOp>& ops, int n_qubits);
 
-/// Full pipeline output.
+/// Full pipeline output. compute_stats(ops, device.n_qubits) gives its
+/// gate counts and depth.
 struct Transpiled {
   std::vector<BoundOp> ops;   // routed + lowered, physical indices
   std::vector<int> final_layout;
   std::size_t n_swaps_inserted = 0;
-  TranspileStats stats;
 };
 
-/// bind -> route -> lower -> stats, against a device model.
+/// bind -> route -> lower, against a device model.
 Transpiled transpile(const circuit::Circuit& c, std::span<const double> theta,
                      std::span<const double> input,
                      const noise::DeviceModel& device);
@@ -130,13 +131,12 @@ RoutedTemplate route_template(const circuit::Circuit& c,
 /// Finish the pipeline for one binding: substitute per-source-op angles
 /// (from exec::CompiledCircuit::resolve_source_angles or equivalent),
 /// lower to the device basis and optimize. Produces output bit-identical
-/// to transpile() on the same circuit and binding. This is the one
-/// per-binding lowering of both device backends; a template relabelled
-/// onto a subset of the device's qubits (see backend::TranspileCache)
-/// lowers the same way.
+/// to transpile() on the same circuit and binding. This is
+/// NoisyBackend's one per-binding lowering; a template relabelled onto
+/// a subset of the device's qubits (see backend::TranspileCache) lowers
+/// the same way.
 Transpiled transpile_with_angles(const RoutedTemplate& t,
-                                 std::span<const double> source_angles,
-                                 const noise::DeviceModel& device);
+                                 std::span<const double> source_angles);
 
 /// Estimated success probability of the transpiled circuit: the product
 /// of (1 - err) over all physical gates plus readout. A coarse fidelity

@@ -11,8 +11,8 @@
 // backend's cached plan of the ansatz. The backend decides how <H> is
 // measured: StatevectorBackend exactly (shots = 0) or with one sampled
 // execution per qubit-wise-commuting group of Pauli terms, NoisyBackend
-// as sampled shots of a device model, DensityMatrixBackend as the exact
-// noisy oracle of that device. Exact statevector energies are
+// as sampled shots of a device model or, with shots = 0, as that
+// device's exact noisy oracle. Exact statevector energies are
 // bit-identical to the per-term vqe::Hamiltonian::expectation loop.
 
 #include <cstdint>
@@ -45,9 +45,9 @@ class EnergyEstimator {
   /// Measures on a StatevectorBackend(options.shots, options.seed).
   EnergyEstimator(Hamiltonian hamiltonian, EstimatorOptions options = {});
 
-  /// Measures on `backend`, e.g. a NoisyBackend or DensityMatrixBackend
-  /// over a catalog device. Copies of the estimator share it. Throws
-  /// std::invalid_argument when `backend` is null.
+  /// Measures on `backend`, e.g. a NoisyBackend over a catalog device,
+  /// sampled or read out exactly. Copies of the estimator share it.
+  /// Throws std::invalid_argument when `backend` is null.
   EnergyEstimator(Hamiltonian hamiltonian,
                   std::shared_ptr<backend::Backend> backend);
 

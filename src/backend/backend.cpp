@@ -725,24 +725,31 @@ class DeviceEngine {
   sim::ShotSampler sampler_;
 };
 
-/// The per-evaluation loop of both device backends: lowers the plan's
-/// routed template for each evaluation's angles, evolves its density
-/// matrix and calls body(k, engine, lowered) for evaluation k, fanned
-/// over `threads` pool workers with one engine per worker chunk. Throws
-/// std::invalid_argument, before anything executes, when the program
-/// touches more than kMaxActiveQubits qubits.
+/// The active-qubit program of `plan` on `device`, from `cache`. Throws
+/// std::invalid_argument when it touches more than kMaxActiveQubits
+/// qubits, so a batch is rejected before it reserves streams or counts.
+std::shared_ptr<const ActiveProgram> fitting_program(
+    TranspileCache& cache, const exec::CompiledCircuit& plan,
+    const noise::DeviceModel& device) {
+  auto prog = cache.get(plan, device);
+  if (prog->n_active() > kMaxActiveQubits)
+    throw std::invalid_argument(
+        "NoisyBackend: the circuit touches " +
+        std::to_string(prog->n_active()) + " qubits, above the " +
+        std::to_string(kMaxActiveQubits) + " a density matrix can hold");
+  return prog;
+}
+
+/// The device's per-evaluation loop: lowers the plan's routed template
+/// for each evaluation's angles, evolves its density matrix and calls
+/// body(k, engine, lowered) for evaluation k, fanned over `threads`
+/// pool workers with one engine per worker chunk.
 template <class Body>
 void for_each_evolved(const exec::CompiledCircuit& plan,
                       const ActiveProgram& prog,
-                      const noise::DeviceModel& device,
                       const noise::NoiseModel& noise,
                       std::span<const exec::Evaluation> evals,
                       unsigned threads, Body&& body) {
-  if (prog.n_active() > kMaxActiveQubits)
-    throw std::invalid_argument(
-        "device backend: the circuit touches " +
-        std::to_string(prog.n_active()) + " qubits, above the " +
-        std::to_string(kMaxActiveQubits) + " a density matrix can hold");
   parallel_for_chunked(
       0, evals.size(),
       [&](std::size_t lo, std::size_t hi) {
@@ -753,7 +760,7 @@ void for_each_evolved(const exec::CompiledCircuit& plan,
           plan.resolve_source_angles(e.theta, e.input, e.shift_op, e.shift,
                                      angles);
           const transpile::Transpiled t =
-              transpile::transpile_with_angles(prog.tmpl, angles, device);
+              transpile::transpile_with_angles(prog.tmpl, angles);
           engine.evolve(t.ops);
           body(k, engine, t);
         }
@@ -762,48 +769,6 @@ void for_each_evolved(const exec::CompiledCircuit& plan,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// DensityMatrixBackend
-// ---------------------------------------------------------------------------
-
-DensityMatrixBackend::DensityMatrixBackend(noise::DeviceModel device,
-                                           Options options)
-    : device_(std::move(device)),
-      options_(options),
-      noise_(device_, options_.enable_gate_noise, options_.enable_relaxation,
-             options_.enable_readout_error, options_.noise_scale) {}
-
-std::vector<std::vector<double>> DensityMatrixBackend::execute_batch(
-    const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
-    unsigned threads) {
-  std::vector<std::vector<double>> results(evals.size());
-  for_each_evolved(plan, *transpile_cache_.get(plan, device_), device_, noise_,
-                   evals, threads,
-                   [&](std::size_t k, DeviceEngine& engine,
-                       const transpile::Transpiled& t) {
-                     engine.z_all(t.final_layout, 0, nullptr, results[k]);
-                   });
-  return results;
-}
-
-std::vector<double> DensityMatrixBackend::execute_expect_batch(
-    const exec::CompiledCircuit& plan,
-    const exec::CompiledObservable& observable,
-    std::span<const exec::Evaluation> evals, unsigned threads) {
-  // One exact evolution per evaluation yields every group, so a single
-  // execution counts per evaluation.
-  add_inferences(evals.size());
-  std::vector<double> results(evals.size());
-  for_each_evolved(plan, *transpile_cache_.get(plan, device_), device_, noise_,
-                   evals, threads,
-                   [&](std::size_t k, DeviceEngine& engine,
-                       const transpile::Transpiled& t) {
-                     results[k] =
-                         engine.energy(observable, t.final_layout, 0, nullptr);
-                   });
-  return results;
-}
 
 // ---------------------------------------------------------------------------
 // NoisyBackend
@@ -815,21 +780,24 @@ NoisyBackend::NoisyBackend(noise::DeviceModel device,
       options_(options),
       noise_(device_, options_.enable_gate_noise, options_.enable_relaxation,
              options_.enable_readout_error, options_.noise_scale) {
-  if (options_.shots < 1)
-    throw std::invalid_argument("NoisyBackend: shots < 1");
+  if (options_.shots < 0)
+    throw std::invalid_argument("NoisyBackend: shots < 0");
 }
 
 std::vector<std::vector<double>> NoisyBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
-  const auto prog = transpile_cache_.get(plan, device_);
-  std::vector<Prng> rngs = batch_streams(options_.seed, evals);
+  const auto prog = fitting_program(transpile_cache_, plan, device_);
+  // The exact readout draws nothing, so it reserves no serials.
+  const int shots = options_.shots;
+  std::vector<Prng> rngs;
+  if (shots > 0) rngs = batch_streams(options_.seed, evals);
   std::vector<std::vector<double>> results(evals.size());
-  for_each_evolved(plan, *prog, device_, noise_, evals, threads,
+  for_each_evolved(plan, *prog, noise_, evals, threads,
                    [&](std::size_t k, DeviceEngine& engine,
                        const transpile::Transpiled& t) {
-                     engine.z_all(t.final_layout, options_.shots, &rngs[k],
-                                  results[k]);
+                     engine.z_all(t.final_layout, shots,
+                                  shots > 0 ? &rngs[k] : nullptr, results[k]);
                    });
   return results;
 }
@@ -838,25 +806,24 @@ std::vector<double> NoisyBackend::execute_expect_batch(
     const exec::CompiledCircuit& plan,
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
-  const auto prog = transpile_cache_.get(plan, device_);
-  // One stream per evaluation; its groups consume it in group order.
-  std::vector<Prng> rngs = batch_streams(options_.seed, evals);
-  add_inferences(evals.size() * observable.groups().size());
+  const auto prog = fitting_program(transpile_cache_, plan, device_);
+  // Sampled: one stream per evaluation, its groups consuming it in group
+  // order, and one measured execution per group. Exact: one evolution
+  // yields every group, so it counts once per evaluation.
+  const int shots = options_.shots;
+  std::vector<Prng> rngs;
+  if (shots > 0) rngs = batch_streams(options_.seed, evals);
+  add_inferences(shots > 0 ? evals.size() * observable.groups().size()
+                           : evals.size());
   std::vector<double> results(evals.size());
-  for_each_evolved(plan, *prog, device_, noise_, evals, threads,
+  for_each_evolved(plan, *prog, noise_, evals, threads,
                    [&](std::size_t k, DeviceEngine& engine,
                        const transpile::Transpiled& t) {
                      results[k] = engine.energy(observable, t.final_layout,
-                                                options_.shots, &rngs[k]);
+                                                shots,
+                                                shots > 0 ? &rngs[k] : nullptr);
                    });
   return results;
-}
-
-double NoisyBackend::estimate_duration_s(const circuit::Circuit& c,
-                                         std::span<const double> theta,
-                                         std::span<const double> input) const {
-  const auto t = transpile::transpile(c, theta, input, device_);
-  return transpile::estimated_duration_s(t, device_);
 }
 
 }  // namespace qoc::backend

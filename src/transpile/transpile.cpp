@@ -364,7 +364,6 @@ Transpiled transpile(const circuit::Circuit& c, std::span<const double> theta,
   t.ops = optimize(lower_to_basis(routed.ops));
   t.final_layout = std::move(routed.final_layout);
   t.n_swaps_inserted = routed.n_swaps_inserted;
-  t.stats = compute_stats(t.ops, device.n_qubits);
   return t;
 }
 
@@ -402,8 +401,7 @@ RoutedTemplate route_template(const circuit::Circuit& c,
 }
 
 Transpiled transpile_with_angles(const RoutedTemplate& t,
-                                 std::span<const double> source_angles,
-                                 const noise::DeviceModel& device) {
+                                 std::span<const double> source_angles) {
   // Lowers straight from the template: the same ops lower_to_basis
   // would emit for the bound stream, without building it.
   std::vector<BoundOp> lowered;
@@ -416,16 +414,16 @@ Transpiled transpile_with_angles(const RoutedTemplate& t,
   out.ops = optimize(std::move(lowered));
   out.final_layout = t.final_layout;
   out.n_swaps_inserted = t.n_swaps_inserted;
-  out.stats = compute_stats(out.ops, device.n_qubits);
   return out;
 }
 
 double estimated_success_probability(const Transpiled& t,
                                      const noise::DeviceModel& device) {
+  const TranspileStats stats = compute_stats(t.ops, device.n_qubits);
   double p = 1.0;
-  for (std::size_t i = 0; i < t.stats.physical_1q(); ++i)
+  for (std::size_t i = 0; i < stats.physical_1q(); ++i)
     p *= 1.0 - device.err_1q;
-  for (std::size_t i = 0; i < t.stats.n_cx; ++i) p *= 1.0 - device.err_2q;
+  for (std::size_t i = 0; i < stats.n_cx; ++i) p *= 1.0 - device.err_2q;
   for (int l : t.final_layout) {
     const auto& cal = device.qubits[static_cast<std::size_t>(l)];
     p *= 1.0 - 0.5 * (cal.readout_err_0to1 + cal.readout_err_1to0);
@@ -435,8 +433,9 @@ double estimated_success_probability(const Transpiled& t,
 
 double estimated_duration_s(const Transpiled& t,
                             const noise::DeviceModel& device) {
-  return static_cast<double>(t.stats.physical_1q()) * device.gate_time_1q_s +
-         static_cast<double>(t.stats.n_cx) * device.gate_time_2q_s +
+  const TranspileStats stats = compute_stats(t.ops, device.n_qubits);
+  return static_cast<double>(stats.physical_1q()) * device.gate_time_1q_s +
+         static_cast<double>(stats.n_cx) * device.gate_time_2q_s +
          device.readout_time_s;
 }
 

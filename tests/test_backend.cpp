@@ -182,49 +182,143 @@ TEST(NoisyBackend, SuccessiveRunsDiffer) {
 }
 
 TEST(NoisyBackend, RejectsBadOptions) {
+  const auto lima = DeviceModel::ibmq_lima();
+  NoisyBackendOptions opt;
+  opt.shots = -1;
+  EXPECT_THROW(NoisyBackend(lima, opt), std::invalid_argument);
+  // shots = 0 is the exact readout.
+  opt.shots = 0;
+  EXPECT_NO_THROW(NoisyBackend(lima, opt));
+  for (const int shots : {0, 64}) {
+    SCOPED_TRACE("shots=" + std::to_string(shots));
+    opt = {};
+    opt.shots = shots;
+    // A negative or non-finite scale, with relaxation on and off.
+    for (const bool relaxation : {true, false}) {
+      opt.enable_relaxation = relaxation;
+      for (const double scale : {-1.0, std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN()}) {
+        opt.noise_scale = scale;
+        EXPECT_THROW(NoisyBackend(lima, opt), std::invalid_argument)
+            << "scale=" << scale << " relaxation=" << relaxation;
+      }
+    }
+    opt.enable_relaxation = true;
+    // 40x makes a lima readout flip probability 1.64.
+    opt.noise_scale = 40.0;
+    EXPECT_THROW(NoisyBackend(lima, opt), std::invalid_argument);
+    // Scaled gate errors above 1 on a device without readout error.
+    DeviceModel device = DeviceModel::ideal(2);
+    device.err_2q = 0.4;
+    opt.noise_scale = 3.0;
+    EXPECT_THROW(NoisyBackend(device, opt), std::invalid_argument);
+    device.err_2q = 0.0;
+    device.err_1q = 0.5;
+    EXPECT_THROW(NoisyBackend(device, opt), std::invalid_argument);
+    opt.noise_scale = 2.0;  // exactly 1 is a valid probability
+    EXPECT_NO_THROW(NoisyBackend(device, opt));
+    // A NaN calibration fails DeviceModel::validate.
+    DeviceModel nan_readout = lima;
+    nan_readout.qubits[1].readout_err_0to1 =
+        std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(NoisyBackend(nan_readout, opt), std::invalid_argument);
+    DeviceModel nan_err = lima;
+    nan_err.err_2q = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(NoisyBackend(nan_err, opt), std::invalid_argument);
+    // The largest scale any caller uses keeps every catalog device valid.
+    opt.noise_scale = 5.0;
+    for (const auto& name : DeviceModel::available())
+      EXPECT_NO_THROW(NoisyBackend(DeviceModel::by_name(name), opt)) << name;
+  }
+}
+
+// shots = 0 reads the device out exactly: a pure function of the
+// bindings (so serve may cache and fold it), one inference per
+// expect_batch evaluation, and replicas that keep the exact readout.
+TEST(NoisyBackend, ExactReadoutAtZeroShots) {
+  const auto obs =
+      qoc::vqe::compile_observable(qoc::vqe::Hamiltonian::heisenberg(3, 0.7));
+  const std::size_t groups = obs.groups().size();
+  ASSERT_GT(groups, 1u);
+  const Circuit ansatz = qoc::vqe::VqeSolver::hardware_efficient_ansatz(3, 1);
+  const auto plan = qoc::exec::CompiledCircuit::compile(ansatz);
+  const std::vector<double> theta(
+      static_cast<std::size_t>(ansatz.num_trainable()), 0.4);
+  const std::vector<qoc::exec::Evaluation> evals(3, {theta, {}});
+
   NoisyBackendOptions opt;
   opt.shots = 0;
-  EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
-               std::invalid_argument);
+  NoisyBackend exact(DeviceModel::ibmq_manila(), opt);
   opt.shots = 64;
-  opt.noise_scale = -1.0;
-  EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
-               std::invalid_argument);
-  // A non-finite scale, with relaxation on and off.
-  for (const bool relaxation : {true, false}) {
-    opt.enable_relaxation = relaxation;
-    for (const double scale : {std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::quiet_NaN()}) {
-      opt.noise_scale = scale;
-      EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
-                   std::invalid_argument)
-          << "scale=" << scale << " relaxation=" << relaxation;
-    }
+  NoisyBackend sampled(DeviceModel::ibmq_manila(), opt);
+  EXPECT_TRUE(exact.deterministic());
+  EXPECT_FALSE(sampled.deterministic());
+
+  const auto e = exact.expect_batch(plan, obs, evals, 2);
+  EXPECT_EQ(exact.inference_count(), evals.size());
+  sampled.expect_batch(plan, obs, evals, 2);
+  EXPECT_EQ(sampled.inference_count(), evals.size() * groups);
+  // Every evaluation binds the same angles, so exact energies agree.
+  EXPECT_EQ(e[0], e[1]);
+  EXPECT_EQ(e[0], e[2]);
+
+  const auto replica = exact.clone_replica();
+  ASSERT_NE(replica, nullptr);
+  EXPECT_TRUE(replica->deterministic());
+  EXPECT_EQ(dynamic_cast<const NoisyBackend&>(*replica).options().shots, 0);
+  EXPECT_EQ(replica->expect_batch(plan, obs, evals, 1), e);
+  EXPECT_EQ(replica->run_batch(plan, evals, 1), exact.run_batch(plan, evals, 2));
+}
+
+// A call the device rejects before executing -- a program wider than
+// the density matrix holds, or a circuit larger than the device -- must
+// count no inference and reserve no stream serial, exact and sampled
+// alike: the next auto evaluation still draws stream 0.
+TEST(NoisyBackend, RejectedCallsCountNothingAndReserveNoStream) {
+  const auto toronto = DeviceModel::ibmq_toronto();
+  Circuit small(2);
+  small.ry(0, ParamRef::trainable(0));
+  small.cx(0, 1);
+  small.ry(1, ParamRef::trainable(1));
+  const auto small_plan = qoc::exec::CompiledCircuit::compile(small);
+  const std::vector<double> theta = {0.7, -1.1};
+
+  std::vector<Circuit> rejected;
+  for (const int n : {13, 28}) {  // above 12 active qubits; above 27
+    Circuit c(n);
+    for (int q = 0; q < n; ++q) c.h(q);
+    rejected.push_back(c);
   }
-  opt.enable_relaxation = true;
-  // 40x makes a lima readout flip probability 1.64.
-  opt.noise_scale = 40.0;
-  EXPECT_THROW(NoisyBackend(DeviceModel::ibmq_lima(), opt),
-               std::invalid_argument);
-  // Scaled gate errors above 1 on a device without readout error.
-  DeviceModel device = DeviceModel::ideal(2);
-  device.err_2q = 0.4;
-  opt.noise_scale = 3.0;
-  EXPECT_THROW(NoisyBackend(device, opt), std::invalid_argument);
-  device.err_2q = 0.0;
-  device.err_1q = 0.5;
-  EXPECT_THROW(NoisyBackend(device, opt), std::invalid_argument);
-  opt.noise_scale = 2.0;  // exactly 1 is a valid probability
-  EXPECT_NO_THROW(NoisyBackend(device, opt));
-  // A NaN calibration fails DeviceModel::validate.
-  DeviceModel nan_readout = DeviceModel::ibmq_lima();
-  nan_readout.qubits[1].readout_err_0to1 =
-      std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(NoisyBackend(nan_readout, opt), std::invalid_argument);
-  // The largest scale any caller uses keeps every catalog device valid.
-  opt.noise_scale = 5.0;
-  for (const auto& name : DeviceModel::available())
-    EXPECT_NO_THROW(NoisyBackend(DeviceModel::by_name(name), opt)) << name;
+  for (const int shots : {256, 0}) {
+    SCOPED_TRACE("shots=" + std::to_string(shots));
+    NoisyBackendOptions opt;
+    opt.shots = shots;
+    opt.seed = 91;
+    NoisyBackend backend(toronto, opt);
+    for (const auto& c : rejected) {
+      SCOPED_TRACE("qubits=" + std::to_string(c.num_qubits()));
+      const auto plan = qoc::exec::CompiledCircuit::compile(c);
+      const auto obs = qoc::exec::CompiledObservable::compile(
+          c.num_qubits(),
+          std::vector<qoc::exec::ObservableTerm>{
+              {std::string(static_cast<std::size_t>(c.num_qubits()), 'Z'),
+               1.0},
+              {std::string(static_cast<std::size_t>(c.num_qubits()), 'X'),
+               0.5}});
+      const std::vector<qoc::exec::Evaluation> evals(4, {{}, {}});
+      EXPECT_THROW(backend.run(c, {}, {}), std::invalid_argument);
+      EXPECT_THROW(backend.run_batch(plan, evals, 2), std::invalid_argument);
+      EXPECT_THROW(backend.expect_batch(plan, obs, evals, 2),
+                   std::invalid_argument);
+      EXPECT_EQ(backend.inference_count(), 0u);
+    }
+    qoc::exec::Evaluation pinned{theta, {}};
+    pinned.rng_stream = 0;
+    const auto want =
+        NoisyBackend(toronto, opt).run_batch(small_plan, std::span(&pinned, 1));
+    EXPECT_EQ(backend.run(small_plan, theta, {}), want[0]);
+    EXPECT_EQ(backend.inference_count(), 1u);
+  }
 }
 
 TEST(NoisyBackend, CircuitLargerThanDeviceThrows) {
@@ -232,14 +326,6 @@ TEST(NoisyBackend, CircuitLargerThanDeviceThrows) {
   Circuit c(6);
   c.h(0);
   EXPECT_THROW(backend.run(c, {}, {}), std::invalid_argument);
-}
-
-TEST(NoisyBackend, DurationEstimatePositive) {
-  NoisyBackend backend(DeviceModel::ibmq_santiago(), {});
-  Circuit c(4);
-  qoc::circuit::add_rzz_ring_layer(c);
-  std::vector<double> theta(4, 0.4);
-  EXPECT_GT(backend.estimate_duration_s(c, theta, {}), 0.0);
 }
 
 // ---- Non-finite bindings -----------------------------------------------------
@@ -265,8 +351,9 @@ TEST(NonFiniteBindings, EveryBackendRejectsBeforeExecuting) {
   backends.push_back(std::make_unique<StatevectorBackend>(256, 1));
   backends.push_back(
       std::make_unique<NoisyBackend>(DeviceModel::ibmq_manila(), noisy_opt));
+  noisy_opt.shots = 0;
   backends.push_back(
-      std::make_unique<DensityMatrixBackend>(DeviceModel::ibmq_manila()));
+      std::make_unique<NoisyBackend>(DeviceModel::ibmq_manila(), noisy_opt));
 
   const std::vector<double> theta = {0.4, -0.7}, input = {0.9};
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
@@ -284,7 +371,8 @@ TEST(NonFiniteBindings, EveryBackendRejectsBeforeExecuting) {
       const qoc::exec::Evaluation good{theta, input};
       const std::vector<qoc::exec::Evaluation> batch = {good, e};
       for (auto& b : backends) {
-        SCOPED_TRACE(b->name() + " bad=" + std::to_string(bad) +
+        SCOPED_TRACE(b->name() + (b->deterministic() ? " exact" : "") +
+                     " bad=" + std::to_string(bad) +
                      " where=" + std::to_string(where));
         if (where != 2) {
           EXPECT_THROW(b->run(c, t, x), std::invalid_argument);
@@ -450,7 +538,7 @@ TEST(ExpectBatch, SampledStatevectorConvergesToExact) {
   EXPECT_EQ(sampled.inference_count(), obs.groups().size());
 }
 
-TEST(ExpectBatch, DensityMatrixNoiseFreeMatchesExact) {
+TEST(ExpectBatch, ExactReadoutNoiseFreeMatchesStatevector) {
   const auto h = qoc::vqe::Hamiltonian::h2_minimal();
   const auto obs = qoc::vqe::compile_observable(h);
   const auto ansatz = qoc::vqe::VqeSolver::hardware_efficient_ansatz(2, 1);
@@ -464,18 +552,19 @@ TEST(ExpectBatch, DensityMatrixNoiseFreeMatchesExact) {
   StatevectorBackend sv(0);
   const double e_exact = sv.expect_batch(plan, obs, std::span(&eval, 1), 1)[0];
 
-  DensityMatrixBackend::Options opt;
+  NoisyBackendOptions opt;
+  opt.shots = 0;
   opt.enable_gate_noise = false;
   opt.enable_relaxation = false;
   opt.enable_readout_error = false;
-  DensityMatrixBackend dm(DeviceModel::ibmq_manila(), opt);
+  NoisyBackend dm(DeviceModel::ibmq_manila(), opt);
   const double e_dm = dm.expect_batch(plan, obs, std::span(&eval, 1), 1)[0];
   EXPECT_NEAR(e_dm, e_exact, 1e-9);
 }
 
-TEST(ExpectBatch, NoisyBackendMatchesDensityMatrixOracle) {
+TEST(ExpectBatch, NoisyBackendMatchesExactReadout) {
   // With noise enabled, sampled energies must agree with the exact
-  // density-matrix result for the same device up to shot noise.
+  // readout of the same device up to shot noise.
   const auto h = qoc::vqe::Hamiltonian::h2_minimal();
   const auto obs = qoc::vqe::compile_observable(h);
   const auto ansatz = qoc::vqe::VqeSolver::hardware_efficient_ansatz(2, 1);
@@ -486,10 +575,11 @@ TEST(ExpectBatch, NoisyBackendMatchesDensityMatrixOracle) {
   const qoc::exec::Evaluation eval{theta, {},
                                    qoc::exec::Evaluation::kNoShift, 0.0};
 
-  DensityMatrixBackend dm(DeviceModel::ibmq_manila());
+  NoisyBackendOptions opt;
+  opt.shots = 0;
+  NoisyBackend dm(DeviceModel::ibmq_manila(), opt);
   const double e_dm = dm.expect_batch(plan, obs, std::span(&eval, 1), 1)[0];
 
-  NoisyBackendOptions opt;
   opt.shots = 16384;
   NoisyBackend noisy(DeviceModel::ibmq_manila(), opt);
   const double e_noisy =

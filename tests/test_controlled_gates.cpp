@@ -124,9 +124,9 @@ TEST(ControlledGates, FullTranspilePipelineWithToffoli) {
   c.h(0);
   c.ccx(0, 1, 2);
   c.crz(2, 3, ParamRef::constant(0.7));
-  const auto t = transpile::transpile(c, {}, {},
-                                      noise::DeviceModel::ibmq_manila());
-  EXPECT_GT(t.stats.n_cx, 5u);
+  const auto device = noise::DeviceModel::ibmq_manila();
+  const auto t = transpile::transpile(c, {}, {}, device);
+  EXPECT_GT(transpile::compute_stats(t.ops, device.n_qubits).n_cx, 5u);
   // Pipeline output contains only basis gates.
   for (const auto& op : t.ops)
     EXPECT_TRUE(op.kind == GateKind::Rz || op.kind == GateKind::Sx ||

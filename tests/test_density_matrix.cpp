@@ -1,10 +1,10 @@
-// Tests for the density-matrix simulator and DensityMatrixBackend, the
-// exact readout of the device engine that NoisyBackend samples.
+// Tests for the density-matrix simulator and for NoisyBackend's exact
+// readout (shots = 0), the distribution its sampled shots are drawn from.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
+#include <string>
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
@@ -115,24 +115,23 @@ TEST(DensityMatrix, PhaseDampingKillsCoherences) {
   EXPECT_NEAR(rho.element(0, 0).real(), 0.5, 1e-12);
 }
 
-TEST(DensityMatrixBackend, MatchesNoisyBackendOnTaskCircuit) {
-  // The two device backends share device model, transpilation and
-  // density-matrix engine; NoisyBackend only draws its shots from the
-  // distribution this backend sums exactly.
+TEST(ExactReadout, MatchesSampledReadoutOnTaskCircuit) {
+  // Both readouts share device model, transpilation and density-matrix
+  // engine; shots > 0 only draws its shots from the distribution that
+  // shots = 0 sums exactly.
   const auto device = noise::DeviceModel::ibmq_manila();
   circuit::Circuit c(4);
   circuit::add_rzz_ring_layer(c);
   circuit::add_ry_layer(c);
   std::vector<double> theta = {0.4, -0.9, 1.3, 0.2, 0.7, -0.5, 1.0, -1.2};
 
-  backend::DensityMatrixBackend::Options dopt;
-  dopt.noise_scale = 3.0;
-  backend::DensityMatrixBackend exact(device, dopt);
+  backend::NoisyBackendOptions nopt;
+  nopt.shots = 0;
+  nopt.noise_scale = 3.0;
+  backend::NoisyBackend exact(device, nopt);
   const auto z_exact = exact.run(c, theta, {});
 
-  backend::NoisyBackendOptions nopt;
   nopt.shots = 4096;
-  nopt.noise_scale = 3.0;
   nopt.seed = 5;
   backend::NoisyBackend sampled(device, nopt);
   const auto z_mc = sampled.run(c, theta, {});
@@ -148,12 +147,13 @@ TEST(DensityMatrixBackend, MatchesNoisyBackendOnTaskCircuit) {
   }
 }
 
-TEST(DensityMatrixBackend, NoiseFreeMatchesStatevector) {
-  backend::DensityMatrixBackend::Options opt;
+TEST(ExactReadout, NoiseFreeMatchesStatevector) {
+  backend::NoisyBackendOptions opt;
+  opt.shots = 0;
   opt.enable_gate_noise = false;
   opt.enable_relaxation = false;
   opt.enable_readout_error = false;
-  backend::DensityMatrixBackend dm(noise::DeviceModel::ibmq_lima(), opt);
+  backend::NoisyBackend dm(noise::DeviceModel::ibmq_lima(), opt);
   backend::StatevectorBackend sv(0);
 
   circuit::Circuit c(4);
@@ -164,75 +164,26 @@ TEST(DensityMatrixBackend, NoiseFreeMatchesStatevector) {
   for (std::size_t q = 0; q < 4; ++q) EXPECT_NEAR(a[q], b[q], 1e-9);
 }
 
-TEST(DensityMatrixBackend, LimitsActiveQubitsNotDeviceSize) {
+TEST(ExactReadout, LimitsActiveQubitsNotDeviceSize) {
   // The density matrix spans the qubits a circuit touches, so a task
   // circuit runs on the 27-qubit ibmq_toronto; a circuit touching 13
-  // qubits throws at execution, on both device backends.
-  const auto toronto = noise::DeviceModel::ibmq_toronto();
-  backend::DensityMatrixBackend exact(toronto);
-  backend::NoisyBackend sampled(toronto, {});
+  // qubits throws at execution, read out exactly or sampled.
   const auto model = qml::make_task_model("mnist4");
   const std::vector<double> theta(
       static_cast<std::size_t>(model.num_params()), 0.3);
   const std::vector<double> input(
       static_cast<std::size_t>(model.num_inputs()), 0.2);
-  for (backend::Backend* b : {static_cast<backend::Backend*>(&exact),
-                              static_cast<backend::Backend*>(&sampled)}) {
-    const auto z = b->run(model.plan(), theta, input);
-    EXPECT_EQ(z.size(), 4u) << b->name();
-    for (const double v : z) EXPECT_TRUE(std::isfinite(v)) << b->name();
-  }
-
   circuit::Circuit wide(13);
   for (int q = 0; q < 13; ++q) wide.h(q);
-  for (backend::Backend* b : {static_cast<backend::Backend*>(&exact),
-                              static_cast<backend::Backend*>(&sampled)})
-    EXPECT_THROW(b->run(wide, {}, {}), std::invalid_argument) << b->name();
-}
-
-TEST(DensityMatrixBackend, RejectsBadOptions) {
-  backend::DensityMatrixBackend::Options opt;
-  const auto lima = noise::DeviceModel::ibmq_lima();
-  // A negative or non-finite scale, with relaxation on and off.
-  for (const bool relaxation : {true, false}) {
-    opt.enable_relaxation = relaxation;
-    for (const double scale : {-1.0, std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::quiet_NaN()}) {
-      opt.noise_scale = scale;
-      EXPECT_THROW(backend::DensityMatrixBackend(lima, opt),
-                   std::invalid_argument)
-          << "scale=" << scale << " relaxation=" << relaxation;
-    }
-  }
-  opt.enable_relaxation = true;
-  // 40x makes a lima readout flip probability 1.64.
-  opt.noise_scale = 40.0;
-  EXPECT_THROW(backend::DensityMatrixBackend(lima, opt),
-               std::invalid_argument);
-  // Scaled gate errors above 1 on a device without readout error.
-  noise::DeviceModel device = noise::DeviceModel::ideal(2);
-  device.err_2q = 0.4;
-  opt.noise_scale = 3.0;
-  EXPECT_THROW(backend::DensityMatrixBackend(device, opt),
-               std::invalid_argument);
-  device.err_2q = 0.0;
-  device.err_1q = 0.5;
-  EXPECT_THROW(backend::DensityMatrixBackend(device, opt),
-               std::invalid_argument);
-  opt.noise_scale = 2.0;  // exactly 1 is a valid probability
-  EXPECT_NO_THROW(backend::DensityMatrixBackend(device, opt));
-  // A NaN calibration fails DeviceModel::validate.
-  noise::DeviceModel nan_err = lima;
-  nan_err.err_2q = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(backend::DensityMatrixBackend(nan_err, opt),
-               std::invalid_argument);
-  // The largest scale any caller uses keeps every catalog device that
-  // fits the density matrix valid.
-  opt.noise_scale = 5.0;
-  for (const auto& name : noise::DeviceModel::available()) {
-    const auto d = noise::DeviceModel::by_name(name);
-    if (d.n_qubits <= 12)
-      EXPECT_NO_THROW(backend::DensityMatrixBackend(d, opt)) << name;
+  for (const int shots : {0, 1024}) {
+    SCOPED_TRACE("shots=" + std::to_string(shots));
+    backend::NoisyBackendOptions opt;
+    opt.shots = shots;
+    backend::NoisyBackend toronto(noise::DeviceModel::ibmq_toronto(), opt);
+    const auto z = toronto.run(model.plan(), theta, input);
+    EXPECT_EQ(z.size(), 4u);
+    for (const double v : z) EXPECT_TRUE(std::isfinite(v));
+    EXPECT_THROW(toronto.run(wide, {}, {}), std::invalid_argument);
   }
 }
 

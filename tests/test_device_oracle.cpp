@@ -1,13 +1,13 @@
 // The device backends against fixed oracles.
 //
-//  * ExactPins: DensityMatrixBackend's exact values on every catalog
-//    device with <= 12 qubits (and a device with per-qubit calibration
+//  * ExactPins: NoisyBackend's exact readout (shots = 0) on every
+//    catalog device with <= 12 qubits (and a device with per-qubit calibration
 //    and a routed gap) x the five task models x four noise
 //    configurations x two noise scales, pinned to 1e-12 against values
 //    recorded from the Kraus-channel density-matrix walk that preceded
 //    the fused superoperator engine.
 //  * DeviceOracle: NoisyBackend's shot counts, pooled over pinned
-//    streams, against DensityMatrixBackend's exact probabilities with a
+//    streams, against its exact readout's probabilities with a
 //    chi-square test per count, at a stated family-wise false-failure
 //    rate; and two injected biases that the same threshold must catch.
 
@@ -117,18 +117,22 @@ struct Bindings {
   }
 };
 
-/// DensityMatrixBackend on one (device, circuit, noise, scale) case, two
+/// The exact readout on one (device, circuit, noise, scale) case, two
 /// bindings: binding 0's <Z_q> for every logical qubit and its
 /// expect_batch energy of a Heisenberg observable (X and Y suffix
 /// groups), then binding 1's.
 std::vector<double> exact_case(const DeviceModel& device, const Circuit& c,
                                const NoiseConfig& noise, double scale) {
-  const DensityMatrixBackend::Options opt{noise.gate, noise.relaxation,
-                                          noise.readout, scale};
+  NoisyBackendOptions opt;
+  opt.shots = 0;
+  opt.enable_gate_noise = noise.gate;
+  opt.enable_relaxation = noise.relaxation;
+  opt.enable_readout_error = noise.readout;
+  opt.noise_scale = scale;
   const auto plan = qoc::exec::CompiledCircuit::compile(c);
   const Bindings b(c, 2, 0xE1AC7ULL);
-  const auto z = DensityMatrixBackend(device, opt).run_batch(plan, b.evals, 1);
-  const auto e = DensityMatrixBackend(device, opt).expect_batch(
+  const auto z = NoisyBackend(device, opt).run_batch(plan, b.evals, 1);
+  const auto e = NoisyBackend(device, opt).expect_batch(
       plan,
       qoc::vqe::compile_observable(
           qoc::vqe::Hamiltonian::heisenberg(c.num_qubits(), 0.7)),
@@ -173,7 +177,7 @@ const std::vector<std::uint64_t> kExactPins = {
 #include "golden/device_exact_pins.inc"
 };
 
-TEST(ExactPins, DensityMatrixBackendMatchesRecordedValues) {
+TEST(ExactPins, ExactReadoutMatchesRecordedValues) {
   std::vector<double> got;
   const auto cases = exact_sweep(got);
   if (kExactPins.size() != got.size()) {
@@ -202,8 +206,8 @@ TEST(ExactPins, DensityMatrixBackendMatchesRecordedValues) {
 // binding runs N times on pinned streams (independent draws of the same
 // distribution) at the benches' noise x2.5. Each logical qubit's pooled
 // ones count, and the pooled odd-parity count of Z on all four qubits
-// from expect_batch, is a Binomial(N * shots, p) whose p
-// DensityMatrixBackend gives exactly. Each count yields a Pearson
+// from expect_batch, is a Binomial(N * shots, p) whose p the exact
+// readout gives. Each count yields a Pearson
 // statistic (k - T p)^2 / (T p (1 - p)), chi-square with 1 degree of
 // freedom for a correct backend. The family is Bonferroni-corrected:
 // every statistic must stay under the chi-square quantile at
@@ -248,8 +252,8 @@ struct OracleCell {
 };
 
 /// The oracle statistics of one device and task: NoisyBackend on
-/// `sampled_device` with `opt`, against DensityMatrixBackend on
-/// `device` with every noise source on.
+/// `sampled_device` with `opt`, against the exact readout of `device`
+/// with every noise source on.
 OracleCell oracle_cell(const DeviceModel& device,
                        const DeviceModel& sampled_device,
                        const NoisyBackendOptions& opt, const char* task,
@@ -264,8 +268,10 @@ OracleCell oracle_cell(const DeviceModel& device,
   for (std::size_t k = 0; k < evals.size(); ++k)
     evals[k].rng_stream = streams + k;
 
-  DensityMatrixBackend exact(
-      device, DensityMatrixBackend::Options{true, true, true, kOracleScale});
+  NoisyBackendOptions exact_opt;
+  exact_opt.shots = 0;
+  exact_opt.noise_scale = kOracleScale;
+  NoisyBackend exact(device, exact_opt);
   const auto z_exact = exact.run_batch(plan, std::span(b.evals), 1)[0];
   const double parity_exact =
       exact.expect_batch(plan, parity, std::span(b.evals), 1)[0];

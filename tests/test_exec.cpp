@@ -245,14 +245,16 @@ TEST(RunBatch, MatchesLoopedRunSampledStatevector) {
       EXPECT_EQ(looped[k][q], batched[k][q]);
 }
 
-TEST(RunBatch, MatchesLoopedRunDensityMatrix) {
+TEST(RunBatch, MatchesLoopedRunExactReadout) {
   Prng rng(23);
   const qml::QnnModel model = qml::make_fashion4_model();
   const auto theta = model.init_params(rng);
   const std::vector<double> input = random_vector(16, rng);
 
-  backend::DensityMatrixBackend a(noise::DeviceModel::ibmq_manila());
-  backend::DensityMatrixBackend b(noise::DeviceModel::ibmq_manila());
+  backend::NoisyBackendOptions opt;
+  opt.shots = 0;
+  backend::NoisyBackend a(noise::DeviceModel::ibmq_manila(), opt);
+  backend::NoisyBackend b(noise::DeviceModel::ibmq_manila(), opt);
   const auto looped = a.run(model.circuit(), theta, input);
   const auto batched =
       b.run_batch(model.plan(), plain_evals(theta, input, 3), 2);
@@ -300,7 +302,7 @@ TEST(TranspileTemplate, MatchesFullTranspile) {
     std::vector<double> angles;
     plan.resolve_source_angles(theta, input, exec::Evaluation::kNoShift, 0.0,
                                angles);
-    const auto cached = transpile::transpile_with_angles(tmpl, angles, device);
+    const auto cached = transpile::transpile_with_angles(tmpl, angles);
 
     ASSERT_EQ(full.ops.size(), cached.ops.size());
     for (std::size_t i = 0; i < full.ops.size(); ++i) {
@@ -310,8 +312,6 @@ TEST(TranspileTemplate, MatchesFullTranspile) {
     }
     EXPECT_EQ(full.final_layout, cached.final_layout);
     EXPECT_EQ(full.n_swaps_inserted, cached.n_swaps_inserted);
-    EXPECT_EQ(full.stats.total(), cached.stats.total());
-    EXPECT_EQ(full.stats.depth, cached.stats.depth);
   }
 }
 
@@ -326,11 +326,13 @@ TEST(TranspileTemplate, CacheInvalidatedOnStructureChange) {
   const auto theta_b = model_b.init_params(rng);
   const std::vector<double> input = random_vector(16, rng);
 
-  backend::DensityMatrixBackend warm(noise::DeviceModel::ibmq_manila());
+  backend::NoisyBackendOptions opt;
+  opt.shots = 0;
+  backend::NoisyBackend warm(noise::DeviceModel::ibmq_manila(), opt);
   const auto a_result = warm.run(model_a.circuit(), theta_a, input);
   const auto b_after_a = warm.run(model_b.circuit(), theta_b, input);
 
-  backend::DensityMatrixBackend fresh(noise::DeviceModel::ibmq_manila());
+  backend::NoisyBackend fresh(noise::DeviceModel::ibmq_manila(), opt);
   const auto b_fresh = fresh.run(model_b.circuit(), theta_b, input);
 
   ASSERT_EQ(b_after_a.size(), b_fresh.size());

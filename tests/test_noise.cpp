@@ -7,7 +7,6 @@
 #include <limits>
 #include <vector>
 
-#include "qoc/common/prng.hpp"
 #include "qoc/noise/channels.hpp"
 #include "qoc/noise/device_model.hpp"
 #include "qoc/sim/density_matrix.hpp"
@@ -16,7 +15,6 @@
 namespace {
 
 using namespace qoc::noise;
-using qoc::Prng;
 using qoc::linalg::cplx;
 using qoc::linalg::Matrix;
 using qoc::sim::DensityMatrix;
@@ -84,19 +82,6 @@ TEST(ChannelValidation, RejectsBadProbabilities) {
   EXPECT_THROW(depolarizing_1q(1.1), std::invalid_argument);
   EXPECT_THROW(amplitude_damping(2.0), std::invalid_argument);
   EXPECT_THROW(thermal_relaxation(-1.0, 1.0, 1.0), std::invalid_argument);
-}
-
-TEST(ReadoutError, FlipRatesMatchCalibration) {
-  ReadoutError ro{0.1, 0.3};
-  Prng rng(5);
-  const int trials = 50000;
-  int flip0 = 0, flip1 = 0;
-  for (int t = 0; t < trials; ++t) {
-    if (ro.apply(0, rng) == 1) ++flip0;
-    if (ro.apply(1, rng) == 0) ++flip1;
-  }
-  EXPECT_NEAR(static_cast<double>(flip0) / trials, 0.1, 0.01);
-  EXPECT_NEAR(static_cast<double>(flip1) / trials, 0.3, 0.01);
 }
 
 // ---- Device models -------------------------------------------------------------

@@ -221,10 +221,12 @@ TEST(Replay, NoisyBackendReplaysBitwise) {
   EXPECT_EQ(report.matched, log.jobs.size());
 }
 
-TEST(Replay, DensityBackendReplaysBitwise) {
-  backend::DensityMatrixBackend recorded(noise::DeviceModel::ibmq_santiago());
+TEST(Replay, ExactReadoutReplaysBitwise) {
+  backend::NoisyBackendOptions nopt;
+  nopt.shots = 0;
+  backend::NoisyBackend recorded(noise::DeviceModel::ibmq_santiago(), nopt);
   const replay::TraceLog log = record_session(recorded);
-  backend::DensityMatrixBackend fresh(noise::DeviceModel::ibmq_santiago());
+  backend::NoisyBackend fresh(noise::DeviceModel::ibmq_santiago(), nopt);
   const auto report = replay::replay(log, fresh);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.matched, log.jobs.size());

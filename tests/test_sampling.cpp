@@ -1,7 +1,7 @@
 // Shot sampling: the guide-table sim::ShotSampler against the
 // std::lower_bound sampler it replaced, its counts form and the count
 // folds against the per-shot folds they replaced, and cross-commit pins
-// of sampled estimator and backend results and of the device backends.
+// of sampled estimator and backend results and of the device.
 
 #include <gtest/gtest.h>
 
@@ -224,7 +224,7 @@ TEST(ShotSampler, EveryBatchedLaneMatchesReference) {
 }
 
 TEST(ShotSampler, ProbabilityEntryDrawsLikeAmplitudeEntry) {
-  // The device backends' entry point: the same CDF over p_i = |amp_i|^2
+  // The device's entry point: the same CDF over p_i = |amp_i|^2
   // must draw the amplitude path's outcomes and leave the stream where
   // it does.
   Prng state_rng(12);
@@ -389,11 +389,10 @@ TEST(CountFolds, BackendExpectMatchesPerShotFoldBitwise) {
 // ---- Cross-commit pins ------------------------------------------------------
 //
 // Sampled results recorded as IEEE bit patterns from the lower_bound
-// sampler and the per-shot folds, and device-backend results recorded
-// from the fused density-matrix engine (NoisyBackend's draws and
-// DensityMatrixBackend's low bits moved when it replaced the noise
-// trajectories; test_device_oracle.cpp pins the exact values across
-// that change). The bitwise determinism tests compare two runs of one
+// sampler and the per-shot folds, and device results recorded from the
+// fused density-matrix engine (NoisyBackend's draws and its exact
+// readout's low bits moved when it replaced the noise trajectories;
+// test_device_oracle.cpp pins the exact values across that change). The bitwise determinism tests compare two runs of one
 // build; these compare against fixed values, so a change that moves any
 // sampled outcome, stream draw, superoperator or fold fails here.
 
@@ -498,7 +497,7 @@ TEST(SampledPins, NoisyBackend) {
                0xbfe4ffffffffffffULL, 0x3fd7733333333333ULL});
 }
 
-/// A device backend on ibmq_manila, three bindings of an RZZ ring plus an
+/// NoisyBackend on ibmq_manila, three bindings of an RZZ ring plus an
 /// RY layer on 4 qubits (the ring's closing edge is routed through SWAPs,
 /// and each lowered RZZ core is a CX.RZ.CX triple): run_batch <Z_q>
 /// picks, then expect_batch energies of a Heisenberg-4 observable (X and
@@ -519,11 +518,12 @@ std::vector<double> device_pins(Make make) {
   return {z[0][0], z[1][1], z[2][2], z[2][3], e[0], e[1], e[2]};
 }
 
-TEST(SampledPins, DensityMatrixBackend) {
-  DensityMatrixBackend::Options opt;
+TEST(SampledPins, NoisyBackendExactReadout) {
+  NoisyBackendOptions opt;
+  opt.shots = 0;
   opt.noise_scale = 3.0;
   expect_pins(device_pins([&] {
-                return DensityMatrixBackend(DeviceModel::ibmq_manila(), opt);
+                return NoisyBackend(DeviceModel::ibmq_manila(), opt);
               }),
               {0x3fe915aaa38fbf9eULL, 0x3fe78b504ce9cdabULL, 0x3fdce10ab3e9fd43ULL,
                0x3fe08e2769a9aac5ULL, 0x3fe6f94f74d359b2ULL, 0x3fee7d4c99c09474ULL,
@@ -623,11 +623,12 @@ TEST(SampledPins, GapDeviceNoisyBackend) {
                0x3fd9e66666666666ULL, 0x3fe1d9999999999aULL});
 }
 
-TEST(SampledPins, GapDeviceDensityMatrixBackend) {
-  DensityMatrixBackend::Options opt;
+TEST(SampledPins, GapDeviceNoisyBackendExactReadout) {
+  NoisyBackendOptions opt;
+  opt.shots = 0;
   opt.noise_scale = 2.0;
   expect_pins(
-      gap_pins([&] { return DensityMatrixBackend(gap_device(), opt); }),
+      gap_pins([&] { return NoisyBackend(gap_device(), opt); }),
       {0x3fe518722f4f5f68ULL, 0x3fe465546a6291caULL, 0x3fd1b8671719faa1ULL,
        0x3feaedee93ee176bULL, 0x3fd8486a2e4734adULL, 0x3fd05d95d2f05d52ULL,
        0xbfd184fdb290f512ULL, 0x3fd9f318cb7b5571ULL, 0x3feae147ae147adfULL,

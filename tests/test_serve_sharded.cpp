@@ -223,11 +223,13 @@ TEST(ServeSharded, NoisyRunAndExpectMatchSingleBackendBitwise) {
   EXPECT_EQ(single.first, direct.run_batch(plan, evals));
 }
 
-TEST(ServeSharded, DensityMatrixPoolMatchesSingleBackend) {
+TEST(ServeSharded, ExactReadoutPoolMatchesSingleBackend) {
   const auto qnn = make_qnn(3, 4, 1);
   constexpr unsigned kJobs = 3;
   auto run_workload = [&](std::size_t replicas) {
-    backend::DensityMatrixBackend primary(noise::DeviceModel::ibmq_santiago());
+    backend::NoisyBackendOptions opt;
+    opt.shots = 0;
+    backend::NoisyBackend primary(noise::DeviceModel::ibmq_santiago(), opt);
     serve::ServeSession session(serve::BackendPool(primary, replicas),
                                 fast_options());
     const auto handle = session.register_circuit(qnn);

@@ -282,9 +282,11 @@ TEST(EnergyEstimator, ForwardsToBackend) {
          return std::make_shared<backend::NoisyBackend>(
              noise::DeviceModel::ibmq_santiago(), noisy);
        }},
-      {"density", [] {
-         return std::make_shared<backend::DensityMatrixBackend>(
-             noise::DeviceModel::ibmq_santiago());
+      {"exact device", [&] {
+         backend::NoisyBackendOptions exact = noisy;
+         exact.shots = 0;
+         return std::make_shared<backend::NoisyBackend>(
+             noise::DeviceModel::ibmq_santiago(), exact);
        }}};
   for (const auto& [name, make] : backends)
     for (const unsigned threads : {1u, 4u}) {
@@ -393,8 +395,10 @@ TEST(VqeSolver, NoisySampledStillApproachesGround) {
   // the ideal ground state, so the oracle is the same solve on the
   // device's exact density matrix. Both the sampled energies and the
   // parameters they led to must come within 0.1 of it.
+  backend::NoisyBackendOptions exact = opt;
+  exact.shots = 0;
   EnergyEstimator oracle(
-      h2, std::make_shared<backend::DensityMatrixBackend>(device));
+      h2, std::make_shared<backend::NoisyBackend>(device, exact));
   const VqeResult ref = VqeSolver(oracle, ansatz, cfg).run();
   EXPECT_NEAR(res.best_energy, ref.best_energy, 0.1);
   EXPECT_NEAR(oracle.energy(ansatz, res.theta), ref.best_energy, 0.1);

@@ -10,7 +10,7 @@
 //   exact    10-qubit QNN on the exact statevector backend
 //   sampled  same structure, shots=256 Born sampling
 //   noisy    4-qubit circuit on the ibmq_santiago device, 64 shots
-//   density  4-qubit circuit on exact density-matrix evolution
+//   density  the same device read out exactly (shots=0)
 //   mixed    8-structure catalog + expects + duplicates + result cache
 //
 // Traffic shapes come from bench/traffic.hpp, so golden traces exercise
@@ -79,8 +79,9 @@ std::unique_ptr<backend::Backend> make_backend(const std::string& scenario) {
         noise::DeviceModel::ibmq_santiago(),
         backend::NoisyBackendOptions{.shots = 64, .seed = 0xD1CE5EEDULL});
   if (scenario == "density")
-    return std::make_unique<backend::DensityMatrixBackend>(
-        noise::DeviceModel::ibmq_santiago());
+    return std::make_unique<backend::NoisyBackend>(
+        noise::DeviceModel::ibmq_santiago(),
+        backend::NoisyBackendOptions{.shots = 0});
   throw replay::TraceError("qoc_replay: unknown scenario '" + scenario +
                            "' (not one of exact/sampled/noisy/density/mixed)");
 }
