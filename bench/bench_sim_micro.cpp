@@ -16,6 +16,7 @@
 #include "qoc/qml/qnn.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/kernels.hpp"
+#include "qoc/sim/sampler.hpp"
 #include "qoc/sim/statevector.hpp"
 #include "qoc/train/param_shift.hpp"
 #include "qoc/transpile/transpile.hpp"
@@ -189,17 +190,23 @@ void BM_Sample1024ShotsPeaked(benchmark::State& state) {
 }
 BENCHMARK(BM_Sample1024ShotsPeaked)->Arg(4)->Arg(10)->Arg(16);
 
-// Counts form of BM_Sample1024Shots, reusing one sampler the way the
-// estimator's and the statevector backend's per-chunk scratch does.
+// The readout of BM_Sample1024Shots's state: every <Z_q> from 1024
+// shots through ShotSampler::parity_means, reusing one sampler the way
+// the backends' per-chunk scratch does.
 void BM_SampleCounts1024Shots(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Prng rng(2);
   sim::Statevector sv(n);
   for (int q = 0; q < n; ++q) sv.apply_1q(sim::gate_h(), q);
+  const std::vector<double> probs = sv.probabilities();
+  std::vector<std::uint64_t> masks;
+  for (int q = 0; q < n; ++q) masks.push_back(std::uint64_t{1} << (n - 1 - q));
+  std::vector<double> means(masks.size());
   sim::ShotSampler sampler;
   for (auto _ : state) {
-    const auto& counts = sv.sample_counts(1024, rng, sampler);
-    benchmark::DoNotOptimize(counts.outcomes.data());
+    sampler.parity_means(probs.data(), probs.size(), masks, 1024, &rng, means);
+    benchmark::DoNotOptimize(means.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SampleCounts1024Shots)->Arg(4)->Arg(10)->Arg(16);

@@ -61,13 +61,18 @@ inline Prng stream_prng(std::uint64_t seed, std::uint64_t id) {
   return Prng(seed + 0x9E3779B97F4A7C15ULL * (id + 1));
 }
 
-/// Throws std::invalid_argument, naming `who`, when any theta, input or
-/// shift value of `evals` is NaN or infinite. Every Backend entry point
-/// runs it before executing, and qoc::serve at submission: a non-finite
-/// binding has no defined outcome, and on a sampled backend it would
-/// fail the sampler for every evaluation coalesced with it.
-void require_finite(std::span<const exec::Evaluation> evals,
-                    const std::string& who);
+/// The one binding check: throws std::invalid_argument, naming `who`,
+/// when an evaluation of `evals` cannot run on `plan` -- a theta or input
+/// shorter than the plan's trainable-parameter or feature count, a
+/// shift_op that is out of range or names an unparameterised op, or a
+/// NaN or infinite theta, input or shift value. Every Backend entry
+/// point runs it before anything executes, reserves a stream serial or
+/// counts an inference, and qoc::serve at submission: a bad binding has
+/// no defined outcome, and in a sampled batch it would fail every
+/// evaluation coalesced with it.
+void require_valid_bindings(const exec::CompiledCircuit& plan,
+                            std::span<const exec::Evaluation> evals,
+                            const std::string& who);
 
 class Backend {
  public:
@@ -88,7 +93,7 @@ class Backend {
                           std::span<const double> input) {
     const exec::Evaluation eval{theta, input};
     const std::span<const exec::Evaluation> one(&eval, 1);
-    require_finite(one, name());
+    require_valid_bindings(plan, one, name());
     auto results = execute_batch(plan, one, 1);
     add_inferences(1);
     return std::move(results[0]);
@@ -115,12 +120,12 @@ class Backend {
   /// on this to coalesce jobs from many clients into arbitrary batches
   /// without changing any job's outcome.
   /// Each evaluation counts as one inference once the batch has run. A
-  /// non-finite theta, input or shift throws std::invalid_argument
+  /// binding require_valid_bindings rejects throws std::invalid_argument
   /// before anything executes.
   std::vector<std::vector<double>> run_batch(
       const exec::CompiledCircuit& plan,
       std::span<const exec::Evaluation> evals, unsigned threads = 1) {
-    require_finite(evals, name());
+    require_valid_bindings(plan, evals, name());
     QOC_TRACE_SPAN_ARG("backend", "run_batch", "evals", evals.size());
     QOC_METRIC_SCOPED_TIMER_NS("qoc_backend_run_batch_ns");
     auto results = execute_batch(plan, evals, threads);
@@ -148,7 +153,7 @@ class Backend {
                                    unsigned threads = 1) {
     if (observable.num_qubits() != plan.num_qubits())
       throw std::invalid_argument("expect_batch: qubit count mismatch");
-    require_finite(evals, name());
+    require_valid_bindings(plan, evals, name());
     QOC_TRACE_SPAN_ARG("backend", "expect_batch", "evals", evals.size());
     QOC_METRIC_SCOPED_TIMER_NS("qoc_backend_expect_batch_ns");
     return execute_expect_batch(plan, observable, evals, threads);
@@ -252,12 +257,11 @@ class Backend {
 struct StatevectorBackendOptions {
   int shots = 0;
   std::uint64_t seed = 0x51A7E7EC7ULL;
-  /// Evaluation-major (k-wide) lane policy for run_batch and exact
-  /// expect_batch:
-  /// -1 defers to the static lane table (default), 0 or 1 forces the scalar
-  /// per-evaluation path (kill switch), >= 2 pins the lane width
-  /// (clamped even, <= 32). The QOC_BATCH_LANES environment variable
-  /// overrides this knob; see sim::batch_lane_width.
+  /// Evaluation-major (k-wide) lane policy for exact run_batch and
+  /// expect_batch: -1 defers to the static lane table (default), 0 or 1
+  /// forces the scalar per-evaluation path (kill switch), >= 2 pins the
+  /// lane width (clamped even, <= 32); see sim::batch_lane_width.
+  /// Sampled mode always runs the scalar path.
   int batch_lanes = -1;
 };
 
@@ -267,13 +271,15 @@ struct StatevectorBackendOptions {
 /// scale linearly with threads; sampled mode touches only the atomic
 /// serial counter of the stream rule.
 ///
-/// Batches of >= k distinct bindings on small registers execute k
-/// evaluations at a time on a sim::BatchedStatevector lane group
-/// (vectorizing across bindings); the scalar path handles the tail and
-/// remains the bitwise oracle -- lane-grouped results are bit-identical
-/// to per-evaluation execution, and sampled run_batch draws from the
-/// same per-evaluation streams either way. Sampled expect_batch always
-/// runs the scalar path.
+/// In exact mode, batches of >= k distinct bindings on small registers
+/// execute k evaluations at a time on a sim::BatchedStatevector lane
+/// group (vectorizing across bindings); the scalar path handles the
+/// tail and remains the bitwise oracle -- lane-grouped results are
+/// bit-identical to per-evaluation execution. Sampled run_batch and
+/// expect_batch run the scalar path only: each evaluation's readout
+/// draws its shots from p = |amp|^2 through
+/// sim::ShotSampler::parity_means, as NoisyBackend draws from its
+/// readout distribution.
 class StatevectorBackend final : public Backend {
  public:
   explicit StatevectorBackend(int shots = 0,

@@ -1,13 +1,12 @@
 #pragma once
 // Validated environment-variable parsing.
 //
-// Every numeric qoc env knob (QOC_THREADS, QOC_BATCH_LANES) must reject
-// garbage identically: a mistyped deployment value must never size a
-// thread pool with billions of workers or pick a nonsense lane width.
-// The knob-specific parsers (parse_thread_count, parse_batch_lanes)
-// layer their own range/shape rules on top of this one shared helper,
-// so "what counts as a number" is defined -- and tested -- exactly once
-// (tests/test_parallel.cpp and tests/test_batch_kernels.cpp).
+// Every numeric qoc env knob (today only QOC_THREADS) must reject
+// garbage: a mistyped deployment value must never size a thread pool
+// with billions of workers. A knob-specific parser (parse_thread_count)
+// layers its own range rules on top of this one shared helper, so "what
+// counts as a number" is defined -- and tested, in
+// tests/test_parallel.cpp -- exactly once.
 
 #include <cstddef>
 

@@ -52,8 +52,7 @@ namespace qoc {
 /// whitespace and trailing junk are garbage), non-positive or absurd
 /// (> 4096, including any overflowing value), i.e. no override: a
 /// garbage QOC_THREADS must never size a pool with billions of workers.
-/// Validation lives in common::parse_env_uint, shared with the
-/// QOC_BATCH_LANES knob (sim::parse_batch_lanes) so every numeric env
+/// Validation lives in common::parse_env_uint, so every numeric env
 /// knob rejects garbage identically; split out of hardware_threads() so
 /// the rules are testable without mutating the process environment.
 inline unsigned parse_thread_count(const char* s) {

@@ -99,18 +99,11 @@ class CompiledObservable {
                          std::span<double> out) const;
 
   /// Apply group g's basis-change suffix to `psi` (rotates every
-  /// measured qubit into the Z basis).
+  /// measured qubit into the Z basis). Throws std::out_of_range for g >=
+  /// groups().size(). A sampled readout then reads each member term as
+  /// the mean parity of its z_mask over the rotated state's outcomes
+  /// (sim::ShotSampler::parity_means).
   void apply_suffix(sim::Statevector& psi, std::size_t g) const;
-
-  /// Energy contribution of group g from shot counts drawn AFTER
-  /// apply_suffix: sum over member terms of coeff * mean parity. Parity
-  /// sums are exact integers, so the result is bitwise the per-shot
-  /// +-1.0 fold over the same draws.
-  double group_energy_from_counts(const sim::ShotCounts& counts,
-                                  std::size_t g) const;
-
-  // apply_suffix and group_energy_from_counts throw std::out_of_range
-  // for g >= groups().size().
 
   /// Sample-bit mask convention: qubit q contributes bit (n-1-q), the
   /// position Statevector::sample uses for basis-state indices.
@@ -120,7 +113,6 @@ class CompiledObservable {
 
  private:
   CompiledObservable() = default;
-  const Group& group(std::size_t g) const;
 
   int n_qubits_ = 0;
   double constant_ = 0.0;

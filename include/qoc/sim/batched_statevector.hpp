@@ -18,16 +18,15 @@
 // Uniform methods (apply_1q(const Matrix&...), apply_cx, ...) apply one
 // gate to all lanes; the *_lanes methods take ENTRY-MAJOR per-lane
 // buffers (m[entry * lanes + lane]) for parameterized ops whose matrix
-// differs per binding. Measurement is per-lane: expectation_z_all
-// replicates Statevector's exact loop (same association), and sample
-// shares Statevector's sampler (same draw sequence per Prng).
+// differs per binding. The one measurement, expectation_z_all_lanes,
+// reads every lane's exact <Z_q> in one pass, each bit-identical to
+// Statevector::expectation_z_all. There is no sampling here: a sampled
+// readout runs on the scalar path (see backend::StatevectorBackend).
 
 #include <cstdint>
 #include <vector>
 
-#include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
-#include "qoc/sim/sampler.hpp"
 
 namespace qoc::sim {
 
@@ -143,40 +142,19 @@ class BatchedStatevector {
                                          int qubit_a, const cplx* m_b,
                                          int qubit_b);
 
-  /// Sum of |amp|^2 over one lane; replicates Statevector::norm_squared
-  /// (same std::norm terms in the same row-ascending order).
-  double norm_squared(std::size_t lane) const;
-
-  // ---- Per-lane measurement ----------------------------------------------
-
-  /// Exact <Z> for every qubit of one lane; replicates
-  /// Statevector::expectation_z_all bit-for-bit (same accumulation
-  /// order, same skip-zero branch).
-  std::vector<double> expectation_z_all(std::size_t lane) const;
+  // ---- Measurement ---------------------------------------------------------
 
   /// Exact <Z> for every qubit of every lane in one fused pass:
   /// out[q * lanes() + lane]. Per lane the result is bit-identical to
-  /// expectation_z_all(lane) -- same |amp|^2 values consumed in the same
-  /// i-ascending order per qubit; the scalar loop's skip-zero branch is
-  /// unobservable because adding +-0 never changes an accumulator that
-  /// cannot itself be -0. Unlike the per-lane method, the serial
+  /// Statevector::expectation_z_all on that lane's state -- same |amp|^2
+  /// values consumed in the same i-ascending order per qubit; the scalar
+  /// loop's skip-zero branch is unobservable because adding +-0 never
+  /// changes an accumulator that cannot itself be -0. The serial
   /// add-latency chain of each (qubit, lane) accumulator runs across all
   /// lanes (and several qubits) at once, which is where the k-wide
   /// layout actually pays off: measurement drops from ~half of scalar
   /// evaluation cost to noise.
   void expectation_z_all_lanes(std::vector<double>& out);
-
-  /// Draw `shots` basis samples from one lane through the same
-  /// sim::ShotSampler as Statevector::sample, so a lane holding the same
-  /// state draws the same outcomes from the same stream. Same errors,
-  /// plus std::out_of_range for a bad lane.
-  std::vector<std::uint64_t> sample(std::size_t lane, int shots,
-                                    Prng& rng) const;
-
-  /// The same draws folded into counts held by `sampler` (see
-  /// Statevector::sample_counts).
-  const ShotCounts& sample_counts(std::size_t lane, int shots, Prng& rng,
-                                  ShotSampler& sampler) const;
 
  private:
   std::size_t stride_of(int qubit) const {

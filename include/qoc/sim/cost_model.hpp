@@ -35,15 +35,6 @@ inline constexpr int kBatchedLaneMaxQubits = 14;
 /// per amplitude row component, matching the AVX2 register budget.
 inline constexpr std::size_t kBatchedLanes = 8;
 
-/// Parse a QOC_BATCH_LANES override (same testable pattern as
-/// parse_thread_count, and the same validation core --
-/// common::parse_env_uint -- so every numeric env knob rejects garbage
-/// identically): 0 when missing/non-numeric (strictly decimal digits;
-/// signs, whitespace and trailing junk are garbage)/non-positive/absurd
-/// (no override). 1 forces the scalar path; otherwise the value must be
-/// even and <= BatchedStatevector::kMaxLanes (32) or it is rejected.
-unsigned parse_batch_lanes(const char* s);
-
 /// Where a lane table came from. lane_calibration() always reports
 /// kDefault; the other enumerators name table sources that no longer
 /// exist and stay only so code that spells out every value keeps
@@ -84,14 +75,13 @@ struct LaneCalibration {
 LaneCalibration lane_calibration();
 
 /// Lane width for one batch dispatch: 1 means scalar per-evaluation
-/// execution, k >= 2 means lane groups of k. Priority: QOC_BATCH_LANES
-/// env override, then `pinned_lanes` (the per-backend options knob: -1
-/// defer, 0/1 force scalar, >= 2 pin the width), then the static table
-/// (lane_calibration().width[n]). Any requested width is clamped
-/// to even and <= 32. A width k is kept only when 2 * batch_size >= k:
-/// with ragged-tail compaction a part-filled group still beats the
-/// scalar path once it is at least half full, so k no longer requires k
-/// full evaluations.
+/// execution, k >= 2 means lane groups of k. `pinned_lanes` is the
+/// per-backend options knob: -1 defers to the static table
+/// (lane_calibration().width[n]), 0/1 force scalar, >= 2 pin the
+/// width. Any requested width is clamped to even and <= 32. A width k
+/// is kept only when 2 * batch_size >= k: with ragged-tail compaction a
+/// part-filled group still beats the scalar path once it is at least
+/// half full, so k no longer requires k full evaluations.
 std::size_t batch_lane_width(int n_qubits, std::size_t batch_size,
                              int pinned_lanes = -1);
 

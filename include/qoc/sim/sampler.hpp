@@ -1,7 +1,7 @@
 #pragma once
 // The one shot sampler behind every finite-shot measurement
-// (Statevector::sample, BatchedStatevector::sample and their counts
-// forms, and the device backends' readout distributions).
+// (Statevector::sample, and the readout of both backends through
+// parity_means).
 //
 // Measuring a register `shots` times draws basis indices from the Born
 // distribution |amp_i|^2, or from an explicit probability vector p_i.
@@ -29,11 +29,12 @@
 // sampling") gives the measurements behind the size rule.
 //
 // The counts form folds the same draws into distinct outcomes plus
-// multiplicities: a fold over the shots (parities, <Z_q>) then runs once
-// per distinct outcome, with exact integer sums that equal the per-shot
-// +-1.0 accumulation bit for bit.
+// multiplicities, and parity_means folds those into the +-1 means a
+// readout reports: each runs once per distinct outcome, with exact
+// integer sums that equal the per-shot +-1.0 accumulation bit for bit.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "qoc/common/prng.hpp"
@@ -50,32 +51,36 @@ struct ShotCounts {
 
 class ShotSampler {
  public:
-  /// `shots` draws from |amps[i * stride]|^2, i in [0, dim), into `out`
-  /// in draw order. Throws std::invalid_argument for shots < 0 and
+  /// `shots` draws from |amps[i]|^2, i in [0, dim), into `out` in draw
+  /// order. Throws std::invalid_argument for shots < 0 and
   /// std::domain_error when the probabilities sum to a non-finite total.
-  void sample(const linalg::cplx* amps, std::size_t dim, std::size_t stride,
-              int shots, Prng& rng, std::vector<std::uint64_t>& out);
+  void sample(const linalg::cplx* amps, std::size_t dim, int shots,
+              Prng& rng, std::vector<std::uint64_t>& out);
 
-  /// The same draws folded into counts. The result lives in this
-  /// sampler and stays valid until its next call; keeping one sampler
-  /// per worker chunk makes the hot path allocation-free.
-  const ShotCounts& count(const linalg::cplx* amps, std::size_t dim,
-                          std::size_t stride, int shots, Prng& rng);
-
-  /// The same counts form over the weights probs[i], i in [0, dim):
-  /// every entry must be >= 0, so the CDF is monotone. The device
-  /// backends draw their shots from a density matrix's readout
-  /// distribution through it.
+  /// The same draws over the weights probs[i], i in [0, dim), folded
+  /// into counts: every entry must be >= 0, so the CDF is monotone. The
+  /// result lives in this sampler and stays valid until its next call;
+  /// keeping one sampler per worker chunk makes the hot path
+  /// allocation-free. Same errors as sample().
   const ShotCounts& count(const double* probs, std::size_t dim, int shots,
                           Prng& rng);
+
+  /// The readout: out[i] <- the mean of (-1)^popcount(s & masks[i]) over
+  /// outcomes s in [0, dim). At shots == 0 it is summed exactly under
+  /// probs, in index order, and `rng` is not read (it may be null).
+  /// Otherwise it is the mean over `shots` draws from probs on *rng
+  /// (count()'s draws and errors), folded as counts: the +-count sums
+  /// are exact integers, so each mean is bitwise the per-shot +-1.0 fold
+  /// divided by `shots`. `out` must hold masks.size() entries.
+  void parity_means(const double* probs, std::size_t dim,
+                    std::span<const std::uint64_t> masks, int shots,
+                    Prng* rng, std::span<double> out);
 
  private:
   /// Builds the CDF of weight(0), ..., weight(dim - 1) and its guide
   /// table.
   template <class Weight>
   void build(std::size_t dim, int shots, Weight&& weight);
-  /// `shots` draws from the built CDF, folded into counts_.
-  const ShotCounts& fold(std::size_t dim, int shots, Prng& rng);
   std::size_t draw(Prng& rng) const;
 
   std::vector<double> cdf_;

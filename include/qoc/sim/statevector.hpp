@@ -22,7 +22,6 @@
 
 #include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
-#include "qoc/sim/sampler.hpp"
 
 namespace qoc::sim {
 
@@ -117,11 +116,6 @@ class Statevector {
   /// std::invalid_argument for shots < 0 and std::domain_error when the
   /// probabilities sum to a non-finite total (e.g. a NaN amplitude).
   std::vector<std::uint64_t> sample(int shots, Prng& rng) const;
-
-  /// The same draws as sample(), folded into distinct outcomes and
-  /// counts held by `sampler` (valid until its next call).
-  const ShotCounts& sample_counts(int shots, Prng& rng,
-                                  ShotSampler& sampler) const;
 
   /// Destructively measure one qubit in the Z basis: collapses the state
   /// and returns the outcome (0 or 1).

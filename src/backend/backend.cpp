@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -11,6 +10,7 @@
 #include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/cost_model.hpp"
 #include "qoc/sim/gates.hpp"
+#include "qoc/sim/sampler.hpp"
 #include "qoc/sim/statevector.hpp"
 
 namespace qoc::backend {
@@ -46,16 +46,30 @@ std::shared_ptr<const exec::CompiledCircuit> Backend::plan_cached(
   return bucket.back();
 }
 
-void require_finite(std::span<const exec::Evaluation> evals,
-                    const std::string& who) {
+void require_valid_bindings(const exec::CompiledCircuit& plan,
+                            std::span<const exec::Evaluation> evals,
+                            const std::string& who) {
   const auto finite = [](std::span<const double> v) {
     return std::all_of(v.begin(), v.end(),
                        [](double x) { return std::isfinite(x); });
   };
-  for (const auto& e : evals)
+  const auto& source = plan.source();
+  for (const auto& e : evals) {
+    if (e.theta.size() < static_cast<std::size_t>(plan.num_trainable()))
+      throw std::invalid_argument(
+          who + ": theta shorter than the plan's trainable-parameter count");
+    if (e.input.size() < static_cast<std::size_t>(plan.num_inputs()))
+      throw std::invalid_argument(
+          who + ": input shorter than the plan's feature count");
+    if (e.shift_op != exec::Evaluation::kNoShift &&
+        (e.shift_op >= source.num_ops() ||
+         !circuit::gate_is_parameterised(source.op(e.shift_op).kind)))
+      throw std::invalid_argument(
+          who + ": shift_op out of range or not a parameterised op");
     if (!finite(e.theta) || !finite(e.input) || !std::isfinite(e.shift))
       throw std::invalid_argument(who +
                                   ": non-finite theta, input or shift");
+  }
 }
 
 std::vector<Prng> Backend::batch_streams(
@@ -242,30 +256,11 @@ StatevectorBackend::StatevectorBackend(const StatevectorBackendOptions& options)
 
 namespace {
 
-/// Finite-shot estimate of each <Z_q> from shot counts. The +-count sums
-/// are exact integers, so each value is bitwise the per-shot +-1.0 fold.
-std::vector<double> expectations_from_counts(const sim::ShotCounts& c,
-                                             int n_qubits) {
-  std::vector<double> out(static_cast<std::size_t>(n_qubits));
-  for (int q = 0; q < n_qubits; ++q) {
-    const int shift = n_qubits - 1 - q;
-    std::int64_t sum = 0;
-    for (std::size_t j = 0; j < c.outcomes.size(); ++j) {
-      const std::int64_t n = c.counts[j];
-      sum += ((c.outcomes[j] >> shift) & 1ULL) ? -n : n;
-    }
-    out[static_cast<std::size_t>(q)] =
-        static_cast<double>(sum) / static_cast<double>(c.shots);
-  }
-  return out;
-}
-
-/// Per-chunk scratch of the statevector lane groups.
+/// Per-chunk scratch of the statevector lane groups (exact mode only).
 struct LaneGroupState {
   sim::BatchedStatevector bsv;
   std::vector<double> angles;
   std::vector<exec::Evaluation> padded;
-  sim::ShotSampler sampler;
 
   LaneGroupState(int n_qubits, std::size_t lanes) : bsv(n_qubits, lanes) {}
 
@@ -286,10 +281,11 @@ struct LaneGroupState {
   }
 };
 
-/// Per-chunk scratch of the statevector scalar tail.
+/// Per-chunk scratch of the statevector scalar path.
 struct ScalarState {
   sim::Statevector sv;
   std::vector<double> angles;
+  std::vector<double> probs;  // the sampled readout's p = |amp|^2
   sim::ShotSampler sampler;
 
   explicit ScalarState(int n_qubits) : sv(n_qubits) {}
@@ -299,6 +295,17 @@ struct ScalarState {
     sv.reset();
     plan.apply(sv, angles);
   }
+
+  /// out[i] <- the mean of (-1)^parity(s & masks[i]) over `shots`
+  /// outcomes s of `psi`, drawn from p = |amp|^2 on `rng`.
+  void read_out(const sim::Statevector& psi,
+                std::span<const std::uint64_t> masks, int shots, Prng& rng,
+                std::span<double> out) {
+    const auto& amps = psi.amplitudes();
+    probs.resize(amps.size());
+    for (std::size_t s = 0; s < amps.size(); ++s) probs[s] = std::norm(amps[s]);
+    sampler.parity_means(probs.data(), probs.size(), masks, shots, &rng, out);
+  }
 };
 
 }  // namespace
@@ -307,14 +314,16 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
     const exec::CompiledCircuit& plan, std::span<const exec::Evaluation> evals,
     unsigned threads) {
   const int n = plan.num_qubits();
-  // Evaluation-major partition: lane groups execute k evaluations at a
-  // time on a BatchedStatevector, the scalar path runs whatever the
-  // partition leaves over (the whole batch when the lane table says
-  // lanes == 1). Lane L of a group evolves bit-identically to the
-  // scalar path and each lane samples from its own evaluation's
-  // stream, so the partition is invisible in the results.
+  // Exact mode runs the evaluation-major partition: lane groups execute
+  // k evaluations at a time on a BatchedStatevector, the scalar path
+  // runs whatever the partition leaves over (the whole batch when the
+  // lane table says lanes == 1), and lane L of a group evolves
+  // bit-identically to the scalar path, so the partition is invisible
+  // in the results. Sampled mode runs the scalar path only, as sampled
+  // expect_batch does.
   const sim::LanePartition part =
-      sim::partition_lanes(n, evals.size(), batch_lanes_);
+      shots_ > 0 ? sim::LanePartition{}
+                 : sim::partition_lanes(n, evals.size(), batch_lanes_);
   // `lanes` is the cost model's k-wide SoA verdict; the span shows how
   // much of a served batch actually ran grouped vs on the scalar tail.
   QOC_TRACE_SPAN_ARG("kernel", "sv_batch", "lanes",
@@ -322,7 +331,12 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
   // Exact mode draws nothing: it reserves no serials and touches no
   // shared state, so it scales linearly with threads.
   std::vector<Prng> rngs;
-  if (shots_ > 0) rngs = batch_streams(seed_, evals);
+  std::vector<std::uint64_t> z_masks;  // <Z_q> is the parity of bit q
+  if (shots_ > 0) {
+    rngs = batch_streams(seed_, evals);
+    for (int q = 0; q < n; ++q)
+      z_masks.push_back(exec::CompiledObservable::qubit_bit(q, n));
+  }
   std::vector<std::vector<double>> results(evals.size());
   run_lanes(
       part, evals.size(), threads,
@@ -331,15 +345,8 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
                 zexp = std::vector<double>()](std::size_t first,
                                               std::size_t real) mutable {
           s.prepare(plan, evals, first, real);
-          if (shots_ > 0) {
-            for (std::size_t k = first; k < first + real; ++k)
-              results[k] = expectations_from_counts(
-                  s.bsv.sample_counts(k - first, shots_, rngs[k], s.sampler),
-                  n);
-            return;
-          }
           // One fused measurement pass for the whole lane group
-          // (bit-identical per lane to expectation_z_all(l)).
+          // (bit-identical per lane to Statevector::expectation_z_all).
           s.bsv.expectation_z_all_lanes(zexp);
           for (std::size_t l = 0; l < real; ++l) {
             auto& r = results[first + l];
@@ -353,11 +360,12 @@ std::vector<std::vector<double>> StatevectorBackend::execute_batch(
       [&] {
         return [&, s = ScalarState(n)](std::size_t k) mutable {
           s.prepare(plan, evals[k]);
-          results[k] = shots_ == 0
-                           ? s.sv.expectation_z_all()
-                           : expectations_from_counts(
-                                 s.sv.sample_counts(shots_, rngs[k], s.sampler),
-                                 n);
+          if (shots_ == 0) {
+            results[k] = s.sv.expectation_z_all();
+            return;
+          }
+          results[k].resize(z_masks.size());
+          s.read_out(s.sv, z_masks, shots_, rngs[k], results[k]);
         };
       });
   return results;
@@ -368,68 +376,72 @@ std::vector<double> StatevectorBackend::execute_expect_batch(
     const exec::CompiledObservable& observable,
     std::span<const exec::Evaluation> evals, unsigned threads) {
   const int n = plan.num_qubits();
-  std::vector<double> results(evals.size());
-
-  if (shots_ == 0) {
-    // Exact mode: one state per evaluation, every term analytic, on the
-    // same evaluation-major partition as execute_batch. The per-term
-    // loop inside CompiledObservable::expectation is bit-identical to
-    // vqe::Hamiltonian::expectation; the lane path replays the same loop
-    // with each term's Pauli product applied once per lane group.
-    const sim::LanePartition part =
-        sim::partition_lanes(n, evals.size(), batch_lanes_);
-    QOC_TRACE_SPAN_ARG("kernel", "sv_expect_batch", "lanes",
-                       static_cast<std::int64_t>(part.lanes));
-    add_inferences(evals.size());
-    run_lanes(
-        part, evals.size(), threads,
-        [&] {
-          return [&, s = LaneGroupState(n, part.lanes),
-                  out = std::vector<double>(part.lanes)](
-                     std::size_t first, std::size_t real) mutable {
-            s.prepare(plan, evals, first, real);
-            observable.expectation_lanes(s.bsv, out);
-            std::copy_n(out.begin(), real, results.begin() + first);
-          };
-        },
-        [&] {
-          return [&, s = ScalarState(n)](std::size_t k) mutable {
-            s.prepare(plan, evals[k]);
-            results[k] = observable.expectation(s.sv);
-          };
-        });
-    return results;
-  }
-
+  const auto& groups = observable.groups();
+  // Exact mode: one state per evaluation, every term analytic, on the
+  // same evaluation-major partition as execute_batch. The per-term loop
+  // inside CompiledObservable::expectation is bit-identical to
+  // vqe::Hamiltonian::expectation; the lane path replays the same loop
+  // with each term's Pauli product applied once per lane group.
+  //
   // Sampled mode: one ansatz preparation per evaluation, one measured
   // execution per commuting group (basis-change suffix + Z sampling),
   // each evaluation consuming its own stream group by group. It runs
-  // the scalar loop only: measured on a depth-3 Heisenberg-8 sweep at
+  // the scalar path only: measured on a depth-3 Heisenberg-8 sweep at
   // 1024 shots, lane groups were no faster here (sampling dominates)
   // and cost peak memory.
+  const sim::LanePartition part =
+      shots_ > 0 ? sim::LanePartition{}
+                 : sim::partition_lanes(n, evals.size(), batch_lanes_);
   QOC_TRACE_SPAN_ARG("kernel", "sv_expect_batch", "lanes",
-                     static_cast<std::int64_t>(1));
-  const std::size_t n_groups = observable.groups().size();
-  add_inferences(evals.size() * n_groups);
-  std::vector<Prng> rngs = batch_streams(seed_, evals);
-  note_lane_metrics(sim::LanePartition{}, evals.size());
-  parallel_for_chunked(
-      0, evals.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        ScalarState s(n);
-        sim::Statevector meas(n);
-        for (std::size_t k = lo; k < hi; ++k) {
-          s.prepare(plan, evals[k]);
-          double energy = observable.constant();
-          for (std::size_t g = 0; g < n_groups; ++g)
-            energy += observable.group_energy_from_counts(
-                measured_state(observable, g, s.sv, meas)
-                    .sample_counts(shots_, rngs[k], s.sampler),
-                g);
-          results[k] = energy;
-        }
+                     static_cast<std::int64_t>(part.lanes));
+  add_inferences(shots_ > 0 ? evals.size() * groups.size() : evals.size());
+  std::vector<Prng> rngs;
+  // Sampled mode reads group g's terms as parities of their z_masks.
+  std::vector<std::vector<std::uint64_t>> masks;
+  if (shots_ > 0) {
+    rngs = batch_streams(seed_, evals);
+    masks.resize(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      for (const auto& term : groups[g].terms) masks[g].push_back(term.z_mask);
+  }
+  std::vector<double> results(evals.size());
+  run_lanes(
+      part, evals.size(), threads,
+      [&] {
+        return [&, s = LaneGroupState(n, part.lanes),
+                out = std::vector<double>(part.lanes)](
+                   std::size_t first, std::size_t real) mutable {
+          s.prepare(plan, evals, first, real);
+          observable.expectation_lanes(s.bsv, out);
+          std::copy_n(out.begin(), real, results.begin() + first);
+        };
       },
-      threads);
+      [&] {
+        // `meas` starts as a 1-qubit placeholder that the first basis
+        // change's copy resizes, so exact mode never allocates it.
+        return [&, s = ScalarState(n), meas = sim::Statevector(1),
+                means = std::vector<double>()](std::size_t k) mutable {
+          s.prepare(plan, evals[k]);
+          if (shots_ == 0) {
+            results[k] = observable.expectation(s.sv);
+            return;
+          }
+          double energy = observable.constant();
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            const auto& terms = groups[g].terms;
+            means.resize(terms.size());
+            s.read_out(measured_state(observable, g, s.sv, meas), masks[g],
+                       shots_, rngs[k], means);
+            // A group's terms sum from 0.0, then the group joins the
+            // energy (the device adds term by term instead).
+            double e = 0.0;
+            for (std::size_t i = 0; i < terms.size(); ++i)
+              e += terms[i].coeff * means[i];
+            energy += e;
+          }
+          results[k] = energy;
+        };
+      });
   return results;
 }
 
@@ -450,13 +462,6 @@ const noise::Superop& basis_change(bool y) {
   static const noise::Superop y_basis =
       noise::unitary_superop(sim::gate_h() * sim::gate_sdg());
   return y ? y_basis : x_basis;
-}
-
-/// Mean of `shots` +-1 readings of which `minus` read -1. Bitwise the
-/// per-shot +-1.0 sum divided by `shots`: every partial sum of that fold
-/// is an exact integer, so it ends at exactly shots - 2 * minus.
-double pm_mean(std::int64_t minus, int shots) {
-  return static_cast<double>(shots - 2 * minus) / static_cast<double>(shots);
 }
 
 /// One evaluation's noisy state, exactly: the density matrix rho over
@@ -480,8 +485,9 @@ double pm_mean(std::int64_t minus, int shots) {
 /// The readout is a device's: the distribution p[s] = Re rho[s, s] over
 /// the 2^m outcomes, with each measured qubit's readout confusion
 /// applied -- exactly the distribution independent per-shot flips give.
-/// With shots == 0 a mean is its exact sum over p; otherwise it is the
-/// mean of `shots` outcomes drawn from p through sim::ShotSampler.
+/// Every mean is sim::ShotSampler::parity_means over p: its exact sum
+/// over p with shots == 0, otherwise the mean of `shots` outcomes drawn
+/// from p.
 class DeviceEngine {
  public:
   DeviceEngine(const noise::NoiseModel& noise, std::span<const int> physical)
@@ -533,7 +539,7 @@ class DeviceEngine {
     }
     read_out(layout, measured, {});
     out.resize(layout.size());
-    means(shots, rng, out);
+    sampler_.parity_means(p_.data(), p_.size(), masks_, shots, rng, out);
   }
 
   /// <H>: each commuting group read out after its basis change, its
@@ -555,7 +561,8 @@ class DeviceEngine {
       for (const auto& term : group.terms) masks_.push_back(active(term.z_mask));
       read_out(layout, active(group.measured_mask), group.suffix);
       values_.resize(masks_.size());
-      means(shots, rng, values_);
+      sampler_.parity_means(p_.data(), p_.size(), masks_, shots, rng,
+                            values_);
       for (std::size_t i = 0; i < group.terms.size(); ++i)
         energy += group.terms[i].coeff * values_[i];
     }
@@ -684,29 +691,6 @@ class DeviceEngine {
         p_[s] = (1.0 - e01) * p0 + e10 * p1;
         p_[s | flip] = e01 * p0 + (1.0 - e10) * p1;
       }
-    }
-  }
-
-  /// out[i] <- the mean of (-1)^parity(s & masks_[i]) over outcomes s:
-  /// exact under p when shots == 0, else over `shots` draws from p on
-  /// `rng`, folded as counts (exact integers, so bitwise the per-shot
-  /// fold).
-  void means(int shots, Prng* rng, std::span<double> out) {
-    if (shots == 0) {
-      for (std::size_t i = 0; i < masks_.size(); ++i) {
-        double acc = 0.0;
-        for (std::size_t s = 0; s < p_.size(); ++s)
-          acc += (std::popcount(s & masks_[i]) & 1) ? -p_[s] : p_[s];
-        out[i] = acc;
-      }
-      return;
-    }
-    const sim::ShotCounts& c = sampler_.count(p_.data(), p_.size(), shots, *rng);
-    for (std::size_t i = 0; i < masks_.size(); ++i) {
-      std::int64_t odd = 0;
-      for (std::size_t j = 0; j < c.outcomes.size(); ++j)
-        if (std::popcount(c.outcomes[j] & masks_[i]) & 1) odd += c.counts[j];
-      out[i] = pm_mean(odd, shots);
     }
   }
 

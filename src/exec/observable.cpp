@@ -1,6 +1,5 @@
 #include "qoc/exec/observable.hpp"
 
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -147,34 +146,14 @@ void CompiledObservable::expectation_lanes(const sim::BatchedStatevector& psi,
   }
 }
 
-const CompiledObservable::Group& CompiledObservable::group(
-    std::size_t g) const {
-  if (g >= groups_.size())
-    throw std::out_of_range("CompiledObservable: group index");
-  return groups_[g];
-}
-
 void CompiledObservable::apply_suffix(sim::Statevector& psi,
                                       std::size_t g) const {
-  for (const auto& bc : group(g).suffix) {
+  if (g >= groups_.size())
+    throw std::out_of_range("CompiledObservable: group index");
+  for (const auto& bc : groups_[g].suffix) {
     if (bc.y) psi.apply_1q(kSdgEntries, bc.qubit);
     psi.apply_1q(kHEntries, bc.qubit);
   }
-}
-
-double CompiledObservable::group_energy_from_counts(
-    const sim::ShotCounts& counts, std::size_t g) const {
-  double e = 0.0;
-  for (const auto& term : group(g).terms) {
-    std::int64_t parity_sum = 0;
-    for (std::size_t j = 0; j < counts.outcomes.size(); ++j) {
-      const std::int64_t n = counts.counts[j];
-      parity_sum +=
-          (std::popcount(counts.outcomes[j] & term.z_mask) & 1) ? -n : n;
-    }
-    e += term.coeff * (static_cast<double>(parity_sum) / counts.shots);
-  }
-  return e;
 }
 
 }  // namespace qoc::exec

@@ -920,16 +920,10 @@ void validate_submission(const detail::SessionState* owner,
   if (entry->owner != owner)
     throw std::invalid_argument(
         "serve: CircuitHandle belongs to a different session");
-  if (theta.size() < static_cast<std::size_t>(entry->plan.num_trainable()))
-    throw std::invalid_argument("serve: theta shorter than the plan's "
-                                "trainable-parameter count");
-  if (input.size() < static_cast<std::size_t>(entry->plan.num_inputs()))
-    throw std::invalid_argument(
-        "serve: input shorter than the plan's feature count");
-  // Rejected here, not in the lane: a non-finite binding coalesced into
-  // a sampled batch would fail its batch-mates' jobs too.
+  // Rejected here, not in the lane: a bad binding coalesced into a
+  // batch would fail its batch-mates' jobs too.
   const exec::Evaluation eval{theta, input};
-  backend::require_finite(std::span(&eval, 1), "serve");
+  backend::require_valid_bindings(entry->plan, std::span(&eval, 1), "serve");
 }
 
 /// Shared submission path for run and expect jobs (they differ only in

@@ -1,6 +1,6 @@
 // Evaluation-major statevector. Deliberately compiled with the DEFAULT
-// flags (not the kernel TUs' -ffp-contract=off): the measurement loops
-// below must contract exactly like their Statevector counterparts in
+// flags (not the kernel TUs' -ffp-contract=off): the measurement pass
+// below must contract exactly like its Statevector counterpart in
 // statevector.cpp -- same flags, same expression trees -- while all
 // amplitude arithmetic dispatches into the no-FMA kernel TUs.
 
@@ -363,32 +363,7 @@ void BatchedStatevector::apply_diag_run_then_1q_pair_lanes(
   } while (done < count);
 }
 
-double BatchedStatevector::norm_squared(std::size_t lane) const {
-  if (lane >= lanes_) throw std::out_of_range("norm_squared: lane index");
-  // Same std::norm accumulation (and same TU / default contraction
-  // flags) as Statevector::norm_squared, row-ascending.
-  double s = 0.0;
-  for (std::size_t i = 0; i < dim_; ++i) s += std::norm(amps_[i * lanes_ + lane]);
-  return s;
-}
-
-// ---- Per-lane measurement --------------------------------------------------
-
-std::vector<double> BatchedStatevector::expectation_z_all(
-    std::size_t lane) const {
-  if (lane >= lanes_)
-    throw std::out_of_range("expectation_z_all: lane index");
-  std::vector<double> out(n_qubits_, 0.0);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    const double p = std::norm(amps_[i * lanes_ + lane]);
-    if (p == 0.0) continue;
-    for (int q = 0; q < n_qubits_; ++q) {
-      const std::size_t stride = std::size_t{1} << (n_qubits_ - 1 - q);
-      out[q] += (i & stride) ? -p : p;
-    }
-  }
-  return out;
-}
+// ---- Measurement -----------------------------------------------------------
 
 void BatchedStatevector::expectation_z_all_lanes(std::vector<double>& out) {
   const std::size_t nq = static_cast<std::size_t>(n_qubits_);
@@ -396,9 +371,9 @@ void BatchedStatevector::expectation_z_all_lanes(std::vector<double>& out) {
   norm_scratch_.resize(dim_ * lanes_);
   double* pn = norm_scratch_.data();
   const std::size_t total = dim_ * lanes_;
-  // Same std::norm expression (and same TU / default contraction flags)
-  // as the per-lane loop above, so each buffered p is bit-identical to
-  // the one the scalar path computes on the fly.
+  // Same std::norm expression (and same default contraction flags) as
+  // Statevector::expectation_z_all, so each buffered p is bit-identical
+  // to the one the scalar path computes on the fly.
   for (std::size_t j = 0; j < total; ++j) pn[j] = std::norm(amps_[j]);
   switch (lanes_) {
     case 8: z_accumulate_all<8>(pn, dim_, n_qubits_, lanes_, out.data()); break;
@@ -410,21 +385,6 @@ void BatchedStatevector::expectation_z_all_lanes(std::vector<double>& out) {
                              out.data() + static_cast<std::size_t>(q) * lanes_);
       break;
   }
-}
-
-std::vector<std::uint64_t> BatchedStatevector::sample(std::size_t lane,
-                                                      int shots,
-                                                      Prng& rng) const {
-  if (lane >= lanes_) throw std::out_of_range("sample: lane index");
-  std::vector<std::uint64_t> out;
-  ShotSampler().sample(amps_.data() + lane, dim_, lanes_, shots, rng, out);
-  return out;
-}
-
-const ShotCounts& BatchedStatevector::sample_counts(
-    std::size_t lane, int shots, Prng& rng, ShotSampler& sampler) const {
-  if (lane >= lanes_) throw std::out_of_range("sample_counts: lane index");
-  return sampler.count(amps_.data() + lane, dim_, lanes_, shots, rng);
 }
 
 }  // namespace qoc::sim

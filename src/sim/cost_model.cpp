@@ -1,9 +1,7 @@
 #include "qoc/sim/cost_model.hpp"
 
 #include <cmath>
-#include <cstdlib>
 
-#include "qoc/common/env.hpp"
 #include "qoc/sim/batched_statevector.hpp"
 
 namespace qoc::sim {
@@ -11,12 +9,6 @@ namespace qoc::sim {
 namespace {
 double pow2(int n) { return std::ldexp(1.0, n); }
 }  // namespace
-
-unsigned parse_batch_lanes(const char* s) {
-  const unsigned v = static_cast<unsigned>(common::parse_env_uint(s, 32));
-  if (v > 1 && (v % 2) != 0) return 0;  // AVX2 forms need even lanes
-  return v;
-}
 
 // ---- LaneCalibration -------------------------------------------------------
 
@@ -57,20 +49,11 @@ LaneCalibration lane_calibration() {
 
 std::size_t batch_lane_width(int n_qubits, std::size_t batch_size,
                              int pinned_lanes) {
-  // getenv is re-read per dispatch (not latched) so tests and benches can
-  // flip the override; a batch dispatch costs ~2^n work, the lookup is
-  // noise against that.
-  long want = -1;  // -1: defer to the static table
-  if (const unsigned env = parse_batch_lanes(std::getenv("QOC_BATCH_LANES")))
-    want = static_cast<long>(env);
-  else if (pinned_lanes >= 0)
-    want = pinned_lanes;
-
-  if (want == 0 || want == 1) return 1;
+  if (pinned_lanes == 0 || pinned_lanes == 1) return 1;
 
   std::size_t k = 0;
-  if (want > 1) {
-    k = static_cast<std::size_t>(want);
+  if (pinned_lanes > 1) {
+    k = static_cast<std::size_t>(pinned_lanes);
     if (k % 2) --k;  // even lanes only
     if (k > BatchedStatevector::kMaxLanes) k = BatchedStatevector::kMaxLanes;
   } else if (n_qubits >= 1 && n_qubits <= LaneCalibration::kMaxQubits) {

@@ -50,27 +50,16 @@ inline std::size_t ShotSampler::draw(Prng& rng) const {
 }
 
 void ShotSampler::sample(const linalg::cplx* amps, std::size_t dim,
-                         std::size_t stride, int shots, Prng& rng,
+                         int shots, Prng& rng,
                          std::vector<std::uint64_t>& out) {
-  build(dim, shots, [=](std::size_t i) { return std::norm(amps[i * stride]); });
+  build(dim, shots, [=](std::size_t i) { return std::norm(amps[i]); });
   out.resize(static_cast<std::size_t>(shots));
   for (auto& o : out) o = draw(rng);
-}
-
-const ShotCounts& ShotSampler::count(const linalg::cplx* amps,
-                                     std::size_t dim, std::size_t stride,
-                                     int shots, Prng& rng) {
-  build(dim, shots, [=](std::size_t i) { return std::norm(amps[i * stride]); });
-  return fold(dim, shots, rng);
 }
 
 const ShotCounts& ShotSampler::count(const double* probs, std::size_t dim,
                                      int shots, Prng& rng) {
   build(dim, shots, [=](std::size_t i) { return probs[i]; });
-  return fold(dim, shots, rng);
-}
-
-const ShotCounts& ShotSampler::fold(std::size_t dim, int shots, Prng& rng) {
   tally_.resize(dim);
   // Reserve the most distinct outcomes a call can see, so a reused
   // sampler never reallocates on a varying count (allocations of
@@ -92,6 +81,34 @@ const ShotCounts& ShotSampler::fold(std::size_t dim, int shots, Prng& rng) {
   }
   counts_.shots = shots;
   return counts_;
+}
+
+void ShotSampler::parity_means(const double* probs, std::size_t dim,
+                               std::span<const std::uint64_t> masks,
+                               int shots, Prng* rng, std::span<double> out) {
+  const auto odd = [](std::uint64_t s, std::uint64_t mask) {
+    return (std::popcount(s & mask) & 1) != 0;
+  };
+  if (shots == 0) {
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      double acc = 0.0;
+      for (std::size_t s = 0; s < dim; ++s)
+        acc += odd(s, masks[i]) ? -probs[s] : probs[s];
+      out[i] = acc;
+    }
+    return;
+  }
+  const ShotCounts& c = count(probs, dim, shots, *rng);
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    // A select, not a branch: the parity of a drawn outcome is a coin
+    // flip, so a data-dependent branch here mispredicts half the time.
+    std::int64_t sum = 0;
+    for (std::size_t j = 0; j < c.outcomes.size(); ++j) {
+      const std::int64_t n = c.counts[j];
+      sum += odd(c.outcomes[j], masks[i]) ? -n : n;
+    }
+    out[i] = static_cast<double>(sum) / static_cast<double>(shots);
+  }
 }
 
 }  // namespace qoc::sim

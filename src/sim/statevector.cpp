@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "qoc/sim/kernels.hpp"
+#include "qoc/sim/sampler.hpp"
 
 namespace qoc::sim {
 
@@ -231,13 +232,8 @@ double Statevector::probability_one(int qubit) const {
 
 std::vector<std::uint64_t> Statevector::sample(int shots, Prng& rng) const {
   std::vector<std::uint64_t> out;
-  ShotSampler().sample(amps_.data(), amps_.size(), 1, shots, rng, out);
+  ShotSampler().sample(amps_.data(), amps_.size(), shots, rng, out);
   return out;
-}
-
-const ShotCounts& Statevector::sample_counts(int shots, Prng& rng,
-                                             ShotSampler& sampler) const {
-  return sampler.count(amps_.data(), amps_.size(), 1, shots, rng);
 }
 
 int Statevector::measure_qubit(int qubit, Prng& rng) {

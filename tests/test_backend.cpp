@@ -7,7 +7,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/circuit.hpp"
@@ -392,6 +394,72 @@ TEST(NonFiniteBindings, EveryBackendRejectsBeforeExecuting) {
     EXPECT_TRUE(std::isfinite(
         b->expect_batch(plan, obs, std::span(&good, 1), 1)[0]))
         << b->name();
+  }
+}
+
+// ---- Bindings the plan cannot run -------------------------------------------
+
+// A theta or input shorter than the plan needs, or a shift on an op out
+// of range or without an angle, has no defined outcome either: the one
+// binding check rejects it with std::invalid_argument before anything
+// counts or reserves a stream, on the statevector and on the device,
+// exact and sampled alike. So the next auto evaluation still draws
+// stream 0.
+TEST(BindingCheck, RejectedCallsCountNothingAndReserveNoStream) {
+  Circuit c(2);
+  c.ry(0, ParamRef::trainable(0));
+  c.cx(0, 1);
+  c.ry(1, ParamRef::trainable(1));
+  c.rx(0, ParamRef::input(0));
+  const auto plan = qoc::exec::CompiledCircuit::compile(c);
+  const auto obs =
+      qoc::vqe::compile_observable(qoc::vqe::Hamiltonian::h2_minimal());
+  const std::vector<double> theta = {0.4, -0.7}, input = {0.9};
+  const std::vector<double> short_theta = {0.4};
+
+  std::vector<std::pair<std::string, qoc::exec::Evaluation>> rejected = {
+      {"short theta", {short_theta, input}}, {"short input", {theta, {}}}};
+  for (const std::size_t op : {c.num_ops(), c.num_ops() + 7, std::size_t{1}}) {
+    qoc::exec::Evaluation e{theta, input};
+    e.shift_op = op;  // past the end, or the unparameterised CX
+    e.shift = 0.5;
+    rejected.emplace_back("shift_op=" + std::to_string(op), e);
+  }
+
+  for (const int shots : {0, 256}) {
+    const auto make = [&](int kind) -> std::unique_ptr<Backend> {
+      if (kind == 0)
+        return std::make_unique<StatevectorBackend>(
+            StatevectorBackendOptions{shots, 0x5EED});
+      NoisyBackendOptions opt;
+      opt.shots = shots;
+      opt.seed = 0x5EED;
+      return std::make_unique<NoisyBackend>(DeviceModel::ibmq_manila(), opt);
+    };
+    for (const int kind : {0, 1}) {
+      const auto backend = make(kind);
+      SCOPED_TRACE(backend->name() + " shots=" + std::to_string(shots));
+      for (const auto& [what, bad] : rejected) {
+        SCOPED_TRACE(what);
+        const qoc::exec::Evaluation good{theta, input};
+        const std::vector<qoc::exec::Evaluation> batch = {good, bad, good,
+                                                          good};
+        if (bad.shift_op == qoc::exec::Evaluation::kNoShift)
+          EXPECT_THROW(backend->run(plan, bad.theta, bad.input),
+                       std::invalid_argument);
+        EXPECT_THROW(backend->run_batch(plan, batch, 2),
+                     std::invalid_argument);
+        EXPECT_THROW(backend->expect_batch(plan, obs, batch, 2),
+                     std::invalid_argument);
+        EXPECT_EQ(backend->inference_count(), 0u);
+      }
+      qoc::exec::Evaluation pinned{theta, input};
+      pinned.rng_stream = 0;
+      const auto one = std::span(&pinned, 1);
+      EXPECT_EQ(backend->run(plan, theta, input),
+                make(kind)->run_batch(plan, one)[0]);
+      EXPECT_EQ(backend->inference_count(), 1u);
+    }
   }
 }
 

@@ -1,13 +1,15 @@
 // Tests for the evaluation-major (k-wide) batch execution path: the
 // lane-grouped run_batch / expect_batch results must be BITWISE identical
 // to the scalar per-evaluation path (the oracle), including the non-
-// multiple tail, mixed zero-angle bindings, sampled mode and pinned RNG
-// streams. Also unit-tests the lane-width policy (QOC_BATCH_LANES parse,
-// StatevectorBackendOptions pin, static-table crossover).
+// multiple tail, mixed zero-angle bindings, and sampled mode (which runs
+// scalar at every lane setting) with pinned RNG streams. Every parity
+// case runs under both the AVX2 kernels (KernelMode::Auto, on a CPU that
+// has AVX2) and the portable ones (KernelMode::Blocked), the only lane
+// path on a CPU without AVX2. Also unit-tests the lane-width policy
+// (StatevectorBackendOptions pin, static-table crossover).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "qoc/circuit/circuit.hpp"
 #include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/cost_model.hpp"
+#include "qoc/sim/kernels.hpp"
 
 namespace {
 
@@ -24,7 +27,7 @@ using qoc::circuit::ParamRef;
 using qoc::exec::CompiledCircuit;
 using qoc::exec::Evaluation;
 using qoc::sim::batch_lane_width;
-using qoc::sim::parse_batch_lanes;
+using qoc::sim::kernels::KernelMode;
 
 constexpr std::uint64_t kSeed = 0xBADC0FFEEULL;
 
@@ -110,38 +113,6 @@ StatevectorBackend wide_backend(int shots = 0, int lanes = -1) {
 }
 
 // ---- Policy unit tests -----------------------------------------------------
-
-TEST(BatchLanePolicy, ParseBatchLanes) {
-  EXPECT_EQ(parse_batch_lanes(nullptr), 0u);
-  EXPECT_EQ(parse_batch_lanes(""), 0u);
-  EXPECT_EQ(parse_batch_lanes("junk"), 0u);
-  EXPECT_EQ(parse_batch_lanes("8x"), 0u);
-  EXPECT_EQ(parse_batch_lanes("-4"), 0u);
-  EXPECT_EQ(parse_batch_lanes("0"), 0u);
-  EXPECT_EQ(parse_batch_lanes("33"), 0u);
-  EXPECT_EQ(parse_batch_lanes("3"), 0u);  // odd widths rejected
-  EXPECT_EQ(parse_batch_lanes("1"), 1u);  // force-scalar
-  EXPECT_EQ(parse_batch_lanes("2"), 2u);
-  EXPECT_EQ(parse_batch_lanes("8"), 8u);
-  EXPECT_EQ(parse_batch_lanes("32"), 32u);
-}
-
-TEST(BatchLanePolicy, ParseBatchLanesStrictDigits) {
-  // QOC_BATCH_LANES goes through common::parse_env_uint (shared with
-  // QOC_THREADS), so both knobs reject garbage identically: strictly
-  // decimal digits, no signs / whitespace / radix prefixes / trailing
-  // junk, and overflow never wraps into a plausible width.
-  EXPECT_EQ(parse_batch_lanes("+8"), 0u);    // explicit sign
-  EXPECT_EQ(parse_batch_lanes(" 8"), 0u);    // leading whitespace
-  EXPECT_EQ(parse_batch_lanes("8 "), 0u);    // trailing whitespace
-  EXPECT_EQ(parse_batch_lanes("0x10"), 0u);  // hex prefix
-  EXPECT_EQ(parse_batch_lanes("1e3"), 0u);   // exponent notation
-  EXPECT_EQ(parse_batch_lanes("8.0"), 0u);   // decimal point
-  EXPECT_EQ(parse_batch_lanes("0008"), 8u);  // leading zeros are digits
-  EXPECT_EQ(parse_batch_lanes("0032"), 32u);
-  EXPECT_EQ(parse_batch_lanes("0003"), 0u);  // still odd, still rejected
-  EXPECT_EQ(parse_batch_lanes("99999999999999999999"), 0u);
-}
 
 TEST(BatchLanePolicy, CostModelCrossover) {
   // Under the static table: full width across the supported range,
@@ -232,18 +203,6 @@ TEST(LaneCalibration, Serialize) {
   EXPECT_EQ(LaneCalibration::flat(0, 8).serialize(), "v1;");
 }
 
-TEST(BatchLanePolicy, EnvOverrideWinsOverEverything) {
-  ::setenv("QOC_BATCH_LANES", "4", 1);
-  EXPECT_EQ(batch_lane_width(10, 64, 0), 4u);   // beats the kill switch
-  EXPECT_EQ(batch_lane_width(20, 64, -1), 4u);  // beats the cost model
-  ::setenv("QOC_BATCH_LANES", "1", 1);
-  EXPECT_EQ(batch_lane_width(10, 64, 8), 1u);   // force-scalar
-  ::setenv("QOC_BATCH_LANES", "bogus", 1);
-  EXPECT_EQ(batch_lane_width(10, 64, 4), 4u);   // junk -> no override
-  ::unsetenv("QOC_BATCH_LANES");
-  EXPECT_EQ(batch_lane_width(10, 64, 4), 4u);
-}
-
 TEST(BatchedStatevectorShape, ValidatesConstruction) {
   using qoc::sim::BatchedStatevector;
   EXPECT_THROW(BatchedStatevector(0, 8), std::invalid_argument);
@@ -259,6 +218,22 @@ TEST(BatchedStatevectorShape, ValidatesConstruction) {
 }
 
 // ---- Bitwise parity: run_batch ---------------------------------------------
+
+// Runs each case under GetParam()'s kernel mode and restores Auto.
+class BatchKernelParity : public ::testing::TestWithParam<KernelMode> {
+ protected:
+  void SetUp() override { qoc::sim::kernels::set_kernel_mode(GetParam()); }
+  void TearDown() override {
+    qoc::sim::kernels::set_kernel_mode(KernelMode::Auto);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelModes, BatchKernelParity,
+    ::testing::Values(KernelMode::Auto, KernelMode::Blocked),
+    [](const ::testing::TestParamInfo<KernelMode>& info) {
+      return std::string(info.param == KernelMode::Auto ? "Auto" : "Blocked");
+    });
 
 void expect_run_batch_parity(int n, std::size_t count, int shots,
                              bool pin_streams, unsigned threads) {
@@ -280,20 +255,20 @@ void expect_run_batch_parity(int n, std::size_t count, int shots,
   }
 }
 
-TEST(BatchKernelParity, RunBatchExactSmall) {
+TEST_P(BatchKernelParity, RunBatchExactSmall) {
   expect_run_batch_parity(/*n=*/2, /*count=*/19, /*shots=*/0, false, 1);
 }
 
-TEST(BatchKernelParity, RunBatchExactMedium) {
+TEST_P(BatchKernelParity, RunBatchExactMedium) {
   expect_run_batch_parity(/*n=*/8, /*count=*/19, /*shots=*/0, false, 2);
 }
 
-TEST(BatchKernelParity, RunBatchExactCrossoverEdge) {
+TEST_P(BatchKernelParity, RunBatchExactCrossoverEdge) {
   // n = 14 is the largest register the cost model routes to lanes.
   expect_run_batch_parity(/*n=*/14, /*count=*/9, /*shots=*/0, false, 2);
 }
 
-TEST(BatchKernelParity, RunBatchTailOnlyBatch) {
+TEST_P(BatchKernelParity, RunBatchTailOnlyBatch) {
   // Batch smaller than a lane group: everything takes the scalar tail,
   // and both backends must agree trivially (guards the partition math).
   expect_run_batch_parity(/*n=*/8, /*count=*/5, /*shots=*/0, false, 1);
@@ -316,7 +291,7 @@ Circuit layered_circuit(int n) {
   return c;
 }
 
-TEST(BatchKernelParity, RunBatchLayeredRingFusion) {
+TEST_P(BatchKernelParity, RunBatchLayeredRingFusion) {
   for (const int n : {2, 5, 8}) {  // odd n leaves an unpaired layer tail
     const CompiledCircuit plan = CompiledCircuit::compile(layered_circuit(n));
     const EvalSet s = make_evals(n, 19);
@@ -334,7 +309,7 @@ TEST(BatchKernelParity, RunBatchLayeredRingFusion) {
   }
 }
 
-TEST(BatchKernelParity, RunBatchRaggedTailCompaction) {
+TEST_P(BatchKernelParity, RunBatchRaggedTailCompaction) {
   // Partition shapes around the padded final group: tail exactly half
   // full, tail above half, a batch smaller than one group, and a tail
   // below half (which must fall back to the scalar loop). Results must
@@ -363,10 +338,10 @@ TEST(BatchKernelParity, RunBatchRaggedTailCompaction) {
   }
 }
 
-TEST(BatchKernelParity, RunBatchRaggedTailSampled) {
-  // Padded groups in sampled mode: padding lanes must never consume a
-  // draw, so every real evaluation's stream is intact. Mixed pinned and
-  // auto streams.
+TEST_P(BatchKernelParity, RunBatchRaggedTailSampled) {
+  // Sampled mode runs the scalar path whatever the lane pin, so a pin
+  // whose exact batches would pad a group must not move any
+  // evaluation's stream. Mixed pinned and auto streams.
   const Circuit c = dense_circuit(6);
   const CompiledCircuit plan = CompiledCircuit::compile(c);
   for (const std::size_t count : {12u, 5u}) {
@@ -383,7 +358,7 @@ TEST(BatchKernelParity, RunBatchRaggedTailSampled) {
 
 qoc::exec::CompiledObservable chain_observable(int n);  // defined below
 
-TEST(BatchKernelParity, ExpectBatchRaggedTail) {
+TEST_P(BatchKernelParity, ExpectBatchRaggedTail) {
   const Circuit c = dense_circuit(6);
   const CompiledCircuit plan = CompiledCircuit::compile(c);
   const auto obs = chain_observable(6);
@@ -402,18 +377,18 @@ TEST(BatchKernelParity, ExpectBatchRaggedTail) {
   }
 }
 
-TEST(BatchKernelParity, RunBatchSampledAutoStreams) {
-  // Sampled mode: stream assignment is submission-order, so lane
-  // grouping must not change which stream an evaluation consumes.
+TEST_P(BatchKernelParity, RunBatchSampledAutoStreams) {
+  // Sampled mode: stream assignment is submission-order, so the lane
+  // policy must not change which stream an evaluation consumes.
   expect_run_batch_parity(/*n=*/8, /*count=*/19, /*shots=*/256, false, 1);
   expect_run_batch_parity(/*n=*/8, /*count=*/19, /*shots=*/256, false, 4);
 }
 
-TEST(BatchKernelParity, RunBatchSampledPinnedStreams) {
+TEST_P(BatchKernelParity, RunBatchSampledPinnedStreams) {
   expect_run_batch_parity(/*n=*/8, /*count=*/19, /*shots=*/128, true, 2);
 }
 
-TEST(BatchKernelParity, PinnedWidthsAgreeWithScalar) {
+TEST_P(BatchKernelParity, PinnedWidthsAgreeWithScalar) {
   const Circuit c = dense_circuit(6);
   const CompiledCircuit plan = CompiledCircuit::compile(c);
   const EvalSet s = make_evals(6, 13);
@@ -427,24 +402,6 @@ TEST(BatchKernelParity, PinnedWidthsAgreeWithScalar) {
       for (std::size_t q = 0; q < ref[i].size(); ++q)
         EXPECT_EQ(ref[i][q], got[i][q]) << "lanes=" << lanes << " i=" << i;
   }
-}
-
-TEST(BatchKernelParity, EnvOverrideRoutesWideBatch) {
-  // QOC_BATCH_LANES must flip the dispatch at runtime, and the forced
-  // widths must still match the scalar oracle bitwise.
-  const Circuit c = dense_circuit(5);
-  const CompiledCircuit plan = CompiledCircuit::compile(c);
-  const EvalSet s = make_evals(5, 11);
-  StatevectorBackend oracle = scalar_backend();
-  const auto ref = oracle.run_batch(plan, s.evals);
-
-  ::setenv("QOC_BATCH_LANES", "2", 1);
-  StatevectorBackend forced = scalar_backend();  // env beats the pin
-  const auto got = forced.run_batch(plan, s.evals);
-  ::unsetenv("QOC_BATCH_LANES");
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    for (std::size_t q = 0; q < ref[i].size(); ++q)
-      EXPECT_EQ(ref[i][q], got[i][q]);
 }
 
 // ---- Bitwise parity: expect_batch ------------------------------------------
@@ -482,24 +439,24 @@ void expect_expect_batch_parity(int n, std::size_t count, int shots,
     EXPECT_EQ(ref[i], got[i]) << "n=" << n << " eval=" << i;
 }
 
-TEST(BatchKernelParity, ExpectBatchExact) {
+TEST_P(BatchKernelParity, ExpectBatchExact) {
   expect_expect_batch_parity(/*n=*/2, /*count=*/19, /*shots=*/0, 1);
   expect_expect_batch_parity(/*n=*/8, /*count=*/19, /*shots=*/0, 2);
 }
 
-TEST(BatchKernelParity, ExpectBatchExactCrossoverEdge) {
+TEST_P(BatchKernelParity, ExpectBatchExactCrossoverEdge) {
   expect_expect_batch_parity(/*n=*/14, /*count=*/9, /*shots=*/0, 2);
 }
 
-TEST(BatchKernelParity, ExpectBatchSampled) {
-  // Sampled energies: one measurement per commuting group per lane; the
+TEST_P(BatchKernelParity, ExpectBatchSampled) {
+  // Sampled energies: one measurement per commuting group; the
   // per-evaluation stream must see the exact draw sequence of the scalar
-  // path (groups outer, shots inner).
+  // path (groups outer, shots inner) whatever the lane policy.
   expect_expect_batch_parity(/*n=*/6, /*count=*/19, /*shots=*/128, 1);
   expect_expect_batch_parity(/*n=*/6, /*count=*/19, /*shots=*/128, 4);
 }
 
-TEST(BatchKernelParity, RunThenRunBatchSampledSerialStateMatches) {
+TEST_P(BatchKernelParity, RunThenRunBatchSampledSerialStateMatches) {
   // Interleaving: a backend that already served single runs must still
   // assign batch streams exactly like the scalar backend would.
   const Circuit c = dense_circuit(4);

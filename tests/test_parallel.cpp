@@ -47,10 +47,9 @@ TEST(ThreadPool, ParseThreadCountOverride) {
 }
 
 TEST(ThreadPool, ParseThreadCountStrictDigits) {
-  // QOC_THREADS goes through common::parse_env_uint (shared with
-  // QOC_BATCH_LANES): strictly decimal digits. Everything strtol would
-  // have silently tolerated -- signs, whitespace, radix prefixes -- is
-  // garbage, i.e. no override.
+  // QOC_THREADS goes through common::parse_env_uint: strictly decimal
+  // digits. Everything strtol would have silently tolerated -- signs,
+  // whitespace, radix prefixes -- is garbage, i.e. no override.
   EXPECT_EQ(parse_thread_count("+8"), 0u);    // explicit sign
   EXPECT_EQ(parse_thread_count(" 8"), 0u);    // leading whitespace
   EXPECT_EQ(parse_thread_count("8 "), 0u);    // trailing whitespace

@@ -1,7 +1,8 @@
 // Shot sampling: the guide-table sim::ShotSampler against the
-// std::lower_bound sampler it replaced, its counts form and the count
-// folds against the per-shot folds they replaced, and cross-commit pins
-// of sampled estimator and backend results and of the device.
+// std::lower_bound sampler it replaced, its counts form and the readout
+// fold (parity_means) against the per-shot folds it replaced, and
+// cross-commit pins of sampled estimator and backend results and of the
+// device.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 
 #include "qoc/backend/backend.hpp"
 #include "qoc/circuit/layers.hpp"
-#include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/sampler.hpp"
 #include "qoc/vqe/vqe.hpp"
@@ -24,7 +24,6 @@ using namespace qoc::backend;
 using qoc::Prng;
 using qoc::linalg::cplx;
 using qoc::noise::DeviceModel;
-using qoc::sim::BatchedStatevector;
 using qoc::sim::ShotCounts;
 using qoc::sim::ShotSampler;
 using qoc::sim::Statevector;
@@ -34,15 +33,13 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 // ---- References: the lower_bound sampler and the per-shot folds -------------
 
 /// Inverse-CDF sampling with one std::lower_bound per shot over
-/// |amps[i * stride]|^2: the sampler Statevector and BatchedStatevector
-/// each carried before sim::ShotSampler.
+/// |amps[i]|^2: the sampler Statevector carried before sim::ShotSampler.
 std::vector<std::uint64_t> reference_sample(const cplx* amps, std::size_t dim,
-                                            std::size_t stride, int shots,
-                                            Prng& rng) {
+                                            int shots, Prng& rng) {
   std::vector<double> cdf(dim);
   double acc = 0.0;
   for (std::size_t i = 0; i < dim; ++i) {
-    acc += std::norm(amps[i * stride]);
+    acc += std::norm(amps[i]);
     cdf[i] = acc;
   }
   const double total = acc;
@@ -58,7 +55,14 @@ std::vector<std::uint64_t> reference_sample(const cplx* amps, std::size_t dim,
 
 std::vector<std::uint64_t> reference_sample(const Statevector& sv, int shots,
                                             Prng& rng) {
-  return reference_sample(sv.amplitudes().data(), sv.dim(), 1, shots, rng);
+  return reference_sample(sv.amplitudes().data(), sv.dim(), shots, rng);
+}
+
+/// p_i = |amps_i|^2, the probability entry's weights.
+std::vector<double> born(const cplx* amps, std::size_t dim) {
+  std::vector<double> probs(dim);
+  for (std::size_t i = 0; i < dim; ++i) probs[i] = std::norm(amps[i]);
+  return probs;
 }
 
 /// Per-shot <Z_q> fold (StatevectorBackend's sampled run_batch fold).
@@ -87,22 +91,23 @@ double reference_group_energy(const qoc::exec::CompiledObservable& obs,
   return e;
 }
 
-/// Asserts that ShotSampler's per-shot and counts forms draw exactly the
-/// reference's outcomes and leave the stream where the reference does.
-void expect_matches_reference(const cplx* amps, std::size_t dim,
-                              std::size_t stride, int shots,
+/// Asserts that ShotSampler's per-shot amplitude entry and its counts
+/// form over p_i = |amp_i|^2 draw exactly the reference's outcomes and
+/// leave the stream where the reference does.
+void expect_matches_reference(const std::vector<cplx>& amps, int shots,
                               std::uint64_t seed, const std::string& label) {
   SCOPED_TRACE(label + " shots=" + std::to_string(shots));
   Prng ref_rng(seed), rng(seed), count_rng(seed);
-  const auto ref = reference_sample(amps, dim, stride, shots, ref_rng);
+  const auto ref = reference_sample(amps.data(), amps.size(), shots, ref_rng);
 
   ShotSampler sampler;
   std::vector<std::uint64_t> got;
-  sampler.sample(amps, dim, stride, shots, rng, got);
+  sampler.sample(amps.data(), amps.size(), shots, rng, got);
   EXPECT_EQ(got, ref);
 
+  const auto probs = born(amps.data(), amps.size());
   const ShotCounts& counts =
-      sampler.count(amps, dim, stride, shots, count_rng);
+      sampler.count(probs.data(), probs.size(), shots, count_rng);
   std::map<std::uint64_t, std::uint32_t> want;
   for (const auto o : ref) ++want[o];
   std::map<std::uint64_t, std::uint32_t> have;
@@ -118,11 +123,6 @@ void expect_matches_reference(const cplx* amps, std::size_t dim,
   const std::uint64_t next = ref_rng();
   EXPECT_EQ(rng(), next);
   EXPECT_EQ(count_rng(), next);
-}
-
-void expect_matches_reference(const std::vector<cplx>& amps, int shots,
-                              std::uint64_t seed, const std::string& label) {
-  expect_matches_reference(amps.data(), amps.size(), 1, shots, seed, label);
 }
 
 constexpr int kShotCounts[] = {0, 1, 1023, 1024, 1025};
@@ -185,64 +185,35 @@ TEST(ShotSampler, MatchesLowerBoundOnPeakedStates) {
   }
 }
 
-TEST(ShotSampler, EveryBatchedLaneMatchesReference) {
-  for (const int n : {2, 6, 11}) {
-    constexpr std::size_t kLanes = 8;
-    BatchedStatevector bsv(n, kLanes);
-    Prng rng(103);
-    std::vector<cplx> m(4 * kLanes);
-    for (int layer = 0; layer < 2; ++layer) {
-      for (int q = 0; q < n; ++q) {
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          const auto g = qoc::sim::gate_u3(rng.uniform(0, 3), rng.uniform(0, 3),
-                                           rng.uniform(0, 3));
-          for (std::size_t e = 0; e < 4; ++e)
-            m[e * kLanes + l] = g(e / 2, e % 2);
-        }
-        bsv.apply_1q_lanes(m.data(), q);
-      }
-      for (int q = 0; q + 1 < n; ++q) bsv.apply_cx(q, q + 1);
-    }
-    for (std::size_t l = 0; l < kLanes; ++l)
-      for (const int shots : kShotCounts) {
-        const std::string label =
-            "n=" + std::to_string(n) + " lane=" + std::to_string(l);
-        expect_matches_reference(bsv.amplitudes().data() + l, bsv.dim(),
-                                 kLanes, shots, 9000 + l, label);
-        // The lane entry points read the same strided view.
-        Prng ref_rng(9000 + l), rng(9000 + l), count_rng(9000 + l);
-        ShotSampler sampler;
-        const auto ref = reference_sample(bsv.amplitudes().data() + l,
-                                          bsv.dim(), kLanes, shots, ref_rng);
-        EXPECT_EQ(bsv.sample(l, shots, rng), ref) << label;
-        EXPECT_EQ(bsv.sample_counts(l, shots, count_rng, sampler).shots, shots);
-        const std::uint64_t next = ref_rng();
-        EXPECT_EQ(rng(), next) << label;
-        EXPECT_EQ(count_rng(), next) << label;
-      }
-  }
-}
-
 TEST(ShotSampler, ProbabilityEntryDrawsLikeAmplitudeEntry) {
-  // The device's entry point: the same CDF over p_i = |amp_i|^2
-  // must draw the amplitude path's outcomes and leave the stream where
-  // it does.
+  // The readout's entry point: counts over p_i = |amp_i|^2 must hold
+  // the per-shot amplitude entry's outcomes, in first-draw order with
+  // their multiplicities, and leave the stream where it does.
   Prng state_rng(12);
-  Statevector sv(6);
-  std::vector<cplx> amps(sv.dim());
+  std::vector<cplx> amps(64);
   for (auto& a : amps) a = {state_rng.normal(), state_rng.normal()};
-  sv.set_amplitudes(amps);
-  std::vector<double> probs(amps.size());
-  for (std::size_t i = 0; i < amps.size(); ++i) probs[i] = std::norm(amps[i]);
+  const auto probs = born(amps.data(), amps.size());
   for (const int shots : {0, 1, 1023, 1024}) {
     Prng a(7), b(7);
-    ShotSampler amp_sampler, prob_sampler;
-    const ShotCounts& want = amp_sampler.count(amps.data(), amps.size(), 1,
-                                               shots, a);
-    const ShotCounts& got = prob_sampler.count(probs.data(), probs.size(),
-                                               shots, b);
-    EXPECT_EQ(got.outcomes, want.outcomes) << "shots=" << shots;
-    EXPECT_EQ(got.counts, want.counts) << "shots=" << shots;
+    std::vector<std::uint64_t> draws;
+    ShotSampler().sample(amps.data(), amps.size(), shots, a, draws);
+    std::vector<std::uint64_t> want_outcomes;
+    std::vector<std::uint32_t> want_counts;
+    for (const auto o : draws) {
+      const auto it =
+          std::find(want_outcomes.begin(), want_outcomes.end(), o);
+      if (it == want_outcomes.end()) {
+        want_outcomes.push_back(o);
+        want_counts.push_back(1);
+      } else {
+        ++want_counts[static_cast<std::size_t>(it - want_outcomes.begin())];
+      }
+    }
+    ShotSampler prob_sampler;
+    const ShotCounts& got =
+        prob_sampler.count(probs.data(), probs.size(), shots, b);
+    EXPECT_EQ(got.outcomes, want_outcomes) << "shots=" << shots;
+    EXPECT_EQ(got.counts, want_counts) << "shots=" << shots;
     EXPECT_EQ(a(), b()) << "shots=" << shots;
   }
 }
@@ -256,8 +227,9 @@ TEST(ShotSampler, ReusedAcrossSizesKeepsCountsClean) {
     std::vector<cplx> amps(std::size_t{1} << n);
     for (auto& a : amps) a = {rng.normal(), rng.normal()};
     Prng a(500 + n), b(500 + n);
-    const auto ref = reference_sample(amps.data(), amps.size(), 1, 777, a);
-    const ShotCounts& c = sampler.count(amps.data(), amps.size(), 1, 777, b);
+    const auto ref = reference_sample(amps.data(), amps.size(), 777, a);
+    const auto probs = born(amps.data(), amps.size());
+    const ShotCounts& c = sampler.count(probs.data(), probs.size(), 777, b);
     std::map<std::uint64_t, std::uint32_t> want, have;
     for (const auto o : ref) ++want[o];
     for (std::size_t j = 0; j < c.outcomes.size(); ++j)
@@ -297,8 +269,18 @@ TEST(CountFolds, GroupEnergyMatchesPerShotFoldBitwise) {
         Prng a(40 + g), b(40 + g);
         const double want = reference_group_energy(
             obs, reference_sample(meas, shots, a), g, shots);
-        const double got = obs.group_energy_from_counts(
-            meas.sample_counts(shots, b, sampler), g);
+        // The statevector backend's group fold: the readout's mean
+        // parities, summed from 0.0 term by term.
+        const auto& terms = obs.groups()[g].terms;
+        std::vector<std::uint64_t> masks;
+        for (const auto& term : terms) masks.push_back(term.z_mask);
+        std::vector<double> means(terms.size());
+        const auto probs = born(meas.amplitudes().data(), meas.dim());
+        sampler.parity_means(probs.data(), probs.size(), masks, shots, &b,
+                             means);
+        double got = 0.0;
+        for (std::size_t i = 0; i < terms.size(); ++i)
+          got += terms[i].coeff * means[i];
         EXPECT_EQ(bits(got), bits(want))
             << name << " group=" << g << " shots=" << shots;
       }

@@ -7,9 +7,9 @@
 
 #include "qoc/common/prng.hpp"
 #include "qoc/linalg/matrix.hpp"
-#include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/cost_model.hpp"
 #include "qoc/sim/gates.hpp"
+#include "qoc/sim/sampler.hpp"
 #include "qoc/sim/statevector.hpp"
 
 namespace {
@@ -309,14 +309,15 @@ TEST(Statevector, SamplingConvergesToBornProbabilities) {
 
 TEST(Statevector, SampleRejectsNegativeShots) {
   Statevector sv(3);
-  BatchedStatevector bsv(3, 2);
-  ShotSampler sampler;
   Prng rng(13);
   EXPECT_THROW(sv.sample(-1, rng), std::invalid_argument);
-  EXPECT_THROW(sv.sample_counts(-1, rng, sampler), std::invalid_argument);
-  EXPECT_THROW(bsv.sample(1, -1, rng), std::invalid_argument);
-  EXPECT_THROW(bsv.sample_counts(1, -1, rng, sampler), std::invalid_argument);
-  EXPECT_THROW(bsv.sample_counts(2, 8, rng, sampler), std::out_of_range);
+  // The readout entry over the same state's probabilities.
+  const auto probs = sv.probabilities();
+  const std::uint64_t mask = 1;
+  double mean = 0.0;
+  EXPECT_THROW(ShotSampler().parity_means(probs.data(), probs.size(),
+                                          {&mask, 1}, -1, &rng, {&mean, 1}),
+               std::invalid_argument);
 }
 
 TEST(Statevector, SampleRejectsNonFiniteProbabilities) {
@@ -324,20 +325,19 @@ TEST(Statevector, SampleRejectsNonFiniteProbabilities) {
   // or infinite total into outcome 0 for every shot.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  ShotSampler sampler;
   Prng rng(14);
   for (const cplx bad : {cplx{nan, 0.0}, cplx{0.0, inf}}) {
     Statevector sv(2);
     sv.set_amplitudes({0.5, bad, 0.5, 0.5});
     EXPECT_THROW(sv.sample(8, rng), std::domain_error);
-    EXPECT_THROW(sv.sample_counts(8, rng, sampler), std::domain_error);
     EXPECT_THROW(sv.sample(0, rng), std::domain_error);
+    const auto probs = sv.probabilities();
+    const std::uint64_t mask = 1;
+    double mean = 0.0;
+    EXPECT_THROW(ShotSampler().parity_means(probs.data(), probs.size(),
+                                            {&mask, 1}, 8, &rng, {&mean, 1}),
+                 std::domain_error);
   }
-  BatchedStatevector bsv(2, 2);
-  const Matrix poison{{nan, 0.0}, {0.0, 1.0}};
-  bsv.apply_1q(poison, 0);
-  EXPECT_THROW(bsv.sample(0, 8, rng), std::domain_error);
-  EXPECT_THROW(bsv.sample_counts(1, 8, rng, sampler), std::domain_error);
 }
 
 TEST(Statevector, MeasureQubitCollapsesState) {
