@@ -14,6 +14,7 @@
 #include "qoc/exec/compiled_circuit.hpp"
 #include "qoc/obs/obs.hpp"
 #include "qoc/qml/qnn.hpp"
+#include "qoc/sim/batched_statevector.hpp"
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/kernels.hpp"
 #include "qoc/sim/sampler.hpp"
@@ -399,6 +400,47 @@ void BM_RunBatchRaggedTail(benchmark::State& state) {
   state.SetLabel(batch % 8 == 0 ? "aligned" : "ragged");
 }
 BENCHMARK(BM_RunBatchRaggedTail)->Arg(128)->Arg(132);
+
+void BM_BatchedPairRun(benchmark::State& state) {
+  // One pass of a dense pair run over a lane group (n = 10, k = 8):
+  // range(0) pairs on qubits (0, 1), (2, 3), ...; gate A is a per-lane
+  // RY, gate B a per-lane RY (range(1) = 0: real matrices, the real
+  // butterflies) or RX (1: the complex ones). A run of one is how
+  // CompiledCircuit::apply_batched executes a lone pair. The state is
+  // spread over every row first, so no block takes the all-zero skip.
+  constexpr int n = 10;
+  constexpr std::size_t k = 8;
+  const std::size_t pairs = static_cast<std::size_t>(state.range(0));
+  const bool rx = state.range(1) != 0;
+  sim::BatchedStatevector sv(n, k);
+  for (int q = 0; q < n; ++q) sv.apply_1q(sim::gate_ry(0.3 + 0.1 * q), q);
+  std::vector<sim::cplx> mats(pairs * 8 * k);
+  std::vector<sim::BatchedStatevector::Pair1qOp> run(pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    sim::cplx* ma = mats.data() + p * 8 * k;
+    sim::cplx* mb = ma + 4 * k;
+    for (std::size_t l = 0; l < k; ++l) {
+      const double t = 0.05 * static_cast<double>(p * k + l) + 0.2;
+      const auto a = sim::gate_ry(t);
+      const auto b = rx ? sim::gate_rx(t + 0.1) : sim::gate_ry(t + 0.1);
+      for (int e = 0; e < 4; ++e) {
+        ma[static_cast<std::size_t>(e) * k + l] = a(e / 2, e % 2);
+        mb[static_cast<std::size_t>(e) * k + l] = b(e / 2, e % 2);
+      }
+    }
+    run[p] = {ma, static_cast<int>(2 * p), mb, static_cast<int>(2 * p + 1)};
+  }
+  for (auto _ : state) {
+    sv.apply_1q_pair_run_lanes(run.data(), pairs);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(rx ? "ry.rx" : "ry.ry");
+}
+BENCHMARK(BM_BatchedPairRun)
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({4, 0})
+    ->Args({4, 1});
 
 void BM_TranspileWithTemplate(benchmark::State& state) {
   // Cached routing vs BM_TranspileTaskCircuit's full pipeline: this is

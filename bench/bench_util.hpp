@@ -52,7 +52,9 @@ inline void embed_metrics_json(const std::string& path) {
 /// strips the flag from argv and, when present, appends
 /// --benchmark_out=BENCH_<name>.json --benchmark_out_format=json so CI
 /// can upload machine-readable results next to the console table.
-/// Explicit --benchmark_out flags still win (later flags override).
+/// Explicit --benchmark_out flags still win (later flags override). The
+/// context records the build type of the code under test as
+/// `qoc_build_type` (QOC_BUILD_TYPE, defined by CMakeLists.txt).
 inline int run_benchmarks_with_json(int argc, char** argv, const char* name) {
   std::vector<char*> args;
   bool json = false;
@@ -73,6 +75,7 @@ inline int run_benchmarks_with_json(int argc, char** argv, const char* name) {
   args.push_back(nullptr);  // argv[argc] == nullptr, like main's argv
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+  benchmark::AddCustomContext("qoc_build_type", QOC_BUILD_TYPE);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (json) embed_metrics_json(std::string("BENCH_") + name + ".json");

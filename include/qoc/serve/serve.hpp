@@ -17,9 +17,9 @@
 //     Each replica owns a drain lane (a worker thread with its own
 //     batch queue), so coalesced batches execute concurrently across
 //     replicas; a routing layer keeps each circuit structure sticky to
-//     one replica (structure affinity -- its transpile and pattern
-//     caches stay hot) and places new structures on the replica with
-//     the least queued work.
+//     one replica (structure affinity -- its transpile cache stays hot)
+//     and places new structures on the replica with the least queued
+//     work.
 //   * A circuit registry hands out ref-counted compile-once handles:
 //     register a model once, submit only bindings afterwards.
 //   * The batch coalescer groups queued jobs by compiled-circuit

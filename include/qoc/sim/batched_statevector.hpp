@@ -80,17 +80,9 @@ class BatchedStatevector {
 
   void apply_1q_lanes(const cplx* m, int qubit);
 
-  /// Two dense per-lane 1q gates on distinct qubits (gate A on qubit_a,
-  /// then gate B on qubit_b) fused into one pass over the lane group.
-  /// Bit-identical to two apply_1q_lanes calls -- the 4-row blocks the
-  /// gates close over chain both butterflies in registers -- while
-  /// streaming the k-wide buffer once instead of twice; this is the
-  /// dense-layer analogue of apply_diag_run_lanes.
-  void apply_1q_pair_lanes(const cplx* m_a, int qubit_a, const cplx* m_b,
-                           int qubit_b);
-
-  /// One member of a dense pair run (see apply_1q_pair_run_lanes):
-  /// gate A on qubit_a then gate B on qubit_b, entry-major matrices.
+  /// One member of a dense pair run (see apply_1q_pair_run_lanes): two
+  /// dense per-lane 1q gates on distinct qubits, gate A on qubit_a then
+  /// gate B on qubit_b, entry-major matrices.
   struct Pair1qOp {
     const cplx* m_a = nullptr;
     int qubit_a = -1;
@@ -98,13 +90,18 @@ class BatchedStatevector {
     int qubit_b = -1;
   };
 
-  /// Apply `count` dense 1q pairs in order, bit-identical to one
-  /// apply_1q_pair_lanes call per element. Where the kernel supports
-  /// it, the small-stride tail of the run is cache-blocked: a tile of
-  /// the k-wide buffer takes several pair passes while resident, so a
-  /// full rotation layer costs ~2 sweeps of the buffer instead of one
-  /// per pair. Runs longer than kernels::kMaxPairRun are chunked
-  /// (which only forgoes tiling across the boundary).
+  /// Apply `count` dense 1q pairs in order, bit-identical to two
+  /// apply_1q_lanes calls per element. Each pair is one pass over the
+  /// lane group: the 4-row blocks the two gates close over chain both
+  /// butterflies in registers, so the k-wide buffer streams once
+  /// instead of twice; this is the dense-layer analogue of
+  /// apply_diag_run_lanes. A lone pair is a run of one. Where the
+  /// kernel supports it, the small-stride tail of the run is
+  /// cache-blocked: a tile of the k-wide buffer takes several pair
+  /// passes while resident, so a full rotation layer costs ~2 sweeps of
+  /// the buffer instead of one per pair. Runs longer than
+  /// kernels::kMaxPairRun are chunked (which only forgoes tiling across
+  /// the boundary).
   void apply_1q_pair_run_lanes(const Pair1qOp* ops, std::size_t count);
 
   void apply_2q_lanes(const cplx* m, int qubit_a, int qubit_b);
@@ -130,13 +127,13 @@ class BatchedStatevector {
   void apply_diag_run_lanes(const DiagRunOp* ops, std::size_t count);
 
   /// A diagonal run immediately followed by a fused dense 1q pair
-  /// (apply_1q_pair_lanes semantics), all in one pass over the state
-  /// where the kernel supports it. Bit-identical to
-  /// apply_diag_run_lanes(ops, count) then apply_1q_pair_lanes(m_a,
-  /// qubit_a, m_b, qubit_b); runs longer than kMaxDiagRun chunk as in
-  /// apply_diag_run_lanes, with only the final chunk fusing into the
-  /// pair. This is the ring/rotation-layer boundary of a layered
-  /// circuit -- fusing it deletes one full sweep per entangling ring.
+  /// (Pair1qOp semantics), all in one pass over the state where the
+  /// kernel supports it. Bit-identical to apply_diag_run_lanes(ops,
+  /// count) then a run of one pair {m_a, qubit_a, m_b, qubit_b}; runs
+  /// longer than kMaxDiagRun chunk as in apply_diag_run_lanes, with
+  /// only the final chunk fusing into the pair. This is the
+  /// ring/rotation-layer boundary of a layered circuit -- fusing it
+  /// deletes one full sweep per entangling ring.
   void apply_diag_run_then_1q_pair_lanes(const DiagRunOp* ops,
                                          std::size_t count, const cplx* m_a,
                                          int qubit_a, const cplx* m_b,
@@ -162,6 +159,10 @@ class BatchedStatevector {
   }
   void check_qubit(int qubit, const char* what) const;
   void check_pair(int qubit_a, int qubit_b, const char* what) const;
+  // Both diagonal-run entry points: `ops` in kernel-sized chunks, the
+  // final chunk fused into `pair` when one is given.
+  void diag_run_chunks(const DiagRunOp* ops, std::size_t count,
+                       const Pair1qOp* pair);
 
   int n_qubits_;
   std::size_t lanes_;

@@ -114,8 +114,13 @@ void apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride);
 // scalar per-evaluation path (same caveats as above: finite values, sign
 // of zeros). Asserted end-to-end in tests/test_batch_kernels.cpp.
 //
-// The AVX2 dense forms take two shortcuts that live entirely inside the
-// sign-of-zeros caveat:
+// The AVX2 forms of the dense and diagonal-run kernels (batched_apply_1q,
+// batched_apply_1q_pair_run, batched_apply_diag_run and
+// batched_apply_diag_run_then_1q_pair) are row walks over two shared
+// primitives in kernels_avx2.cpp: one per-lane 2x2 butterfly and one
+// diagonal product chain (pre-split entry table, per-row entry
+// offsets, per-amplitude chain). The dense walks take two shortcuts
+// that live entirely inside the sign-of-zeros caveat:
 //  - All-zero blocks are skipped: a dense 1q butterfly maps an all-zero
 //    block to an all-zero block, so skipping leaves the input's zeros in
 //    place where the arithmetic could produce -0. This makes the first
@@ -123,10 +128,12 @@ void apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride);
 //    instead of a full sweep of the k-wide buffer, at one or-tree +
 //    ptest per block on dense data.
 //  - Purely real gate matrices (ry, h -- i.e. every rotation-layer
-//    gate) use real butterflies that drop the im-part products. Those
-//    products are exact zeros (x*0 = +-0), and adding or subtracting
-//    them can only change the sign of a zero result, never a nonzero
-//    one -- at less than half the vector ops of the complex form.
+//    gate) take the butterfly's real form, which drops the im-part
+//    products. Those products are exact zeros (x*0 = +-0), and adding
+//    or subtracting them can only change the sign of a zero result,
+//    never a nonzero one -- at less than half the vector ops of the
+//    complex form. The test is per gate in batched_apply_1q and per
+//    pair (both matrices real) in the pair kernels.
 // Neither shortcut is observable through probabilities, expectation
 // values, or samples, since norm(+-0) = +0 and zeros never become
 // nonzero; the bitwise parity tests assert exactly that end-to-end.
@@ -134,19 +141,6 @@ void apply_pauli_z(cplx* amps, std::size_t dim, std::size_t stride);
 /// 2x2 per-lane matrices applied to each (stride-separated) row pair.
 void batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
                       std::size_t k, const cplx* m);
-
-/// Two dense 2x2 per-lane gates on DISTINCT qubits fused into one pass:
-/// gate A (stride sa, matrices m_a) then gate B (stride sb, matrices
-/// m_b), exactly as two batched_apply_1q calls would. The two gates'
-/// orbits close over 4-row blocks {i, i+sb, i+sa, i+sa+sb}, so both
-/// butterflies chain in registers per block; each amplitude sees the
-/// identical IEEE operation sequence as the two-pass form (bit-identical
-/// result) while the state streams through memory once instead of twice
-/// -- the dominant cost of the k-wide layout on dense gate layers.
-/// Requires sa != sb.
-void batched_apply_1q_pair(cplx* amps, std::size_t dim, std::size_t sa,
-                           const cplx* m_a, std::size_t sb, const cplx* m_b,
-                           std::size_t k);
 
 /// 4x4 per-lane matrices over each (sa, sb) row group.
 void batched_apply_2q(cplx* amps, std::size_t dim, std::size_t sa,
@@ -162,7 +156,13 @@ void batched_apply_diag_2q(cplx* amps, std::size_t dim, std::size_t sa,
 
 /// One member of a dense 1q pair run (see batched_apply_1q_pair_run):
 /// gate A (stride sa, entry-major matrices m_a) then gate B (stride sb,
-/// m_b), exactly as one batched_apply_1q_pair call.
+/// m_b) on DISTINCT qubits, exactly as batched_apply_1q on sa then on
+/// sb. The two gates' orbits close over 4-row blocks
+/// {i, i+sb, i+sa, i+sa+sb}, so both butterflies chain in registers per
+/// block: each amplitude sees the identical IEEE operation sequence as
+/// the two-pass form while the state streams through memory once
+/// instead of twice -- the dominant cost of the k-wide layout on dense
+/// gate layers.
 struct BatchedPairOp {
   std::size_t sa = 0;
   std::size_t sb = 0;
@@ -180,9 +180,9 @@ inline constexpr std::size_t kMaxPairRun = 8;
 /// passes run over it (one quarter of the 2 MiB L2 this targets).
 inline constexpr std::size_t kPairTileBytes = 512 * 1024;
 
-/// Apply `count` dense 1q pairs in order, bit-identical to one
-/// batched_apply_1q_pair call per element. Pairs whose 4-row blocks
-/// span more than a kPairTileBytes tile stream the buffer once each;
+/// Apply `count` dense 1q pairs in order, bit-identical to applying
+/// them one at a time; a lone pair is a run of one. Pairs whose 4-row
+/// blocks span more than a kPairTileBytes tile stream the buffer once each;
 /// the trailing small-span pairs are cache-blocked -- every pair's
 /// blocks sit inside an aligned tile, so the tile takes all their
 /// passes while resident. Only the iteration order of disjoint blocks
@@ -223,11 +223,11 @@ void batched_apply_diag_run(cplx* amps, std::size_t dim,
                             std::size_t k);
 
 /// A diagonal run immediately followed by a fused dense 1q pair
-/// (batched_apply_1q_pair semantics: gate A stride sa then gate B
-/// stride sb, sa != sb), all in ONE pass: each 4-row block's amplitudes
-/// run their diag product chains in registers and feed straight into
-/// the two butterflies. Per amplitude the IEEE operation sequence
-/// equals batched_apply_diag_run followed by batched_apply_1q_pair
+/// (BatchedPairOp semantics: gate A stride sa then gate B stride sb,
+/// sa != sb), all in ONE pass: each 4-row block's amplitudes run their
+/// diag product chains in registers and feed straight into the two
+/// butterflies. Per amplitude the IEEE operation sequence equals
+/// batched_apply_diag_run followed by a run of one pair
 /// (bit-identical), with one sweep of the k-wide buffer instead of two.
 /// This is the boundary a circuit of alternating entangling rings and
 /// rotation layers crosses once per ring, so fusing it deletes one of
@@ -271,9 +271,6 @@ struct SimdVTable {
   // fall back to the portable per-lane loops.
   void (*batched_apply_1q)(cplx*, std::size_t, std::size_t, std::size_t,
                            const cplx*) = nullptr;
-  void (*batched_apply_1q_pair)(cplx*, std::size_t, std::size_t, const cplx*,
-                                std::size_t, const cplx*,
-                                std::size_t) = nullptr;
   void (*batched_apply_1q_pair_run)(cplx*, std::size_t, const BatchedPairOp*,
                                     std::size_t, std::size_t) = nullptr;
   void (*batched_apply_2q)(cplx*, std::size_t, std::size_t, std::size_t,

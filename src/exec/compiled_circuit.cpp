@@ -428,7 +428,7 @@ bool is_mult_diag_op(const CompiledOp& op) {
 }
 
 // Ops the batched path lowers to a dense per-lane 2x2 (candidates for
-// the fused pair pass; see BatchedStatevector::apply_1q_pair_lanes).
+// the fused pair passes; see BatchedStatevector::apply_1q_pair_run_lanes).
 bool is_dense_1q_op(const CompiledOp& op) {
   switch (op.code) {
     case OpCode::Fixed1q:
@@ -586,11 +586,7 @@ void CompiledCircuit::apply_batched(sim::BatchedStatevector& sv,
           build_dense_1q(b, mb);
           pair_run[p] = {ma, a.q0, mb, b.q0};
         }
-        if (np == 1)
-          sv.apply_1q_pair_lanes(pair_run[0].m_a, pair_run[0].qubit_a,
-                                 pair_run[0].m_b, pair_run[0].qubit_b);
-        else
-          sv.apply_1q_pair_run_lanes(pair_run.data(), np);
+        sv.apply_1q_pair_run_lanes(pair_run.data(), np);
         oi += 2 * np - 1;
         continue;
       }

@@ -216,7 +216,7 @@ struct SessionState {
 
   // Sticky structure -> replica assignment (outlives the buckets, which
   // are erased when drained: affinity must survive sparse traffic or
-  // the per-replica transpile/pattern caches go cold on every flush).
+  // the per-replica transpile cache goes cold on every flush).
   std::unordered_map<std::uint64_t, std::size_t> structure_affinity
       QOC_GUARDED_BY(mutex);
 

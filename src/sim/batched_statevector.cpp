@@ -247,13 +247,6 @@ void BatchedStatevector::apply_1q_lanes(const cplx* m, int qubit) {
   kernels::batched_apply_1q(amps_.data(), dim_, stride_of(qubit), lanes_, m);
 }
 
-void BatchedStatevector::apply_1q_pair_lanes(const cplx* m_a, int qubit_a,
-                                             const cplx* m_b, int qubit_b) {
-  check_pair(qubit_a, qubit_b, "apply_1q_pair_lanes: qubit pair");
-  kernels::batched_apply_1q_pair(amps_.data(), dim_, stride_of(qubit_a), m_a,
-                                 stride_of(qubit_b), m_b, lanes_);
-}
-
 void BatchedStatevector::apply_1q_pair_run_lanes(const Pair1qOp* ops,
                                                  std::size_t count) {
   std::array<kernels::BatchedPairOp, kernels::kMaxPairRun> run;
@@ -295,71 +288,44 @@ void BatchedStatevector::apply_diag_2q_lanes(const cplx* d, int qubit_a,
 
 void BatchedStatevector::apply_diag_run_lanes(const DiagRunOp* ops,
                                               std::size_t count) {
-  std::array<kernels::BatchedDiagOp, kernels::kMaxDiagRun> run;
-  std::size_t fill = 0;
-  for (std::size_t r = 0; r < count; ++r) {
-    const DiagRunOp& op = ops[r];
-    kernels::BatchedDiagOp out;
-    out.d = op.d;
-    if (op.qubit_b >= 0) {
-      check_pair(op.qubit_a, op.qubit_b, "apply_diag_run_lanes: qubit pair");
-      out.sa = stride_of(op.qubit_a);
-      out.sb = stride_of(op.qubit_b);
-    } else {
-      check_qubit(op.qubit_a, "apply_diag_run_lanes: qubit index");
-      out.sa = stride_of(op.qubit_a);
-      out.sb = 0;
-    }
-    run[fill++] = out;
-    if (fill == run.size()) {
-      kernels::batched_apply_diag_run(amps_.data(), dim_, run.data(), fill,
-                                      lanes_);
-      fill = 0;
-    }
-  }
-  if (fill > 0)
-    kernels::batched_apply_diag_run(amps_.data(), dim_, run.data(), fill,
-                                    lanes_);
+  diag_run_chunks(ops, count, nullptr);
 }
 
 void BatchedStatevector::apply_diag_run_then_1q_pair_lanes(
     const DiagRunOp* ops, std::size_t count, const cplx* m_a, int qubit_a,
     const cplx* m_b, int qubit_b) {
   check_pair(qubit_a, qubit_b, "apply_diag_run_then_1q_pair_lanes: qubit pair");
+  const Pair1qOp pair{m_a, qubit_a, m_b, qubit_b};
+  diag_run_chunks(ops, count, &pair);
+}
+
+void BatchedStatevector::diag_run_chunks(const DiagRunOp* ops,
+                                         std::size_t count,
+                                         const Pair1qOp* pair) {
   std::array<kernels::BatchedDiagOp, kernels::kMaxDiagRun> run;
   std::size_t done = 0;
-  // Full chunks go through the plain run kernel; only the final chunk
-  // (or an empty run) fuses with the dense pair. Chunk boundaries don't
-  // change any amplitude's product chain, so this is invisible in the
-  // results.
+  // Only the final chunk (or an empty run) fuses with the pair. Chunk
+  // boundaries don't change any amplitude's product chain, so they are
+  // invisible in the results.
   do {
     const std::size_t n = std::min(count - done, run.size());
     for (std::size_t r = 0; r < n; ++r) {
       const DiagRunOp& op = ops[done + r];
-      kernels::BatchedDiagOp out;
-      out.d = op.d;
-      if (op.qubit_b >= 0) {
-        check_pair(op.qubit_a, op.qubit_b,
-                   "apply_diag_run_then_1q_pair_lanes: qubit pair");
-        out.sa = stride_of(op.qubit_a);
-        out.sb = stride_of(op.qubit_b);
-      } else {
-        check_qubit(op.qubit_a,
-                    "apply_diag_run_then_1q_pair_lanes: qubit index");
-        out.sa = stride_of(op.qubit_a);
-        out.sb = 0;
-      }
-      run[r] = out;
+      if (op.qubit_b >= 0)
+        check_pair(op.qubit_a, op.qubit_b, "diagonal run: qubit pair");
+      else
+        check_qubit(op.qubit_a, "diagonal run: qubit index");
+      run[r] = {op.d, stride_of(op.qubit_a),
+                op.qubit_b >= 0 ? stride_of(op.qubit_b) : 0};
     }
     done += n;
-    if (done == count) {
+    if (done == count && pair != nullptr)
       kernels::batched_apply_diag_run_then_1q_pair(
-          amps_.data(), dim_, run.data(), n, stride_of(qubit_a), m_a,
-          stride_of(qubit_b), m_b, lanes_);
-    } else {
+          amps_.data(), dim_, run.data(), n, stride_of(pair->qubit_a),
+          pair->m_a, stride_of(pair->qubit_b), pair->m_b, lanes_);
+    else
       kernels::batched_apply_diag_run(amps_.data(), dim_, run.data(), n,
                                       lanes_);
-    }
   } while (done < count);
 }
 

@@ -255,6 +255,47 @@ void portable_batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
   }
 }
 
+void portable_batched_apply_1q_pair(cplx* amps, std::size_t dim,
+                                    std::size_t sa, const cplx* m_a,
+                                    std::size_t sb, const cplx* m_b,
+                                    std::size_t k) {
+  // One member of a pair run, the portable form and the pair-at-a-time
+  // reference. Enumerate rows with both the sa and sb bits clear; each
+  // names the 4-row block the two butterflies close over. Per lane the
+  // arithmetic below is expression-for-expression two
+  // portable_batched_apply_1q passes (gate A then gate B) with the
+  // intermediates kept in locals.
+  const std::size_t hi = sa > sb ? sa : sb;
+  const std::size_t lo = sa > sb ? sb : sa;
+  for (std::size_t base = 0; base < dim; base += 2 * hi) {
+    for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
+      for (std::size_t off = 0; off < lo; ++off) {
+        const std::size_t row = mid + off;
+        cplx* p00 = amps + row * k;
+        cplx* p01 = p00 + sb * k;
+        cplx* p10 = p00 + sa * k;
+        cplx* p11 = p10 + sb * k;
+        for (std::size_t l = 0; l < k; ++l) {
+          const cplx a00 = p00[l];
+          const cplx a01 = p01[l];
+          const cplx a10 = p10[l];
+          const cplx a11 = p11[l];
+          // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
+          const cplx b00 = m_a[0 * k + l] * a00 + m_a[1 * k + l] * a10;
+          const cplx b10 = m_a[2 * k + l] * a00 + m_a[3 * k + l] * a10;
+          const cplx b01 = m_a[0 * k + l] * a01 + m_a[1 * k + l] * a11;
+          const cplx b11 = m_a[2 * k + l] * a01 + m_a[3 * k + l] * a11;
+          // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
+          p00[l] = m_b[0 * k + l] * b00 + m_b[1 * k + l] * b01;
+          p01[l] = m_b[2 * k + l] * b00 + m_b[3 * k + l] * b01;
+          p10[l] = m_b[0 * k + l] * b10 + m_b[1 * k + l] * b11;
+          p11[l] = m_b[2 * k + l] * b10 + m_b[3 * k + l] * b11;
+        }
+      }
+    }
+  }
+}
+
 void portable_batched_apply_2q(cplx* amps, std::size_t dim, std::size_t sa,
                                std::size_t sb, std::size_t k, const cplx* m) {
   const std::size_t s1 = std::min(sa, sb);
@@ -565,65 +606,6 @@ void batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
   portable_batched_apply_1q(amps, dim, stride, k, m);
 }
 
-namespace {
-
-void portable_batched_apply_1q_pair(cplx* amps, std::size_t dim,
-                                    std::size_t sa, const cplx* m_a,
-                                    std::size_t sb, const cplx* m_b,
-                                    std::size_t k) {
-  // Enumerate rows with both the sa and sb bits clear; each names the
-  // 4-row block the two butterflies close over. Per lane the arithmetic
-  // below is expression-for-expression two portable_batched_apply_1q
-  // passes (gate A then gate B) with the intermediates kept in locals.
-  const std::size_t hi = sa > sb ? sa : sb;
-  const std::size_t lo = sa > sb ? sb : sa;
-  for (std::size_t base = 0; base < dim; base += 2 * hi) {
-    for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
-      for (std::size_t off = 0; off < lo; ++off) {
-        const std::size_t row = mid + off;
-        cplx* p00 = amps + row * k;
-        cplx* p01 = p00 + sb * k;
-        cplx* p10 = p00 + sa * k;
-        cplx* p11 = p10 + sb * k;
-        for (std::size_t l = 0; l < k; ++l) {
-          const cplx a00 = p00[l];
-          const cplx a01 = p01[l];
-          const cplx a10 = p10[l];
-          const cplx a11 = p11[l];
-          // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-          const cplx b00 = m_a[0 * k + l] * a00 + m_a[1 * k + l] * a10;
-          const cplx b10 = m_a[2 * k + l] * a00 + m_a[3 * k + l] * a10;
-          const cplx b01 = m_a[0 * k + l] * a01 + m_a[1 * k + l] * a11;
-          const cplx b11 = m_a[2 * k + l] * a01 + m_a[3 * k + l] * a11;
-          // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-          p00[l] = m_b[0 * k + l] * b00 + m_b[1 * k + l] * b01;
-          p01[l] = m_b[2 * k + l] * b00 + m_b[3 * k + l] * b01;
-          p10[l] = m_b[0 * k + l] * b10 + m_b[1 * k + l] * b11;
-          p11[l] = m_b[2 * k + l] * b10 + m_b[3 * k + l] * b11;
-        }
-      }
-    }
-  }
-}
-
-
-}  // namespace
-
-void batched_apply_1q_pair(cplx* amps, std::size_t dim, std::size_t sa,
-                           const cplx* m_a, std::size_t sb, const cplx* m_b,
-                           std::size_t k) {
-  if (sa == sb)
-    throw std::invalid_argument(
-        "batched_apply_1q_pair: gates must act on distinct qubits");
-  if (use_batched_simd(k)) {
-    if (const auto* t = active_simd(); t->batched_apply_1q_pair != nullptr) {
-      t->batched_apply_1q_pair(amps, dim, sa, m_a, sb, m_b, k);
-      return;
-    }
-  }
-  portable_batched_apply_1q_pair(amps, dim, sa, m_a, sb, m_b, k);
-}
-
 void batched_apply_1q_pair_run(cplx* amps, std::size_t dim,
                                const BatchedPairOp* pairs, std::size_t count,
                                std::size_t k) {
@@ -645,7 +627,6 @@ void batched_apply_1q_pair_run(cplx* amps, std::size_t dim,
     portable_batched_apply_1q_pair(amps, dim, pairs[p].sa, pairs[p].m_a,
                                    pairs[p].sb, pairs[p].m_b, k);
 }
-
 
 void batched_apply_2q(cplx* amps, std::size_t dim, std::size_t sa,
                       std::size_t sb, std::size_t k, const cplx* m) {
@@ -717,7 +698,8 @@ void batched_apply_diag_run_then_1q_pair(cplx* amps, std::size_t dim,
   }
   // Two-pass reference form (the fused kernel's bit-exactness oracle).
   batched_apply_diag_run(amps, dim, ops, count, k);
-  batched_apply_1q_pair(amps, dim, sa, m_a, sb, m_b, k);
+  const BatchedPairOp pair{sa, sb, m_a, m_b};
+  batched_apply_1q_pair_run(amps, dim, &pair, 1, k);
 }
 
 void batched_apply_cx(cplx* amps, std::size_t dim, std::size_t sc,

@@ -277,69 +277,202 @@ void avx2_apply_pauli_y(cplx* amps, std::size_t dim, std::size_t stride) {
 // needed, and per-lane matrix entries are plain vector loads from the
 // entry-major buffer (m[e * k + lane]). The arithmetic per lane matches
 // the scalar reference exactly as above (cmul commuted per factor).
+//
+// The dense and diagonal-run kernels are row walks over two shared
+// primitives: `butterfly`, one 2x2 gate on two amplitude vectors, and
+// `DiagChain`, a diagonal run's per-amplitude product chain.
 
-void avx2_batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
-                           std::size_t k, const cplx* m) {
-  // Matrix entries split into re/im halves once per call; the row loop
-  // then spends its shuffle budget on one swap per amplitude vector.
-  // All-real matrices (per-lane RY columns) take the real-butterfly
-  // path -- componentwise scaling, as in the pair kernels; the dropped
-  // im-part products are exact zeros, so only zero signs can change
-  // (see kernels.hpp).
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
-  __m256d re[4][kMaxLp], im[4][kMaxLp];
-  const std::size_t lp = k / 2;
-  for (int e = 0; e < 4; ++e)
-    for (std::size_t l = 0; l < lp; ++l)
-      split_entry(m + static_cast<std::size_t>(e) * k, 2 * l, re[e][l],
-                  im[e][l]);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  if (entries_real(m, 4 * k)) {
-    for (std::size_t base = 0; base < dim; base += 2 * stride) {
-      for (std::size_t off = 0; off < stride; ++off) {
-        cplx* p0 = amps + (base + off) * k;
-        cplx* p1 = p0 + stride * k;
-        for (std::size_t l = 0; l < lp; ++l) {
-          const __m256d a0 = load2(p0 + 2 * l);
-          const __m256d a1 = load2(p1 + 2 * l);
-          const __m256d mag = _mm256_andnot_pd(sign, _mm256_or_pd(a0, a1));
-          if (_mm256_testz_si256(_mm256_castpd_si256(mag),
-                                 _mm256_castpd_si256(mag)))
+constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
+
+/// One lane pair's 2x2 matrix with every entry pre-split into its
+/// [re, re] / [im, im] halves (see cmul_pre).
+struct Split2x2 {
+  __m256d re[4];
+  __m256d im[4];
+};
+
+/// Splits lane pairs [0, k/2) of the entry-major 2x2 matrices `m`; done
+/// once per kernel call, so the row walk spends its shuffle budget on
+/// one swap per amplitude vector.
+void split_2x2(const cplx* m, std::size_t k, Split2x2* out) {
+  for (std::size_t l = 0; l < k / 2; ++l)
+    for (std::size_t e = 0; e < 4; ++e)
+      split_entry(m + e * k, 2 * l, out[l].re[e], out[l].im[e]);
+}
+
+/// True when every component of `v` is (+/-)0. The dense kernels skip
+/// a block whose amplitudes are all zero: its arithmetic would only
+/// write (+/-)0 back (see kernels.hpp on the zero-sign caveat).
+inline bool all_zero(__m256d v) {
+  const __m256i mag =
+      _mm256_castpd_si256(_mm256_andnot_pd(_mm256_set1_pd(-0.0), v));
+  return _mm256_testz_si256(mag, mag);
+}
+
+/// The 2x2 butterfly of every dense batched kernel: per lane,
+/// (x0, x1) <- (m00*x0 + m01*x1, m10*x0 + m11*x1) with the scalar
+/// reference's products and sum order. kReal is the form for purely
+/// real matrices (ry, h): each component just scales, at less than half
+/// the vector ops. The im-part products it drops are exact zeros, so
+/// only the sign of a zero result can change (see kernels.hpp).
+template <bool kReal>
+[[gnu::always_inline]] inline void butterfly(__m256d& x0, __m256d& x1,
+                                             const Split2x2& m) {
+  __m256d y0, y1;
+  if constexpr (kReal) {
+    y0 = _mm256_add_pd(_mm256_mul_pd(x0, m.re[0]), _mm256_mul_pd(x1, m.re[1]));
+    y1 = _mm256_add_pd(_mm256_mul_pd(x0, m.re[2]), _mm256_mul_pd(x1, m.re[3]));
+  } else {
+    const __m256d s0 = swap_ri(x0);
+    const __m256d s1 = swap_ri(x1);
+    y0 = _mm256_add_pd(cmul_pre(x0, s0, m.re[0], m.im[0]),
+                       cmul_pre(x1, s1, m.re[1], m.im[1]));
+    y1 = _mm256_add_pd(cmul_pre(x0, s0, m.re[2], m.im[2]),
+                       cmul_pre(x1, s1, m.re[3], m.im[3]));
+  }
+  x0 = y0;
+  x1 = y1;
+}
+
+/// One diagonal entry of one lane pair, pre-split (see cmul_pre).
+struct SplitEntry {
+  __m256d re;
+  __m256d im;
+};
+
+/// The product chain of a diagonal run: every op's entries pre-split
+/// once per call (layout [op][entry][lane pair]), each row's entry per
+/// op resolved once per row, and per amplitude
+/// amp <- d_count * (... * (d_1 * amp)). Every intermediate rounds as
+/// the stored intermediate of `count` separate passes would, so the
+/// chain is bit-identical to them.
+class DiagChain {
+ public:
+  DiagChain(const BatchedDiagOp* ops, std::size_t count, std::size_t k)
+      : ops_(ops), count_(count), lp_(k / 2), table_(count * 4 * lp_) {
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::size_t entries = ops[r].sb != 0 ? 4 : 2;
+      for (std::size_t e = 0; e < entries; ++e)
+        for (std::size_t l = 0; l < lp_; ++l) {
+          SplitEntry& s = table_[(r * 4 + e) * lp_ + l];
+          split_entry(ops[r].d + e * k, 2 * l, s.re, s.im);
+        }
+    }
+  }
+
+  /// Row i's entry of every op, indexed by lane pair.
+  void row(std::size_t i, const SplitEntry** out) const {
+    for (std::size_t r = 0; r < count_; ++r) {
+      const BatchedDiagOp& op = ops_[r];
+      std::size_t e = (i & op.sa) ? 1 : 0;
+      if (op.sb != 0) e = 2 * e + ((i & op.sb) ? 1 : 0);
+      out[r] = table_.data() + (r * 4 + e) * lp_;
+    }
+  }
+
+  /// Lane pair l of N amplitudes, whose rows row() resolved, through
+  /// the chain in lockstep: one amplitude's chain is serial by
+  /// construction, so the other chains keep the multipliers busy
+  /// through each step's latency.
+  template <std::size_t N>
+  [[gnu::always_inline]] void apply(
+      __m256d (&a)[N], const SplitEntry* (&rows)[N][kMaxDiagRun],
+      std::size_t l) const {
+    for (std::size_t r = 0; r < count_; ++r)
+      for (std::size_t j = 0; j < N; ++j) {
+        const SplitEntry& d = rows[j][r][l];
+        a[j] = cmul_pre(a[j], swap_ri(a[j]), d.re, d.im);
+      }
+  }
+
+ private:
+  const BatchedDiagOp* ops_;
+  std::size_t count_;
+  std::size_t lp_;
+  std::vector<SplitEntry> table_;
+};
+
+/// Row walk of batched_apply_1q: one butterfly per row pair and lane
+/// pair.
+template <bool kReal>
+void rows_1q(cplx* amps, std::size_t dim, std::size_t stride, std::size_t k,
+             const Split2x2* m) {
+  for (std::size_t base = 0; base < dim; base += 2 * stride) {
+    for (std::size_t i = base; i < base + stride; ++i) {
+      cplx* p0 = amps + i * k;
+      cplx* p1 = p0 + stride * k;
+      for (std::size_t l = 0; l < k / 2; ++l) {
+        __m256d a0 = load2(p0 + 2 * l);
+        __m256d a1 = load2(p1 + 2 * l);
+        if (all_zero(_mm256_or_pd(a0, a1))) continue;
+        butterfly<kReal>(a0, a1, m[l]);
+        store2(p0 + 2 * l, a0);
+        store2(p1 + 2 * l, a1);
+      }
+    }
+  }
+}
+
+/// Row walk of one dense pair: gate A (stride sa, matrices ma) then gate
+/// B (stride sb, mb) on every 4-row block {i, i+sb, i+sa, i+sa+sb} with
+/// base row in the block-aligned range [row0, row1), both butterflies
+/// chained in registers. kChain first runs each amplitude through
+/// `chain`. Per amplitude this is the operation sequence of the
+/// separate passes, so results are bit-identical to them while each
+/// block streams through memory once. On |0...0> the all-zero-block
+/// skip makes a first rotation layer's early passes nearly free: its
+/// support grows 4x per pair.
+template <bool kReal, bool kChain>
+void rows_pair(cplx* amps, std::size_t row0, std::size_t row1, std::size_t sa,
+               std::size_t sb, std::size_t k, const Split2x2* ma,
+               const Split2x2* mb, const DiagChain* chain) {
+  const std::size_t hi = std::max(sa, sb);
+  const std::size_t lo = std::min(sa, sb);
+  [[maybe_unused]] const SplitEntry* rows[4][kMaxDiagRun];
+  for (std::size_t base = row0; base < row1; base += 2 * hi) {
+    for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
+      for (std::size_t i = mid; i < mid + lo; ++i) {
+        if constexpr (kChain) {
+          chain->row(i, rows[0]);
+          chain->row(i + sb, rows[1]);
+          chain->row(i + sa, rows[2]);
+          chain->row(i + sa + sb, rows[3]);
+        }
+        cplx* p00 = amps + i * k;
+        cplx* p01 = p00 + sb * k;
+        cplx* p10 = p00 + sa * k;
+        cplx* p11 = p10 + sb * k;
+        for (std::size_t l = 0; l < k / 2; ++l) {
+          __m256d a[4] = {load2(p00 + 2 * l), load2(p01 + 2 * l),
+                          load2(p10 + 2 * l), load2(p11 + 2 * l)};
+          if (all_zero(_mm256_or_pd(_mm256_or_pd(a[0], a[1]),
+                                    _mm256_or_pd(a[2], a[3]))))
             continue;
-          store2(p0 + 2 * l, _mm256_add_pd(_mm256_mul_pd(a0, re[0][l]),
-                                           _mm256_mul_pd(a1, re[1][l])));
-          store2(p1 + 2 * l, _mm256_add_pd(_mm256_mul_pd(a0, re[2][l]),
-                                           _mm256_mul_pd(a1, re[3][l])));
+          if constexpr (kChain) chain->apply(a, rows, l);
+          // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
+          butterfly<kReal>(a[0], a[2], ma[l]);
+          butterfly<kReal>(a[1], a[3], ma[l]);
+          // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
+          butterfly<kReal>(a[0], a[1], mb[l]);
+          butterfly<kReal>(a[2], a[3], mb[l]);
+          store2(p00 + 2 * l, a[0]);
+          store2(p01 + 2 * l, a[1]);
+          store2(p10 + 2 * l, a[2]);
+          store2(p11 + 2 * l, a[3]);
         }
       }
     }
-    return;
   }
-  for (std::size_t base = 0; base < dim; base += 2 * stride) {
-    for (std::size_t off = 0; off < stride; ++off) {
-      cplx* p0 = amps + (base + off) * k;
-      cplx* p1 = p0 + stride * k;
-      for (std::size_t l = 0; l < lp; ++l) {
-        const __m256d a0 = load2(p0 + 2 * l);
-        const __m256d a1 = load2(p1 + 2 * l);
-        // All-zero pair block: the butterfly would only write (+/-)0
-        // back; leave the zeros that are already there (see kernels.hpp
-        // on the zero-sign caveat).
-        const __m256d mag = _mm256_andnot_pd(sign, _mm256_or_pd(a0, a1));
-        if (_mm256_testz_si256(_mm256_castpd_si256(mag),
-                               _mm256_castpd_si256(mag)))
-          continue;
-        const __m256d a0s = swap_ri(a0);
-        const __m256d a1s = swap_ri(a1);
-        store2(p0 + 2 * l,
-               _mm256_add_pd(cmul_pre(a0, a0s, re[0][l], im[0][l]),
-                             cmul_pre(a1, a1s, re[1][l], im[1][l])));
-        store2(p1 + 2 * l,
-               _mm256_add_pd(cmul_pre(a0, a0s, re[2][l], im[2][l]),
-                             cmul_pre(a1, a1s, re[3][l], im[3][l])));
-      }
-    }
-  }
+}
+
+void avx2_batched_apply_1q(cplx* amps, std::size_t dim, std::size_t stride,
+                           std::size_t k, const cplx* m) {
+  Split2x2 split[kMaxLp];
+  split_2x2(m, k, split);
+  if (entries_real(m, 4 * k))
+    rows_1q<true>(amps, dim, stride, k, split);
+  else
+    rows_1q<false>(amps, dim, stride, k, split);
 }
 
 void avx2_batched_apply_2q(cplx* amps, std::size_t dim, std::size_t sa,
@@ -393,7 +526,6 @@ void avx2_batched_apply_2q(cplx* amps, std::size_t dim, std::size_t sa,
 void avx2_batched_apply_diag_1q(cplx* amps, std::size_t dim,
                                 std::size_t stride, std::size_t k,
                                 const cplx* d) {
-  constexpr std::size_t kMaxLp = 16;
   __m256d re[2][kMaxLp], im[2][kMaxLp];
   const std::size_t lp = k / 2;
   for (int e = 0; e < 2; ++e)
@@ -421,7 +553,6 @@ void avx2_batched_apply_diag_1q(cplx* amps, std::size_t dim,
 void avx2_batched_apply_diag_2q(cplx* amps, std::size_t dim, std::size_t sa,
                                 std::size_t sb, std::size_t k,
                                 const cplx* d) {
-  constexpr std::size_t kMaxLp = 16;
   __m256d re[4][kMaxLp], im[4][kMaxLp];
   const std::size_t lp = k / 2;
   for (int e = 0; e < 4; ++e)
@@ -452,48 +583,19 @@ void avx2_batched_apply_diag_2q(cplx* amps, std::size_t dim, std::size_t sa,
 void avx2_batched_apply_diag_run(cplx* amps, std::size_t dim,
                                  const BatchedDiagOp* ops, std::size_t count,
                                  std::size_t k) {
-  // Every op's entries are pre-split into re/im halves once per call
-  // (layout [op][entry][lanepair][re|im]), the per-row entry offsets are
-  // resolved once per row, and two rows run interleaved: the product
-  // chain of one amplitude is serial by construction (that's what makes
-  // it bit-identical to `count` separate passes), so a second row's
-  // chains are what keeps the multiply units busy during each step's
-  // latency.
-  const std::size_t lp = k / 2;
-  std::vector<__m256d> pre(count * 4 * lp * 2);
-  for (std::size_t r = 0; r < count; ++r) {
-    const std::size_t entries = ops[r].sb != 0 ? 4 : 2;
-    for (std::size_t e = 0; e < entries; ++e)
-      for (std::size_t l = 0; l < lp; ++l) {
-        __m256d* slot = pre.data() + ((r * 4 + e) * lp + l) * 2;
-        split_entry(ops[r].d + e * k, 2 * l, slot[0], slot[1]);
-      }
-  }
-  const auto entry_base = [&](std::size_t i, std::size_t r) {
-    const BatchedDiagOp& op = ops[r];
-    std::size_t e = (i & op.sa) ? 1 : 0;
-    if (op.sb != 0) e = 2 * e + ((i & op.sb) ? 1 : 0);
-    return (r * 4 + e) * lp * 2;
-  };
-  std::size_t eoff0[kMaxDiagRun], eoff1[kMaxDiagRun];
+  // Two adjacent rows run their chains in lockstep.
+  const DiagChain chain(ops, count, k);
+  const SplitEntry* rows[2][kMaxDiagRun];
   for (std::size_t i = 0; i < dim; i += 2) {
-    for (std::size_t r = 0; r < count; ++r) {
-      eoff0[r] = entry_base(i, r);
-      eoff1[r] = entry_base(i + 1, r);
-    }
+    chain.row(i, rows[0]);
+    chain.row(i + 1, rows[1]);
     cplx* p0 = amps + i * k;
     cplx* p1 = p0 + k;
-    for (std::size_t l = 0; l < lp; ++l) {
-      __m256d a0 = load2(p0 + 2 * l);
-      __m256d a1 = load2(p1 + 2 * l);
-      for (std::size_t r = 0; r < count; ++r) {
-        const __m256d* d0 = pre.data() + eoff0[r] + 2 * l;
-        const __m256d* d1 = pre.data() + eoff1[r] + 2 * l;
-        a0 = cmul_pre(a0, swap_ri(a0), d0[0], d0[1]);
-        a1 = cmul_pre(a1, swap_ri(a1), d1[0], d1[1]);
-      }
-      store2(p0 + 2 * l, a0);
-      store2(p1 + 2 * l, a1);
+    for (std::size_t l = 0; l < k / 2; ++l) {
+      __m256d a[2] = {load2(p0 + 2 * l), load2(p1 + 2 * l)};
+      chain.apply(a, rows, l);
+      store2(p0 + 2 * l, a[0]);
+      store2(p1 + 2 * l, a[1]);
     }
   }
 }
@@ -517,95 +619,6 @@ void avx2_batched_apply_pauli_y(cplx* amps, std::size_t dim,
   }
 }
 
-
-void avx2_batched_apply_1q_pair(cplx* amps, std::size_t dim, std::size_t sa,
-                                const cplx* m_a, std::size_t sb,
-                                const cplx* m_b, std::size_t k) {
-  // Both matrices pre-split once per call (as avx2_batched_apply_1q);
-  // each 4-row block then chains gate A's and gate B's butterflies in
-  // registers -- one sweep over the lane group instead of two. Per lane
-  // this is the identical operation sequence to two separate passes
-  // (cmul_pre == cmul expression-for-expression, intermediates held in
-  // registers round-trip exactly), so results stay bit-identical.
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
-  __m256d rea[4][kMaxLp], ima[4][kMaxLp], reb[4][kMaxLp], imb[4][kMaxLp];
-  const std::size_t lp = k / 2;
-  for (int e = 0; e < 4; ++e) {
-    for (std::size_t l = 0; l < lp; ++l) {
-      split_entry(m_a + static_cast<std::size_t>(e) * k, 2 * l, rea[e][l],
-                  ima[e][l]);
-      split_entry(m_b + static_cast<std::size_t>(e) * k, 2 * l, reb[e][l],
-                  imb[e][l]);
-    }
-  }
-  const std::size_t hi = sa > sb ? sa : sb;
-  const std::size_t lo = sa > sb ? sb : sa;
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  for (std::size_t base = 0; base < dim; base += 2 * hi) {
-    for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
-      for (std::size_t off = 0; off < lo; ++off) {
-        cplx* p00 = amps + (mid + off) * k;
-        cplx* p01 = p00 + sb * k;
-        cplx* p10 = p00 + sa * k;
-        cplx* p11 = p10 + sb * k;
-        for (std::size_t l = 0; l < lp; ++l) {
-          const __m256d a00 = load2(p00 + 2 * l);
-          const __m256d a01 = load2(p01 + 2 * l);
-          const __m256d a10 = load2(p10 + 2 * l);
-          const __m256d a11 = load2(p11 + 2 * l);
-          // All-zero 4-row block: both butterflies would only write
-          // (+/-)0 back; skip the arithmetic and the four stores (see
-          // kernels.hpp on the zero-sign caveat). On |0...0> the first
-          // rotation layer's support grows 4x per pair pass, so its
-          // early passes touch almost nothing.
-          const __m256d mag = _mm256_andnot_pd(
-              sign, _mm256_or_pd(_mm256_or_pd(a00, a01),
-                                 _mm256_or_pd(a10, a11)));
-          if (_mm256_testz_si256(_mm256_castpd_si256(mag),
-                                 _mm256_castpd_si256(mag)))
-            continue;
-          const __m256d a00s = swap_ri(a00);
-          const __m256d a01s = swap_ri(a01);
-          const __m256d a10s = swap_ri(a10);
-          const __m256d a11s = swap_ri(a11);
-          // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-          const __m256d b00 =
-              _mm256_add_pd(cmul_pre(a00, a00s, rea[0][l], ima[0][l]),
-                            cmul_pre(a10, a10s, rea[1][l], ima[1][l]));
-          const __m256d b10 =
-              _mm256_add_pd(cmul_pre(a00, a00s, rea[2][l], ima[2][l]),
-                            cmul_pre(a10, a10s, rea[3][l], ima[3][l]));
-          const __m256d b01 =
-              _mm256_add_pd(cmul_pre(a01, a01s, rea[0][l], ima[0][l]),
-                            cmul_pre(a11, a11s, rea[1][l], ima[1][l]));
-          const __m256d b11 =
-              _mm256_add_pd(cmul_pre(a01, a01s, rea[2][l], ima[2][l]),
-                            cmul_pre(a11, a11s, rea[3][l], ima[3][l]));
-          const __m256d b00s = swap_ri(b00);
-          const __m256d b01s = swap_ri(b01);
-          const __m256d b10s = swap_ri(b10);
-          const __m256d b11s = swap_ri(b11);
-          // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-          store2(p00 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b00, b00s, reb[0][l], imb[0][l]),
-                               cmul_pre(b01, b01s, reb[1][l], imb[1][l])));
-          store2(p01 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b00, b00s, reb[2][l], imb[2][l]),
-                               cmul_pre(b01, b01s, reb[3][l], imb[3][l])));
-          store2(p10 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b10, b10s, reb[0][l], imb[0][l]),
-                               cmul_pre(b11, b11s, reb[1][l], imb[1][l])));
-          store2(p11 + 2 * l,
-                 _mm256_add_pd(cmul_pre(b10, b10s, reb[2][l], imb[2][l]),
-                               cmul_pre(b11, b11s, reb[3][l], imb[3][l])));
-        }
-      }
-    }
-  }
-}
-
-
-
 void avx2_batched_apply_1q_pair_run(cplx* amps, std::size_t dim,
                                     const BatchedPairOp* pairs,
                                     std::size_t count, std::size_t k) {
@@ -616,134 +629,18 @@ void avx2_batched_apply_1q_pair_run(cplx* amps, std::size_t dim,
   // while L2-resident. Only the iteration order of disjoint blocks
   // changes relative to pair-at-a-time application, so results stay
   // bit-identical.
-  const std::size_t lp = k / 2;
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
-  __m256d rea[kMaxPairRun][4][kMaxLp], ima[kMaxPairRun][4][kMaxLp];
-  __m256d reb[kMaxPairRun][4][kMaxLp], imb[kMaxPairRun][4][kMaxLp];
+  Split2x2 ma[kMaxPairRun][kMaxLp], mb[kMaxPairRun][kMaxLp];
+  bool real[kMaxPairRun];
   for (std::size_t p = 0; p < count; ++p) {
-    for (int e = 0; e < 4; ++e) {
-      for (std::size_t l = 0; l < lp; ++l) {
-        split_entry(pairs[p].m_a + static_cast<std::size_t>(e) * k, 2 * l,
-                    rea[p][e][l], ima[p][e][l]);
-        split_entry(pairs[p].m_b + static_cast<std::size_t>(e) * k, 2 * l,
-                    reb[p][e][l], imb[p][e][l]);
-      }
-    }
+    split_2x2(pairs[p].m_a, k, ma[p]);
+    split_2x2(pairs[p].m_b, k, mb[p]);
+    real[p] = entries_real(pairs[p].m_a, 4 * k) &&
+              entries_real(pairs[p].m_b, 4 * k);
   }
-  bool realp[kMaxPairRun];
-  for (std::size_t p = 0; p < count; ++p)
-    realp[p] = entries_real(pairs[p].m_a, 4 * k) &&
-               entries_real(pairs[p].m_b, 4 * k);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  // Pair p over rows [row0, row1) -- the avx2_batched_apply_1q_pair
-  // body, restricted to a block-aligned subrange. kReal selects the
-  // real-matrix butterflies: both gate matrices purely real (rotation
-  // layers: ry, h), so each component just scales -- the dropped
-  // im-part products are exact zeros whose only effect is the sign of
-  // zero results (the documented caveat), at less than half the vector
-  // ops of the complex form.
-  const auto sweep_impl = [&]<bool kReal>(std::size_t p, std::size_t row0,
-                                          std::size_t row1) {
-    const std::size_t sa = pairs[p].sa;
-    const std::size_t sb = pairs[p].sb;
-    const std::size_t hi = sa > sb ? sa : sb;
-    const std::size_t lo = sa > sb ? sb : sa;
-    for (std::size_t base = row0; base < row1; base += 2 * hi) {
-      for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
-        for (std::size_t off = 0; off < lo; ++off) {
-          cplx* p00 = amps + (mid + off) * k;
-          cplx* p01 = p00 + sb * k;
-          cplx* p10 = p00 + sa * k;
-          cplx* p11 = p10 + sb * k;
-          for (std::size_t l = 0; l < lp; ++l) {
-            const __m256d a00 = load2(p00 + 2 * l);
-            const __m256d a01 = load2(p01 + 2 * l);
-            const __m256d a10 = load2(p10 + 2 * l);
-            const __m256d a11 = load2(p11 + 2 * l);
-            // All-zero block skip, as avx2_batched_apply_1q_pair.
-            const __m256d mag = _mm256_andnot_pd(
-                sign, _mm256_or_pd(_mm256_or_pd(a00, a01),
-                                   _mm256_or_pd(a10, a11)));
-            if (_mm256_testz_si256(_mm256_castpd_si256(mag),
-                                   _mm256_castpd_si256(mag)))
-              continue;
-            if constexpr (kReal) {
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[p][0][l]),
-                                _mm256_mul_pd(a10, rea[p][1][l]));
-              const __m256d b10 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[p][2][l]),
-                                _mm256_mul_pd(a10, rea[p][3][l]));
-              const __m256d b01 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[p][0][l]),
-                                _mm256_mul_pd(a11, rea[p][1][l]));
-              const __m256d b11 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[p][2][l]),
-                                _mm256_mul_pd(a11, rea[p][3][l]));
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[p][0][l]),
-                                   _mm256_mul_pd(b01, reb[p][1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[p][2][l]),
-                                   _mm256_mul_pd(b01, reb[p][3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[p][0][l]),
-                                   _mm256_mul_pd(b11, reb[p][1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[p][2][l]),
-                                   _mm256_mul_pd(b11, reb[p][3][l])));
-            } else {
-              const __m256d a00s = swap_ri(a00);
-              const __m256d a01s = swap_ri(a01);
-              const __m256d a10s = swap_ri(a10);
-              const __m256d a11s = swap_ri(a11);
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 = _mm256_add_pd(
-                  cmul_pre(a00, a00s, rea[p][0][l], ima[p][0][l]),
-                  cmul_pre(a10, a10s, rea[p][1][l], ima[p][1][l]));
-              const __m256d b10 = _mm256_add_pd(
-                  cmul_pre(a00, a00s, rea[p][2][l], ima[p][2][l]),
-                  cmul_pre(a10, a10s, rea[p][3][l], ima[p][3][l]));
-              const __m256d b01 = _mm256_add_pd(
-                  cmul_pre(a01, a01s, rea[p][0][l], ima[p][0][l]),
-                  cmul_pre(a11, a11s, rea[p][1][l], ima[p][1][l]));
-              const __m256d b11 = _mm256_add_pd(
-                  cmul_pre(a01, a01s, rea[p][2][l], ima[p][2][l]),
-                  cmul_pre(a11, a11s, rea[p][3][l], ima[p][3][l]));
-              const __m256d b00s = swap_ri(b00);
-              const __m256d b01s = swap_ri(b01);
-              const __m256d b10s = swap_ri(b10);
-              const __m256d b11s = swap_ri(b11);
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b00, b00s, reb[p][0][l], imb[p][0][l]),
-                         cmul_pre(b01, b01s, reb[p][1][l], imb[p][1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b00, b00s, reb[p][2][l], imb[p][2][l]),
-                         cmul_pre(b01, b01s, reb[p][3][l], imb[p][3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b10, b10s, reb[p][0][l], imb[p][0][l]),
-                         cmul_pre(b11, b11s, reb[p][1][l], imb[p][1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(
-                         cmul_pre(b10, b10s, reb[p][2][l], imb[p][2][l]),
-                         cmul_pre(b11, b11s, reb[p][3][l], imb[p][3][l])));
-            }
-          }
-        }
-      }
-    }
-  };
   const auto sweep = [&](std::size_t p, std::size_t row0, std::size_t row1) {
-    if (realp[p])
-      sweep_impl.template operator()<true>(p, row0, row1);
-    else
-      sweep_impl.template operator()<false>(p, row0, row1);
+    (real[p] ? rows_pair<true, false> : rows_pair<false, false>)(
+        amps, row0, row1, pairs[p].sa, pairs[p].sb, k, ma[p], mb[p],
+        nullptr);
   };
   const auto span = [&](std::size_t p) {
     return 2 * std::max(pairs[p].sa, pairs[p].sb);
@@ -769,159 +666,17 @@ void avx2_batched_apply_diag_run_then_1q_pair(cplx* amps, std::size_t dim,
                                               std::size_t sa, const cplx* m_a,
                                               std::size_t sb, const cplx* m_b,
                                               std::size_t k) {
-  // avx2_batched_apply_diag_run's pre-split entry table and per-row
-  // entry selection, welded onto avx2_batched_apply_1q_pair's 4-row
-  // block walk: each amplitude runs its diag product chain in registers
-  // (serial per amplitude, four chains in flight) and feeds straight
-  // into the two butterflies. Per amplitude the operation sequence is
-  // identical to the two separate kernels, so results stay
-  // bit-identical; the k-wide buffer streams once instead of twice.
-  const std::size_t lp = k / 2;
-  std::vector<__m256d> pre(count * 4 * lp * 2);
-  for (std::size_t r = 0; r < count; ++r) {
-    const std::size_t entries = ops[r].sb != 0 ? 4 : 2;
-    for (std::size_t e = 0; e < entries; ++e)
-      for (std::size_t l = 0; l < lp; ++l) {
-        __m256d* slot = pre.data() + ((r * 4 + e) * lp + l) * 2;
-        split_entry(ops[r].d + e * k, 2 * l, slot[0], slot[1]);
-      }
-  }
-  const auto entry_base = [&](std::size_t i, std::size_t r) {
-    const BatchedDiagOp& op = ops[r];
-    std::size_t e = (i & op.sa) ? 1 : 0;
-    if (op.sb != 0) e = 2 * e + ((i & op.sb) ? 1 : 0);
-    return (r * 4 + e) * lp * 2;
-  };
-  constexpr std::size_t kMaxLp = 16;  // BatchedStatevector::kMaxLanes / 2
-  __m256d rea[4][kMaxLp], ima[4][kMaxLp], reb[4][kMaxLp], imb[4][kMaxLp];
-  for (int e = 0; e < 4; ++e) {
-    for (std::size_t l = 0; l < lp; ++l) {
-      split_entry(m_a + static_cast<std::size_t>(e) * k, 2 * l, rea[e][l],
-                  ima[e][l]);
-      split_entry(m_b + static_cast<std::size_t>(e) * k, 2 * l, reb[e][l],
-                  imb[e][l]);
-    }
-  }
-  const std::size_t hi = sa > sb ? sa : sb;
-  const std::size_t lo = sa > sb ? sb : sa;
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const bool realp =
-      entries_real(m_a, 4 * k) && entries_real(m_b, 4 * k);
-  std::size_t e00[kMaxDiagRun], e01[kMaxDiagRun];
-  std::size_t e10[kMaxDiagRun], e11[kMaxDiagRun];
-  // kReal: real-matrix butterflies for purely real gate matrices (the
-  // diag chain stays complex); see avx2_batched_apply_1q_pair_run.
-  const auto run = [&]<bool kReal>() {
-    for (std::size_t base = 0; base < dim; base += 2 * hi) {
-      for (std::size_t mid = base; mid < base + hi; mid += 2 * lo) {
-        for (std::size_t off = 0; off < lo; ++off) {
-          const std::size_t i00 = mid + off;
-          for (std::size_t r = 0; r < count; ++r) {
-            e00[r] = entry_base(i00, r);
-            e01[r] = entry_base(i00 + sb, r);
-            e10[r] = entry_base(i00 + sa, r);
-            e11[r] = entry_base(i00 + sa + sb, r);
-          }
-          cplx* p00 = amps + i00 * k;
-          cplx* p01 = p00 + sb * k;
-          cplx* p10 = p00 + sa * k;
-          cplx* p11 = p10 + sb * k;
-          for (std::size_t l = 0; l < lp; ++l) {
-            __m256d a00 = load2(p00 + 2 * l);
-            __m256d a01 = load2(p01 + 2 * l);
-            __m256d a10 = load2(p10 + 2 * l);
-            __m256d a11 = load2(p11 + 2 * l);
-            // All-zero block: diag chains and butterflies would only
-            // write (+/-)0 back (see kernels.hpp on the zero-sign
-            // caveat).
-            const __m256d mag = _mm256_andnot_pd(
-                sign, _mm256_or_pd(_mm256_or_pd(a00, a01),
-                                   _mm256_or_pd(a10, a11)));
-            if (_mm256_testz_si256(_mm256_castpd_si256(mag),
-                                   _mm256_castpd_si256(mag)))
-              continue;
-            for (std::size_t r = 0; r < count; ++r) {
-              const __m256d* d00 = pre.data() + e00[r] + 2 * l;
-              const __m256d* d01 = pre.data() + e01[r] + 2 * l;
-              const __m256d* d10 = pre.data() + e10[r] + 2 * l;
-              const __m256d* d11 = pre.data() + e11[r] + 2 * l;
-              a00 = cmul_pre(a00, swap_ri(a00), d00[0], d00[1]);
-              a01 = cmul_pre(a01, swap_ri(a01), d01[0], d01[1]);
-              a10 = cmul_pre(a10, swap_ri(a10), d10[0], d10[1]);
-              a11 = cmul_pre(a11, swap_ri(a11), d11[0], d11[1]);
-            }
-            if constexpr (kReal) {
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[0][l]),
-                                _mm256_mul_pd(a10, rea[1][l]));
-              const __m256d b10 =
-                  _mm256_add_pd(_mm256_mul_pd(a00, rea[2][l]),
-                                _mm256_mul_pd(a10, rea[3][l]));
-              const __m256d b01 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[0][l]),
-                                _mm256_mul_pd(a11, rea[1][l]));
-              const __m256d b11 =
-                  _mm256_add_pd(_mm256_mul_pd(a01, rea[2][l]),
-                                _mm256_mul_pd(a11, rea[3][l]));
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[0][l]),
-                                   _mm256_mul_pd(b01, reb[1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b00, reb[2][l]),
-                                   _mm256_mul_pd(b01, reb[3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[0][l]),
-                                   _mm256_mul_pd(b11, reb[1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(_mm256_mul_pd(b10, reb[2][l]),
-                                   _mm256_mul_pd(b11, reb[3][l])));
-            } else {
-              const __m256d a00s = swap_ri(a00);
-              const __m256d a01s = swap_ri(a01);
-              const __m256d a10s = swap_ri(a10);
-              const __m256d a11s = swap_ri(a11);
-              // Gate A: stride-sa pairs (a00, a10) and (a01, a11).
-              const __m256d b00 =
-                  _mm256_add_pd(cmul_pre(a00, a00s, rea[0][l], ima[0][l]),
-                                cmul_pre(a10, a10s, rea[1][l], ima[1][l]));
-              const __m256d b10 =
-                  _mm256_add_pd(cmul_pre(a00, a00s, rea[2][l], ima[2][l]),
-                                cmul_pre(a10, a10s, rea[3][l], ima[3][l]));
-              const __m256d b01 =
-                  _mm256_add_pd(cmul_pre(a01, a01s, rea[0][l], ima[0][l]),
-                                cmul_pre(a11, a11s, rea[1][l], ima[1][l]));
-              const __m256d b11 =
-                  _mm256_add_pd(cmul_pre(a01, a01s, rea[2][l], ima[2][l]),
-                                cmul_pre(a11, a11s, rea[3][l], ima[3][l]));
-              const __m256d b00s = swap_ri(b00);
-              const __m256d b01s = swap_ri(b01);
-              const __m256d b10s = swap_ri(b10);
-              const __m256d b11s = swap_ri(b11);
-              // Gate B: stride-sb pairs (b00, b01) and (b10, b11).
-              store2(p00 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b00, b00s, reb[0][l], imb[0][l]),
-                                   cmul_pre(b01, b01s, reb[1][l], imb[1][l])));
-              store2(p01 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b00, b00s, reb[2][l], imb[2][l]),
-                                   cmul_pre(b01, b01s, reb[3][l], imb[3][l])));
-              store2(p10 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b10, b10s, reb[0][l], imb[0][l]),
-                                   cmul_pre(b11, b11s, reb[1][l], imb[1][l])));
-              store2(p11 + 2 * l,
-                     _mm256_add_pd(cmul_pre(b10, b10s, reb[2][l], imb[2][l]),
-                                   cmul_pre(b11, b11s, reb[3][l], imb[3][l])));
-            }
-          }
-        }
-      }
-    }
-  };
-  if (realp)
-    run.template operator()<true>();
+  // The pair walk with the diagonal chain in front of its butterflies:
+  // the k-wide buffer streams once instead of twice. The chain stays
+  // complex even when the pair takes the real butterflies.
+  const DiagChain chain(ops, count, k);
+  Split2x2 ma[kMaxLp], mb[kMaxLp];
+  split_2x2(m_a, k, ma);
+  split_2x2(m_b, k, mb);
+  if (entries_real(m_a, 4 * k) && entries_real(m_b, 4 * k))
+    rows_pair<true, true>(amps, 0, dim, sa, sb, k, ma, mb, &chain);
   else
-    run.template operator()<false>();
+    rows_pair<false, true>(amps, 0, dim, sa, sb, k, ma, mb, &chain);
 }
 
 const detail::SimdVTable kAvx2VTable = {
@@ -932,7 +687,6 @@ const detail::SimdVTable kAvx2VTable = {
     .apply_diag_2q = avx2_apply_diag_2q,
     .apply_pauli_y = avx2_apply_pauli_y,
     .batched_apply_1q = avx2_batched_apply_1q,
-    .batched_apply_1q_pair = avx2_batched_apply_1q_pair,
     .batched_apply_1q_pair_run = avx2_batched_apply_1q_pair_run,
     .batched_apply_2q = avx2_batched_apply_2q,
     .batched_apply_diag_1q = avx2_batched_apply_diag_1q,

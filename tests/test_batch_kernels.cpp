@@ -23,6 +23,7 @@ namespace {
 
 using namespace qoc::backend;
 using qoc::circuit::Circuit;
+using qoc::circuit::GateKind;
 using qoc::circuit::ParamRef;
 using qoc::exec::CompiledCircuit;
 using qoc::exec::Evaluation;
@@ -278,33 +279,42 @@ TEST_P(BatchKernelParity, RunBatchTailOnlyBatch) {
 // entangling rings. Each ring (a fused diagonal run) butts into the
 // next layer's first dense pair, so this pins the fused
 // diag-run -> 1q-pair pass; the first layer on |0...0> also exercises
-// the all-zero-block skip in the dense kernels.
-Circuit layered_circuit(int n) {
+// the all-zero-block skip in the dense kernels. `rot` is the layers'
+// gate: RY pairs take the real butterflies, RX pairs the complex ones.
+Circuit layered_circuit(int n, GateKind rot) {
   Circuit c(n);
-  for (int q = 0; q < n; ++q) c.ry(q, ParamRef::trainable(q));
+  for (int q = 0; q < n; ++q) c.add(rot, {q}, ParamRef::trainable(q));
   for (int rep = 0; rep < 2; ++rep) {
     for (int q = 0; q < n; ++q)
       c.rzz(q, (q + 1) % n, ParamRef::trainable((q + rep) % n));
     for (int q = 0; q < n; ++q)
-      c.ry(q, ParamRef::trainable((q + rep + 1) % n));
+      c.add(rot, {q}, ParamRef::trainable((q + rep + 1) % n));
   }
   return c;
 }
 
 TEST_P(BatchKernelParity, RunBatchLayeredRingFusion) {
-  for (const int n : {2, 5, 8}) {  // odd n leaves an unpaired layer tail
-    const CompiledCircuit plan = CompiledCircuit::compile(layered_circuit(n));
-    const EvalSet s = make_evals(n, 19);
-    StatevectorBackend oracle = scalar_backend();
-    StatevectorBackend wide = wide_backend();
-    const auto ref = oracle.run_batch(plan, s.evals, 1);
-    const auto got = wide.run_batch(plan, s.evals, 1);
-    ASSERT_EQ(ref.size(), got.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(ref[i].size(), got[i].size());
-      for (std::size_t q = 0; q < ref[i].size(); ++q)
-        EXPECT_EQ(ref[i][q], got[i][q])  // bitwise, not approximate
-            << "n=" << n << " eval=" << i << " qubit=" << q;
+  // Odd n leaves an unpaired layer tail: at n = 5 each ring fuses into
+  // the next layer's first pair, leaving a lone pair and a lone dense
+  // gate. At n = 14 each layer's first pair streams the buffer and the
+  // rest run tiled (kPairTileBytes).
+  for (const GateKind rot : {GateKind::Ry, GateKind::Rx}) {
+    for (const int n : {2, 5, 8, 14}) {
+      const CompiledCircuit plan =
+          CompiledCircuit::compile(layered_circuit(n, rot));
+      const EvalSet s = make_evals(n, n == 14 ? 9 : 19);
+      StatevectorBackend oracle = scalar_backend();
+      StatevectorBackend wide = wide_backend();
+      const auto ref = oracle.run_batch(plan, s.evals, 1);
+      const auto got = wide.run_batch(plan, s.evals, 1);
+      ASSERT_EQ(ref.size(), got.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i].size(), got[i].size());
+        for (std::size_t q = 0; q < ref[i].size(); ++q)
+          EXPECT_EQ(ref[i][q], got[i][q])  // bitwise, not approximate
+              << (rot == GateKind::Rx ? "rx" : "ry") << " n=" << n
+              << " eval=" << i << " qubit=" << q;
+      }
     }
   }
 }

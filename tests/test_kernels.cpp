@@ -5,10 +5,10 @@
 // mode, so comparisons are EXPECT_EQ on raw doubles (+0 == -0, the only
 // divergence structured kernels may introduce).
 //
-// Also covers the fused CX.RZ.CX -> diag-2q identity used by the noisy
-// backend's trajectory-stream fusion: each amplitude receives exactly
-// one multiplication by the same diagonal entry on both paths, so the
-// fused kernel must match the three-gate sequence bit-for-bit.
+// Also pins the diag-2q kernel against the CX.RZ.CX sequence it equals:
+// each amplitude receives exactly one multiplication by the same
+// diagonal entry on both paths, so the two must match bit-for-bit in
+// every kernel mode.
 
 #include <gtest/gtest.h>
 
@@ -132,9 +132,10 @@ TEST_P(KernelParity, PermutationAndPauliKernels) {
 }
 
 TEST_P(KernelParity, FusedCxRzCxMatchesSequence) {
-  // The trajectory-stream fusion identity: CX a b; RZ(t) b; CX a b is the
-  // diagonal (d0, d1, d1, d0) over (a, b). Both paths multiply each
-  // amplitude by exactly the same entry once, in every kernel mode.
+  // CX a b; RZ(t) b; CX a b is the diagonal (d0, d1, d1, d0) over
+  // (a, b): the diag-2q kernel must equal the three-gate sequence. Both
+  // paths multiply each amplitude by exactly the same entry once, in
+  // every kernel mode.
   const int n = GetParam();
   const double t = 0.7853981633974483;
   const cplx d0 = std::exp(cplx{0.0, -t / 2.0});
