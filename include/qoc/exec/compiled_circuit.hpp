@@ -132,9 +132,9 @@ class CompiledCircuit {
   std::uint64_t structure_hash() const { return hash_; }
 
   /// Resolve every angle slot against (theta, input); `out` is resized to
-  /// num_slots(). A shift on source op `shift_op` is folded into the
-  /// affected slot exactly as train::with_op_offset would (delta added to
-  /// the ParamRef offset before resolution, so results are bit-identical).
+  /// num_slots(). A shift on source op `shift_op` adds `shift` to that
+  /// op's ParamRef offset before resolution, so results are bit-identical
+  /// to a copy of the circuit whose op carries the offset.
   void resolve_slots(std::span<const double> theta,
                      std::span<const double> input, std::size_t shift_op,
                      double shift, std::vector<double>& out) const;

@@ -9,9 +9,8 @@
 //   * measurement flips each readout bit with the calibrated probability.
 //
 // Channels are represented by their Kraus operators {K_i} with
-// sum_i K_i^dagger K_i = I. sim::DensityMatrix applies them exactly;
-// noise::NoiseModel folds them into the superoperators the device
-// engine applies.
+// sum_i K_i^dagger K_i = I. noise::NoiseModel folds them into the
+// superoperators the device engine applies.
 
 #include <string>
 #include <vector>

@@ -1,13 +1,13 @@
 #pragma once
 // A device's noise as the superoperators the device engine applies.
 //
-// The engine (qoc::backend, backend.cpp) holds a density matrix over m
-// active qubits as a 2m-qubit vector: row qubit q is qubit q, column
-// qubit q is qubit m + q (sim::DensityMatrix's layout). A 1-qubit
-// channel then acts on the pair (q, m + q) as one 4x4 superoperator,
-// and consecutive 1-qubit gates on a qubit multiply into one. NoiseModel
-// builds every such 4x4 once per device backend, with the gate's
-// depolarizing error and the qubit's relaxation folded in.
+// The engine (qoc::backend, backend.cpp) holds a density matrix rho over
+// m active qubits as a 2m-qubit vector: entry rho[r, c] sits at index
+// r * 2^m + c, so row qubit q is qubit q and column qubit q is qubit
+// m + q. A 1-qubit channel then acts on the pair (q, m + q) as one 4x4
+// superoperator, and consecutive 1-qubit gates on a qubit multiply into
+// one. NoiseModel builds every such 4x4 once per device backend, with the
+// gate's depolarizing error and the qubit's relaxation folded in.
 
 #include <array>
 #include <vector>

@@ -24,11 +24,6 @@
 
 namespace qoc::train {
 
-/// Copy of `c` with op `op_index`'s angle offset by `delta` (the shifted
-/// circuit of Eq. 2 -- structure unchanged, no ancilla).
-circuit::Circuit with_op_offset(const circuit::Circuit& c,
-                                std::size_t op_index, double delta);
-
 /// Throws std::invalid_argument, prefixed with `who`, unless every gate
 /// carrying a trainable parameter of `c` satisfies the +-1-eigenvalue
 /// parameter-shift rule.

@@ -465,9 +465,9 @@ const noise::Superop& basis_change(bool y) {
 }
 
 /// One evaluation's noisy state, exactly: the density matrix rho over
-/// the m active qubits of a routed program, held as a 2m-qubit
-/// Statevector whose row qubit q is qubit q and column qubit q is qubit
-/// m + q (sim::DensityMatrix's layout). Active qubit q is physical qubit
+/// the m active qubits of a routed program, held row-major as a 2m-qubit
+/// Statevector (rho[r, c] at index r * 2^m + c), so row qubit q is qubit
+/// q and column qubit q is qubit m + q. Active qubit q is physical qubit
 /// physical[q], and every superoperator and readout flip is looked up by
 /// that physical qubit. One engine is per-chunk scratch: it allocates
 /// once and is reused for each evaluation of its chunk.

@@ -175,16 +175,22 @@ void Statevector::apply_matrix(const Matrix& m, const std::vector<int>& qubits) 
 }
 
 void Statevector::apply_pauli_x(int qubit) {
+  if (qubit < 0 || qubit >= n_qubits_)
+    throw std::out_of_range("apply_pauli_x: qubit index");
   const std::size_t stride = std::size_t{1} << (n_qubits_ - 1 - qubit);
   kernels::apply_pauli_x(amps_.data(), amps_.size(), stride);
 }
 
 void Statevector::apply_pauli_y(int qubit) {
+  if (qubit < 0 || qubit >= n_qubits_)
+    throw std::out_of_range("apply_pauli_y: qubit index");
   const std::size_t stride = std::size_t{1} << (n_qubits_ - 1 - qubit);
   kernels::apply_pauli_y(amps_.data(), amps_.size(), stride);
 }
 
 void Statevector::apply_pauli_z(int qubit) {
+  if (qubit < 0 || qubit >= n_qubits_)
+    throw std::out_of_range("apply_pauli_z: qubit index");
   const std::size_t stride = std::size_t{1} << (n_qubits_ - 1 - qubit);
   kernels::apply_pauli_z(amps_.data(), amps_.size(), stride);
 }
@@ -223,6 +229,8 @@ std::vector<double> Statevector::probabilities() const {
 }
 
 double Statevector::probability_one(int qubit) const {
+  if (qubit < 0 || qubit >= n_qubits_)
+    throw std::out_of_range("probability_one: qubit index");
   const std::size_t stride = std::size_t{1} << (n_qubits_ - 1 - qubit);
   double acc = 0.0;
   for (std::size_t i = 0; i < amps_.size(); ++i)
@@ -237,6 +245,8 @@ std::vector<std::uint64_t> Statevector::sample(int shots, Prng& rng) const {
 }
 
 int Statevector::measure_qubit(int qubit, Prng& rng) {
+  if (qubit < 0 || qubit >= n_qubits_)
+    throw std::out_of_range("measure_qubit: qubit index");
   const double p1 = probability_one(qubit);
   const int outcome = rng.bernoulli(p1) ? 1 : 0;
   const std::size_t stride = std::size_t{1} << (n_qubits_ - 1 - qubit);

@@ -10,24 +10,6 @@ namespace {
 constexpr double kHalfPi = 1.5707963267948966;
 }
 
-circuit::Circuit with_op_offset(const circuit::Circuit& c,
-                                std::size_t op_index, double delta) {
-  if (op_index >= c.num_ops())
-    throw std::out_of_range("with_op_offset: op index");
-  circuit::Circuit out(c.num_qubits());
-  for (std::size_t i = 0; i < c.num_ops(); ++i) {
-    const auto& op = c.op(i);
-    circuit::ParamRef p = op.param;
-    if (i == op_index) {
-      if (!circuit::gate_is_parameterised(op.kind))
-        throw std::invalid_argument("with_op_offset: op not parameterised");
-      p.value += delta;
-    }
-    out.add(op.kind, op.qubits, p);
-  }
-  return out;
-}
-
 void check_shift_rule(const circuit::Circuit& c, const std::string& who) {
   for (const auto& op : c.ops())
     if (op.param.source == circuit::ParamRef::Source::Trainable &&

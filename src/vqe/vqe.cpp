@@ -56,9 +56,8 @@ std::vector<double> VqeSolver::gradient(std::span<const double> theta,
 
   // The whole sweep -- every +-pi/2 pair of every active parameter
   // occurrence -- submitted as ONE batch against the estimator's
-  // compiled ansatz: shifts are slot offsets (bit-identical to the old
-  // with_op_offset circuit copies), nothing is re-lowered, and the
-  // evaluations fan over the shared thread pool.
+  // compiled ansatz: shifts are slot offsets, nothing is re-lowered, and
+  // the evaluations fan over the shared thread pool.
   const auto shifts = train::shift_list(ansatz_, &mask);
   std::vector<exec::Evaluation> evals;
   evals.reserve(2 * shifts.size());

@@ -1,4 +1,4 @@
-#include "qoc/sim/density_matrix.hpp"
+#include "support/density_matrix.hpp"
 
 #include <cmath>
 #include <stdexcept>

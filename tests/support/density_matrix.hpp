@@ -3,9 +3,10 @@
 // CPTP noise channels.
 //
 // It applies gates and Kraus channels one at a time with gather/scatter
-// loops: the reference the channel tests check physics against. The
-// device backends hold their density matrices in a fused superoperator
-// engine instead (qoc::backend, backend.cpp).
+// loops: the reference the channel tests check physics against, and the
+// state of the reference device (device_reference.hpp) that NoisyBackend's
+// fused superoperator engine is checked against. Test support only; the
+// library does not use it.
 //
 // Same bit convention as Statevector: qubit 0 is the most significant bit
 // of a basis index. rho is stored row-major, dim x dim.

@@ -12,8 +12,8 @@
 #include "qoc/common/prng.hpp"
 #include "qoc/noise/channels.hpp"
 #include "qoc/qml/qnn.hpp"
-#include "qoc/sim/density_matrix.hpp"
 #include "qoc/sim/gates.hpp"
+#include "support/density_matrix.hpp"
 
 namespace {
 

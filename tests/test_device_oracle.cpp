@@ -1,205 +1,28 @@
-// The device backends against fixed oracles.
-//
-//  * ExactPins: NoisyBackend's exact readout (shots = 0) on every
-//    catalog device with <= 12 qubits (and a device with per-qubit calibration
-//    and a routed gap) x the five task models x four noise
-//    configurations x two noise scales, pinned to 1e-12 against values
-//    recorded from the Kraus-channel density-matrix walk that preceded
-//    the fused superoperator engine.
-//  * DeviceOracle: NoisyBackend's shot counts, pooled over pinned
-//    streams, against its exact readout's probabilities with a
-//    chi-square test per count, at a stated family-wise false-failure
-//    rate; and two injected biases that the same threshold must catch.
+// NoisyBackend's shot counts, pooled over pinned streams, against its
+// exact readout's probabilities with a chi-square test per count, at a
+// stated family-wise false-failure rate; and two injected biases that the
+// same threshold must catch. The exact readout itself is checked against
+// a Kraus-channel reference device in test_device_reference.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "qoc/backend/backend.hpp"
-#include "qoc/circuit/layers.hpp"
 #include "qoc/qml/qnn.hpp"
-#include "qoc/vqe/vqe.hpp"
+#include "support/device_reference.hpp"
 
 namespace {
 
 using namespace qoc::backend;
-using qoc::Prng;
 using qoc::circuit::Circuit;
 using qoc::noise::DeviceModel;
+using qoc::reference::Bindings;
 
-/// ibmq_lima rewired to the coupling 0-3, 3-1, 1-2, 2-4, with its own T1,
-/// T2 and readout flips on every qubit (test_sampling.cpp's gap device):
-/// a circuit on it can leave an idle physical qubit between its active
-/// ones, so a noise or readout lookup by compact index instead of by
-/// physical index changes results.
-DeviceModel gap_device() {
-  DeviceModel d = DeviceModel::ibmq_lima();
-  d.name = "gap_lima";
-  d.coupling = {{0, 3}, {3, 1}, {1, 2}, {2, 4}};
-  for (std::size_t q = 0; q < d.qubits.size(); ++q) {
-    const double s = static_cast<double>(q);
-    d.qubits[q] = {(60.0 + 20.0 * s) * 1e-6, (45.0 + 10.0 * s) * 1e-6,
-                   0.01 + 0.015 * s, 0.02 + 0.02 * s};
-  }
-  d.validate();
-  return d;
-}
-
-/// Every catalog device a density matrix can hold, then the gap device.
-std::vector<DeviceModel> oracle_devices() {
-  std::vector<DeviceModel> out;
-  for (const auto& name : DeviceModel::available()) {
-    DeviceModel d = DeviceModel::by_name(name);
-    if (d.n_qubits <= 12) out.push_back(std::move(d));
-  }
-  out.push_back(gap_device());
-  return out;
-}
-
-const char* const kTasks[] = {"mnist4", "mnist2", "fashion4", "fashion2",
-                              "vowel4"};
-
-/// The gap device's own circuits (test_sampling.cpp's gap_circuits):
-/// RY.CX(0,1).RY, whose CX routes through an idle physical qubit, and a
-/// 3-qubit circuit whose logical qubit 2 has no gate but is measured.
-std::vector<Circuit> gap_circuits() {
-  using qoc::circuit::ParamRef;
-  Circuit routed(2);
-  qoc::circuit::add_ry_layer(routed);
-  routed.cx(0, 1);
-  qoc::circuit::add_ry_layer(routed);
-  Circuit measured_idle(3);
-  for (const int q : {0, 1})
-    measured_idle.ry(q, ParamRef::trainable(measured_idle.new_trainable()));
-  measured_idle.cx(1, 0);
-  for (const int q : {0, 1})
-    measured_idle.ry(q, ParamRef::trainable(measured_idle.new_trainable()));
-  return {routed, measured_idle};
-}
-
-struct NoiseConfig {
-  const char* name;
-  bool gate, relaxation, readout;
-};
-
-const NoiseConfig kNoiseConfigs[] = {{"all", true, true, true},
-                                     {"gate", true, false, false},
-                                     {"relaxation", false, true, false},
-                                     {"readout", false, false, true}};
-
-/// `count` bindings of a circuit: theta and inputs uniform in [-pi, pi),
-/// from one fixed stream, so a binding depends only on the circuit's
-/// parameter and input counts.
-struct Bindings {
-  std::vector<std::vector<double>> theta, input;
-  std::vector<qoc::exec::Evaluation> evals;
-
-  Bindings(const Circuit& c, std::size_t count, std::uint64_t seed) {
-    Prng rng(seed);
-    const double pi = std::acos(-1.0);
-    theta.assign(count,
-                 std::vector<double>(static_cast<std::size_t>(
-                     c.num_trainable())));
-    input.assign(count,
-                 std::vector<double>(static_cast<std::size_t>(c.num_inputs())));
-    for (std::size_t k = 0; k < count; ++k) {
-      for (auto& t : theta[k]) t = rng.uniform(-pi, pi);
-      for (auto& x : input[k]) x = rng.uniform(-pi, pi);
-    }
-    for (std::size_t k = 0; k < count; ++k)
-      evals.push_back({theta[k], input[k]});
-  }
-};
-
-/// The exact readout on one (device, circuit, noise, scale) case, two
-/// bindings: binding 0's <Z_q> for every logical qubit and its
-/// expect_batch energy of a Heisenberg observable (X and Y suffix
-/// groups), then binding 1's.
-std::vector<double> exact_case(const DeviceModel& device, const Circuit& c,
-                               const NoiseConfig& noise, double scale) {
-  NoisyBackendOptions opt;
-  opt.shots = 0;
-  opt.enable_gate_noise = noise.gate;
-  opt.enable_relaxation = noise.relaxation;
-  opt.enable_readout_error = noise.readout;
-  opt.noise_scale = scale;
-  const auto plan = qoc::exec::CompiledCircuit::compile(c);
-  const Bindings b(c, 2, 0xE1AC7ULL);
-  const auto z = NoisyBackend(device, opt).run_batch(plan, b.evals, 1);
-  const auto e = NoisyBackend(device, opt).expect_batch(
-      plan,
-      qoc::vqe::compile_observable(
-          qoc::vqe::Hamiltonian::heisenberg(c.num_qubits(), 0.7)),
-      b.evals, 1);
-  std::vector<double> out;
-  for (std::size_t k = 0; k < b.evals.size(); ++k) {
-    out.insert(out.end(), z[k].begin(), z[k].end());
-    out.push_back(e[k]);
-  }
-  return out;
-}
-
-struct ExactCase {
-  std::string label;
-  std::size_t first = 0, count = 0;  // its values in the pin table
-};
-
-/// Every exact case in table order, its values appended to `values`.
-std::vector<ExactCase> exact_sweep(std::vector<double>& values) {
-  std::vector<ExactCase> cases;
-  const auto run = [&](const DeviceModel& d, const Circuit& c,
-                       const std::string& circuit_name) {
-    for (const auto& noise : kNoiseConfigs)
-      for (const double scale : {1.0, 2.5}) {
-        const auto v = exact_case(d, c, noise, scale);
-        cases.push_back({d.name + " " + circuit_name + " noise=" + noise.name +
-                             " scale=" + std::to_string(scale),
-                         values.size(), v.size()});
-        values.insert(values.end(), v.begin(), v.end());
-      }
-  };
-  for (const auto& d : oracle_devices())
-    for (const char* task : kTasks)
-      run(d, qoc::qml::make_task_model(task).circuit(), task);
-  const auto gap = gap_circuits();
-  for (std::size_t i = 0; i < gap.size(); ++i)
-    run(gap_device(), gap[i], "gap_circuit_" + std::to_string(i));
-  return cases;
-}
-
-const std::vector<std::uint64_t> kExactPins = {
-#include "golden/device_exact_pins.inc"
-};
-
-TEST(ExactPins, ExactReadoutMatchesRecordedValues) {
-  std::vector<double> got;
-  const auto cases = exact_sweep(got);
-  if (kExactPins.size() != got.size()) {
-    // An empty table is the recording mode: print one to paste into
-    // tests/golden/device_exact_pins.inc.
-    for (std::size_t i = 0; i < got.size(); ++i)
-      std::printf("0x%016llxULL,%s",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(got[i])),
-                  i % 3 == 2 ? "\n" : " ");
-    std::printf("\n");
-    FAIL() << "pin table holds " << kExactPins.size() << " values, the sweep "
-           << got.size();
-  }
-  for (const auto& c : cases)
-    for (std::size_t i = c.first; i < c.first + c.count; ++i)
-      EXPECT_NEAR(got[i], std::bit_cast<double>(kExactPins[i]), 1e-12)
-          << c.label << " value " << i - c.first;
-}
-
-// ---- Statistical oracle ------------------------------------------------------
-//
 // Counts come out of the public API exactly: a sampled <Z_q> is
 // (shots - 2 * ones_q) / shots and an expect term's mean (shots - 2 *
 // odd) / shots, with shots a power of two. Per device and task, one
@@ -301,8 +124,8 @@ template <class Inject>
 std::vector<OracleCell> oracle_sweep(Inject&& inject) {
   std::vector<OracleCell> cells;
   std::uint64_t streams = 1000;
-  for (const auto& d : oracle_devices())
-    for (const char* task : kTasks) {
+  for (const auto& d : qoc::reference::sweep_devices())
+    for (const char* task : qoc::reference::kTasks) {
       DeviceModel sampled_device = d;
       NoisyBackendOptions opt;
       opt.shots = kOracleShots;

@@ -28,6 +28,7 @@
 #include "qoc/sim/statevector.hpp"
 #include "qoc/train/param_shift.hpp"
 #include "qoc/transpile/transpile.hpp"
+#include "support/with_op_offset.hpp"
 
 namespace {
 

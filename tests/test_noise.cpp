@@ -9,8 +9,8 @@
 
 #include "qoc/noise/channels.hpp"
 #include "qoc/noise/device_model.hpp"
-#include "qoc/sim/density_matrix.hpp"
 #include "qoc/sim/gates.hpp"
+#include "support/density_matrix.hpp"
 
 namespace {
 

@@ -14,6 +14,7 @@
 #include "qoc/common/prng.hpp"
 #include "qoc/qml/qnn.hpp"
 #include "qoc/train/param_shift.hpp"
+#include "support/with_op_offset.hpp"
 
 namespace {
 

@@ -17,6 +17,7 @@
 #include "qoc/sim/gates.hpp"
 #include "qoc/sim/sampler.hpp"
 #include "qoc/vqe/vqe.hpp"
+#include "support/device_reference.hpp"
 
 namespace {
 
@@ -24,6 +25,9 @@ using namespace qoc::backend;
 using qoc::Prng;
 using qoc::linalg::cplx;
 using qoc::noise::DeviceModel;
+using qoc::reference::gap_circuits;
+using qoc::reference::gap_device;
+using qoc::reference::heisenberg;
 using qoc::sim::ShotCounts;
 using qoc::sim::ShotSampler;
 using qoc::sim::Statevector;
@@ -539,35 +543,9 @@ TEST(SampledPins, NoisyBackendWithoutGateNoiseOrRelaxation) {
 //    sits idle between the active qubits {0, 1, 3};
 //  - a 3-qubit circuit whose logical qubit 2 has no gate but is
 //    measured.
-// Re-recorded from the fused density-matrix engine; ExactPins in
-// test_device_oracle.cpp hold this device's exact values from before it.
-
-DeviceModel gap_device() {
-  DeviceModel d = DeviceModel::ibmq_lima();
-  d.coupling = {{0, 3}, {3, 1}, {1, 2}, {2, 4}};
-  for (std::size_t q = 0; q < d.qubits.size(); ++q) {
-    const double s = static_cast<double>(q);
-    d.qubits[q] = {(60.0 + 20.0 * s) * 1e-6, (45.0 + 10.0 * s) * 1e-6,
-                   0.01 + 0.015 * s, 0.02 + 0.02 * s};
-  }
-  d.validate();
-  return d;
-}
-
-std::vector<qoc::circuit::Circuit> gap_circuits() {
-  using qoc::circuit::ParamRef;
-  qoc::circuit::Circuit routed(2);
-  qoc::circuit::add_ry_layer(routed);
-  routed.cx(0, 1);
-  qoc::circuit::add_ry_layer(routed);
-  qoc::circuit::Circuit measured_idle(3);
-  for (const int q : {0, 1})
-    measured_idle.ry(q, ParamRef::trainable(measured_idle.new_trainable()));
-  measured_idle.cx(1, 0);
-  for (const int q : {0, 1})
-    measured_idle.ry(q, ParamRef::trainable(measured_idle.new_trainable()));
-  return {routed, measured_idle};
-}
+// The device and circuits are support/device_reference.hpp's. Recorded
+// from the fused density-matrix engine; test_device_reference checks
+// this device's exact readout against the Kraus-channel reference.
 
 /// Both gap circuits, two bindings each: every run_batch <Z_q>, then the
 /// expect_batch energies of a Heisenberg observable on all the circuit's
@@ -582,11 +560,7 @@ std::vector<double> gap_pins(Make make) {
     const auto evals = pin_evals(thetas, 2, c.num_trainable());
     for (const auto& z : make().run_batch(plan, evals, 2))
       out.insert(out.end(), z.begin(), z.end());
-    const auto e = make().expect_batch(
-        plan,
-        qoc::vqe::compile_observable(
-            qoc::vqe::Hamiltonian::heisenberg(c.num_qubits(), 0.7)),
-        evals, 2);
+    const auto e = make().expect_batch(plan, heisenberg(c), evals, 2);
     out.insert(out.end(), e.begin(), e.end());
   }
   return out;

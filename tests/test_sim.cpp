@@ -350,6 +350,21 @@ TEST(Statevector, MeasureQubitCollapsesState) {
   EXPECT_NEAR(sv.probability_one(1), static_cast<double>(m0), 1e-12);
 }
 
+TEST(Statevector, PauliAndMeasurementRejectQubitsOutOfRange) {
+  // Qubit -1 would stride over the whole buffer and n would shift by a
+  // negative count; both must throw before touching an amplitude.
+  Prng rng(13);
+  Statevector sv(3);
+  for (const int q : {-1, 3}) {
+    EXPECT_THROW(sv.apply_pauli_x(q), std::out_of_range) << q;
+    EXPECT_THROW(sv.apply_pauli_y(q), std::out_of_range) << q;
+    EXPECT_THROW(sv.apply_pauli_z(q), std::out_of_range) << q;
+    EXPECT_THROW(sv.probability_one(q), std::out_of_range) << q;
+    EXPECT_THROW(sv.measure_qubit(q, rng), std::out_of_range) << q;
+  }
+  EXPECT_EQ(sv.amplitude(0), cplx(1.0, 0.0));
+}
+
 TEST(Statevector, FidelityOfIdenticalStatesIsOne) {
   Prng rng(12);
   Statevector sv(3);

@@ -66,11 +66,11 @@ says what*. This linter makes them mechanical:
                       The paper's layer (src/train, src/qml, src/vqe and
                       their headers) executes circuits only through a
                       backend::Backend, so it never constructs a
-                      sim::Statevector, sim::BatchedStatevector or
-                      sim::DensityMatrix. A private simulator there is a
-                      second execution engine: its draws, noise and
-                      inference counts escape the backends' stream rule
-                      and accounting. References and pointers to states
+                      sim::Statevector or sim::BatchedStatevector. A
+                      private simulator there is a second execution
+                      engine: its draws, noise and inference counts
+                      escape the backends' stream rule and
+                      accounting. References and pointers to states
                       are fine. src/vqe/hamiltonian.cpp is exempt: it
                       holds the reference Hamiltonian::expectation that
                       tests compare the backends against.
@@ -324,7 +324,7 @@ ENGINE_EXEMPT = {"src/vqe/hamiltonian.cpp"}
 # A state type named as a value (a variable, member, temporary or
 # container element), not as a reference, pointer or scope.
 SIM_STATE = re.compile(
-    r"\bsim::(?:Statevector|BatchedStatevector|DensityMatrix)\b"
+    r"\bsim::(?:Statevector|BatchedStatevector)\b"
     r"(?!\s*(?:[&*]|::))")
 
 
