@@ -82,7 +82,10 @@ struct TracedObservable {
 /// One admitted job in submission order. `observable_id == 0` marks a
 /// run job (registry ids start at 1). `has_result == false` marks a job
 /// whose future never carried a value (backend failure); replay
-/// re-submits it but skips the comparison.
+/// re-submits it but skips the comparison. `result` is what the job's
+/// future resolved to: a run job's <Z_q> per logical qubit, or an
+/// expect job's energy as its one value (write_binary and write_text
+/// throw TraceError on an expect result of any other size).
 struct TracedJob {
   std::uint32_t client = 0;
   std::uint64_t seq = 0;
@@ -94,8 +97,7 @@ struct TracedJob {
   bool is_expect = false;
   bool has_result = false;
   std::vector<double> theta, input;
-  std::vector<double> run_result;  // run jobs
-  double expect_result = 0.0;      // expect jobs
+  std::vector<double> result;
 };
 
 /// A recorded session: everything needed to re-create its submission
@@ -169,9 +171,8 @@ class Recorder final : public serve::TraceSink {
                  std::span<const double> theta, std::span<const double> input,
                  std::chrono::nanoseconds since_session_start,
                  std::uint64_t stream) override;
-  void on_run_result(std::uint64_t stream,
-                     std::span<const double> result) override;
-  void on_expect_result(std::uint64_t stream, double result) override;
+  void on_result(std::uint64_t stream,
+                 std::span<const double> result) override;
 
   /// Copy of everything recorded so far.
   TraceLog snapshot() const QOC_EXCLUDES(mutex_);
@@ -224,8 +225,9 @@ struct ReplayReport {
 /// recorded one. The caller is responsible for configuring `backend`
 /// identically to the recorded session (same kind, seed, shots, noise
 /// options...) -- replay validates the log's internal consistency
-/// (structure hashes, stream ids, dangling ids; TraceError on
-/// violation) but cannot validate backend provenance.
+/// before submitting anything (structure hashes, stream ids, dangling
+/// ids, bindings or an observable a job's circuit cannot take;
+/// TraceError on violation) but cannot validate backend provenance.
 ReplayReport replay(const TraceLog& log, backend::Backend& backend,
                     const ReplayOptions& options = {});
 

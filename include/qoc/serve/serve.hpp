@@ -2,17 +2,16 @@
 // qoc::serve -- in-process asynchronous execution service with
 // cross-client batch coalescing.
 //
-// PRs 1-3 built a fast single-caller substrate: compile a circuit once
-// (exec::CompiledCircuit), then amortise structure work across large
-// run_batch / expect_batch calls. But inference traffic does not arrive
-// as large batches from one caller -- it arrives as many small
-// independent requests from many concurrent clients, each of which
-// would otherwise own a backend and block on its own tiny batch. serve
-// is the missing front end that turns that traffic shape into the one
-// the substrate is good at:
+// The backends are fastest on one caller's large batches: a circuit is
+// compiled once (exec::CompiledCircuit) and structure work is amortised
+// across large run_batch / expect_batch calls. Inference traffic instead
+// arrives as many small independent requests from many concurrent
+// clients, each of which would otherwise own a backend and block on its
+// own tiny batch. serve turns that traffic shape into the one the
+// backends are good at:
 //
 //   * ServeSession fronts a BackendPool of N backend replicas (a pool
-//     of one wraps a caller-owned backend, preserving the PR 4 API).
+//     of one wraps a caller-owned backend).
 //     Clients submit jobs non-blockingly and get std::futures back.
 //     Each replica owns a drain lane (a worker thread with its own
 //     batch queue), so coalesced batches execute concurrently across
@@ -178,10 +177,11 @@ class BackendPool {
 ///     Shed jobs (QueueFullError) are never reported -- they consume a
 ///     (client, seq) pair but produce nothing to replay; the per-client
 ///     sequence in the records may therefore have gaps.
-///   * on_run_result / on_expect_result -- once per fulfilled future
-///     carrying a value (cache hits and folded duplicates included;
-///     each folded job reports the fanned-out result under its own
-///     stream). Jobs failed by a backend error report no result.
+///   * on_result -- once per fulfilled future carrying a value (cache
+///     hits and folded duplicates included; each folded job reports the
+///     fanned-out result under its own stream). A run job's result is
+///     its <Z_q> vector, an expect job's its one energy. Jobs failed by
+///     a backend error report no result.
 ///
 /// `stream` is ServeSession::client_stream(client, seq) -- unique per
 /// job within a session, so sinks may key pending jobs on it.
@@ -202,9 +202,8 @@ class TraceSink {
                          std::span<const double> input,
                          std::chrono::nanoseconds since_session_start,
                          std::uint64_t stream) = 0;
-  virtual void on_run_result(std::uint64_t stream,
-                             std::span<const double> result) = 0;
-  virtual void on_expect_result(std::uint64_t stream, double result) = 0;
+  virtual void on_result(std::uint64_t stream,
+                         std::span<const double> result) = 0;
 };
 
 /// Coalescing, caching and admission policy of a ServeSession.
@@ -224,9 +223,9 @@ struct ServeOptions {
   /// only ever activates when every pool replica is deterministic().
   std::size_t result_cache_capacity = 0;
   /// Admission bound: maximum jobs admitted but not yet completed
-  /// (queued in buckets + routed to lanes + executing). 0 = unbounded
-  /// (the PR 4 behaviour). Result-cache hits complete inline and are
-  /// never counted against the bound.
+  /// (queued in buckets + routed to lanes + executing). 0 = unbounded.
+  /// Result-cache hits complete inline and are never counted against
+  /// the bound.
   std::size_t max_queue = 0;
   /// What happens to a submit at the bound.
   OverloadPolicy overload = OverloadPolicy::Block;
@@ -358,14 +357,20 @@ class Client {
   /// logical qubit once a coalesced batch containing the job has run
   /// (or immediately, on a result-cache hit). Bindings are copied, so
   /// the caller's buffers may be reused as soon as submit returns.
-  /// Throws std::invalid_argument on a foreign/invalid handle or
-  /// too-short bindings, std::runtime_error after shutdown.
+  /// This is ServeSession::submit_pinned under the client's (id, next
+  /// sequence number); a submission that throws consumes no sequence
+  /// number. Throws std::invalid_argument on a foreign/invalid handle
+  /// or too-short or non-finite bindings, std::runtime_error after
+  /// shutdown.
   std::future<std::vector<double>> submit(const CircuitHandle& circuit,
                                           std::span<const double> theta,
                                           std::span<const double> input = {});
 
   /// Enqueue one Hamiltonian-expectation evaluation (<H> of the bound
-  /// ansatz state); drained through Backend::expect_batch.
+  /// ansatz state); drained through Backend::expect_batch. Numbered and
+  /// checked like submit, and additionally throws
+  /// std::invalid_argument on a foreign/invalid observable handle or
+  /// one whose qubit count differs from the circuit's.
   std::future<double> submit_expect(const CircuitHandle& circuit,
                                     const ObservableHandle& observable,
                                     std::span<const double> theta,
@@ -383,8 +388,8 @@ class Client {
 class ServeSession {
  public:
   /// Single-replica convenience: wraps `backend` in a pool of one (no
-  /// clone -- the caller's backend executes every job, exactly the
-  /// PR 4 behaviour). The backend must outlive the session.
+  /// clone -- the caller's backend executes every job). The backend
+  /// must outlive the session.
   explicit ServeSession(backend::Backend& backend, ServeOptions options = {})
       : ServeSession(BackendPool(backend, 1), options) {}
 
@@ -413,16 +418,17 @@ class ServeSession {
   /// assignment reproducible across runs.
   Client client();
 
-  /// Replay/tooling submission path: enqueue a job under an EXPLICIT
-  /// (client id, sequence) identity instead of a Client's private
-  /// counter, pinning exactly the PRNG stream client_stream(client_id,
-  /// seq). This is what lets qoc::replay re-submit a recorded stream
+  /// The one submission path: enqueue a job under an explicit (client
+  /// id, sequence) identity, pinning exactly the PRNG stream
+  /// client_stream(client_id, seq). Client::submit / submit_expect
+  /// call these with the client's own id and next sequence number;
+  /// qoc::replay calls them directly to re-submit a recorded stream
   /// whose per-client sequences have gaps (shed jobs consume a sequence
   /// number but are never recorded). The caller owns uniqueness: two
   /// in-flight jobs sharing (client_id, seq) share a stream, which
   /// breaks the determinism contract for stochastic backends and the
-  /// uniqueness TraceSink keys on. Validation and admission control
-  /// behave exactly like Client::submit / submit_expect.
+  /// uniqueness TraceSink keys on. Checks, throws and admission control
+  /// are those documented on Client::submit / submit_expect.
   std::future<std::vector<double>> submit_pinned(
       std::uint32_t client_id, std::uint64_t seq, const CircuitHandle& circuit,
       std::span<const double> theta, std::span<const double> input = {});
@@ -443,9 +449,6 @@ class ServeSession {
   const ServeOptions& options() const { return options_; }
   /// The pool this session drains into.
   const BackendPool& pool() const;
-  /// Replica 0 (the primary of a single-backend session); kept for
-  /// source compatibility with the pre-pool API.
-  backend::Backend& backend() { return pool().replica(0); }
 
   /// The PRNG stream id pinned to client `client`'s `seq`-th job (top
   /// bit set, keeping the space disjoint from backend-internal auto
@@ -462,17 +465,6 @@ class ServeSession {
   }
 
  private:
-  friend class Client;
-
-  std::future<std::vector<double>> submit_run(Client& c,
-                                              const CircuitHandle& circuit,
-                                              std::span<const double> theta,
-                                              std::span<const double> input);
-  std::future<double> submit_expect(Client& c, const CircuitHandle& circuit,
-                                    const ObservableHandle& observable,
-                                    std::span<const double> theta,
-                                    std::span<const double> input);
-
   ServeOptions options_;
   std::shared_ptr<detail::SessionState> state_;
 };

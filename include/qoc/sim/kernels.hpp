@@ -22,13 +22,13 @@
 //   * KernelMode::Scalar   -- the scalar reference loops (the pre-SIMD
 //                             implementation, kept as the parity oracle).
 //   * KernelMode::Blocked  -- blocked enumeration, portable C++ only.
-//   * KernelMode::Simd     -- blocked enumeration with the AVX2 inner
-//                             loops when (a) the build enabled them
-//                             (CMake compiles kernels_avx2.cpp with
-//                             -mavx2 when the compiler supports it) and
-//                             (b) the CPU reports AVX2 at runtime;
-//                             otherwise falls back to Blocked.
-//   * KernelMode::Auto     -- Simd. The default.
+//   * KernelMode::Auto     -- the default: blocked enumeration with the
+//                             AVX2 inner loops when (a) the build
+//                             enabled them (CMake compiles
+//                             kernels_avx2.cpp with -mavx2 when the
+//                             compiler supports it) and (b) the CPU
+//                             reports AVX2 at runtime; otherwise
+//                             Blocked.
 //
 // Bit-exactness contract: for every kernel and every mode, the arithmetic
 // performed on each amplitude is IDENTICAL (same IEEE operations in the
@@ -48,14 +48,14 @@ namespace qoc::sim::kernels {
 
 using linalg::cplx;
 
-enum class KernelMode { Auto, Scalar, Blocked, Simd };
+enum class KernelMode { Auto, Scalar, Blocked };
 
 /// Process-wide kernel mode (atomic; Auto by default). Intended for
 /// tests and benchmarks -- production code leaves it at Auto.
 void set_kernel_mode(KernelMode mode);
 KernelMode kernel_mode();
 
-/// Name of the SIMD backend Simd/Auto dispatches to on this build+CPU:
+/// Name of the SIMD backend Auto dispatches to on this build+CPU:
 /// "avx2", or "portable" when no vector ISA path is available.
 const char* simd_backend();
 

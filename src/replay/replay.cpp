@@ -255,6 +255,15 @@ enum JobFlags : std::uint8_t {
   kJobHasResult = 2,
 };
 
+/// An expect job's energy: the one value of its result. The format
+/// stores it as a bare double, so a result of any other size cannot be
+/// written.
+double energy_of(const TracedJob& j) {
+  if (j.result.size() != 1)
+    throw TraceError("qoc trace: expect job result is not exactly one value");
+  return j.result[0];
+}
+
 void encode_job(std::vector<std::uint8_t>& out, const TracedJob& j) {
   put_u32(out, j.client);
   put_u64(out, j.seq);
@@ -268,9 +277,9 @@ void encode_job(std::vector<std::uint8_t>& out, const TracedJob& j) {
   put_doubles(out, j.input);
   if (j.has_result) {
     if (j.is_expect)
-      put_f64(out, j.expect_result);
+      put_f64(out, energy_of(j));
     else
-      put_doubles(out, j.run_result);
+      put_doubles(out, j.result);
   }
 }
 
@@ -291,9 +300,9 @@ TracedJob decode_job(Reader& r) {
   j.input = r.doubles("job input");
   if (j.has_result) {
     if (j.is_expect)
-      j.expect_result = r.f64("job expect result");
+      j.result = {r.f64("job expect result")};
     else
-      j.run_result = r.doubles("job run result");
+      j.result = r.doubles("job run result");
   }
   return j;
 }
@@ -499,9 +508,9 @@ std::string write_text(const TraceLog& log) {
     emit_doubles(out, j.input);
     if (j.has_result) {
       if (j.is_expect)
-        out += ' ' + fhex(j.expect_result);
+        out += ' ' + fhex(energy_of(j));
       else
-        emit_doubles(out, j.run_result);
+        emit_doubles(out, j.result);
     }
     out += "\n";
   }
@@ -543,9 +552,7 @@ bool logs_equal(const TraceLog& a, const TraceLog& b) {
         x.is_expect != y.is_expect || x.has_result != y.has_result ||
         !doubles_equal_bitwise(x.theta, y.theta) ||
         !doubles_equal_bitwise(x.input, y.input) ||
-        !doubles_equal_bitwise(x.run_result, y.run_result) ||
-        std::bit_cast<std::uint64_t>(x.expect_result) !=
-            std::bit_cast<std::uint64_t>(y.expect_result))
+        !doubles_equal_bitwise(x.result, y.result))
       return false;
   }
   return true;
@@ -590,22 +597,13 @@ void Recorder::on_submit(std::uint32_t client, std::uint64_t seq,
   log_.jobs.push_back(std::move(job));
 }
 
-void Recorder::on_run_result(std::uint64_t stream,
-                             std::span<const double> result) {
+void Recorder::on_result(std::uint64_t stream,
+                         std::span<const double> result) {
   const common::MutexLock lock(mutex_);
   const auto it = job_of_stream_.find(stream);
   if (it == job_of_stream_.end()) return;  // never submitted through us
   TracedJob& job = log_.jobs[it->second];
-  job.run_result.assign(result.begin(), result.end());
-  job.has_result = true;
-}
-
-void Recorder::on_expect_result(std::uint64_t stream, double result) {
-  const common::MutexLock lock(mutex_);
-  const auto it = job_of_stream_.find(stream);
-  if (it == job_of_stream_.end()) return;
-  TracedJob& job = log_.jobs[it->second];
-  job.expect_result = result;
+  job.result.assign(result.begin(), result.end());
   job.has_result = true;
 }
 
@@ -658,13 +656,28 @@ ReplayReport replay(const TraceLog& log, backend::Backend& backend,
                        "(client, seq) identity");
     if (j.is_expect != (j.observable_id != 0))
       throw TraceError("qoc trace: job expect flag / observable id mismatch");
-    if (circuits.find(j.circuit_id) == circuits.end())
+    const auto circuit = circuits.find(j.circuit_id);
+    if (circuit == circuits.end())
       throw TraceError("qoc trace: job references unknown circuit id " +
                        std::to_string(j.circuit_id));
-    if (j.is_expect &&
-        observables.find(j.observable_id) == observables.end())
+    const exec::CompiledCircuit& plan = circuit->second.plan();
+    // The checks serve would make at submission, made here for every job
+    // first: a log that fails one must not half-run.
+    const exec::Evaluation eval{j.theta, j.input};
+    try {
+      backend::require_valid_bindings(plan, std::span(&eval, 1), "qoc trace");
+    } catch (const std::invalid_argument& e) {
+      throw TraceError(e.what());
+    }
+    if (!j.is_expect) continue;
+    const auto observable = observables.find(j.observable_id);
+    if (observable == observables.end())
       throw TraceError("qoc trace: job references unknown observable id " +
                        std::to_string(j.observable_id));
+    if (observable->second.observable().num_qubits() != plan.num_qubits())
+      throw TraceError("qoc trace: job observable id " +
+                       std::to_string(j.observable_id) +
+                       " does not match its circuit's qubit count");
   }
 
   const auto start = obs::now();
@@ -707,8 +720,7 @@ ReplayReport replay(const TraceLog& log, backend::Backend& backend,
       ++report.skipped;
       continue;
     }
-    const std::vector<double> expected =
-        j.is_expect ? std::vector<double>{j.expect_result} : j.run_result;
+    const std::vector<double>& expected = j.result;
     if (!failed && doubles_equal_bitwise(expected, actual)) {
       ++report.matched;
       QOC_METRIC_COUNTER_ADD("qoc_replay_matched_total", 1);

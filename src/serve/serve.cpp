@@ -119,7 +119,7 @@ struct Job {
   std::uint64_t stream = 0;
   std::uint64_t key_hash = 0;  // result-cache key (0 when cache disabled)
   Clock::time_point enqueued;
-  bool is_expect = false;
+  // The bucket's observable says which of the two is live.
   std::promise<std::vector<double>> run_promise;
   std::promise<double> expect_promise;
 };
@@ -141,9 +141,7 @@ struct CacheEntry {
   std::uint64_t key_hash = 0;
   std::uint64_t circuit_id = 0, obs_id = 0;
   std::vector<double> theta, input;
-  bool is_expect = false;
-  std::vector<double> run_result;
-  double expect_result = 0.0;
+  std::vector<double> result;  // <Z_q> per qubit, or an expect job's energy
 };
 
 /// Why the dispatcher flushed a batch; carried to the lane so batch and
@@ -181,13 +179,14 @@ struct ReplicaLane {
   obs::Gauge* inflight_gauge = nullptr;
 };
 
-/// Per-replica counter slice, indexed by ReplicaLane::index. Owned by
-/// SessionState rather than the lane so every counter sits under the
-/// one session mutex its writers already hold -- the routing counters
-/// are written by the dispatcher at routing time, everything else by
-/// the lane at completion -- and the thread-safety analysis can name
-/// the guarding capability (it cannot express "guarded by another
-/// object's mutex" on a ReplicaLane member).
+/// Per-replica counter slice, indexed by ReplicaLane::index: the only
+/// store of the batch and flush counters (metrics() sums the slices for
+/// the session totals). Owned by SessionState rather than the lane so
+/// every counter sits under the one session mutex its writers already
+/// hold -- the routing counters are written by the dispatcher at
+/// routing time, everything else by the lane at completion -- and the
+/// thread-safety analysis can name the guarding capability (it cannot
+/// express "guarded by another object's mutex" on a ReplicaLane member).
 struct LaneCounters {
   std::uint64_t batches = 0, coalesced_jobs = 0, executed_jobs = 0;
   std::uint64_t size_flushes = 0, deadline_flushes = 0;
@@ -226,14 +225,9 @@ struct SessionState {
   std::uint64_t cache_hits QOC_GUARDED_BY(mutex) = 0;
   std::uint64_t folded_jobs QOC_GUARDED_BY(mutex) = 0;
   std::uint64_t shed_jobs QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t batches QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t coalesced_jobs QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t size_flushes QOC_GUARDED_BY(mutex) = 0;
-  std::uint64_t deadline_flushes QOC_GUARDED_BY(mutex) = 0;
   std::size_t peak_queue_depth QOC_GUARDED_BY(mutex) = 0;
   // Full-history submit->fulfil latency histogram (wait-free atomics,
-  // deliberately outside the mutex): feeds the metrics() percentiles,
-  // replacing the former 8192-sample ring window and its sorted copy.
+  // deliberately outside the mutex): feeds the metrics() percentiles.
   obs::Histogram latency_hist;
   // Per-replica counter slices, one per lane (ReplicaLane::index).
   std::vector<LaneCounters> lane_stats QOC_GUARDED_BY(mutex);
@@ -375,27 +369,23 @@ struct SessionState {
     return out;
   }
 
-  /// Commits one drained batch to the aggregate and per-replica batch /
-  /// occupancy / flush-cause counters. Called by the lane at completion
-  /// (success or failure) -- never at routing time, so a batch queued
-  /// behind a busy replica is not reported as executed.
+  /// Commits one drained batch to its replica's batch / occupancy /
+  /// flush-cause counters. Called by the lane at completion (success or
+  /// failure) -- never at routing time, so a batch queued behind a busy
+  /// replica is not reported as executed.
   void commit_batch_locked(const ReplicaLane& lane, FlushCause cause,
                            std::size_t jobs) QOC_REQUIRES(mutex) {
     LaneCounters& slice = lane_stats[lane.index];
-    ++batches;
     ++slice.batches;
-    coalesced_jobs += jobs;
     slice.coalesced_jobs += jobs;
     QOC_METRIC_COUNTER_ADD("qoc_serve_batches_total", 1);
     QOC_METRIC_COUNTER_ADD("qoc_serve_coalesced_jobs_total", jobs);
     switch (cause) {
       case FlushCause::kSize:
-        ++size_flushes;
         ++slice.size_flushes;
         QOC_METRIC_COUNTER_ADD("qoc_serve_size_flushes_total", 1);
         break;
       case FlushCause::kDeadline:
-        ++deadline_flushes;
         ++slice.deadline_flushes;
         QOC_METRIC_COUNTER_ADD("qoc_serve_deadline_flushes_total", 1);
         break;
@@ -437,6 +427,7 @@ struct SessionState {
     // contributed evaluation e.
     const bool fold =
         fold_possible && batch.size() > 1 && lane.replica->deterministic();
+    const std::uint64_t obs_id = observable == nullptr ? 0 : observable->id;
     std::vector<std::size_t> eval_of(batch.size());
     std::vector<std::size_t> leaders;
     leaders.reserve(batch.size());
@@ -444,7 +435,6 @@ struct SessionState {
       // Group by the bitwise binding hash -- the job's cache key when
       // the cache is enabled, computed here otherwise so the submit
       // hot path never pays for hashing it may not need.
-      const std::uint64_t obs_id = observable == nullptr ? 0 : observable->id;
       std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const std::uint64_t h =
@@ -488,15 +478,15 @@ struct SessionState {
     // nothrow payload moves), and cache insertion swallows its own
     // failures -- a job whose result was computed must not be failed
     // retroactively because memoising it ran out of memory.
-    std::vector<std::vector<double>> run_results;
-    std::vector<double> expect_results;
+    std::vector<std::vector<double>> z_vectors;
+    std::vector<double> energies;
     try {
       const DrainSlot slot(active_drains);
       const unsigned threads = drain_threads(slot.now);
       if (observable == nullptr)
-        run_results = lane.replica->run_batch(circuit->plan, evals, threads);
+        z_vectors = lane.replica->run_batch(circuit->plan, evals, threads);
       else
-        expect_results = lane.replica->expect_batch(
+        energies = lane.replica->expect_batch(
             circuit->plan, observable->observable, evals, threads);
     } catch (...) {
       const auto error = std::current_exception();
@@ -515,10 +505,10 @@ struct SessionState {
       space_cv.notify_all();
       for (Job& j : batch) {
         QOC_TRACE_ASYNC_END("serve", "job", j.stream);
-        if (j.is_expect)
-          j.expect_promise.set_exception(error);
-        else
+        if (observable == nullptr)
           j.run_promise.set_exception(error);
+        else
+          j.expect_promise.set_exception(error);
       }
       return;
     }
@@ -542,31 +532,27 @@ struct SessionState {
     set_gauge(lane.inflight_gauge, static_cast<std::int64_t>(left));
     space_cv.notify_all();
 
+    // Evaluation e's result as the trace sink and the result cache see
+    // it: a run job's <Z_q> vector, or an expect job's one energy.
+    const auto result = [&](std::size_t e) -> std::span<const double> {
+      if (observable == nullptr) return z_vectors[e];
+      return {&energies[e], 1};
+    };
+
     // Result records: one per fulfilled job, folded duplicates included
     // (each reports its fanned-out copy under its own stream). Recorded
     // before fulfilment so a trace snapshot taken after every future
     // resolved is guaranteed complete.
-    if (auto* sink = options.trace_sink.get()) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::size_t e = eval_of[i];
-        if (observable == nullptr)
-          sink->on_run_result(batch[i].stream, run_results[e]);
-        else
-          sink->on_expect_result(batch[i].stream, expect_results[e]);
-      }
-    }
+    if (auto* sink = options.trace_sink.get())
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        sink->on_result(batch[i].stream, result(eval_of[i]));
 
     if (cache_enabled) {
       for (const std::size_t i : leaders) {
-        const std::size_t e = eval_of[i];
+        const auto r = result(eval_of[i]);
         try {
-          if (observable == nullptr)
-            cache_insert({batch[i].key_hash, circuit->id, 0, batch[i].theta,
-                          batch[i].input, false, run_results[e], 0.0});
-          else
-            cache_insert({batch[i].key_hash, circuit->id, observable->id,
-                          batch[i].theta, batch[i].input, true, {},
-                          expect_results[e]});
+          cache_insert({batch[i].key_hash, circuit->id, obs_id, batch[i].theta,
+                        batch[i].input, {r.begin(), r.end()}});
         } catch (...) {
         }
       }
@@ -582,11 +568,11 @@ struct SessionState {
       QOC_TRACE_ASYNC_END("serve", "job", batch[i].stream);
       if (observable == nullptr) {
         if (last_user[e] == i)
-          batch[i].run_promise.set_value(std::move(run_results[e]));
+          batch[i].run_promise.set_value(std::move(z_vectors[e]));
         else
-          batch[i].run_promise.set_value(run_results[e]);
+          batch[i].run_promise.set_value(z_vectors[e]);
       } else {
-        batch[i].expect_promise.set_value(expect_results[e]);
+        batch[i].expect_promise.set_value(energies[e]);
       }
     }
   }
@@ -794,12 +780,18 @@ std::uint64_t ObservableHandle::id() const {
 // Client
 // ---------------------------------------------------------------------------
 
+// A client's job is a pinned job under (id_, seq_); seq_ advances only
+// once the session has taken the job, so a throwing submit consumes no
+// sequence number (a shed job, which returns a failed future, does).
+
 std::future<std::vector<double>> Client::submit(const CircuitHandle& circuit,
                                                 std::span<const double> theta,
                                                 std::span<const double> input) {
   if (session_ == nullptr)
     throw std::logic_error("serve::Client: default-constructed client");
-  return session_->submit_run(*this, circuit, theta, input);
+  auto future = session_->submit_pinned(id_, seq_, circuit, theta, input);
+  ++seq_;
+  return future;
 }
 
 std::future<double> Client::submit_expect(const CircuitHandle& circuit,
@@ -808,7 +800,10 @@ std::future<double> Client::submit_expect(const CircuitHandle& circuit,
                                           std::span<const double> input) {
   if (session_ == nullptr)
     throw std::logic_error("serve::Client: default-constructed client");
-  return session_->submit_expect(*this, circuit, observable, theta, input);
+  auto future = session_->submit_expect_pinned(id_, seq_, circuit, observable,
+                                               theta, input);
+  ++seq_;
+  return future;
 }
 
 // ---------------------------------------------------------------------------
@@ -911,25 +906,11 @@ Client ServeSession::client() {
 
 namespace {
 
-void validate_submission(const detail::SessionState* owner,
-                         const detail::CircuitEntry* entry,
-                         std::span<const double> theta,
-                         std::span<const double> input) {
-  if (entry == nullptr)
-    throw std::invalid_argument("serve: submit with an empty CircuitHandle");
-  if (entry->owner != owner)
-    throw std::invalid_argument(
-        "serve: CircuitHandle belongs to a different session");
-  // Rejected here, not in the lane: a bad binding coalesced into a
-  // batch would fail its batch-mates' jobs too.
-  const exec::Evaluation eval{theta, input};
-  backend::require_valid_bindings(entry->plan, std::span(&eval, 1), "serve");
-}
-
-/// Shared submission path for run and expect jobs (they differ only in
-/// result type, promise member and observable id): cache probe,
-/// job construction, stop check, bucket enqueue and dispatcher nudge
-/// all live here exactly once. `observable` is null for run jobs.
+/// The submission path of every job, run or expect (they differ only in
+/// result type, promise member and observable id): the handle, binding
+/// and observable checks, cache probe, job construction, stop check,
+/// bucket enqueue and dispatcher nudge all live here exactly once.
+/// `observable` is null for run jobs.
 template <typename Result>
 std::future<Result> submit_impl(
     detail::SessionState* s, std::uint32_t client_id, std::uint64_t seq,
@@ -937,6 +918,25 @@ std::future<Result> submit_impl(
     const std::shared_ptr<const detail::ObservableEntry>& observable,
     std::span<const double> theta, std::span<const double> input) {
   constexpr bool kExpect = std::is_same_v<Result, double>;
+  if (circuit == nullptr)
+    throw std::invalid_argument("serve: submit with an empty CircuitHandle");
+  if (circuit->owner != s)
+    throw std::invalid_argument(
+        "serve: CircuitHandle belongs to a different session");
+  // Rejected here, not in the lane: a bad binding coalesced into a
+  // batch would fail its batch-mates' jobs too.
+  const exec::Evaluation eval{theta, input};
+  backend::require_valid_bindings(circuit->plan, std::span(&eval, 1), "serve");
+  if constexpr (kExpect) {
+    if (observable == nullptr)
+      throw std::invalid_argument(
+          "serve: submit with an empty ObservableHandle");
+    if (observable->owner != s)
+      throw std::invalid_argument(
+          "serve: ObservableHandle belongs to a different session");
+    if (observable->observable.num_qubits() != circuit->plan.num_qubits())
+      throw std::invalid_argument("serve: observable qubit count mismatch");
+  }
   QOC_TRACE_SPAN("serve", "submit");
   const auto now = detail::Clock::now();
   const std::uint64_t stream = ServeSession::client_stream(client_id, seq);
@@ -950,16 +950,13 @@ std::future<Result> submit_impl(
           : 0;
 
   if (s->cache_enabled) {
-    Result hit{};
+    std::vector<double> hit;
     bool found = false;
     {
       const common::MutexLock lock(s->cache_mutex);
       if (const auto* entry = s->cache_find_locked(key_hash, circuit->id,
                                                    obs_id, theta, input)) {
-        if constexpr (kExpect)
-          hit = entry->expect_result;
-        else
-          hit = entry->run_result;
+        hit = entry->result;
         found = true;
       }
     }
@@ -983,14 +980,14 @@ std::future<Result> submit_impl(
             now - s->started);
         sink->on_submit(client_id, seq, circuit->id, obs_id, theta, input,
                         since, stream);
-        if constexpr (kExpect)
-          sink->on_expect_result(stream, hit);
-        else
-          sink->on_run_result(stream, hit);
+        sink->on_result(stream, hit);
       }
       std::promise<Result> p;
       auto f = p.get_future();
-      p.set_value(std::move(hit));
+      if constexpr (kExpect)
+        p.set_value(hit[0]);
+      else
+        p.set_value(std::move(hit));
       return f;
     }
   }
@@ -1001,7 +998,6 @@ std::future<Result> submit_impl(
   job.stream = stream;
   job.key_hash = key_hash;
   job.enqueued = now;
-  job.is_expect = kExpect;
   auto future = [&job] {
     if constexpr (kExpect)
       return job.expect_promise.get_future();
@@ -1069,56 +1065,19 @@ std::future<Result> submit_impl(
 
 }  // namespace
 
-std::future<std::vector<double>> ServeSession::submit_run(
-    Client& c, const CircuitHandle& circuit, std::span<const double> theta,
-    std::span<const double> input) {
-  auto* s = state_.get();
-  validate_submission(s, circuit.entry_.get(), theta, input);
-  return submit_impl<std::vector<double>>(s, c.id_, c.seq_++, circuit.entry_,
-                                          nullptr, theta, input);
-}
-
-std::future<double> ServeSession::submit_expect(
-    Client& c, const CircuitHandle& circuit, const ObservableHandle& observable,
-    std::span<const double> theta, std::span<const double> input) {
-  auto* s = state_.get();
-  validate_submission(s, circuit.entry_.get(), theta, input);
-  if (!observable.valid())
-    throw std::invalid_argument("serve: submit with an empty ObservableHandle");
-  if (observable.entry_->owner != s)
-    throw std::invalid_argument(
-        "serve: ObservableHandle belongs to a different session");
-  if (observable.entry_->observable.num_qubits() !=
-      circuit.entry_->plan.num_qubits())
-    throw std::invalid_argument("serve: observable qubit count mismatch");
-  return submit_impl<double>(s, c.id_, c.seq_++, circuit.entry_,
-                             observable.entry_, theta, input);
-}
-
 std::future<std::vector<double>> ServeSession::submit_pinned(
     std::uint32_t client_id, std::uint64_t seq, const CircuitHandle& circuit,
     std::span<const double> theta, std::span<const double> input) {
-  auto* s = state_.get();
-  validate_submission(s, circuit.entry_.get(), theta, input);
-  return submit_impl<std::vector<double>>(s, client_id, seq, circuit.entry_,
-                                          nullptr, theta, input);
+  return submit_impl<std::vector<double>>(state_.get(), client_id, seq,
+                                          circuit.entry_, nullptr, theta,
+                                          input);
 }
 
 std::future<double> ServeSession::submit_expect_pinned(
     std::uint32_t client_id, std::uint64_t seq, const CircuitHandle& circuit,
     const ObservableHandle& observable, std::span<const double> theta,
     std::span<const double> input) {
-  auto* s = state_.get();
-  validate_submission(s, circuit.entry_.get(), theta, input);
-  if (!observable.valid())
-    throw std::invalid_argument("serve: submit with an empty ObservableHandle");
-  if (observable.entry_->owner != s)
-    throw std::invalid_argument(
-        "serve: ObservableHandle belongs to a different session");
-  if (observable.entry_->observable.num_qubits() !=
-      circuit.entry_->plan.num_qubits())
-    throw std::invalid_argument("serve: observable qubit count mismatch");
-  return submit_impl<double>(s, client_id, seq, circuit.entry_,
+  return submit_impl<double>(state_.get(), client_id, seq, circuit.entry_,
                              observable.entry_, theta, input);
 }
 
@@ -1133,10 +1092,6 @@ MetricsSnapshot ServeSession::metrics() const {
     m.cache_hits = s->cache_hits;
     m.folded_jobs = s->folded_jobs;
     m.shed_jobs = s->shed_jobs;
-    m.batches = s->batches;
-    m.coalesced_jobs = s->coalesced_jobs;
-    m.size_flushes = s->size_flushes;
-    m.deadline_flushes = s->deadline_flushes;
     m.queue_depth = s->total_queued;
     m.peak_queue_depth = s->peak_queue_depth;
     m.in_flight = s->in_flight;
@@ -1157,6 +1112,10 @@ MetricsSnapshot ServeSession::metrics() const {
       if (r.batches > 0)
         r.mean_batch_occupancy = static_cast<double>(r.coalesced_jobs) /
                                  static_cast<double>(r.batches);
+      m.batches += r.batches;
+      m.coalesced_jobs += r.coalesced_jobs;
+      m.size_flushes += r.size_flushes;
+      m.deadline_flushes += r.deadline_flushes;
       m.replicas.push_back(std::move(r));
     }
   }
@@ -1164,10 +1123,9 @@ MetricsSnapshot ServeSession::metrics() const {
     m.mean_batch_occupancy = static_cast<double>(m.coalesced_jobs) /
                              static_cast<double>(m.batches);
   // Percentiles come from the session's full-history log-scale
-  // histogram (exact below 8ns, <=6.25% relative error above; same
-  // rank convention as indexing the sorted window this replaced). The
-  // histogram is lock-free, so no mutex hold and no O(n log n) sort on
-  // the metrics path.
+  // histogram (exact below 8ns, <=6.25% relative error above). The
+  // histogram is lock-free, so no mutex hold and no sort on the metrics
+  // path.
   if (s->latency_hist.count() > 0) {
     m.p50_latency_us =
         static_cast<double>(s->latency_hist.quantile_ns(0.50)) / 1000.0;

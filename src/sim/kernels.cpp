@@ -37,7 +37,6 @@ Path resolve_path() {
       return Path::Scalar;
     case KernelMode::Blocked:
       return Path::Blocked;
-    case KernelMode::Simd:
     case KernelMode::Auto:
       return active_simd() ? Path::Simd : Path::Blocked;
   }

@@ -1,6 +1,8 @@
 #include "support/density_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace qoc::sim {
@@ -34,13 +36,13 @@ void DensityMatrix::reset() {
   rho_[0] = 1.0;
 }
 
-void DensityMatrix::apply_one_side(const Matrix& m,
-                                   const std::vector<int>& qubits,
-                                   bool left) {
+void DensityMatrix::conjugate(const std::vector<Matrix>& ops,
+                              const std::vector<int>& qubits, bool sum) {
   const std::size_t k = qubits.size();
   const std::size_t sub = std::size_t{1} << k;
-  if (m.rows() != sub || m.cols() != sub)
-    throw std::invalid_argument("DensityMatrix: operator dim mismatch");
+  for (const auto& m : ops)
+    if (m.rows() != sub || m.cols() != sub)
+      throw std::invalid_argument("DensityMatrix: operator dim mismatch");
   for (std::size_t i = 0; i < k; ++i) {
     if (qubits[i] < 0 || qubits[i] >= n_qubits_)
       throw std::out_of_range("DensityMatrix: qubit index");
@@ -49,65 +51,96 @@ void DensityMatrix::apply_one_side(const Matrix& m,
         throw std::invalid_argument("DensityMatrix: duplicate qubit");
   }
 
-  std::vector<std::size_t> stride(k);
+  // offset[s]: the index bits operator index s sets (qubits[0] is its
+  // most significant bit); bases: every index with none of them set.
+  std::vector<std::size_t> offset(sub, 0);
   std::size_t mask = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    stride[i] = std::size_t{1} << (n_qubits_ - 1 - qubits[i]);
-    mask |= stride[i];
+  for (std::size_t b = 0; b < k; ++b) {
+    const std::size_t bit = std::size_t{1} << (n_qubits_ - 1 - qubits[b]);
+    mask |= bit;
+    for (std::size_t s = 0; s < sub; ++s)
+      if (s & (sub >> 1 >> b)) offset[s] |= bit;
   }
+  std::vector<std::size_t> bases;
+  for (std::size_t i = 0; i < dim_; ++i)
+    if (!(i & mask)) bases.push_back(i);
 
-  // Left:  rho'[r, c] = sum_s M[r_sub, s] rho[r(s), c]   for every c.
-  // Right: rho'[r, c] = sum_s rho[r, c(s)] conj(M[c_sub, s]) for every r.
-  std::vector<cplx> in(sub), out(sub);
-  const std::size_t fixed_count = dim_;  // iterate the untouched index fully
-  for (std::size_t fixed = 0; fixed < fixed_count; ++fixed) {
-    for (std::size_t base = 0; base < dim_; ++base) {
-      if (base & mask) continue;
-      // Gather the sub-vector along the varying index.
-      for (std::size_t s = 0; s < sub; ++s) {
-        std::size_t idx = base;
-        for (std::size_t b = 0; b < k; ++b)
-          if (s & (sub >> 1 >> b)) idx |= stride[b];
-        in[s] = left ? rho_[idx * dim_ + fixed] : rho_[fixed * dim_ + idx];
+  // Each operator's nonzero entries, row by row, with their conjugates
+  // for the right side. An exact-zero entry would add a signed zero to a
+  // sum that starts at +0, which changes no value, so it is skipped.
+  struct Entry {
+    std::size_t col;
+    cplx value, conj;
+  };
+  std::vector<Entry> entries;
+  std::vector<std::size_t> row_begin{0};  // row r of operator o: o*sub + r
+  for (const auto& op : ops)
+    for (std::size_t r = 0; r < sub; ++r) {
+      for (std::size_t s = 0; s < sub; ++s)
+        if (op(r, s) != cplx{0.0, 0.0})
+          entries.push_back({s, op(r, s), std::conj(op(r, s))});
+      row_begin.push_back(entries.size());
+    }
+
+  // The sub rows {row + offset[a]} of rho map only onto themselves: the
+  // left side mixes them column by column, then the right side mixes
+  // each one's columns {base + offset[c]} group by group. Every entry of
+  // M B M^dagger is summed over s in order from zero, as std::complex
+  // arithmetic would (mul_add spells out its product).
+  const auto mul_add = [](cplx& acc, cplx m, cplx x) {
+    acc = {acc.real() + (m.real() * x.real() - m.imag() * x.imag()),
+           acc.imag() + (m.real() * x.imag() + m.imag() * x.real())};
+  };
+  std::vector<cplx> in(sub * dim_), half(sub * dim_), out(sub * dim_);
+  std::vector<cplx> group(bases.size());
+  for (const std::size_t row : bases) {
+    for (std::size_t a = 0; a < sub; ++a)
+      std::copy_n(&rho_[(row + offset[a]) * dim_], dim_, &in[a * dim_]);
+    if (sum) std::fill(out.begin(), out.end(), cplx{0.0, 0.0});
+    for (std::size_t o = 0; o < ops.size(); ++o) {
+      const auto row_of = [&](std::size_t r) {
+        return std::span(entries.data() + row_begin[o * sub + r],
+                         entries.data() + row_begin[o * sub + r + 1]);
+      };
+      for (std::size_t a = 0; a < sub; ++a) {
+        cplx* h = &half[a * dim_];
+        std::fill(h, h + dim_, cplx{0.0, 0.0});
+        for (const Entry& e : row_of(a)) {
+          const cplx* x = &in[e.col * dim_];
+          for (std::size_t col = 0; col < dim_; ++col)
+            mul_add(h[col], e.value, x[col]);
+        }
       }
-      for (std::size_t r = 0; r < sub; ++r) {
-        cplx acc{0.0, 0.0};
-        for (std::size_t s = 0; s < sub; ++s)
-          acc += (left ? m(r, s) : std::conj(m(r, s))) * in[s];
-        out[r] = acc;
-      }
-      for (std::size_t s = 0; s < sub; ++s) {
-        std::size_t idx = base;
-        for (std::size_t b = 0; b < k; ++b)
-          if (s & (sub >> 1 >> b)) idx |= stride[b];
-        if (left)
-          rho_[idx * dim_ + fixed] = out[s];
-        else
-          rho_[fixed * dim_ + idx] = out[s];
+      for (std::size_t a = 0; a < sub; ++a) {
+        const cplx* h = &half[a * dim_];
+        cplx* u = &out[a * dim_];
+        for (std::size_t c = 0; c < sub; ++c) {
+          std::fill(group.begin(), group.end(), cplx{0.0, 0.0});
+          for (const Entry& e : row_of(c))
+            for (std::size_t j = 0; j < bases.size(); ++j)
+              mul_add(group[j], e.conj, h[bases[j] + offset[e.col]]);
+          for (std::size_t j = 0; j < bases.size(); ++j) {
+            cplx& target = u[bases[j] + offset[c]];
+            target = sum ? target + group[j] : group[j];
+          }
+        }
       }
     }
+    for (std::size_t a = 0; a < sub; ++a)
+      std::copy_n(&out[a * dim_], dim_, &rho_[(row + offset[a]) * dim_]);
   }
 }
 
 void DensityMatrix::apply_unitary(const Matrix& u,
                                   const std::vector<int>& qubits) {
-  apply_one_side(u, qubits, /*left=*/true);
-  apply_one_side(u, qubits, /*left=*/false);
+  conjugate({u}, qubits, /*sum=*/false);
 }
 
 void DensityMatrix::apply_channel(const std::vector<Matrix>& kraus,
                                   const std::vector<int>& qubits) {
   if (kraus.empty())
     throw std::invalid_argument("DensityMatrix: empty Kraus set");
-  std::vector<cplx> acc(dim_ * dim_, cplx{0.0, 0.0});
-  const std::vector<cplx> original = rho_;
-  for (const auto& k : kraus) {
-    rho_ = original;
-    apply_one_side(k, qubits, /*left=*/true);
-    apply_one_side(k, qubits, /*left=*/false);
-    for (std::size_t i = 0; i < rho_.size(); ++i) acc[i] += rho_[i];
-  }
-  rho_ = std::move(acc);
+  conjugate(kraus, qubits, /*sum=*/true);
 }
 
 double DensityMatrix::trace_real() const {

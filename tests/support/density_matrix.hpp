@@ -2,11 +2,11 @@
 // Density-matrix simulator: exact mixed-state evolution under gates and
 // CPTP noise channels.
 //
-// It applies gates and Kraus channels one at a time with gather/scatter
-// loops: the reference the channel tests check physics against, and the
-// state of the reference device (device_reference.hpp) that NoisyBackend's
-// fused superoperator engine is checked against. Test support only; the
-// library does not use it.
+// It applies gates and Kraus channels one at a time, each operator K as
+// K rho K^dagger: the reference the channel tests check physics against,
+// and the state of the reference device (device_reference.hpp) that
+// NoisyBackend's fused superoperator engine is checked against. Test
+// support only; the library does not use it.
 //
 // Same bit convention as Statevector: qubit 0 is the most significant bit
 // of a basis index. rho is stored row-major, dim x dim.
@@ -53,10 +53,12 @@ class DensityMatrix {
   std::vector<double> probabilities() const;
 
  private:
-  /// Expand an operator on `qubits` to the full 2^n x 2^n matrix indexes
-  /// lazily: we apply on the flattened rho via index arithmetic instead.
-  void apply_one_side(const linalg::Matrix& m, const std::vector<int>& qubits,
-                      bool left);
+  /// rho <- M rho M^dagger for each operator M of `ops` on `qubits`, the
+  /// results summed when `sum` (one operator replaces rho otherwise).
+  /// Walks rho one group of 2^k rows at a time: the rows an operator on
+  /// k qubits mixes.
+  void conjugate(const std::vector<linalg::Matrix>& ops,
+                 const std::vector<int>& qubits, bool sum);
 
   int n_qubits_;
   std::size_t dim_;

@@ -8,7 +8,7 @@
 //    each of two bindings' <Z_q> and Heisenberg energy;
 //  * on seeded random circuits that span 6 to 8 active qubits of the
 //    27-qubit ibmq_toronto, kept short: an 8-qubit density walk costs
-//    seconds per binding once routing adds tens of CX.
+//    up to 0.2 s per binding in Release once routing adds tens of CX.
 //
 // test_device_reference holds the subset every build runs.
 

@@ -57,15 +57,15 @@ std::vector<cplx> run_mode(KernelMode mode, const std::vector<cplx>& init,
   return sv.amplitudes();
 }
 
-/// Asserts Blocked and Simd results are bit-identical to Scalar.
+/// Asserts Blocked and Auto results are bit-identical to Scalar.
 template <typename Fn>
 void expect_mode_parity(int n, std::uint64_t seed, Fn&& gates) {
   const auto init = random_state(n, seed);
   const auto ref = run_mode(KernelMode::Scalar, init, n, gates);
   const auto blocked = run_mode(KernelMode::Blocked, init, n, gates);
   expect_bitwise_equal(ref, blocked);
-  const auto simd = run_mode(KernelMode::Simd, init, n, gates);
-  expect_bitwise_equal(ref, simd);
+  const auto automatic = run_mode(KernelMode::Auto, init, n, gates);
+  expect_bitwise_equal(ref, automatic);
 }
 
 class KernelParity : public ::testing::TestWithParam<int> {};
@@ -144,7 +144,7 @@ TEST_P(KernelParity, FusedCxRzCxMatchesSequence) {
                             std::pair{1, 2}, std::pair{n - 2, n - 1}}) {
     const auto init = random_state(n, 15);
     for (const KernelMode mode :
-         {KernelMode::Scalar, KernelMode::Blocked, KernelMode::Simd}) {
+         {KernelMode::Scalar, KernelMode::Blocked, KernelMode::Auto}) {
       const auto fused = run_mode(mode, init, n, [&](sim::Statevector& sv) {
         sv.apply_diag_2q(d0, d1, d1, d0, a, b);
       });
@@ -180,7 +180,7 @@ TEST(Kernels, SmallStatesStayCorrect) {
 }
 
 TEST(Kernels, SimdBackendReported) {
-  // Informational: the dispatcher must report a backend name, and Simd
+  // Informational: the dispatcher must report a backend name, and Auto
   // mode must fall back cleanly (already exercised above) when it is
   // "portable".
   const char* backend = sim::kernels::simd_backend();

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -138,6 +142,42 @@ TEST(Replay, BinaryRoundTripIsStableAndBitwise) {
   EXPECT_EQ(replay::write_binary(decoded), bytes);
 }
 
+// The checked-in golden traces (recorded by an earlier commit, with run
+// and expect jobs, every one with its result) re-encode to their own
+// bytes: the v2 format reads and writes both result kinds unchanged.
+TEST(Replay, GoldenTracesReencodeUnchanged) {
+  for (const char* scenario : {"noisy", "density"}) {
+    const std::string path =
+        std::string(QOC_GOLDEN_DIR) + "/" + scenario + ".qoctrace";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()};
+    const replay::TraceLog log = replay::read_binary(bytes);
+    std::size_t expect_jobs = 0;
+    for (const auto& j : log.jobs) {
+      EXPECT_TRUE(j.has_result) << path;
+      expect_jobs += j.is_expect ? 1 : 0;
+    }
+    EXPECT_GT(expect_jobs, 0u) << path;
+    EXPECT_LT(expect_jobs, log.jobs.size()) << path;
+    EXPECT_EQ(replay::write_binary(log), bytes) << path;
+  }
+}
+
+// An expect job's result is its one energy: the format stores a bare
+// double, so a result of any other size is refused, not truncated.
+TEST(Replay, WriteRefusesExpectResultsOfOtherSizes) {
+  replay::TraceLog log = record_exact_session();
+  auto& job = *std::find_if(log.jobs.begin(), log.jobs.end(),
+                            [](const auto& j) { return j.is_expect; });
+  job.result.push_back(0.0);
+  EXPECT_THROW((void)replay::write_binary(log), replay::TraceError);
+  EXPECT_THROW((void)replay::write_text(log), replay::TraceError);
+  job.result.clear();
+  EXPECT_THROW((void)replay::write_binary(log), replay::TraceError);
+}
+
 // The text form is write-only: a header, a scenario line, then one line
 // per circuit (plus one per op), observable (plus one per term) and job.
 TEST(Replay, TextFormHasOneLinePerRecord) {
@@ -255,7 +295,7 @@ TEST(Replay, CacheHitJobsAreRecordedWithResults) {
   ASSERT_EQ(log.jobs.size(), 2u);
   for (const auto& j : log.jobs) {
     EXPECT_TRUE(j.has_result);
-    EXPECT_EQ(j.run_result, first);
+    EXPECT_EQ(j.result, first);
   }
 }
 
@@ -281,7 +321,7 @@ TEST(Replay, DetectsTamperedResults) {
       break;
     }
   ASSERT_LT(run_idx, log.jobs.size());
-  log.jobs[run_idx].run_result[0] += 1e-13;  // sub-epsilon tamper
+  log.jobs[run_idx].result[0] += 1e-13;  // sub-epsilon tamper
   backend::StatevectorBackend backend(0);
   const auto report = replay::replay(log, backend);
   EXPECT_FALSE(report.ok());
@@ -320,6 +360,41 @@ TEST(Replay, RejectsDanglingIds) {
         break;
       }
     EXPECT_THROW((void)replay::replay(log, backend), replay::TraceError);
+  }
+}
+
+// A job whose bindings or observable its circuit cannot take makes the
+// log malformed too: replay refuses it with TraceError before submitting
+// anything, so the backend counts no inference.
+TEST(Replay, RejectsJobsTheirCircuitCannotTake) {
+  const replay::TraceLog recorded = record_exact_session();
+  const auto expect_rejected = [](const replay::TraceLog& log,
+                                  const char* what) {
+    backend::StatevectorBackend backend(0);
+    EXPECT_THROW((void)replay::replay(log, backend), replay::TraceError)
+        << what;
+    EXPECT_EQ(backend.inference_count(), 0u) << what;
+  };
+  {
+    replay::TraceLog log = recorded;
+    log.jobs.back().theta.pop_back();
+    expect_rejected(log, "short theta");
+  }
+  {
+    replay::TraceLog log = recorded;
+    log.jobs.back().theta[0] = std::numeric_limits<double>::quiet_NaN();
+    expect_rejected(log, "NaN theta");
+  }
+  {
+    replay::TraceLog log = recorded;
+    const std::uint64_t narrow = log.observables.back().id + 1;
+    log.observables.push_back({narrow, 3, {{"ZZI", 1.0}}});
+    for (auto it = log.jobs.rbegin(); it != log.jobs.rend(); ++it)
+      if (it->is_expect) {
+        it->observable_id = narrow;
+        break;
+      }
+    expect_rejected(log, "observable qubit count");
   }
 }
 

@@ -386,6 +386,63 @@ TEST(Serve, NonFiniteSubmissionFailsOnlyItself) {
   EXPECT_EQ(m.failed, 0u);
 }
 
+// All four entry points -- a client's submit and submit_expect, and the
+// pinned pair under an explicit identity -- reject every bad handle,
+// binding and observable before admission. A rejected call takes no
+// sequence number: on a sampled backend the client's next valid job
+// still draws the stream pinned to its sequence 0.
+TEST(Serve, RejectedSubmissionsConsumeNothing) {
+  const auto qnn = make_qnn(3, 4, 1);
+  const auto plan = exec::CompiledCircuit::compile(qnn);
+  backend::StatevectorBackend served_backend(/*shots=*/128, /*seed=*/7);
+  backend::StatevectorBackend direct_backend(/*shots=*/128, /*seed=*/7);
+  serve::ServeSession session(served_backend, fast_options());
+  serve::ServeSession other(served_backend, fast_options());
+  const auto handle = session.register_circuit(qnn);
+  const auto foreign = other.register_circuit(qnn);
+  const auto h3 = vqe::compile_observable(vqe::Hamiltonian::heisenberg(3, 0.7));
+  const auto obs = session.register_observable(h3);
+  const auto foreign_obs = other.register_observable(h3);
+  const auto wide_obs = session.register_observable(
+      vqe::compile_observable(vqe::Hamiltonian::heisenberg(4, 0.7)));
+  auto client = session.client();
+  const std::uint32_t id = client.id();
+
+  const auto theta = make_theta(qnn.num_trainable(), id, 0);
+  const auto input = make_input(qnn.num_inputs(), id, 0);
+  const std::vector<double> short_theta(1, 0.0);
+  auto nan_theta = theta;
+  nan_theta[0] = std::numeric_limits<double>::quiet_NaN();
+
+  const std::vector<std::pair<serve::CircuitHandle, std::span<const double>>>
+      bad_circuit_side = {{serve::CircuitHandle{}, theta},
+                          {foreign, theta},
+                          {handle, short_theta},
+                          {handle, nan_theta}};
+  for (const auto& [c, t] : bad_circuit_side) {
+    EXPECT_THROW(client.submit(c, t, input), std::invalid_argument);
+    EXPECT_THROW(client.submit_expect(c, obs, t, input),
+                 std::invalid_argument);
+    EXPECT_THROW(session.submit_pinned(id, 0, c, t, input),
+                 std::invalid_argument);
+    EXPECT_THROW(session.submit_expect_pinned(id, 0, c, obs, t, input),
+                 std::invalid_argument);
+  }
+  for (const auto& o : {serve::ObservableHandle{}, foreign_obs, wide_obs}) {
+    EXPECT_THROW(client.submit_expect(handle, o, theta, input),
+                 std::invalid_argument);
+    EXPECT_THROW(session.submit_expect_pinned(id, 0, handle, o, theta, input),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(session.metrics().submitted, 0u);
+
+  const exec::Evaluation eval{theta, input, exec::Evaluation::kNoShift, 0.0,
+                              serve::ServeSession::client_stream(id, 0)};
+  const auto expected = direct_backend.run_batch(plan, std::span(&eval, 1));
+  EXPECT_EQ(client.submit(handle, theta, input).get(), expected[0]);
+  EXPECT_EQ(session.metrics().submitted, 1u);
+}
+
 TEST(Serve, DeadlineFlushCompletesSparseTraffic) {
   backend::StatevectorBackend backend(0);
   serve::ServeOptions opt;

@@ -781,10 +781,10 @@ TEST(ServeSharded, PoolConstructionValidation) {
   EXPECT_FALSE(mixed.deterministic());
 
   // The single-backend session is a pool of one fronting the caller's
-  // backend -- the source-compatible PR 4 surface.
+  // backend.
   serve::ServeSession session(sv, fast_options());
   EXPECT_EQ(session.pool().size(), 1u);
-  EXPECT_EQ(&session.backend(), &sv);
+  EXPECT_EQ(&session.pool().replica(0), &sv);
 }
 
 }  // namespace
